@@ -7,9 +7,9 @@ fan-out (PR 2) mirror that, but a synchronous ``random_bits`` still
 module overlaps those stages:
 
 * **Planning stays serial.**  Every round is planned in the caller --
-  the child-RNG keys advance the executors' draw counters in plan
-  order, exactly as PR 2's determinism contract requires -- so nothing
-  about *when* a round executes can change *what* it produces.
+  each task claims the next iterations of its segment's thermal-stream
+  cursor in plan order -- so nothing about *when* a round executes can
+  change *what* it produces.
 * **Execution is in flight.**  Planned rounds are submitted through
   :meth:`~repro.core.parallel.ExecutionBackend.submit_round` (which
   decomposes into ``submit_map`` on in-process backends and ships
@@ -45,15 +45,21 @@ output** for any request sequence, on every backend, at every worker
 count.  ``tests/test_determinism.py`` replays the golden streams
 through the engine to pin this.
 
-The one deliberate exception is :attr:`AsyncHarvestEngine.readahead`:
-with readahead enabled the engine commits the next round *before* the
-next request arrives, sized as if the previous request repeats.  For
-constant-size request streams (``iter_bytes``, the streaming hot path)
-the guess is always right and the stream still equals the synchronous
-one bit for bit; a varying request size makes the committed round
-differ from what a synchronous run would have planned, after which the
-two streams deliberately part ways (both remain individually
-reproducible).  Readahead is therefore opt-in.
+:attr:`AsyncHarvestEngine.readahead` commits the next round *before*
+the next request arrives, sized as if the previous request repeats.
+A wrong guess changes round sizes, never bits, for a single-channel
+planner: iteration ``k`` of a segment is a pure function of (module
+seed, segment, ``k``) and a channel's rounds claim its iterations in
+order, so a :class:`~repro.core.trng.QuacTrng` serves the same stream
+with or without readahead, for any request sequence.  What round
+sizing still decides is the *interleaving* of a
+:class:`~repro.core.multichannel.SystemTrng`: each round gives every
+scheduled channel a fair share of the deficit in round-robin order,
+so with readahead and varying request sizes the system stream
+interleaves the (unchanged) per-channel streams differently from a
+synchronous run -- still reproducible for the same request sequence.
+For constant-size requests (``iter_bytes``, the streaming hot path)
+the system stream equals the synchronous one too.
 
 Health monitoring
 -----------------
@@ -144,16 +150,16 @@ class HarvestPlanner:
     :class:`~repro.core.trng.QuacTrng` and
     :class:`~repro.core.multichannel.SystemTrng` both implement it --
     a planner is the *deterministic* half of a generator: it decides
-    round sizes, derives child-RNG keys (serially, advancing the draw
-    counters), and knows how to account a landed round's results.
+    round sizes, claims iterations (serially, advancing the segments'
+    cursors), and knows how to account a landed round's results.
     """
 
     def plan_round(self, deficit_bits: int,
                    pack_output: bool = False) -> HarvestRound:
         """Plan one refill round toward ``deficit_bits`` outstanding bits.
 
-        Must advance RNG draw counters exactly as the synchronous path
-        would, and must return a round with ``yield_bits >= 1``
+        Must advance the segments' iteration cursors exactly as the
+        synchronous path would, and must return a round with ``yield_bits >= 1``
         iteration's worth of output for any positive deficit.
         """
         raise NotImplementedError
@@ -192,8 +198,9 @@ class AsyncHarvestEngine:
     readahead:
         Commit the next draw's first rounds speculatively after each
         fill, sized as if the previous request repeats.  Bit-identical
-        to the synchronous path for constant-size request streams; see
-        the module docstring for the exact contract.
+        to the synchronous path for single-channel planners and for
+        constant-size request streams; see the module docstring for
+        what differs on multi-channel systems.
     pack_results:
         Plan rounds with worker-side packed byte pools.  ``None`` (the
         default) packs exactly when the backend pickles results across
@@ -207,7 +214,8 @@ class AsyncHarvestEngine:
     -----------
     ``fill`` produces the same pool contents as the synchronous
     plan/execute/gather loop for any request sequence (with
-    ``readahead=False``); the engine only changes *when* work happens.
+    ``readahead=False``, or with any readahead on a single-channel
+    planner); the engine only changes *when* work happens.
     """
 
     def __init__(self, planner: HarvestPlanner, backend: ExecutionBackend,
@@ -363,10 +371,10 @@ class AsyncHarvestEngine:
 
         For teardown (or abandoning a readahead guess): the rounds'
         results are dropped, *not* pooled.  The discarded rounds'
-        child-RNG keys were already consumed at plan time, so the
-        stream continues from later draws -- still fully reproducible
-        for the same call sequence, but no longer equal to a run that
-        never cancelled.  Safe to call with the backend already closed
+        iterations were already claimed from the segments' cursors at
+        plan time, so the stream continues after them -- still fully
+        reproducible for the same call sequence, but no longer equal
+        to a run that never cancelled.  Safe to call with the backend already closed
         (pooled backends finish submitted work before closing).
         """
         cancelled = 0

@@ -12,7 +12,7 @@ channel SIB counts differ and the round-robin order matters for fairness
 
 Harvesting is *planned, then executed*: each refill round computes every
 scheduled channel's fair share of the deficit, plans all of their
-per-bank tasks serially (fixing the child-RNG keys), and fans the whole
+per-bank tasks serially (claiming their iterations), and fans the whole
 task list out on one execution backend -- so with a thread or process
 backend, all channels and all banks generate concurrently, exactly the
 parallelism the paper's hardware gets for free.  Optionally each
@@ -209,9 +209,10 @@ class SystemTrng:
         :class:`~repro.core.harvest.HarvestPlanner` protocol: the
         round-robin schedule (:meth:`_harvest_plan`) picks channels and
         batch sizes, then every scheduled channel's per-bank tasks are
-        planned *serially in schedule order* -- fixing the child-RNG
-        keys and the rotation cursor exactly as the synchronous path
-        does, whatever backend later executes the round.  Monitored
+        planned *serially in schedule order* -- claiming each
+        channel's iterations and advancing the rotation cursor exactly
+        as the synchronous path does, whatever backend later executes
+        the round.  Monitored
         channels' tasks carry their raw read-outs
         (``collect_raw=True``) so verdicts can be applied at gather
         time.
@@ -275,9 +276,9 @@ class SystemTrng:
         """Top the pool up to ``n_bits`` in planned parallel rounds.
 
         Each round plans every scheduled channel's per-bank tasks
-        serially (fixing the draw order and child-RNG keys), executes
-        the combined task list on the backend, monitors each channel's
-        raw read-outs (when a monitor is configured), and pools the
+        serially (claiming each channel's iterations), executes the
+        combined task list on the backend, monitors each channel's raw
+        read-outs (when a monitor is configured), and pools the
         conditioned bits in schedule order.  A channel whose monitor
         alarms contributes nothing, but every healthy channel's bits
         are pooled *before* the first alarm re-raises -- pooled bits

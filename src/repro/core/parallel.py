@@ -23,15 +23,16 @@ interchangeable executors for it:
   machine (resolved here as ``"remote:2"`` for a localhost cluster or
   ``"remote:host:port,..."`` for running workers).
 
-**Determinism contract.**  Every task carries its own child-RNG key,
-derived *serially* in the parent through the hierarchical
-:func:`repro.rng.derive_key` scheme and expanded in the worker via
-``numpy.random.SeedSequence`` (the same child-spawning machinery as
-``SeedSequence.spawn``, keyed by draw-site coordinates instead of spawn
-order so results cannot depend on which worker runs first).  A task's
-output is a pure function of the task itself, and results are returned
-in submission order -- so all three backends, at any worker count,
-produce **bit-identical** streams (``tests/core/test_parallel.py``
+**Determinism contract.**  Every task carries its segment's
+thermal-stream key (derived from the hierarchical
+:func:`repro.rng.derive_key` scheme, keyed by draw-site coordinates
+rather than spawn order) and the index of its first iteration; the
+worker expands the key via ``numpy.random.SeedSequence`` into a PCG64
+stream and advances it straight to that iteration.  Iteration ``k`` of
+a segment is therefore a pure function of (module seed, bank, segment,
+``k``) -- not of batch sizes, worker counts or which worker runs first
+-- and results are returned in submission order, so every backend
+produces **bit-identical** streams (``tests/core/test_parallel.py``
 enforces this).
 
 Backends are selected per generator (``QuacTrng(..., backend=...)``),
@@ -79,9 +80,12 @@ import numpy as np
 from repro.bitops import pack_bits, unpack_bits
 from repro.crypto.conditioner import Sha256Conditioner
 from repro.crypto.sha256 import Sha256
-from repro.dram.sense_amplifier import sample_settles
+from repro.dram.sense_amplifier import sample_iterations
 from repro.errors import ConfigurationError
-from repro.rng import generator_from_key
+# Not called here; kept importable so a tracer that rebinds the draw
+# entry points by module attribute (``hostbench/layers.py``) finds them.
+from repro.dram.sense_amplifier import sample_settles  # noqa: F401
+from repro.rng import generator_from_key  # noqa: F401
 
 #: Environment variable naming the default backend spec.
 BACKEND_ENV_VAR = "REPRO_EXECUTION_BACKEND"
@@ -97,16 +101,20 @@ class BankTask:
     condition them.
 
     Everything a worker needs travels with the task (settling
-    probabilities, the draw site's child-RNG key, the SIB slices and
-    conditioning parameters), so the task pickles cheaply and never
-    drags a :class:`~repro.dram.device.DramModule` across a process
-    boundary.
+    probabilities, the segment's thermal key and first iteration, the
+    SIB slices and conditioning parameters), so the task pickles
+    cheaply and never drags a :class:`~repro.dram.device.DramModule`
+    across a process boundary.
     """
 
-    #: Child-RNG key (``repro.rng.derive_key`` words); the worker seeds
-    #: a ``SeedSequence`` from it, so the stream is a function of the
-    #: draw site, not of scheduling order.
-    key: Tuple[int, ...]
+    #: The segment's thermal-stream key (``repro.rng.derive_key``
+    #: words); the worker seeds a ``SeedSequence`` from it, so the
+    #: stream is a function of the draw site, not of scheduling order.
+    #: Older builds called this field ``key`` and drew each task from
+    #: the start of its own per-draw stream; the new name makes such a
+    #: worker fail every task (``AttributeError``) instead of serving
+    #: the start of the segment's stream again for every task.
+    thermal_key: Tuple[int, ...]
     #: Per-bitline settling probabilities of the bank's TRNG segment.
     probabilities: np.ndarray
     #: Iterations to sample (rows of the read-out matrix).
@@ -124,6 +132,9 @@ class BankTask:
     #: matrices back through :meth:`BankResult.digest_matrix` /
     #: :meth:`BankResult.raw_matrix`.
     pack_output: bool = False
+    #: Index of the segment's first iteration in this task; the worker
+    #: advances the thermal stream straight to it.
+    first_iteration: int = 0
 
 
 def _pack_matrix(matrix: np.ndarray) -> bytes:
@@ -203,16 +214,16 @@ def run_bank_task(task: BankTask) -> BankResult:
     it).
 
     Reproduces exactly what the serial fast path does for one bank:
-    sample the settling distribution with the task's child generator,
-    slice the SHA input blocks, and condition each block matrix in
-    bulk.  With ``task.pack_output`` the conditioned bits (and raw
-    read-outs, when collected) are accumulated into packed byte pools
-    before shipping -- the content is bit-identical, only the wire
-    format changes.
+    sample iterations ``[first_iteration, first_iteration +
+    iterations)`` of the segment's thermal stream, slice the SHA input
+    blocks, and condition each block matrix in bulk.  With
+    ``task.pack_output`` the conditioned bits (and raw read-outs, when
+    collected) are accumulated into packed byte pools before shipping
+    -- the content is bit-identical, only the wire format changes.
     """
-    rng = generator_from_key(task.key)
-    raw = np.atleast_2d(
-        sample_settles(task.probabilities, rng, task.iterations))
+    raw = np.atleast_2d(sample_iterations(
+        task.probabilities, task.thermal_key, task.first_iteration,
+        task.iterations))
     conditioner = Sha256Conditioner(task.entropy_per_block,
                                     use_builtin=task.use_builtin_sha)
     columns = [

@@ -15,14 +15,18 @@ Two execution paths, trading fidelity for speed:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.dram.device import DramModule, cells_for_pattern
 from repro.dram.geometry import SegmentAddress
-from repro.dram.sense_amplifier import sample_settles
-from repro.rng import derive_key, generator_from_key
+from repro.dram.sense_amplifier import sample_iterations
+from repro.rng import STREAM_EPOCH, derive_key
+# Not called here; kept importable so a tracer that rebinds the draw
+# entry points by module attribute (``hostbench/layers.py``) finds them.
+from repro.dram.sense_amplifier import sample_settles  # noqa: F401
+from repro.rng import generator_from_key  # noqa: F401
 from repro.softmc.host import SoftMcHost
 from repro.softmc.program import quac_randomness_program
 
@@ -34,7 +38,9 @@ class QuacExecutor:
                  host: Optional[SoftMcHost] = None) -> None:
         self.module = module
         self.host = host or SoftMcHost(module)
-        self._direct_counter = 0
+        # Per-segment iteration cursors, keyed by
+        # ``(bank_group, bank, segment)``.
+        self._cursors: Dict[Tuple[int, int, int], int] = {}
 
     def run_via_softmc(self, segment: SegmentAddress, pattern: str,
                        variant: int = 0) -> np.ndarray:
@@ -44,26 +50,36 @@ class QuacExecutor:
             variant=variant)
         return self.host.execute(program).read_data
 
-    def plan_direct(self, segment: SegmentAddress, pattern: str,
-                    first_position: int = 0
-                    ) -> Tuple[Tuple[int, ...], np.ndarray]:
-        """Plan one direct draw: ``(child RNG key, probabilities)``.
+    def cursor(self, segment: SegmentAddress) -> int:
+        """Index of the segment's next thermal-noise iteration to plan."""
+        return self._cursors.get(
+            (segment.bank_group, segment.bank, segment.segment), 0)
 
-        Advances the executor's draw counter exactly as
-        :meth:`run_direct` would, but *performs no sampling*: the
-        returned key and probability vector are everything a worker
-        (possibly in another process) needs to produce the draw
-        bit-identically via :func:`repro.rng.generator_from_key`.
-        Planning is serial, so the call-sequence reproducibility
-        contract is untouched no matter where the sampling runs.
+    def plan_direct(self, segment: SegmentAddress, pattern: str,
+                    first_position: int = 0, iterations: int = 1
+                    ) -> Tuple[Tuple[int, ...], np.ndarray, int]:
+        """Plan ``iterations`` direct draws: ``(key, probabilities,
+        first iteration)``.
+
+        Claims the next ``iterations`` indices of the segment's cursor
+        exactly as :meth:`run_direct` would, but *performs no
+        sampling*: the segment's thermal key, the probability vector
+        and the first claimed index are everything a worker (possibly
+        in another process) needs to draw iterations ``[first,
+        first + iterations)`` bit-identically via
+        :func:`~repro.dram.sense_amplifier.sample_iterations`.
+        Iteration ``k`` of a segment depends only on (module seed,
+        segment, ``k``), so how the iterations are split into draws
+        never changes them.
         """
         p = self.module.segment_probabilities(segment, pattern,
                                               first_position)
-        self._direct_counter += 1
-        key = derive_key(self.module.seed, "quac-direct",
-                         segment.bank_group, segment.bank,
-                         segment.segment, self._direct_counter)
-        return key, p
+        coords = (segment.bank_group, segment.bank, segment.segment)
+        first = self._cursors.get(coords, 0)
+        self._cursors[coords] = first + iterations
+        key = derive_key(self.module.seed, "quac-thermal", STREAM_EPOCH,
+                         *coords)
+        return key, p, first
 
     def run_direct(self, segment: SegmentAddress, pattern: str,
                    first_position: int = 0,
@@ -71,12 +87,14 @@ class QuacExecutor:
         """Sample QUAC outcomes from the analytic settling distribution.
 
         Returns ``(iterations, row_bits)`` (squeezed when
-        ``iterations == 1``).  Each call consumes fresh thermal noise:
-        outcomes differ across calls but remain reproducible for a fixed
-        module seed and call sequence.
+        ``iterations == 1``).  Each call consumes the segment's next
+        ``iterations`` thermal-noise iterations: outcomes differ across
+        calls but remain reproducible for a fixed module seed, and
+        ``n`` calls of one iteration equal one call of ``n``.
         """
-        key, p = self.plan_direct(segment, pattern, first_position)
-        return sample_settles(p, generator_from_key(key), iterations)
+        key, p, first = self.plan_direct(segment, pattern, first_position,
+                                         iterations)
+        return sample_iterations(p, key, first, iterations)
 
     def probabilities(self, segment: SegmentAddress, pattern: str,
                       first_position: int = 0) -> np.ndarray:

@@ -27,7 +27,11 @@ handshake (:data:`HELLO` request and reply); a version-1 worker
 answers ``hello`` with an ``error`` message ("unknown message kind"),
 which clients read as version 1 and fall back to per-task shipping --
 so round-capable clients interoperate with old workers with no
-configuration.
+configuration.  The version covers message shapes, not task
+semantics: the task function and task class travel by reference and
+resolve to the worker's own build, so a build whose tasks would draw
+a different stream must fail those tasks instead (see
+:attr:`~repro.core.parallel.BankTask.thermal_key`).
 
 The codec never buffers across frames and never splits one: a frame is
 fully written with ``sendall`` and fully read before the next, so a

@@ -9,11 +9,12 @@ task and returning the result -- the exact
 across a length-prefixed pickle socket (:mod:`repro.core.remote.wire`).
 
 Workers are deliberately *stateless*: a task carries everything it
-needs (:class:`~repro.core.parallel.BankTask` travels with its child-RNG
-key, settling probabilities, and conditioning parameters), so a worker
-can be killed and its tasks requeued onto any other worker without
-moving a bit of output.  Each connection is served by its own thread,
-requests within a connection strictly in order.
+needs (:class:`~repro.core.parallel.BankTask` travels with its thermal
+key and first iteration, settling probabilities, and conditioning
+parameters), so a worker can be killed and its tasks requeued onto any
+other worker without moving a bit of output.  Each connection is
+served by its own thread, requests within a connection strictly in
+order.
 
 Two execution protocols share one loop.  The per-task protocol
 (version 1) answers each ``task`` message with one ``result``; the

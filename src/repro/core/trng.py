@@ -242,6 +242,14 @@ class QuacTrng:
         """SHA-input-block count of each driven bank."""
         return [self._sib[b] for b in self._banks]
 
+    def cursors(self) -> List[int]:
+        """Per driven bank, the next thermal-noise iteration to plan.
+
+        Every harvest path advances these by exactly the iterations it
+        plans, so they count the iterations generated so far.
+        """
+        return [self.executor.cursor(self._segments[b]) for b in self._banks]
+
     @property
     def bits_per_iteration(self) -> int:
         """Conditioned output bits of one iteration (256 x total SIB)."""
@@ -285,8 +293,9 @@ class QuacTrng:
         backend; each worker samples its bank's ``n`` read-outs in one
         vectorized draw, slices the SHA input blocks as
         ``(n, block_bits)`` matrices and conditions them in bulk.
-        Because every task carries its own serially-derived child-RNG
-        key, the result is bit-identical whichever backend executes it.
+        Because every task carries its segment's thermal key and first
+        iteration index, the result is bit-identical whichever backend
+        executes it.
 
         Returns
         -------
@@ -294,10 +303,10 @@ class QuacTrng:
         ``(n, bits_per_iteration)`` -- row ``i`` is iteration ``i``'s
         conditioned output in the same bank/block order as
         :meth:`iteration` -- and ``latency_ns`` is the scheduled latency
-        of the whole batch.  For ``n == 1`` the row is bit-identical to
-        what :meth:`iteration` would have produced (the test suite
-        proves it); larger batches consume the thermal-noise streams in
-        a different order and agree statistically.
+        of the whole batch.  The batch is bit-identical to ``n`` calls
+        of :meth:`iteration` for every ``n``: iteration ``k`` of a
+        segment's thermal stream is the same however the iterations
+        are grouped (the test suite proves it).
         """
         results = self.execute_batch(n)
         return self.assemble_batch(results), n * self._breakdown.total_ns
@@ -328,8 +337,8 @@ class QuacTrng:
                    pack_output: bool = False) -> List[BankTask]:
         """Plan ``n`` iterations as one picklable task per driven bank.
 
-        Planning runs serially in the caller (each bank's child-RNG key
-        advances the executor's draw counter in bank order, exactly as
+        Planning runs serially in the caller (each bank's task claims
+        the next ``n`` iterations of its segment's cursor, exactly as
         the sequential path does), so executing the returned tasks on
         *any* backend, in *any* order, with *any* worker count yields
         bit-identical results.  ``collect_raw`` asks workers to also
@@ -344,19 +353,20 @@ class QuacTrng:
         tasks: List[BankTask] = []
         for key in self._banks:
             segment = self._segments[key]
-            rng_key, p = self.executor.plan_direct(segment,
-                                                   self.data_pattern)
+            rng_key, p, first = self.executor.plan_direct(
+                segment, self.data_pattern, iterations=n)
             slices = tuple((plan.bit_slice.start, plan.bit_slice.stop)
                            for plan in self._plans[key])
             # Conditioning parameters come from the live conditioner
             # (not the ctor arguments) so post-construction swaps are
             # honored by both the batched and per-iteration paths.
             tasks.append(BankTask(
-                key=rng_key, probabilities=p, iterations=n,
+                thermal_key=rng_key, probabilities=p, iterations=n,
                 block_slices=slices,
                 entropy_per_block=self.conditioner.entropy_per_block,
                 use_builtin_sha=self.conditioner.use_builtin,
-                collect_raw=collect_raw, pack_output=pack_output))
+                collect_raw=collect_raw, pack_output=pack_output,
+                first_iteration=first))
         return tasks
 
     def assemble_batch(self, results: List[BankResult]) -> np.ndarray:
@@ -381,8 +391,8 @@ class QuacTrng:
         The single-channel instance of the
         :class:`~repro.core.harvest.HarvestPlanner` protocol: one round
         is one batch of :func:`batch_count_for` iterations, planned
-        serially through :meth:`plan_batch` (advancing the draw
-        counters exactly as the synchronous path would), laid out as a
+        serially through :meth:`plan_batch` (advancing the segment
+        cursors exactly as the synchronous path would), laid out as a
         single :class:`~repro.core.harvest.ChannelSpan`.
         """
         count = batch_count_for(deficit_bits, self.bits_per_iteration)

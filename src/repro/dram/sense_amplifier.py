@@ -28,7 +28,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtr
 
-from repro.errors import BitstreamError
+import repro.rng
+from repro.errors import BitstreamError, ConfigurationError
 
 #: Probabilities are clipped into [EPS, 1-EPS] before taking logarithms.
 _EPS = 1e-300
@@ -79,9 +80,31 @@ def empirical_entropy(bits: np.ndarray, axis: int = -1) -> np.ndarray:
     return bernoulli_entropy(p_one)
 
 
+def settle_thresholds(p: np.ndarray) -> np.ndarray:
+    """32-bit lane thresholds ``ceil(p * 2**32)`` as ``uint64``.
+
+    A uniform 32-bit lane ``u`` settles to one iff ``u < t``, so
+    ``P(1) = t / 2**32``: exactly 0 at p = 0, exactly 1 at p = 1, and
+    within ``2**-32`` of p in between (scaling by a power of two is
+    exact in float64, so the ceiling is the only rounding).
+    """
+    p = np.asarray(p, dtype=np.float64)
+    return np.ceil(p * 2.0 ** 32).astype(np.uint64)
+
+
 def sample_settles(p: np.ndarray, rng: np.random.Generator,
                    iterations: int = 1) -> np.ndarray:
     """Draw SA settling outcomes.
+
+    Each outcome consumes one 32-bit lane of the generator's raw
+    64-bit output: raw draw ``j`` supplies lanes ``2j`` (its low half)
+    and ``2j + 1`` (its high half), row-major over
+    ``(iterations, bits)``, whatever the host's byte order.  Lane ``u``
+    settles to one iff ``u < ceil(p * 2**32)``
+    (:func:`settle_thresholds`).  An even ``bits`` keeps every row on
+    whole raw draws, so row ``k`` starts at raw draw ``k * bits / 2``
+    -- which is what lets :func:`sample_iterations` jump to any
+    iteration.
 
     Parameters
     ----------
@@ -98,12 +121,46 @@ def sample_settles(p: np.ndarray, rng: np.random.Generator,
     ``uint8`` array of shape ``(iterations, bits)`` (squeezed to
     ``(bits,)`` when ``iterations == 1``).
     """
-    p = np.asarray(p, dtype=np.float64)
-    draws = rng.random((iterations, p.size))
-    bits = (draws < p).astype(np.uint8)
+    t = settle_thresholds(p)
+    lanes_needed = iterations * t.size
+    lanes = (rng.bit_generator.random_raw(-(-lanes_needed // 2))
+             .astype("<u8", copy=False).view("<u4")[:lanes_needed]
+             .reshape(iterations, t.size))
+    # ``lanes < t`` computed in 32 bits (a mixed 32/64-bit compare
+    # costs 2.5x): t = 2**32 (p = 1) only differs from its 32-bit clip
+    # on the all-ones lane, so those bitlines are forced to one after.
+    always = t > np.iinfo(np.uint32).max
+    bits = np.less(lanes, np.minimum(t, np.iinfo(np.uint32).max)
+                   .astype(np.uint32))
+    if always.any():
+        np.logical_or(bits, always, out=bits)
+    bits = bits.view(np.uint8)
     if iterations == 1:
         return bits[0]
     return bits
+
+
+def sample_iterations(p: np.ndarray, key, first_iteration: int,
+                      iterations: int = 1) -> np.ndarray:
+    """Draw iterations ``[first_iteration, first_iteration + iterations)``
+    of a segment's thermal stream.
+
+    The one place that knows the thermal stream layout: iteration ``k``
+    of a ``bits``-wide segment occupies raw draws ``[k * bits / 2,
+    (k + 1) * bits / 2)`` (two lanes per raw draw, see
+    :func:`sample_settles`), so the stream built by
+    :func:`repro.rng.generator_from_key` is advanced straight past the
+    first ``first_iteration`` rows.  Iteration ``k`` is therefore the
+    same however the iterations are split into calls.
+
+    Returns the same shapes as :func:`sample_settles`.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if p.size % 2:
+        raise ConfigurationError(
+            f"thermal streams need an even row width, got {p.size} bits")
+    rng = repro.rng.generator_from_key(key, first_iteration * p.size // 2)
+    return sample_settles(p, rng, iterations)
 
 
 def deviation_from_cells(cell_values: np.ndarray, first_row: int,

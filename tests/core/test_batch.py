@@ -1,10 +1,11 @@
 """Batched generation: equivalence with the per-iteration path.
 
 The batched engine must be a pure speedup, not a different generator:
-batch size 1 is bit-identical to :meth:`QuacTrng.iteration`, and larger
-batches (which consume the thermal-noise streams in a different order)
-must agree distributionally -- checked with the NIST frequency and runs
-tests on bulk streams from both paths.
+iteration ``k`` of a segment's thermal stream is the same whether it is
+drawn alone or inside a batch, so a batch of any size ``n`` is
+bit-identical to ``n`` calls of :meth:`QuacTrng.iteration`, for any
+partition of the iterations into batches.  Bulk streams from both paths
+also pass the NIST frequency and runs tests.
 """
 
 import numpy as np
@@ -30,19 +31,27 @@ class TestBatchIdentity:
     def test_batch_one_bit_identical_to_iteration(self, make_trng):
         sequential = make_trng()
         batched = make_trng()
-        for _ in range(3):   # identity must hold across the counter state
-            seq_bits, seq_latency = sequential.iteration()
-            batch_bits, batch_latency = batched.batch_iterations(1)
-            assert batch_bits.shape == (1, sequential.bits_per_iteration)
-            np.testing.assert_array_equal(batch_bits[0], seq_bits)
-            assert batch_latency == pytest.approx(seq_latency)
+        # Identity must hold for every batch size and across the
+        # cursor state left by earlier batches.
+        for n in (1, 1, 3, 2, 5):
+            batch_bits, batch_latency = batched.batch_iterations(n)
+            assert batch_bits.shape == (n, sequential.bits_per_iteration)
+            for row in batch_bits:
+                seq_bits, seq_latency = sequential.iteration()
+                np.testing.assert_array_equal(row, seq_bits)
+            assert batch_latency == pytest.approx(n * seq_latency)
 
     def test_first_batch_row_matches_first_iteration(self, make_trng):
-        # Batch n shares the first per-bank draw with the sequential
-        # path, so row 0 is bit-identical even for n > 1.
-        seq_bits, _ = make_trng().iteration()
-        batch_bits, _ = make_trng().batch_iterations(5)
-        np.testing.assert_array_equal(batch_bits[0], seq_bits)
+        # Every row of a batch is its iteration, wherever the batch
+        # boundaries fall: one batch of 6 equals iteration + batch of
+        # 3 + batch of 2.
+        whole, _ = make_trng().batch_iterations(6)
+        trng = make_trng()
+        first, _ = trng.iteration()
+        middle, _ = trng.batch_iterations(3)
+        last, _ = trng.batch_iterations(2)
+        np.testing.assert_array_equal(
+            whole, np.vstack([first[None, :], middle, last]))
 
     def test_batch_shape_and_latency(self, make_trng):
         trng = make_trng()
@@ -85,8 +94,8 @@ class TestBatchStatisticalAgreement:
         for stream in (sequential, batched):
             report = run_all_tests(stream, tests=["monobit", "runs"])
             assert report.passes_all(), report.failing()
-        # The two paths draw the same per-bitline distribution: their
-        # one-fractions agree within tight binomial noise.
+        # The two paths draw the same iterations, so their
+        # one-fractions agree.
         assert abs(sequential.mean() - batched.mean()) < 0.01
 
 
@@ -101,9 +110,9 @@ class TestBatchedRandomBits:
     def test_pool_serves_next_draw_without_regeneration(self, make_trng):
         trng = make_trng()
         trng.random_bits(trng.bits_per_iteration // 2)
-        counter = trng.executor._direct_counter
+        counter = sum(trng.cursors())
         again = trng.random_bits(100)
-        assert trng.executor._direct_counter == counter
+        assert sum(trng.cursors()) == counter
         assert again.size == 100
 
     def test_consecutive_draws_are_distinct(self, make_trng):
@@ -113,12 +122,13 @@ class TestBatchedRandomBits:
         assert not np.array_equal(first, second)
 
     def test_small_draw_matches_sequential_path(self, make_trng):
-        # Sub-iteration draws batch exactly one iteration, so the whole
-        # stream is bit-identical to the seed's per-iteration pooling.
-        sequential = self._reference_stream(make_trng(), [100, 300, 50])
+        # Draws of any size -- below one iteration or spanning several
+        # -- are bit-identical to per-iteration pooling.
+        width = make_trng().bits_per_iteration
+        draws = [100, 300, 50, 3 * width + 17, width, 2 * width - 1, 9]
+        sequential = self._reference_stream(make_trng(), draws)
         trng = make_trng()
-        batched = np.concatenate(
-            [trng.random_bits(n) for n in (100, 300, 50)])
+        batched = np.concatenate([trng.random_bits(n) for n in draws])
         np.testing.assert_array_equal(batched, sequential)
 
     def _reference_stream(self, trng, draws):

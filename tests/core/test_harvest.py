@@ -249,11 +249,11 @@ class TestInFlightHealthFailure:
             assert monitors[1].rct_failures > 0
             # The surviving pool serves later draws without
             # re-harvesting (and therefore without re-raising).
-            counters = [t.executor._direct_counter
+            counters = [sum(t.cursors())
                         for t in system.channels]
             served = system.random_bits(min(64, pooled))
             assert served.size == min(64, pooled)
-            assert [t.executor._direct_counter
+            assert [sum(t.cursors())
                     for t in system.channels] == counters
 
     def test_failure_with_second_round_still_in_flight(
@@ -378,4 +378,4 @@ class TestPackedResults:
 
 # The equivalence classes above all build *fresh* generators on the
 # session-scoped module fixtures; that is safe because QuacTrng owns its
-# executor (and draw counters) -- the module itself is only read.
+# executor (and iteration cursors) -- the module itself is only read.

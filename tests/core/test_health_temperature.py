@@ -230,10 +230,13 @@ class TestMonitoredTrngBatched:
     def test_batch_one_matches_iteration(self, module_m13, entropy_scale):
         sequential = self._pair(module_m13, entropy_scale)
         batched = self._pair(module_m13, entropy_scale)
-        for _ in range(3):
-            want, _ = sequential.iteration()
-            got, _ = batched.batch_iterations(1)
-            np.testing.assert_array_equal(got[0], want)
+        # A batch of any size n is n health-checked iterations, with
+        # identical monitor accounting.
+        for n in (1, 4, 2):
+            got, _ = batched.batch_iterations(n)
+            for row in got:
+                want, _ = sequential.iteration()
+                np.testing.assert_array_equal(row, want)
         for stat in ("samples_checked", "rct_failures", "apt_failures"):
             assert getattr(batched.monitor, stat) == \
                 getattr(sequential.monitor, stat)
@@ -241,11 +244,11 @@ class TestMonitoredTrngBatched:
     def test_random_bits_pools_surplus(self, module_m13, entropy_scale):
         monitored = self._pair(module_m13, entropy_scale)
         monitored.random_bits(100)
-        counter = monitored.trng.executor._direct_counter
+        counter = sum(monitored.trng.cursors())
         checked = monitored.monitor.samples_checked
         again = monitored.random_bits(100)   # surplus covers this
         assert again.size == 100
-        assert monitored.trng.executor._direct_counter == counter
+        assert sum(monitored.trng.cursors()) == counter
         assert monitored.monitor.samples_checked == checked
 
     def test_dead_segment_alarm_matches_per_iteration_path(
@@ -343,11 +346,10 @@ class TestTemperatureManager:
         module_m13.temperature_c = 50.0
         managed.random_bits(100)
         assert len(managed._pool) > 0
-        counter = managed.active_entry().trng.executor._direct_counter
+        counter = sum(managed.active_entry().trng.cursors())
         again = managed.random_bits(100)   # surplus covers this
         assert again.size == 100
-        assert managed.active_entry().trng.executor._direct_counter == \
-            counter
+        assert sum(managed.active_entry().trng.cursors()) == counter
 
     def test_pool_flushed_when_range_changes(self, managed, module_m13):
         # Surplus conditioned under one range's plans must not be
@@ -360,12 +362,12 @@ class TestTemperatureManager:
             module_m13.temperature_c = 85.0
             high_trng = managed.active_entry().trng
             assert managed.active_entry() is not low_entry
-            counter = high_trng.executor._direct_counter
+            counter = sum(high_trng.cursors())
             out = managed.random_bits(100)
             assert out.size == 100
             # The stale pool was discarded and the high range harvested.
             assert managed._pool_entry is managed.active_entry()
-            assert high_trng.executor._direct_counter > counter
+            assert sum(high_trng.cursors()) > counter
         finally:
             module_m13.temperature_c = 50.0
 
@@ -420,10 +422,10 @@ class TestAsyncWrappers:
         # Healthy surplus still pooled, and it serves without any new
         # harvest (which would re-raise).
         assert len(monitored._pool) >= pooled
-        counter = monitored.trng.executor._direct_counter
+        counter = sum(monitored.trng.cursors())
         served = monitored.random_bits(min(64, pooled))
         assert served.size == min(64, pooled)
-        assert monitored.trng.executor._direct_counter == counter
+        assert sum(monitored.trng.cursors()) == counter
 
     def test_monitored_async_alarm_accounting_matches_sync(
             self, fresh_module, small_geometry):
@@ -478,14 +480,14 @@ class TestAsyncWrappers:
             assert managed.harvest_engine.pending_rounds > 0
             module_m13.temperature_c = 85.0
             high_trng = managed.active_entry().trng
-            counter = high_trng.executor._direct_counter
+            counter = sum(high_trng.cursors())
             out = managed.random_bits(100)
             assert out.size == 100
             # The stale backlog (pool, back buffer, in-flight rounds)
             # was discarded; the high range harvested fresh bits.
             assert managed._pool_entry is not low_entry
             assert managed._pool_entry is managed.active_entry()
-            assert high_trng.executor._direct_counter > counter
+            assert sum(high_trng.cursors()) > counter
         finally:
             module_m13.temperature_c = 50.0
 

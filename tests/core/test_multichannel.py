@@ -46,10 +46,10 @@ class TestSystemTrng:
         # draw must be served from it without touching the hardware.
         system.random_bits(100)   # leaves a large surplus pooled
         assert len(system._pool) > 0
-        counters = [t.executor._direct_counter for t in system.channels]
+        counters = [sum(t.cursors()) for t in system.channels]
         again = system.random_bits(200)
         assert again.size == 200
-        assert [t.executor._direct_counter
+        assert [sum(t.cursors())
                 for t in system.channels] == counters
 
     def test_consecutive_draws_are_distinct(self, system):
@@ -61,10 +61,10 @@ class TestSystemTrng:
         # A request far beyond one system iteration must spread over
         # every channel (each batches its fair share).
         system._pool.clear()
-        counters = [t.executor._direct_counter for t in system.channels]
+        counters = [sum(t.cursors()) for t in system.channels]
         bulk = system.random_bits(6 * system.bits_per_system_iteration())
         assert bulk.size == 6 * system.bits_per_system_iteration()
-        advanced = [t.executor._direct_counter - c
+        advanced = [sum(t.cursors()) - c
                     for t, c in zip(system.channels, counters)]
         assert all(a > 0 for a in advanced)
 
@@ -145,10 +145,10 @@ class TestMonitoredSystem:
         assert monitors[1].rct_failures > 0
         # The surviving pool serves later draws without re-harvesting
         # (and therefore without re-raising).
-        counters = [t.executor._direct_counter for t in system.channels]
+        counters = [sum(t.cursors()) for t in system.channels]
         served = system.random_bits(min(64, pooled))
         assert served.size == min(64, pooled)
-        assert [t.executor._direct_counter
+        assert [sum(t.cursors())
                 for t in system.channels] == counters
 
     def test_unmonitored_entries_allowed(self, small_geometry,

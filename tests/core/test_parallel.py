@@ -90,16 +90,17 @@ class TestBackendEquivalence:
 
     def test_batch_one_still_matches_iteration(self, module_m13,
                                                small_geometry):
-        # The PR-1 identity survives the fan-out refactor on every
-        # backend: a size-1 batch is the sequential iteration.
+        # The identity survives the fan-out on a process pool: a batch
+        # of any size n is n sequential iterations.
         with ProcessPoolBackend(2) as backend:
             batched = _fresh_trng(module_m13, small_geometry, backend)
             sequential = _fresh_trng(module_m13, small_geometry,
                                      SerialBackend())
-            for _ in range(2):
-                bits, _ = batched.batch_iterations(1)
-                want, _ = sequential.iteration()
-                np.testing.assert_array_equal(bits[0], want)
+            for n in (1, 3, 2):
+                bits, _ = batched.batch_iterations(n)
+                for row in bits:
+                    want, _ = sequential.iteration()
+                    np.testing.assert_array_equal(row, want)
 
 
 class TestSystemBackendEquivalence:
@@ -129,9 +130,9 @@ class TestSystemBackendEquivalence:
         system = SystemTrng(channel_modules,
                             entropy_per_block=256.0 * scale,
                             backend=ThreadPoolBackend(8))
-        counters = [t.executor._direct_counter for t in system.channels]
+        counters = [sum(t.cursors()) for t in system.channels]
         system.random_bits(4 * system.bits_per_system_iteration())
-        advanced = [t.executor._direct_counter - c
+        advanced = [sum(t.cursors()) - c
                     for t, c in zip(system.channels, counters)]
         assert all(a > 0 for a in advanced)
 
@@ -142,10 +143,14 @@ class TestTaskPlanning:
     def test_plan_advances_draw_counters_in_bank_order(self, module_m13,
                                                        small_geometry):
         trng = _fresh_trng(module_m13, small_geometry, SerialBackend())
-        before = trng.executor._direct_counter
+        trng.plan_batch(2)
+        before = trng.cursors()
         tasks = trng.plan_batch(3)
         assert len(tasks) == trng.configuration.n_banks
-        assert trng.executor._direct_counter == before + len(tasks)
+        # Each bank's task starts at its segment's cursor, which then
+        # advances by exactly the planned iterations.
+        assert [task.first_iteration for task in tasks] == before
+        assert trng.cursors() == [c + 3 for c in before]
         # Planning alone fixes the keys: executing the same plan twice
         # gives the same bits (a task is a pure function).
         first = [run_bank_task(task) for task in tasks]

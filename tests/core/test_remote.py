@@ -25,20 +25,26 @@ property-tested here too: they are what keeps channels/banks grouped
 per host without ever influencing the merged stream.
 """
 
+import dataclasses
+import io
 import os
 import pickle
 import socket
 import threading
 import time
+from typing import Tuple
 
 import numpy as np
 import pytest
 
-from repro.core.parallel import (BankResult, _pack_matrix,
-                                 _unpack_matrix)
+from repro.core.parallel import (BankResult, BankTask, SerialBackend,
+                                 _pack_matrix, _unpack_matrix,
+                                 run_bank_task)
 from repro.core.remote import (LocalCluster, RemoteBackend, shard_map,
                                task_weights, wire)
 from repro.core.remote.worker import run_round_shard
+from repro.core.trng import QuacTrng
+from repro.dram.module_factory import build_module, spec_by_name
 from repro.errors import ConfigurationError, RemoteExecutionError
 
 def _module_local_fn(x):
@@ -590,6 +596,121 @@ class TestVersionNegotiation:
             assert backend.submit_round(abs, [-4]).result() == [4]
         finally:
             backend.close()
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class _StaleBankTask:
+    """``BankTask`` as an older build defines it: one child-RNG key per
+    draw, and no notion of a first iteration."""
+
+    key: Tuple[int, ...]
+    probabilities: np.ndarray
+    iterations: int
+    block_slices: Tuple[Tuple[int, int], ...]
+    entropy_per_block: float
+    use_builtin_sha: bool = False
+    collect_raw: bool = False
+    pack_output: bool = False
+
+
+def _stale_run_bank_task(task):
+    """An older build's ``run_bank_task``: it reads ``task.key`` and
+    draws from the start of that key's stream, ignoring any
+    ``first_iteration`` it does not know about."""
+    return run_bank_task(BankTask(
+        thermal_key=task.key, probabilities=task.probabilities,
+        iterations=task.iterations, block_slices=task.block_slices,
+        entropy_per_block=task.entropy_per_block,
+        use_builtin_sha=task.use_builtin_sha,
+        collect_raw=task.collect_raw, pack_output=task.pack_output))
+
+
+class _StaleBuildUnpickler(pickle.Unpickler):
+    """Resolve the task class and task function the way an older build
+    would: by name, to its own definitions."""
+
+    STALE = {("repro.core.parallel", "BankTask"): _StaleBankTask,
+             ("repro.core.parallel", "run_bank_task"):
+                 _stale_run_bank_task}
+
+    def find_class(self, module, name):
+        return self.STALE.get((module, name)) or \
+            super().find_class(module, name)
+
+
+def _worker_of_build(stale):
+    """A scripted version-2 worker handler; ``stale`` makes it resolve
+    shipped tasks with an older build's definitions."""
+    def handler(conn):
+        while True:
+            try:
+                payload = wire.recv_raw_frame(conn)
+            except wire.ConnectionClosed:
+                return
+            if stale:
+                message = _StaleBuildUnpickler(io.BytesIO(payload)).load()
+            else:
+                message = pickle.loads(payload)
+            kind = message[0]
+            if kind == wire.HELLO:
+                reply = (wire.HELLO, wire.ROUND_PROTOCOL_VERSION)
+            elif kind == wire.TASK:
+                try:
+                    reply = (wire.RESULT, message[1](message[2]))
+                except Exception as exc:
+                    reply = (wire.ERROR, exc)
+            elif kind == wire.ROUND:
+                reply = (wire.ROUND_RESULT,
+                         run_round_shard(message[1], message[2]))
+            elif kind == wire.PING:
+                reply = (wire.PONG,)
+            else:
+                return
+            wire.send_frame(conn, reply)
+    return handler
+
+
+class TestStaleWorkerBuild:
+    """A worker running an older build must fail the draw, not serve
+    stale bits.
+
+    Tasks ship ``run_bank_task`` and ``BankTask`` by reference, so a
+    worker resolves both to its *own* build's definitions.  An older
+    ``run_bank_task`` knows nothing of ``first_iteration``; were it
+    able to read the task's key, every task of a segment would return
+    the same iterations.  The key's field name differs between the
+    builds, so such a worker raises instead.
+    """
+
+    @pytest.mark.parametrize("round_execution", [False, True],
+                             ids=["per-task", "rounds"])
+    @pytest.mark.parametrize("stale", [False, True],
+                             ids=["current", "stale"])
+    def test_stale_worker_fails_closed(self, small_geometry,
+                                       entropy_scale, round_execution,
+                                       stale):
+        module = build_module(spec_by_name("M13"), small_geometry)
+
+        def draw(backend):
+            trng = QuacTrng(module, entropy_per_block=256.0 * entropy_scale,
+                            backend=backend)
+            return trng.random_bits(4096)
+
+        worker = _ScriptedWorker(_worker_of_build(stale))
+        backend = RemoteBackend(addresses=[worker.address],
+                                round_execution=round_execution)
+        try:
+            if stale:
+                with pytest.raises(AttributeError, match="key"):
+                    draw(backend)
+            else:
+                # Control: the same scripted worker on the current
+                # build serves the serial stream.
+                np.testing.assert_array_equal(draw(backend),
+                                              draw(SerialBackend()))
+        finally:
+            backend.close()
+            worker.close()
 
 
 class TestShardMap:

@@ -7,13 +7,19 @@ compare two *current* implementations against each other; these tests
 pin the stream itself, so a change that rewires both sides consistently
 (and would therefore slip past an equivalence test) still gets caught.
 
-The constants were recorded from the PR that introduced the parallel
-execution engine.  If a change legitimately needs to alter the stream
-(e.g. a new RNG derivation scheme), regenerate them with::
+The stream constants were recorded at ``repro.rng.STREAM_EPOCH`` 2,
+the counter-addressed PCG64 thermal streams.  If a change legitimately
+needs to alter the stream (e.g. a new thermal-stream layout), bump
+``STREAM_EPOCH``, regenerate them with::
 
     PYTHONPATH=src python tests/test_determinism.py
 
 and say so loudly in the changelog -- downstream seeds stop reproducing.
+
+The *substrate* constants (SA offsets and settling probabilities of
+built modules) are a different matter: they predate the epoch scheme
+and no thermal-stream change may move them, so they are never
+regenerated.
 """
 
 import hashlib
@@ -36,9 +42,9 @@ GOLDEN_BITS = 4096
 #: First 4096 conditioned bits of an M13 QuacTrng at the suite's
 #: standard small geometry.
 QUAC_SHA256 = \
-    "b96c9c585492083d14963bcfe2d2d281ee0f8faa93f3e2c4e43794d7883146ea"
+    "4a1a82ca34a7dba0c5eaf1d64e8b9d9a09dff0ae7b45f1ef6dcfd20d3deeffb6"
 QUAC_PREFIX = \
-    "0001010010111001001101000111110110001001110000110110001101101001"
+    "1111000010110001110111110010001011010111011010001101001010100101"
 
 #: First 4096 bits of a two-channel [M13, M4] SystemTrng.  The system
 #: schedule serves a first draw this small entirely from channel 0's
@@ -50,9 +56,16 @@ SYSTEM_SHA256 = QUAC_SHA256
 #: both channels to contribute and therefore pins the round-robin
 #: interleaving, the fair-share batch sizing, and channel 1's stream.
 SYSTEM_SECOND_DRAW_SHA256 = \
-    "1ceb50bc3dd4952b94217a80cb2f7f116c3efada95fb5ca66723a68810036231"
+    "b66d5c6f5475505375bcd04df6e156c3ac5b1023e6fe28aa40f717fae42a7bfe"
 SYSTEM_SECOND_DRAW_PREFIX = \
-    "1011000011100010110001010011001110010111101110011010001001100011"
+    "0011101100110000111011111100110100000010010011111100110011011000"
+
+#: Substrate digests of M13 and M4 (see :func:`substrate_digest`),
+#: unchanged since before the thermal streams moved to PCG64.
+SUBSTRATE_SHA256 = {
+    "M13": "31c7b159937f3bc3220827f57d0a813d08dab57a3ddd38208b1ba0ef8ef6dc6a",
+    "M4": "f6162f91f74fa3efad7637af6d9b9b6494e6187525776f6c627b25c865bec9a0",
+}
 
 #: Backends the goldens are replayed on (bit-identical by contract).
 #: The remote entries -- one-host and three-host localhost clusters,
@@ -139,6 +152,29 @@ def test_system_golden_streams(golden_backend, async_harvest):
     assert _digest(first) == SYSTEM_SHA256
     assert _prefix(second) == SYSTEM_SECOND_DRAW_PREFIX
     assert _digest(second) == SYSTEM_SECOND_DRAW_SHA256
+
+
+def substrate_digest(module) -> str:
+    """SHA-256 over a module's SA offsets and ``"0111"`` settling
+    probabilities (little-endian float64) for bank 0 of every bank
+    group, segments 0, 7 and 63."""
+    digest = hashlib.sha256()
+    for bank_group in range(module.geometry.bank_groups):
+        for segment in (0, 7, 63):
+            offsets = module.variation.bitline_offsets_z(bank_group, 0,
+                                                         segment)
+            address = module.geometry.segment_address(bank_group, 0,
+                                                      segment)
+            p = module.segment_probabilities(address, "0111")
+            for values in (offsets, p):
+                digest.update(np.asarray(values, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SUBSTRATE_SHA256))
+def test_substrate_draws_unchanged(name):
+    module = build_module(spec_by_name(name), _geometry())
+    assert substrate_digest(module) == SUBSTRATE_SHA256[name]
 
 
 def main() -> None:
