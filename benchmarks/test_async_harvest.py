@@ -4,12 +4,12 @@ Streams one bulk draw from the paper's 4-channel system shape as a
 sequence of constant-size chunks -- the ``iter_bytes`` hot path --
 twice on the *same* warm process pool:
 
-* **sync**: every chunk blocks on plan -> execute -> gather;
+* **sync**: the harvest engine with one round in flight -- every
+  chunk blocks on plan -> execute -> gather;
 * **async**: the double-buffered engine
   (:class:`repro.core.harvest.AsyncHarvestEngine`, readahead on) keeps
   the next planned round in flight while the previous chunk's bits
-  pool and serve, and workers ship packed byte pools instead of
-  unpacked matrices.
+  pool and serve.
 
 Constant chunk sizes keep readahead inside its bit-identity contract,
 so the two streams are additionally compared bit for bit -- overlap is
@@ -29,13 +29,12 @@ the curve and checks equivalence.
 
 import json
 import os
-import pickle
 import time
 
 from _bench_utils import run_once
 
 from repro.core.multichannel import SystemTrng
-from repro.core.parallel import ProcessPoolBackend, run_bank_task
+from repro.core.parallel import ProcessPoolBackend
 from repro.dram.geometry import DramGeometry
 from repro.dram.module_factory import build_table3_population
 
@@ -79,17 +78,6 @@ def _stream_chunks(system, chunk_bytes, n_chunks):
     return chunks, time.perf_counter() - start
 
 
-def _payload_ratio(system):
-    """Pickled result-payload ratio, unpacked vs packed (one round)."""
-    sizes = {}
-    for pack in (False, True):
-        probe = system.channels[0]
-        tasks = probe.plan_batch(8, pack_output=pack)
-        results = [run_bank_task(task) for task in tasks]
-        sizes[pack] = sum(len(pickle.dumps(r)) for r in results)
-    return sizes[False] / sizes[True]
-
-
 def test_async_harvest_overlap(benchmark, bench_scale):
     n_bits = _N_BITS[bench_scale.value]
     chunk_bytes = n_bits // (8 * N_CHUNKS)
@@ -102,7 +90,7 @@ def test_async_harvest_overlap(benchmark, bench_scale):
     with ProcessPoolBackend(WORKERS) as backend:
         # Spin the workers up (and their numpy imports, on spawn
         # platforms) before any clock starts.
-        backend.map(_warm, list(range(WORKERS + 1)))
+        backend.run_round(_warm, list(range(WORKERS + 1)))
 
         sync_system = SystemTrng(modules,
                                  entropy_per_block=entropy_per_block,
@@ -123,12 +111,10 @@ def test_async_harvest_overlap(benchmark, bench_scale):
 
     streamed_bits = 8 * chunk_bytes * N_CHUNKS
     speedup = sync_elapsed / async_elapsed
-    payload_ratio = _payload_ratio(sync_system)
     benchmark.extra_info["bits_per_sec_sync"] = streamed_bits / sync_elapsed
     benchmark.extra_info["bits_per_sec_async"] = \
         streamed_bits / async_elapsed
     benchmark.extra_info["overlap_speedup"] = speedup
-    benchmark.extra_info["result_payload_ratio"] = payload_ratio
 
     artifact = {
         "n_bits": streamed_bits,
@@ -142,7 +128,6 @@ def test_async_harvest_overlap(benchmark, bench_scale):
         "bits_per_sec_sync": streamed_bits / sync_elapsed,
         "bits_per_sec_async": streamed_bits / async_elapsed,
         "overlap_speedup": speedup,
-        "result_payload_ratio_unpacked_over_packed": payload_ratio,
         "rounds_planned": engine.rounds_planned,
         "rounds_gathered": engine.rounds_gathered,
         "rounds_cancelled": engine.rounds_cancelled,
@@ -151,10 +136,6 @@ def test_async_harvest_overlap(benchmark, bench_scale):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as handle:
         json.dump(artifact, handle, indent=2)
-
-    # Worker-side packing alone must cut result pickles ~8x.
-    assert payload_ratio > 6.0, (
-        f"packed results only {payload_ratio:.1f}x smaller")
 
     if _overlap_gate_armed():
         assert async_elapsed < sync_elapsed / MIN_ASYNC_SPEEDUP, (

@@ -95,7 +95,7 @@ def test_parallel_scaling(benchmark, bench_scale):
             # Spin the workers up (and their numpy imports, on spawn
             # platforms) before the clock starts: the curve measures
             # steady-state throughput, not pool start-up.
-            backend.map(_warm, list(range(workers + 1)))
+            backend.run_round(_warm, list(range(workers + 1)))
             stream, elapsed = _timed_draw(
                 _system(modules, entropy_per_block, backend), n_bits)
         np.testing.assert_array_equal(

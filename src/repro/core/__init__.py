@@ -6,19 +6,20 @@
   segment initialization, QUAC, SIB splitting, SHA-256 conditioning;
 * :mod:`repro.core.parallel` -- pluggable serial / thread-pool /
   process-pool execution backends for the batched engine's per-bank
-  fan-out (bit-identical across backends and worker counts), with a
-  blocking ``map`` and a non-blocking ``submit_map`` sharing one
-  determinism contract;
+  fan-out (bit-identical across backends and worker counts); a backend
+  implements one method, ``submit_round``, and ``run_round`` blocks on
+  it;
 * :mod:`repro.core.remote` -- the sharded multi-host backend: bank
   tasks fan out to worker hosts over a length-prefixed pickle socket
   protocol (``RemoteBackend`` / ``LocalCluster``), optionally as
   whole round shards (one round trip per host, negotiated per link),
   merged streams bit-identical to the serial reference at any host
   count;
-* :mod:`repro.core.harvest` -- the asynchronous double-buffered harvest
-  engine: refill rounds execute on the backend while the consumer
-  drains the pool, workers ship packed byte pools, and the output stays
-  bit-identical to the synchronous path;
+* :mod:`repro.core.harvest` -- the one refill loop every generator
+  runs: a :class:`HarvestPlanner` base class (pool, engine,
+  ``random_bits`` / ``random_bytes`` / ``iter_bytes``) and the
+  double-buffered engine, with one round in flight by default and two
+  under ``async_harvest`` -- the same bits either way;
 * :mod:`repro.core.throughput` -- iteration latency and throughput from
   tightly-scheduled command sequences (Sections 7.2 / 7.4 / Figure 13);
 * :mod:`repro.core.overheads` -- memory / storage / area accounting

@@ -1,49 +1,43 @@
-"""Asynchronous double-buffered harvest engine.
+"""The harvest engine: the one refill loop every generator runs.
 
 QUAC-TRNG's headline throughput comes from keeping the DRAM banks busy
-back to back; the simulator's batched engine (PR 1) and multi-bank
-fan-out (PR 2) mirror that, but a synchronous ``random_bits`` still
-*blocks* on plan -> execute -> gather for every refill round.  This
-module overlaps those stages:
+back to back; the simulator's batched engine mirrors that with planned
+refill rounds of per-bank tasks.  Every generator
+(:class:`~repro.core.trng.QuacTrng`,
+:class:`~repro.core.multichannel.SystemTrng`,
+:class:`~repro.core.health.MonitoredTrng`,
+:class:`~repro.core.temperature_manager.TemperatureManagedTrng`) is a
+:class:`HarvestPlanner`: it plans and gathers rounds, and tops up its
+serving pool through one :class:`AsyncHarvestEngine`:
 
 * **Planning stays serial.**  Every round is planned in the caller --
   each task claims the next iterations of its segment's thermal-stream
   cursor in plan order -- so nothing about *when* a round executes can
   change *what* it produces.
-* **Execution is in flight.**  Planned rounds are submitted through
-  :meth:`~repro.core.parallel.ExecutionBackend.submit_round` (which
-  decomposes into ``submit_map`` on in-process backends and ships
-  whole round shards per host on the remote round protocol) and
-  gathered when their results land, so the backend's workers fill the
-  next round while the consumer drains the previous one.
+* **Execution may be in flight.**  Planned rounds are submitted through
+  :meth:`~repro.core.parallel.ExecutionBackend.submit_round` and
+  gathered when their results land.  ``max_in_flight=1`` (a
+  generator's default) is the synchronous loop: plan, execute, gather.
+  ``async_harvest=True`` allows two rounds, so the backend's workers
+  fill the next round while the consumer drains the previous one.
 * **Buffers are double.**  Gathered bits land in a *back*
   :class:`~repro.bitops.BitBuffer`; the consumer drains the *front*
   buffer (the generator's serving pool); when the front drains, the
   buffers swap in O(1).
-* **Results ship packed where pickles cross process or host
-  boundaries.**  On backends that pickle results (the process pool and
-  the remote socket backend of :mod:`repro.core.remote`), engine
-  rounds are planned with ``pack_output=True``: workers accumulate
-  conditioned bits (and raw read-outs, on monitored channels) into
-  packed byte pools worker-side and ship only bytes plus counts -- an
-  8x smaller result pickle (and socket frame) for
-  multi-hundred-megabit draws.  In-memory backends skip the packing
-  (pure overhead there); either way the bits are identical.
 
 Determinism contract
 --------------------
 
-The engine plans rounds with *exactly the arithmetic the synchronous
-path uses*: each round's deficit is the requested bits minus everything
-already committed (front pool + back buffer + in-flight rounds' exact
-yields, all known at plan time because a round's yield is
-``iterations x bits_per_iteration``).  The planned round sequence is
-therefore a pure function of the request sequence, identical to the
-synchronous path's -- and since every task result is a pure function of
-the task, **async harvest output is bit-identical to synchronous
-output** for any request sequence, on every backend, at every worker
-count.  ``tests/test_determinism.py`` replays the golden streams
-through the engine to pin this.
+Each round's deficit is the requested bits minus everything already
+committed (front pool + back buffer + in-flight rounds' exact yields,
+all known at plan time because a round's yield is ``iterations x
+bits_per_iteration``).  The planned round sequence is therefore a pure
+function of the request sequence, whatever ``max_in_flight`` is -- and
+since every task result is a pure function of the task, **async
+harvest output is bit-identical to synchronous output** for any
+request sequence, on every backend, at every worker count.
+``tests/test_determinism.py`` replays the golden streams in both
+modes to pin this.
 
 :attr:`AsyncHarvestEngine.readahead` commits the next round *before*
 the next request arrives, sized as if the previous request repeats.
@@ -93,12 +87,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional
+from typing import Deque, Iterator, List, Optional
+
+import numpy as np
 
 from repro.bitops import BitBuffer
 from repro.core.parallel import (BankResult, BankTask, ExecutionBackend,
                                  PendingResult, run_bank_task)
-from repro.errors import InsufficientEntropyError, ReproError
+from repro.errors import (ConfigurationError, InsufficientEntropyError,
+                          ReproError)
 
 
 @dataclass(frozen=True)
@@ -145,22 +142,35 @@ class HarvestRound:
 
 
 class HarvestPlanner:
-    """Protocol the engine drives (duck-typed; inheritance optional).
+    """Base of every generator: plans rounds, serves a pooled stream.
 
-    :class:`~repro.core.trng.QuacTrng` and
-    :class:`~repro.core.multichannel.SystemTrng` both implement it --
-    a planner is the *deterministic* half of a generator: it decides
+    A planner is the *deterministic* half of a generator: it decides
     round sizes, claims iterations (serially, advancing the segments'
-    cursors), and knows how to account a landed round's results.
+    cursors) in :meth:`plan_round`, and accounts a landed round's
+    results in :meth:`gather_round`.  This base class owns the rest,
+    written once for every generator: the serving pool, the lazily
+    built :class:`AsyncHarvestEngine` that fills it, and
+    :meth:`random_bits` / :meth:`random_bytes` / :meth:`iter_bytes`.
+
+    Subclasses call ``super().__init__(backend, async_harvest)`` and
+    implement the two round methods.
     """
 
-    def plan_round(self, deficit_bits: int,
-                   pack_output: bool = False) -> HarvestRound:
+    def __init__(self, backend: ExecutionBackend,
+                 async_harvest: bool = False) -> None:
+        self.backend = backend
+        #: Keep two rounds in flight instead of one (same bits).
+        self.async_harvest = async_harvest
+        self._pool = BitBuffer()
+        self._harvest_engine: Optional[AsyncHarvestEngine] = None
+
+    def plan_round(self, deficit_bits: int) -> HarvestRound:
         """Plan one refill round toward ``deficit_bits`` outstanding bits.
 
-        Must advance the segments' iteration cursors exactly as the
-        synchronous path would, and must return a round with ``yield_bits >= 1``
-        iteration's worth of output for any positive deficit.
+        Must advance the segments' iteration cursors by exactly the
+        iterations it plans, and must return a round that yields at
+        least one iteration's worth of output for any positive
+        deficit.
         """
         raise NotImplementedError
 
@@ -171,11 +181,63 @@ class HarvestPlanner:
 
         Appends every healthy channel's conditioned bits to ``pool`` in
         span order.  A health alarm must not be raised here -- it is
-        *returned* (the first one, matching the synchronous path), so
-        the engine can pool the healthy channels' bits first and
-        re-raise afterwards.
+        *returned* (the first one), so the engine can pool the healthy
+        channels' bits first and re-raise afterwards.
         """
         raise NotImplementedError
+
+    @property
+    def harvest_engine(self) -> AsyncHarvestEngine:
+        """The engine that fills the serving pool.
+
+        Built lazily on first use, with one round in flight (two with
+        ``async_harvest``); exposed for introspection
+        (``pending_rounds``, ``back_bits``), readahead control, and
+        teardown (``cancel_pending`` / ``drain``).
+        """
+        if self._harvest_engine is None:
+            self._harvest_engine = AsyncHarvestEngine(
+                self, self.backend,
+                max_in_flight=2 if self.async_harvest else 1)
+        return self._harvest_engine
+
+    def random_bits(self, n_bits: int) -> np.ndarray:
+        """Generate exactly ``n_bits`` conditioned random bits.
+
+        Surplus conditioned bits stay pooled (packed) and are served
+        first on the next call, so consecutive draws never regenerate.
+        """
+        if n_bits < 0:
+            raise InsufficientEntropyError("bit count must be non-negative")
+        self._refill(n_bits)
+        return self._pool.take(n_bits)
+
+    def random_bytes(self, n_bytes: int) -> bytes:
+        """Generate ``n_bytes`` of conditioned output.
+
+        Served through the pool's packed byte path -- the bits are
+        never unpacked on the way out.
+        """
+        if n_bytes < 0:
+            raise InsufficientEntropyError("byte count must be non-negative")
+        self._refill(8 * n_bytes)
+        return self._pool.take_bytes(n_bytes)
+
+    def iter_bytes(self, chunk_size: int) -> Iterator[bytes]:
+        """Stream conditioned output as ``chunk_size``-byte chunks.
+
+        An endless generator for bulk consumers (file writers, NIST
+        batch runs).
+        """
+        if chunk_size <= 0:
+            raise ConfigurationError(
+                f"chunk size must be positive, got {chunk_size}")
+        while True:
+            yield self.random_bytes(chunk_size)
+
+    def _refill(self, n_bits: int) -> None:
+        """Top the serving pool up to ``n_bits``."""
+        self.harvest_engine.fill(self._pool, n_bits)
 
 
 class AsyncHarvestEngine:
@@ -193,44 +255,33 @@ class AsyncHarvestEngine:
         worker host mid-flight is requeued inside the backend -- the
         engine just sees the round land later, with identical bits.
     max_in_flight:
-        Outstanding-round bound; the default 2 is the double buffer --
-        one round being gathered/drained (front), one executing (back).
+        Outstanding-round bound: 1 is the synchronous loop (plan,
+        execute, gather), 2 the double buffer -- one round being
+        gathered/drained (front), one executing (back).
     readahead:
         Commit the next draw's first rounds speculatively after each
         fill, sized as if the previous request repeats.  Bit-identical
         to the synchronous path for single-channel planners and for
         constant-size request streams; see the module docstring for
         what differs on multi-channel systems.
-    pack_results:
-        Plan rounds with worker-side packed byte pools.  ``None`` (the
-        default) packs exactly when the backend pickles results across
-        a process boundary
-        (:attr:`~repro.core.parallel.ExecutionBackend.ships_pickled_results`)
-        -- packing buys an 8x smaller pickle there, but is pure
-        overhead for in-memory backends.  Either setting ships the
-        same bits.
 
     Determinism
     -----------
-    ``fill`` produces the same pool contents as the synchronous
-    plan/execute/gather loop for any request sequence (with
-    ``readahead=False``, or with any readahead on a single-channel
-    planner); the engine only changes *when* work happens.
+    ``fill`` produces the same pool contents for any ``max_in_flight``
+    and any request sequence (with ``readahead=False``, or with any
+    readahead on a single-channel planner); the bound only changes
+    *when* work happens.
     """
 
     def __init__(self, planner: HarvestPlanner, backend: ExecutionBackend,
-                 max_in_flight: int = 2, readahead: bool = False,
-                 pack_results: Optional[bool] = None) -> None:
+                 max_in_flight: int = 2, readahead: bool = False) -> None:
         if max_in_flight < 1:
-            raise InsufficientEntropyError(
+            raise ConfigurationError(
                 f"need at least one in-flight round, got {max_in_flight}")
         self.planner = planner
         self.backend = backend
         self.max_in_flight = max_in_flight
         self.readahead = readahead
-        if pack_results is None:
-            pack_results = getattr(backend, "ships_pickled_results", False)
-        self.pack_results = pack_results
         self._back = BitBuffer()
         self._in_flight: Deque[HarvestRound] = deque()
         #: Lifetime statistics (rounds planned / gathered / discarded).
@@ -275,7 +326,7 @@ class AsyncHarvestEngine:
         deficit (at most :attr:`max_in_flight` rounds outstanding),
         gathers landed rounds into the back buffer, and swaps the back
         buffer forward -- all in plan order, so the pool fills with
-        exactly the bits the synchronous path would have produced.
+        the same bits whatever the in-flight bound.
 
         Raises the first deferred health failure of a landing round
         *after* pooling that round's healthy channels' bits; rounds
@@ -329,12 +380,7 @@ class AsyncHarvestEngine:
         committed = self.committed_bits()
         while (committed < needed_bits
                and len(self._in_flight) < self.max_in_flight):
-            round_ = self.planner.plan_round(needed_bits - committed,
-                                             pack_output=self.pack_results)
-            # Rounds submit as a unit: backends that ship whole round
-            # shards per host (ExecutionBackend.ships_whole_rounds)
-            # collapse the per-task round trips; everywhere else
-            # submit_round decomposes into submit_map unchanged.
+            round_ = self.planner.plan_round(needed_bits - committed)
             round_.pending = self.backend.submit_round(run_bank_task,
                                                        round_.tasks)
             self._in_flight.append(round_)
@@ -394,7 +440,7 @@ class AsyncHarvestEngine:
 
         The graceful counterpart of :meth:`cancel_pending`: planned
         entropy is kept (pooled bits serve later draws), so a drained
-        engine's stream stays bit-identical to the synchronous path.
+        engine's stream stays bit-identical to an undrained one.
         Returns the first deferred health failure instead of raising,
         so teardown code can log and continue.
         """

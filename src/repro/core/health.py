@@ -32,9 +32,9 @@ from typing import Tuple
 import numpy as np
 
 from repro.bitops import BitBuffer, is_binary
-from repro.core.harvest import (AsyncHarvestEngine, ChannelSpan,
-                                HarvestRound)
-from repro.core.trng import QuacTrng, batch_count_for, harvest_into
+from repro.core.harvest import HarvestPlanner, HarvestRound
+from repro.core.parallel import packed_rows, run_bank_task
+from repro.core.trng import QuacTrng, batch_count_for
 from repro.errors import (BitstreamError, ConfigurationError,
                           ReproError)
 
@@ -184,7 +184,10 @@ class HealthMonitor:
                 f"raw block matrix must be 2-D, got shape {matrix.shape}")
         if matrix.size and not is_binary(matrix):
             raise BitstreamError("bitstream values must be 0 or 1")
-        matrix = matrix.astype(np.uint8, copy=False)
+        return self._check_rows(matrix.astype(np.uint8, copy=False))
+
+    def _check_rows(self, matrix: np.ndarray) -> np.ndarray:
+        """:meth:`check_many` on a validated 2-D ``uint8`` bit matrix."""
         n_blocks, block_bits = matrix.shape
         rct_ok = self._repetition_count_ok_rows(matrix)
         apt_ok = self._adaptive_proportion_ok_rows(matrix)
@@ -210,24 +213,21 @@ class HealthMonitor:
         """Monitor per-bank batch results in per-iteration order.
 
         ``results`` are the :class:`~repro.core.parallel.BankResult`\\ s
-        of one batch planned with ``collect_raw=True``; their raw
-        matrices are interleaved iteration-major / bank-minor -- the
+        of one batch planned with ``collect_raw=True``.  Their packed
+        raw rows are interleaved iteration-major / bank-minor -- the
         exact order a loop of per-iteration harvests would present raw
-        blocks to :meth:`check` -- and fed through :meth:`check_many`.
-        The one place the ordering contract lives, shared by every
-        monitored batched path, synchronous or async: results read
-        through :meth:`~repro.core.parallel.BankResult.raw_matrix`, so
-        packed (worker-side pooled) and unpacked rounds are monitored
-        identically.
+        blocks to :meth:`check` -- unpacked once (binary by
+        construction, so unvalidated), and run through the
+        :meth:`check_many` accounting.  The one place the ordering
+        contract lives, shared by every monitored path.
         """
-        matrices = [result.raw_matrix() for result in results]
-        if any(matrix is None for matrix in matrices):
+        if any(result.raw is None for result in results):
             raise BitstreamError(
                 "monitored batch results must carry raw read-outs "
                 "(plan with collect_raw=True)")
-        raw = np.stack(matrices, axis=1)
-        return self.check_many(
-            raw.reshape(iterations * len(results), -1))
+        raw = packed_rows([result.raw for result in results], iterations)
+        return self._check_rows(np.unpackbits(
+            raw.reshape(iterations * len(results), -1), axis=1))
 
     # ------------------------------------------------------------------
 
@@ -275,7 +275,7 @@ class HealthMonitor:
         return (dominant < self.apt_cutoff).all(axis=1)
 
 
-class MonitoredTrng:
+class MonitoredTrng(HarvestPlanner):
     """A QuacTrng whose raw read-outs pass continuous health testing.
 
     Mirrors the real pipeline layout: health tests observe the *raw*
@@ -283,24 +283,20 @@ class MonitoredTrng:
     looks perfect even from a dead source -- exactly the failure the
     tests exist to catch).
 
-    With ``async_harvest=True`` the wrapper harvests through the
-    double-buffered :class:`~repro.core.harvest.AsyncHarvestEngine` on
-    the wrapped generator's backend: refill rounds execute while the
-    pool drains, raw read-outs travel with each round, and the
-    monitor's verdict is applied when a round *lands* -- so bits
-    pooled from rounds that passed stay pooled when a later in-flight
-    round alarms.  Output is bit-identical to the synchronous
-    monitored path for any request sequence.
+    Pooled draws run on the wrapped generator's backend: raw read-outs
+    travel with each round, and the monitor's verdict is applied when
+    a round *lands* -- so bits pooled from rounds that passed stay
+    pooled when a later round alarms.  ``async_harvest=True`` keeps
+    two rounds in flight instead of one; the output and the monitor's
+    counters are identical either way.
     """
 
     def __init__(self, trng: QuacTrng,
                  monitor: HealthMonitor = None,
                  async_harvest: bool = False) -> None:
+        super().__init__(trng.backend, async_harvest)
         self.trng = trng
         self.monitor = monitor or HealthMonitor()
-        self._pool = BitBuffer()
-        self.async_harvest = async_harvest
-        self._harvest_engine = None
 
     @property
     def bits_per_iteration(self) -> int:
@@ -325,15 +321,16 @@ class MonitoredTrng:
     def batch_iterations(self, n: int) -> Tuple[np.ndarray, float]:
         """``n`` health-checked iterations through the batched path.
 
-        Workers return each bank's *raw* read-out matrix alongside the
+        Workers return each bank's *raw* read-outs alongside the
         conditioned bits; the raw blocks are then monitored in the
         per-iteration path's exact order (iteration-major, bank-minor)
-        through :meth:`HealthMonitor.check_many`, so failure counting
-        -- and any :class:`HealthTestFailure` alarm -- lands on exactly
-        the read-out it would have with one :meth:`iteration` at a
-        time.
+        through :meth:`HealthMonitor.check_bank_results`, so failure
+        counting -- and any :class:`HealthTestFailure` alarm -- lands
+        on exactly the read-out it would have with one
+        :meth:`iteration` at a time.
         """
-        results = self.trng.execute_batch(n, collect_raw=True)
+        results = self.backend.run_round(
+            run_bank_task, self.trng.plan_batch(n, collect_raw=True))
         self.monitor.check_bank_results(results, n)
         return (self.trng.assemble_batch(results),
                 n * self.trng.iteration_latency_ns)
@@ -342,70 +339,32 @@ class MonitoredTrng:
     # Harvest-planner protocol (repro.core.harvest)
     # ------------------------------------------------------------------
 
-    def plan_round(self, deficit_bits: int,
-                   pack_output: bool = False) -> HarvestRound:
+    def plan_round(self, deficit_bits: int) -> HarvestRound:
         """Plan one monitored refill round toward ``deficit_bits``.
 
-        The monitored instance of the
-        :class:`~repro.core.harvest.HarvestPlanner` protocol: sized by
-        the exact arithmetic of the synchronous monitored harvest (the
-        batch cap tightened by raw volume, since every iteration's raw
-        read-out travels with the round), planned with
-        ``collect_raw=True`` so the verdict can be applied at gather
-        time.
+        The batch cap is tightened by raw volume
+        (:data:`MAX_MONITORED_RAW_BYTES`), since every iteration's raw
+        read-out travels with the round, and the tasks collect raw
+        read-outs so the verdict can be applied at gather time.
         """
         count = max(1, min(
             batch_count_for(deficit_bits, self.bits_per_iteration),
             monitored_batch_cap(self.trng)))
-        tasks = self.trng.plan_batch(count, collect_raw=True,
-                                     pack_output=pack_output)
-        return HarvestRound(
-            tasks=tasks,
-            spans=[ChannelSpan(channel=0, iterations=count,
-                               start=0, stop=len(tasks))],
-            yield_bits=count * self.bits_per_iteration)
+        return self.trng.batch_round(count, collect_raw=True)
 
     def gather_round(self, round_: HarvestRound, results,
                      pool: BitBuffer):
         """Monitor a landed round; pool its bits only when healthy.
 
-        Returns (never raises) the round's
-        :class:`HealthTestFailure`, exactly like the system planner --
-        the engine pools earlier healthy rounds' bits before the alarm
-        re-raises, so an in-flight alarm cannot destroy entropy the
-        monitor already passed.
+        Returns (never raises) the round's :class:`HealthTestFailure`,
+        exactly like the system planner -- the engine pools earlier
+        healthy rounds' bits before the alarm re-raises, so an alarm
+        cannot destroy entropy the monitor already passed.
         """
-        span = round_.spans[0]
         try:
-            self.monitor.check_bank_results(results, span.iterations)
+            self.monitor.check_bank_results(results,
+                                            round_.spans[0].iterations)
         except HealthTestFailure as failure:
             return failure
-        pool.append(self.trng.assemble_batch(results))
+        pool.append_bytes(self.trng.packed_batch(results))
         return None
-
-    @property
-    def harvest_engine(self) -> AsyncHarvestEngine:
-        """The double-buffered engine behind ``async_harvest`` draws."""
-        if self._harvest_engine is None:
-            self._harvest_engine = AsyncHarvestEngine(self,
-                                                      self.trng.backend)
-        return self._harvest_engine
-
-    def random_bits(self, n_bits: int) -> np.ndarray:
-        """Generate ``n_bits`` with every contributing read-out checked.
-
-        Harvests through :meth:`batch_iterations` (the monitored
-        equivalent of :meth:`QuacTrng.random_bits`); surplus conditioned
-        bits are pooled and served first on the next call.  Batches are
-        additionally capped by raw volume
-        (:data:`MAX_MONITORED_RAW_BYTES`) since every iteration's raw
-        read-out travels with the batch.  With ``async_harvest`` the
-        same rounds run through the double-buffered engine instead --
-        same bits, overlapped with serving.
-        """
-        if self.async_harvest:
-            self.harvest_engine.fill(self._pool, n_bits)
-            return self._pool.take(n_bits)
-        harvest_into(self._pool, n_bits, lambda: self,
-                     max_iterations=monitored_batch_cap(self.trng))
-        return self._pool.take(n_bits)

@@ -25,24 +25,24 @@ propagates, so they are never lost.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional, Sequence, Tuple
 
 from repro.bitops import BitBuffer
-from repro.core.harvest import (AsyncHarvestEngine, ChannelSpan,
-                                HarvestRound)
+from repro.core.harvest import ChannelSpan, HarvestPlanner, HarvestRound
 from repro.core.health import (HealthMonitor, HealthTestFailure,
                                monitored_batch_cap)
 from repro.core.parallel import (BankResult, ExecutionBackend,
-                                 resolve_backend, run_bank_task)
+                                 resolve_backend)
+# Not called here; kept importable so a tracer that rebinds the task
+# entry point by module attribute (``hostbench/layers.py``) finds it.
+from repro.core.parallel import run_bank_task  # noqa: F401
 from repro.core.trng import QuacTrng, batch_count_for
 from repro.core.throughput import TrngConfiguration
 from repro.dram.device import BEST_DATA_PATTERN, DramModule
-from repro.errors import ConfigurationError, InsufficientEntropyError
+from repro.errors import ConfigurationError
 
 
-class SystemTrng:
+class SystemTrng(HarvestPlanner):
     """A bank of independent per-channel QUAC-TRNGs.
 
     Parameters
@@ -66,16 +66,14 @@ class SystemTrng:
         through :meth:`HealthMonitor.check_many` before its conditioned
         bits enter the pool.
     async_harvest:
-        Route refill rounds through the double-buffered
-        :class:`~repro.core.harvest.AsyncHarvestEngine`: while the
-        consumer drains the pool, the next planned round is already in
-        flight on the backend, and workers ship packed byte pools
-        instead of unpacked matrices.  Output is **bit-identical** to
-        the synchronous path for any request sequence (pinned by the
-        golden streams in ``tests/test_determinism.py``).  Monitor
-        verdicts are applied when an in-flight round lands; healthy
-        channels' bits are pooled before any alarm re-raises, exactly
-        as in the synchronous path.
+        Keep two refill rounds in flight on the
+        :class:`~repro.core.harvest.AsyncHarvestEngine` instead of one:
+        while the consumer drains the pool, the next planned round is
+        already executing on the backend.  Output is **bit-identical**
+        either way for any request sequence (pinned by the golden
+        streams in ``tests/test_determinism.py``).  Monitor verdicts
+        are applied when a round lands; healthy channels' bits are
+        pooled before any alarm re-raises.
 
     Example
     -------
@@ -104,7 +102,7 @@ class SystemTrng:
                  async_harvest: bool = False) -> None:
         if not modules:
             raise ConfigurationError("need at least one channel module")
-        self.backend = resolve_backend(backend)
+        super().__init__(resolve_backend(backend), async_harvest)
         self.channels: List[QuacTrng] = [
             QuacTrng(module, configuration, data_pattern, entropy_per_block,
                      backend=self.backend)
@@ -120,9 +118,6 @@ class SystemTrng:
                     f"{len(self.channels)} channels")
             self.monitors = list(monitors)
         self._next_channel = 0
-        self._pool = BitBuffer()
-        self.async_harvest = async_harvest
-        self._harvest_engine: Optional[AsyncHarvestEngine] = None
 
     @property
     def n_channels(self) -> int:
@@ -145,29 +140,6 @@ class SystemTrng:
     def worst_channel_latency_ns(self) -> float:
         """Slowest channel's iteration latency (system-iteration gate)."""
         return max(trng.iteration_latency_ns for trng in self.channels)
-
-    def random_bits(self, n_bits: int) -> np.ndarray:
-        """Harvest ``n_bits`` round-robin across the channels.
-
-        Channels are scheduled in rotation so sustained draws spread
-        work evenly; each scheduled channel contributes a *batch* of
-        iterations sized to its fair share of the outstanding deficit,
-        and all scheduled channels' per-bank tasks execute together on
-        the system's backend.  Surplus conditioned bits are pooled and
-        served first on the next call -- nothing is regenerated or
-        discarded.
-        """
-        if n_bits < 0:
-            raise InsufficientEntropyError("bit count must be non-negative")
-        self._refill(n_bits)
-        return self._pool.take(n_bits)
-
-    def random_bytes(self, n_bytes: int) -> bytes:
-        """Harvest ``n_bytes`` of conditioned output (packed byte path)."""
-        if n_bytes < 0:
-            raise InsufficientEntropyError("byte count must be non-negative")
-        self._refill(8 * n_bytes)
-        return self._pool.take_bytes(n_bytes)
 
     def _harvest_plan(self, deficit: int) -> List[Tuple[int, int]]:
         """Schedule one refill round as ``(channel, batch size)`` pairs.
@@ -201,18 +173,16 @@ class SystemTrng:
     # Harvest-planner protocol (repro.core.harvest)
     # ------------------------------------------------------------------
 
-    def plan_round(self, deficit_bits: int,
-                   pack_output: bool = False) -> HarvestRound:
+    def plan_round(self, deficit_bits: int) -> HarvestRound:
         """Plan one multi-channel refill round toward ``deficit_bits``.
 
-        The system instance of the
-        :class:`~repro.core.harvest.HarvestPlanner` protocol: the
-        round-robin schedule (:meth:`_harvest_plan`) picks channels and
-        batch sizes, then every scheduled channel's per-bank tasks are
-        planned *serially in schedule order* -- claiming each
-        channel's iterations and advancing the rotation cursor exactly
-        as the synchronous path does, whatever backend later executes
-        the round.  Monitored
+        Channels are scheduled in rotation so sustained draws spread
+        work evenly: the round-robin schedule (:meth:`_harvest_plan`)
+        picks channels and batch sizes, then every scheduled channel's
+        per-bank tasks are planned *serially in schedule order* --
+        claiming each channel's iterations and advancing the rotation
+        cursor, whatever backend later executes the round, so all
+        scheduled channels' banks execute together.  Monitored
         channels' tasks carry their raw read-outs
         (``collect_raw=True``) so verdicts can be applied at gather
         time.
@@ -224,7 +194,7 @@ class SystemTrng:
         for channel, count in plan:
             monitored = self.monitors[channel] is not None
             bank_tasks = self.channels[channel].plan_batch(
-                count, collect_raw=monitored, pack_output=pack_output)
+                count, collect_raw=monitored)
             spans.append(ChannelSpan(channel=channel, iterations=count,
                                      start=len(tasks),
                                      stop=len(tasks) + len(bank_tasks)))
@@ -242,9 +212,9 @@ class SystemTrng:
         configured) and its conditioned bits appended to ``pool`` in
         schedule order.  A channel whose monitor alarms contributes
         nothing, but every healthy channel's bits are pooled first; the
-        round's *first* failure is **returned**, not raised, so callers
-        (the synchronous loop and the async engine alike) can commit
-        the healthy bits before propagating the alarm.
+        round's *first* failure is **returned**, not raised, so the
+        engine can commit the healthy bits before propagating the
+        alarm.
         """
         failure: Optional[HealthTestFailure] = None
         for span in round_.spans:
@@ -257,64 +227,9 @@ class SystemTrng:
                     if failure is None:
                         failure = exc
                     continue
-            pool.append(self.channels[span.channel].assemble_batch(chunk))
+            channel = self.channels[span.channel]
+            pool.append_bytes(channel.packed_batch(chunk))
         return failure
-
-    @property
-    def harvest_engine(self) -> AsyncHarvestEngine:
-        """The double-buffered engine behind ``async_harvest`` draws.
-
-        Built lazily on first use; exposed for introspection
-        (``pending_rounds``, ``back_bits``), readahead control, and
-        teardown (``cancel_pending`` / ``drain``).
-        """
-        if self._harvest_engine is None:
-            self._harvest_engine = AsyncHarvestEngine(self, self.backend)
-        return self._harvest_engine
-
-    def _refill(self, n_bits: int) -> None:
-        """Top the pool up to ``n_bits`` in planned parallel rounds.
-
-        Each round plans every scheduled channel's per-bank tasks
-        serially (claiming each channel's iterations), executes the
-        combined task list on the backend, monitors each channel's raw
-        read-outs (when a monitor is configured), and pools the
-        conditioned bits in schedule order.  A channel whose monitor
-        alarms contributes nothing, but every healthy channel's bits
-        are pooled *before* the first alarm re-raises -- pooled bits
-        survive the failure and serve later draws.
-
-        With ``async_harvest`` the same plan/gather methods run inside
-        the :class:`~repro.core.harvest.AsyncHarvestEngine`, which
-        overlaps round execution with pooling and serving -- one code
-        path decides what to generate, two decide when.
-        """
-        if self.async_harvest:
-            self.harvest_engine.fill(self._pool, n_bits)
-            return
-        pack = self.backend.ships_pickled_results
-        while len(self._pool) < n_bits:
-            round_ = self.plan_round(n_bits - len(self._pool),
-                                     pack_output=pack)
-            # run_round lets a backend that ships whole rounds take
-            # the multi-channel round as one request per host.
-            results = self.backend.run_round(run_bank_task,
-                                             round_.tasks)
-            failure = self.gather_round(round_, results, self._pool)
-            if failure is not None:
-                raise failure
-
-    def iter_bytes(self, chunk_size: int) -> Iterator[bytes]:
-        """Stream conditioned output as ``chunk_size``-byte chunks.
-
-        An endless generator for bulk consumers; every chunk is
-        harvested through the batched round-robin path.
-        """
-        if chunk_size <= 0:
-            raise ConfigurationError(
-                f"chunk size must be positive, got {chunk_size}")
-        while True:
-            yield self.random_bytes(chunk_size)
 
 
 def reference_system(modules: Optional[Sequence[DramModule]] = None,

@@ -40,30 +40,15 @@ by spec string (``"process:4"``), or globally through the
 ``REPRO_EXECUTION_BACKEND`` environment variable -- the latter is how
 CI runs the whole tier-1 suite under a process pool.
 
-Three calling conventions share the determinism contract:
-
-* :meth:`ExecutionBackend.map` blocks until every task's result is
-  available (the original PR-2 API);
-* :meth:`ExecutionBackend.submit_map` returns a :class:`PendingResult`
-  immediately, so the caller can keep planning, draining a bit pool, or
-  submitting further rounds while the tasks execute.  This is the
-  primitive the asynchronous harvest engine
-  (:mod:`repro.core.harvest`) double-buffers on;
-* :meth:`ExecutionBackend.submit_round` submits one planned refill
-  round as a unit.  In-process backends decompose it into
-  ``submit_map`` (the generic fallback); the remote backend ships each
-  host its whole contiguous shard in a single request
-  (:attr:`ExecutionBackend.ships_whole_rounds`), cutting socket round
-  trips per refill from one per bank to one per host.  The async
-  harvest engine always submits through it; the synchronous refill
-  paths prefer it when the backend advertises ``ships_whole_rounds``
-  and otherwise keep the blocking :meth:`ExecutionBackend.map` (whose
-  pooled implementations run single-task rounds inline).
-
-Because every result is a pure function of its task, *when* a result is
-gathered can never change *what* it contains -- ``submit_map(fn,
-tasks).result()`` equals ``map(fn, tasks)`` bit for bit on every
-backend.
+One verb carries the determinism contract:
+:meth:`ExecutionBackend.submit_round` starts one planned refill round
+and returns a :class:`PendingResult` immediately, so the caller can
+keep planning, draining a bit pool, or submitting further rounds while
+the tasks execute.  The harvest engine (:mod:`repro.core.harvest`)
+submits every round through it; :meth:`ExecutionBackend.run_round` is
+the blocking one-liner on top.  Because every result is a pure
+function of its task, *when* a result is gathered can never change
+*what* it contains.
 """
 
 from __future__ import annotations
@@ -125,20 +110,15 @@ class BankTask:
     entropy_per_block: float
     #: Condition with the from-scratch SHA-256 instead of hashlib.
     use_builtin_sha: bool = False
-    #: Also return the raw read-out matrix (for health monitoring).
+    #: Also return the raw read-outs (for health monitoring).
     collect_raw: bool = False
-    #: Accumulate the worker's output into packed byte pools and ship
-    #: only the bytes plus counts (8x smaller result pickles); read the
-    #: matrices back through :meth:`BankResult.digest_matrix` /
-    #: :meth:`BankResult.raw_matrix`.
-    pack_output: bool = False
     #: Index of the segment's first iteration in this task; the worker
     #: advances the thermal stream straight to it.
     first_iteration: int = 0
 
 
 def _pack_matrix(matrix: np.ndarray) -> bytes:
-    """Pack a {0,1} matrix row-major into bytes (worker-side pool)."""
+    """Pack a {0,1} matrix row-major into bytes (worker side)."""
     return pack_bits(np.ravel(matrix))
 
 
@@ -147,66 +127,53 @@ def _unpack_matrix(data: bytes, rows: int, columns: int) -> np.ndarray:
     return unpack_bits(data, rows * columns).reshape(rows, columns)
 
 
+def packed_rows(blobs: Sequence[bytes], rows: int) -> np.ndarray:
+    """Lay per-bank packed matrices side by side, iteration-major.
+
+    ``blobs`` are row-major packed ``(rows, k)`` bit matrices whose
+    rows are whole bytes (digest rows are multiples of 256 bits, raw
+    rows multiples of the 512-bit cache block); the result is the
+    ``(rows, total_bytes)`` ``uint8`` array whose row ``i`` is every
+    bank's row ``i`` in bank order -- the packed form of the matrices
+    concatenated along their columns, built without unpacking a bit.
+    """
+    return np.concatenate([np.frombuffer(blob, dtype=np.uint8)
+                           .reshape(rows, -1) for blob in blobs], axis=1)
+
+
 @dataclass(frozen=True, eq=False)
 class BankResult:
-    """A worker's answer to one :class:`BankTask`.
+    """A worker's answer to one :class:`BankTask`, always packed.
 
-    Results travel in one of two interchangeable representations:
-    unpacked matrices (``digests`` / ``raw``, the default) or packed
-    byte pools plus counts (``digests_packed`` / ``raw_packed``, when
-    the task set ``pack_output`` -- an 8x smaller pickle for
-    multi-hundred-megabit draws).  Consumers read through
-    :meth:`digest_matrix` and :meth:`raw_matrix`, which return the
-    bit-identical matrix either way.
+    Both matrices travel as row-major packed bytes plus their shapes,
+    so a result pickles 8x smaller than the bit matrices and the
+    gather step can lay banks side by side as bytes
+    (:func:`packed_rows`).  :meth:`digest_matrix` and
+    :meth:`raw_matrix` are the unpacked views.
     """
 
-    #: ``(iterations, DIGEST_BITS * n_blocks)`` conditioned bits, or
-    #: ``None`` when the task asked for packed output.
-    digests: Optional[np.ndarray] = None
-    #: ``(iterations, segment_bits)`` raw read-outs, or ``None`` unless
-    #: the task asked for them (packed tasks use ``raw_packed``).
-    raw: Optional[np.ndarray] = None
-    #: Packed conditioned bits (row-major), with shape counts below.
-    digests_packed: Optional[bytes] = None
-    #: Packed raw read-outs (row-major), or ``None``.
-    raw_packed: Optional[bytes] = None
+    #: Packed ``(iterations, digest_bits)`` conditioned bits.
+    digests: bytes
+    #: Packed ``(iterations, raw_bits)`` raw read-outs, or ``None``
+    #: unless the task asked for them.
+    raw: Optional[bytes]
     #: Rows of both matrices (the task's ``iterations``).
-    iterations: int = 0
+    iterations: int
     #: Columns of the conditioned matrix (bits per iteration).
-    digest_bits: int = 0
-    #: Columns of the raw matrix (segment bits).
+    digest_bits: int
+    #: Columns of the raw matrix (segment bits; 0 without raw).
     raw_bits: int = 0
 
     def digest_matrix(self) -> np.ndarray:
-        """The ``(iterations, digest_bits)`` conditioned-bit matrix.
-
-        Unpacks the worker's byte pool on demand; bit-identical to the
-        matrix an unpacked task would have shipped.
-        """
-        if self.digests is not None:
-            return self.digests
-        return _unpack_matrix(self.digests_packed, self.iterations,
+        """The ``(iterations, digest_bits)`` conditioned-bit matrix."""
+        return _unpack_matrix(self.digests, self.iterations,
                               self.digest_bits)
 
     def raw_matrix(self) -> Optional[np.ndarray]:
         """The ``(iterations, raw_bits)`` read-out matrix, if collected."""
-        if self.raw is not None:
-            return self.raw
-        if self.raw_packed is None:
+        if self.raw is None:
             return None
-        return _unpack_matrix(self.raw_packed, self.iterations,
-                              self.raw_bits)
-
-    def payload_bytes(self) -> int:
-        """Approximate result-pickle payload (the matrices' bytes)."""
-        total = 0
-        for matrix in (self.digests, self.raw):
-            if matrix is not None:
-                total += matrix.nbytes
-        for packed in (self.digests_packed, self.raw_packed):
-            if packed is not None:
-                total += len(packed)
-        return total
+        return _unpack_matrix(self.raw, self.iterations, self.raw_bits)
 
 
 def run_bank_task(task: BankTask) -> BankResult:
@@ -216,10 +183,8 @@ def run_bank_task(task: BankTask) -> BankResult:
     Reproduces exactly what the serial fast path does for one bank:
     sample iterations ``[first_iteration, first_iteration +
     iterations)`` of the segment's thermal stream, slice the SHA input
-    blocks, and condition each block matrix in bulk.  With
-    ``task.pack_output`` the conditioned bits (and raw read-outs, when
-    collected) are accumulated into packed byte pools before shipping
-    -- the content is bit-identical, only the wire format changes.
+    blocks, condition each block matrix in bulk, and pack the
+    conditioned bits (and the raw read-outs, when collected).
     """
     raw = np.atleast_2d(sample_iterations(
         task.probabilities, task.thermal_key, task.first_iteration,
@@ -232,18 +197,12 @@ def run_bank_task(task: BankTask) -> BankResult:
         for start, stop in task.block_slices
     ]
     digests = np.concatenate(columns, axis=1)
-    if task.pack_output:
-        return BankResult(
-            digests_packed=_pack_matrix(digests),
-            raw_packed=(_pack_matrix(raw) if task.collect_raw else None),
-            iterations=task.iterations,
-            digest_bits=digests.shape[1],
-            raw_bits=raw.shape[1] if task.collect_raw else 0)
-    return BankResult(digests=digests,
-                      raw=raw if task.collect_raw else None,
-                      iterations=task.iterations,
-                      digest_bits=digests.shape[1],
-                      raw_bits=raw.shape[1] if task.collect_raw else 0)
+    return BankResult(
+        digests=_pack_matrix(digests),
+        raw=_pack_matrix(raw) if task.collect_raw else None,
+        iterations=task.iterations,
+        digest_bits=digests.shape[1],
+        raw_bits=raw.shape[1] if task.collect_raw else 0)
 
 
 # ----------------------------------------------------------------------
@@ -251,7 +210,7 @@ def run_bank_task(task: BankTask) -> BankResult:
 # ----------------------------------------------------------------------
 
 class PendingResult(abc.ABC):
-    """Handle to an in-flight :meth:`ExecutionBackend.submit_map`.
+    """Handle to an in-flight :meth:`ExecutionBackend.submit_round`.
 
     Poll with :meth:`done`, join with :meth:`result`.  Joining is
     idempotent (the result list is cached), and the list is always in
@@ -289,7 +248,7 @@ class CompletedResult(PendingResult):
 class FailedResult(PendingResult):
     """A :class:`PendingResult` whose computation failed at submit.
 
-    What eager backends return when the map itself raised: the
+    What :class:`SerialBackend` returns when a task raised: the
     exception is deferred to :meth:`result`, matching pooled futures
     (and remote dispatches), where a task's exception surfaces at
     join, never at submit.  The conformance suite
@@ -328,95 +287,40 @@ class _FuturePendingResult(PendingResult):
 # ----------------------------------------------------------------------
 
 class ExecutionBackend(abc.ABC):
-    """Maps a task function over a task list, preserving order.
+    """Runs a round of tasks through one function, preserving order.
 
-    Implementations must be *transparent*: ``backend.map(fn, tasks)``
-    returns ``[fn(t) for t in tasks]`` in order, for any scheduling
-    underneath.  The equivalence suite holds every backend to that.
-
-    The non-blocking half, :meth:`submit_map`, carries the same
-    contract: ``submit_map(fn, tasks).result() == map(fn, tasks)`` --
-    only *when* the work happens differs.
+    Implementations must be *transparent*:
+    ``backend.submit_round(fn, tasks).result()`` returns ``[fn(t) for
+    t in tasks]`` in order, for any scheduling underneath, and a
+    task's exception surfaces at :meth:`PendingResult.result`, never
+    at submit.  The conformance suite
+    (``tests/core/test_backend_conformance.py``) holds every backend
+    to that; :meth:`submit_round` is the one method a backend
+    implements.
 
     Example
     -------
     >>> backend = SerialBackend()
-    >>> backend.map(lambda x: x + 1, [1, 2, 3])
-    [2, 3, 4]
-    >>> pending = backend.submit_map(lambda x: 2 * x, [1, 2, 3])
+    >>> backend.run_round(abs, [-1, -2, -3])
+    [1, 2, 3]
+    >>> pending = backend.submit_round(abs, [-4, 5])
     >>> pending.done()          # serial completes eagerly at submit
     True
     >>> pending.result()
-    [2, 4, 6]
+    [4, 5]
     """
 
     #: Short name used in spec strings and reports.
     name: str = "abstract"
 
-    #: True when results cross a process boundary (i.e. get pickled);
-    #: the async harvest engine packs worker output only where that
-    #: pays -- packing shrinks a pickle 8x, but threads share memory.
-    ships_pickled_results: bool = False
-
-    #: True when :meth:`submit_round` ships each worker its whole
-    #: contiguous shard in one request (the remote backend's round
-    #: protocol) instead of decomposing into per-task submissions.
-    #: Purely an advertisement -- harvest paths call ``submit_round``
-    #: unconditionally and the generic fallback keeps the contract.
-    ships_whole_rounds: bool = False
-
     @abc.abstractmethod
-    def map(self, fn: Callable, tasks: Sequence) -> List:
-        """Apply ``fn`` to every task; results in submission order."""
-
-    def submit_map(self, fn: Callable, tasks: Sequence) -> PendingResult:
-        """Start mapping ``fn`` over ``tasks``; return without waiting.
-
-        The base implementation (used by :class:`SerialBackend`)
-        computes eagerly and returns a :class:`CompletedResult` (a
-        task's exception is deferred to :meth:`PendingResult.result`,
-        where pooled futures surface it); pooled backends dispatch
-        every task to their workers and return a handle whose
-        :meth:`PendingResult.done` goes true as the pool drains.
-        Either way the gathered list is bit-identical to a blocking
-        :meth:`map` of the same tasks.
-        """
-        try:
-            return CompletedResult(self.map(fn, tasks))
-        except Exception as exc:
-            return FailedResult(exc)
-
     def submit_round(self, fn: Callable, tasks: Sequence) -> PendingResult:
-        """Start one planned *round* of tasks; return without waiting.
-
-        Semantically identical to :meth:`submit_map` -- submission
-        order, exception-at-join, bit-identical results -- but the
-        round is submitted as a unit, so a backend that advertises
-        :attr:`ships_whole_rounds` may ship each worker its entire
-        contiguous shard in one request instead of one request per
-        task (the remote backend's round protocol, which turns a
-        16-bank refill on a 3-host cluster from 16 socket round trips
-        into 3).  This base implementation is the generic fallback: it
-        decomposes into :meth:`submit_map`, so in-process backends
-        need no changes.  The conformance suite
-        (``tests/core/test_backend_conformance.py``) exercises both
-        paths on every registered backend.
-        """
-        return self.submit_map(fn, tasks)
+        """Start applying ``fn`` to one planned round of ``tasks``;
+        return without waiting.  Results join in submission order."""
 
     def run_round(self, fn: Callable, tasks: Sequence) -> List:
-        """Execute one planned round, blocking until its results.
-
-        The synchronous refill paths' capability switch, in one
-        place: a backend that advertises :attr:`ships_whole_rounds`
-        submits the round as a unit (one request per host) and joins
-        it; everywhere else the blocking :meth:`map` keeps its inline
-        fast paths (pooled backends run single-task rounds in the
-        caller).  Bit-identical results either way.
-        """
-        if self.ships_whole_rounds:
-            return self.submit_round(fn, tasks).result()
-        return self.map(fn, tasks)
+        """Execute one round, blocking until its results."""
+        return self.submit_round(fn, tasks).result()
 
     def close(self) -> None:
         """Release pooled workers (no-op for poolless backends).
@@ -439,16 +343,22 @@ class ExecutionBackend(abc.ABC):
 
 
 class SerialBackend(ExecutionBackend):
-    """In-process execution; the reference the pools must match."""
+    """In-process execution; the reference the pools must match.
+
+    Rounds run eagerly at submit, so their handles are already done.
+    """
 
     name = "serial"
 
-    def map(self, fn: Callable, tasks: Sequence) -> List:
-        return [fn(task) for task in tasks]
+    def submit_round(self, fn: Callable, tasks: Sequence) -> PendingResult:
+        try:
+            return CompletedResult([fn(task) for task in tasks])
+        except Exception as exc:
+            return FailedResult(exc)
 
 
 class _PooledBackend(ExecutionBackend):
-    """Shared lazy pool; single-task maps stay in-process."""
+    """A shared ``concurrent.futures`` pool, built lazily."""
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
         if max_workers is not None and max_workers < 1:
@@ -465,20 +375,10 @@ class _PooledBackend(ExecutionBackend):
     def _make_pool(self):
         """Construct the underlying ``concurrent.futures`` executor."""
 
-    def map(self, fn: Callable, tasks: Sequence) -> List:
-        tasks = list(tasks)
-        # One task gains nothing from dispatch; run it inline.  The
-        # result is identical either way (pure function of the task).
-        if len(tasks) <= 1:
-            return [fn(task) for task in tasks]
-        return list(self._ensure_pool().map(fn, tasks))
-
-    def submit_map(self, fn: Callable, tasks: Sequence) -> PendingResult:
+    def submit_round(self, fn: Callable, tasks: Sequence) -> PendingResult:
         tasks = list(tasks)
         if not tasks:
             return CompletedResult([])
-        # Unlike map(), even a single task goes to the pool: the caller
-        # asked for overlap, so the parent thread must stay free.
         pool = self._ensure_pool()
         return _FuturePendingResult([pool.submit(fn, task)
                                      for task in tasks])
@@ -514,7 +414,6 @@ class ProcessPoolBackend(_PooledBackend):
     """Process-pool execution for full multi-core scaling."""
 
     name = "process"
-    ships_pickled_results = True
 
     def _make_pool(self):
         from concurrent.futures import ProcessPoolExecutor

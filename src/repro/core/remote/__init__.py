@@ -7,10 +7,10 @@ round, shipping packed byte pools back for merging.  This module is
 that backend:
 
 * :class:`RemoteBackend` -- a full
-  :class:`~repro.core.parallel.ExecutionBackend` (blocking ``map``,
-  non-blocking ``submit_map`` / ``PendingResult``, idempotent
-  ``close``) that fans tasks out to worker hosts over the
-  length-prefixed pickle protocol of :mod:`repro.core.remote.wire`;
+  :class:`~repro.core.parallel.ExecutionBackend` (``submit_round``
+  returning a ``PendingResult``, idempotent ``close``) that fans tasks
+  out to worker hosts over the length-prefixed pickle protocol of
+  :mod:`repro.core.remote.wire`;
 * :mod:`repro.core.remote.worker` -- the loop a host runs to serve
   tasks (``python -m repro.core.remote.worker --port N``);
 * :class:`LocalCluster` -- N worker subprocesses on localhost, for
@@ -43,10 +43,9 @@ locally, and one ``round_result`` frame comes back -- so a 16-bank
 round on a 3-host cluster costs 3 socket round trips instead of 16.
 The protocol is negotiated per link through the ``hello`` handshake;
 a per-task-only (version 1) worker transparently falls back to task
-shipping, and either protocol produces the same bits (the
-:meth:`~repro.core.parallel.ExecutionBackend.submit_round` contract,
-pinned by ``tests/core/test_remote_rounds.py`` and the round-protocol
-golden replays in ``tests/test_determinism.py``).
+shipping, and either protocol produces the same bits (pinned by
+``tests/core/test_remote_rounds.py`` and the round-protocol golden
+replays in ``tests/test_determinism.py``).
 
 **Failure model.**  A worker whose connection dies is marked dead and
 its unfinished tasks are requeued onto surviving workers (the tasks
@@ -389,7 +388,7 @@ class _RoundsUnsupported(Exception):
 
 
 # ----------------------------------------------------------------------
-# An in-flight submit_map
+# An in-flight round
 # ----------------------------------------------------------------------
 
 _OK = "ok"
@@ -397,7 +396,7 @@ _RAISE = "raise"
 
 
 class _RemoteDispatch(PendingResult):
-    """One ``submit_map`` / ``submit_round`` in flight across the links.
+    """One ``submit_round`` in flight across the links.
 
     Primary assignment follows the shard map (one sender thread per
     shard, so workers execute concurrently); a shard whose worker dies
@@ -800,7 +799,7 @@ def _read_announced_port(proc: subprocess.Popen, deadline: float,
 # ----------------------------------------------------------------------
 
 class RemoteBackend(ExecutionBackend):
-    """Execute task maps on remote worker hosts over sockets.
+    """Execute rounds of tasks on remote worker hosts over sockets.
 
     Parameters
     ----------
@@ -823,15 +822,13 @@ class RemoteBackend(ExecutionBackend):
         same bits; only the round-trip count differs.
 
     The full :class:`~repro.core.parallel.ExecutionBackend` contract
-    holds: results in submission order, ``submit_map(fn,
-    tasks).result() == map(fn, tasks)`` bit for bit, ``close()`` waits
-    for in-flight rounds (their :class:`~repro.core.parallel.
+    holds: results in submission order, ``close()`` waits for
+    in-flight rounds (their :class:`~repro.core.parallel.
     PendingResult`\\ s stay joinable), and worker count/failure is
     never observable in the output -- only in wall-clock time.
     """
 
     name = "remote"
-    ships_pickled_results = True
 
     def __init__(self, addresses: Optional[Sequence[Tuple[str, int]]]
                  = None,
@@ -897,40 +894,23 @@ class RemoteBackend(ExecutionBackend):
             links = self._links or []
         return sum(link.requests for link in links)
 
-    @property
-    def ships_whole_rounds(self) -> bool:
-        """True when :meth:`submit_round` uses the round protocol."""
-        return self.round_execution
-
     # ------------------------------------------------------------------
 
-    def map(self, fn: Callable, tasks: Sequence) -> List:
-        return self.submit_map(fn, tasks).result()
-
-    def submit_map(self, fn: Callable, tasks: Sequence) -> PendingResult:
-        return self._dispatch(fn, tasks, use_rounds=False)
-
     def submit_round(self, fn: Callable, tasks: Sequence) -> PendingResult:
-        """Submit one planned round, shipping whole shards per host.
+        """Submit one planned round across the worker hosts.
 
-        The round-protocol fast path of
-        :meth:`~repro.core.parallel.ExecutionBackend.submit_round`:
-        with :attr:`round_execution` each worker receives its entire
+        With :attr:`round_execution` each worker receives its entire
         contiguous slice in one ``round`` message (version-1 workers
-        fall back to per-task shipping per link); without it the
-        dispatch is exactly :meth:`submit_map`.  Same results either
-        way, in submission order.
+        fall back to per-task shipping per link); without it every
+        task is its own request.  Same results either way, in
+        submission order.
         """
-        return self._dispatch(fn, tasks, use_rounds=self.round_execution)
-
-    def _dispatch(self, fn: Callable, tasks: Sequence,
-                  use_rounds: bool) -> PendingResult:
         tasks = list(tasks)
         if not tasks:
             return CompletedResult([])
         links = self._ensure_links()
         dispatch = _RemoteDispatch(fn, tasks, links, self._unregister,
-                                   use_rounds=use_rounds,
+                                   use_rounds=self.round_execution,
                                    shard_plan=self._shard_plan)
         with self._lock:
             self._active.add(dispatch)

@@ -41,10 +41,9 @@ disappearing mid-frame (or before one) raises
 (requeue) and the worker treats as a departed client (drop the
 connection).
 
-Results cross this wire pickled, which is why remote rounds are planned
-with :attr:`~repro.core.parallel.BankTask.pack_output` -- the packed
-byte pools that already shrink process-pool pickles ~8x shrink socket
-frames identically.
+Results cross this wire pickled; a
+:class:`~repro.core.parallel.BankResult` is always packed, so a frame
+carries bytes plus counts rather than bit matrices.
 """
 
 from __future__ import annotations

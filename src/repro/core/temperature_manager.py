@@ -25,9 +25,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.bitops import BitBuffer
-from repro.core.harvest import AsyncHarvestEngine, HarvestRound
+from repro.core.harvest import HarvestPlanner, HarvestRound
 from repro.core.parallel import ExecutionBackend, resolve_backend
-from repro.core.trng import QuacTrng, harvest_into
+from repro.core.trng import QuacTrng
 from repro.core.throughput import TrngConfiguration
 from repro.dram.device import BEST_DATA_PATTERN, DramModule
 from repro.errors import CharacterizationError, ConfigurationError
@@ -51,7 +51,7 @@ class RangeEntry:
         return self.low_c <= temperature_c < self.high_c
 
 
-class TemperatureManagedTrng:
+class TemperatureManagedTrng(HarvestPlanner):
     """A QUAC-TRNG with per-temperature-range column-address tables.
 
     Parameters
@@ -70,15 +70,14 @@ class TemperatureManagedTrng:
         shared pool drives the batched harvest whichever range is
         active.
     async_harvest:
-        Harvest through the double-buffered
-        :class:`~repro.core.harvest.AsyncHarvestEngine`: rounds are
-        planned against the active range's stored tables and execute
-        on the backend while the pool drains.  A round that lands
-        after the sensor has left the range it was planned under is
-        discarded, upholding the stored-table contract that output
-        always comes from plans covering the current temperature.
-        At a steady sensor reading the output is bit-identical to the
-        synchronous path.
+        Keep two refill rounds in flight on the
+        :class:`~repro.core.harvest.AsyncHarvestEngine` instead of one.
+        Rounds are planned against the active range's stored tables; a
+        round that lands after the sensor has left the range it was
+        planned under is discarded, upholding the stored-table
+        contract that output always comes from plans covering the
+        current temperature.  At a steady sensor reading the output is
+        the same either way.
     """
 
     def __init__(self, module: DramModule,
@@ -93,7 +92,7 @@ class TemperatureManagedTrng:
         self.configuration = configuration
         self.data_pattern = data_pattern
         self.entropy_per_block = entropy_per_block
-        self.backend = resolve_backend(backend)
+        super().__init__(resolve_backend(backend), async_harvest)
         self._validate_ranges(ranges)
         #: Count of offline characterization passes (the paper's cost
         #: model assumes this stays at 1 unless conditions leave the
@@ -101,11 +100,8 @@ class TemperatureManagedTrng:
         self.characterization_passes = 0
         self._entries: List[RangeEntry] = []
         self._characterize_ranges(ranges)
-        self._pool = BitBuffer()
         #: Range entry whose plans filled the current pool surplus.
         self._pool_entry: Optional[RangeEntry] = None
-        self.async_harvest = async_harvest
-        self._harvest_engine: Optional[AsyncHarvestEngine] = None
 
     # ------------------------------------------------------------------
     # Setup
@@ -193,39 +189,21 @@ class TemperatureManagedTrng:
         """
         return self.active_entry().trng.batch_iterations(n)
 
-    def _pooled_source(self) -> QuacTrng:
-        """The active range's generator, invalidating a stale pool.
-
-        Surplus bits were conditioned under the range that harvested
-        them; when the sensor has moved to a different range the pool
-        is discarded rather than served -- the stored-table contract is
-        that output always comes from plans covering the current
-        temperature.
-        """
-        entry = self.active_entry()
-        if entry is not self._pool_entry:
-            self._pool.clear()
-            self._pool_entry = entry
-        return entry.trng
-
     # ------------------------------------------------------------------
     # Harvest-planner protocol (repro.core.harvest)
     # ------------------------------------------------------------------
 
-    def plan_round(self, deficit_bits: int,
-                   pack_output: bool = False) -> HarvestRound:
+    def plan_round(self, deficit_bits: int) -> HarvestRound:
         """Plan one refill round against the *active* range's tables.
 
-        The temperature-managed instance of the
-        :class:`~repro.core.harvest.HarvestPlanner` protocol: the
-        sensor is read per round (exactly as the synchronous path
-        reads it per batch) and the round remembers which range
-        planned it (:attr:`~repro.core.harvest.HarvestRound.context`),
-        so a landing round can be checked against the sensor again.
+        The sensor is read per round (a temperature excursion mid-draw
+        switches plan tables at round granularity) and the round
+        remembers which range planned it
+        (:attr:`~repro.core.harvest.HarvestRound.context`), so a
+        landing round can be checked against the sensor again.
         """
         entry = self.active_entry()
-        round_ = entry.trng.plan_round(deficit_bits,
-                                       pack_output=pack_output)
+        round_ = entry.trng.plan_round(deficit_bits)
         round_.context = entry
         return round_
 
@@ -252,40 +230,22 @@ class TemperatureManagedTrng:
             self._pool_entry = entry
         return entry.trng.gather_round(round_, results, pool)
 
-    @property
-    def harvest_engine(self) -> AsyncHarvestEngine:
-        """The double-buffered engine behind ``async_harvest`` draws."""
-        if self._harvest_engine is None:
-            self._harvest_engine = AsyncHarvestEngine(self, self.backend)
-        return self._harvest_engine
+    def _refill(self, n_bits: int) -> None:
+        """Top the pool up, re-selecting the range as temperature moves.
 
-    def random_bits(self, n_bits: int) -> np.ndarray:
-        """Generate bits, re-selecting the range as temperature moves.
-
-        Harvests through the batched engine: the sensor is re-read
-        before every batch (a temperature excursion mid-draw switches
-        plan tables at batch granularity), each batch is sized to the
-        remaining deficit, and surplus conditioned bits are pooled and
-        served first on the next call -- unless the temperature has
-        left the range that generated them, which flushes the pool.
-        With ``async_harvest`` the same rounds run through the
-        double-buffered engine; a range change additionally drains the
-        engine's backlog (stale rounds discard themselves at gather).
+        Surplus conditioned bits are served first on the next call --
+        unless the temperature has left the range that generated them:
+        everything backlogged (pooled, buffered, or in flight) was
+        planned under another range's tables, so it is gathered and
+        flushed before serving from the new range (stale rounds
+        discard themselves at gather).
         """
-        if not self.async_harvest:
-            self._pooled_source()  # flush a stale pool before serving
-            harvest_into(self._pool, n_bits, self._pooled_source)
-            return self._pool.take(n_bits)
         entry = self.active_entry()
         if entry is not self._pool_entry:
-            # Everything backlogged -- pooled, buffered, or in flight
-            # -- was planned under another range's tables; gather and
-            # flush it before serving from the new range.
             self.harvest_engine.drain(self._pool)
             self._pool.clear()
             self._pool_entry = entry
-        self.harvest_engine.fill(self._pool, n_bits)
-        return self._pool.take(n_bits)
+        super()._refill(n_bits)
 
     def sib_per_bank(self) -> List[int]:
         """The active range's SHA-input-block counts."""

@@ -27,7 +27,7 @@ wall-clock simulation time.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,10 +35,10 @@ from repro.bitops import BitBuffer
 from repro.controller.rowclone import (reserved_rows_for,
                                        rowclone_segment_init_program,
                                        check_rowclone_pattern)
-from repro.core.harvest import (AsyncHarvestEngine, ChannelSpan,
-                                HarvestRound)
+from repro.core.harvest import ChannelSpan, HarvestPlanner, HarvestRound
 from repro.core.parallel import (BankResult, BankTask, ExecutionBackend,
-                                 resolve_backend, run_bank_task)
+                                 packed_rows, resolve_backend,
+                                 run_bank_task)
 from repro.core.quac import QuacExecutor
 from repro.core.throughput import (IterationBreakdown, QuacThroughputModel,
                                    TrngConfiguration)
@@ -62,42 +62,15 @@ MAX_BATCH_ITERATIONS = 1024
 def batch_count_for(deficit_bits: int, bits_per_iteration: int) -> int:
     """Iterations needed to cover a bit deficit, capped at the batch cap.
 
-    The one batch-sizing rule every pooled harvest path shares
-    (:meth:`QuacTrng.random_bits`, the monitored and
-    temperature-managed wrappers, and the system scheduler) -- change
-    it here and they all follow.
+    The one batch-sizing rule every planner shares (the single-channel
+    generator, the monitored and temperature-managed wrappers, and the
+    system scheduler) -- change it here and they all follow.
     """
     return min(MAX_BATCH_ITERATIONS,
                -(-deficit_bits // bits_per_iteration))
 
 
-def harvest_into(pool: BitBuffer, n_bits: int, next_source,
-                 max_iterations: Optional[int] = None) -> None:
-    """Top ``pool`` up to ``n_bits`` of batched conditioned output.
-
-    The pooled-harvest loop shared by :class:`QuacTrng` and the
-    monitored / temperature-managed wrappers: ``next_source()`` is
-    re-consulted before every batch (so a wrapper can re-select its
-    active generator mid-draw) and must return an object exposing
-    ``bits_per_iteration`` and ``batch_iterations(n)``.
-    ``max_iterations`` tightens the per-batch cap below
-    :data:`MAX_BATCH_ITERATIONS` for sources with per-iteration
-    overheads beyond the conditioned bits (e.g. monitored harvests
-    hauling raw read-out matrices).
-    """
-    if n_bits < 0:
-        raise InsufficientEntropyError("bit count must be non-negative")
-    while len(pool) < n_bits:
-        source = next_source()
-        count = batch_count_for(n_bits - len(pool),
-                                source.bits_per_iteration)
-        if max_iterations is not None:
-            count = max(1, min(count, max_iterations))
-        bits, _latency = source.batch_iterations(count)
-        pool.append(bits)
-
-
-class QuacTrng:
+class QuacTrng(HarvestPlanner):
     """High-throughput DRAM-based TRNG over one simulated module.
 
     Parameters
@@ -126,15 +99,13 @@ class QuacTrng:
         serial).  Output is bit-identical across backends, worker
         counts, and host counts.
     async_harvest:
-        Route pooled draws through the double-buffered
-        :class:`~repro.core.harvest.AsyncHarvestEngine`: refill rounds
-        execute on the backend while the previous round's bits pool and
-        serve, and workers ship packed byte pools instead of unpacked
-        matrices.  Output is **bit-identical** to the synchronous path
+        Keep two refill rounds in flight on the
+        :class:`~repro.core.harvest.AsyncHarvestEngine` instead of one,
+        so a round executes on the backend while the previous round's
+        bits pool and serve.  Output is **bit-identical** either way
         for any request sequence (the golden streams in
         ``tests/test_determinism.py`` replay under both modes); only
-        wall-clock behaviour changes.  The ``faithful=True`` path stays
-        synchronous by design.
+        wall-clock behaviour changes.
 
     Example
     -------
@@ -163,6 +134,7 @@ class QuacTrng:
                  async_harvest: bool = False) -> None:
         if configuration.uses_rowclone:
             check_rowclone_pattern(data_pattern)
+        super().__init__(resolve_backend(backend), async_harvest)
         self.module = module
         self.configuration = configuration
         self.data_pattern = data_pattern
@@ -170,7 +142,6 @@ class QuacTrng:
         self.use_builtin_sha = use_builtin_sha
         self.conditioner = Sha256Conditioner(entropy_per_block,
                                              use_builtin=use_builtin_sha)
-        self.backend = resolve_backend(backend)
         self.executor = QuacExecutor(module)
         self._banks = [(group, 0) for group in range(configuration.n_banks)]
         self._characterize()
@@ -179,9 +150,6 @@ class QuacTrng:
             [self._sib[b] for b in self._banks],
             configuration).iteration()
         self._setup_reserved_rows()
-        self._pool = BitBuffer()
-        self.async_harvest = async_harvest
-        self._harvest_engine: Optional[AsyncHarvestEngine] = None
 
     # ------------------------------------------------------------------
     # Characterization (step 0)
@@ -308,33 +276,12 @@ class QuacTrng:
         segment's thermal stream is the same however the iterations
         are grouped (the test suite proves it).
         """
-        results = self.execute_batch(n)
+        results = self.backend.run_round(run_bank_task,
+                                         self.plan_batch(n))
         return self.assemble_batch(results), n * self._breakdown.total_ns
 
-    def execute_batch(self, n: int,
-                      collect_raw: bool = False) -> List[BankResult]:
-        """Plan ``n`` iterations and run the tasks on the backend.
-
-        The shared plan/map step behind :meth:`batch_iterations` and
-        the monitored harvest (which needs the per-bank
-        :class:`~repro.core.parallel.BankResult`\\ s, raw read-outs
-        included, before assembly).  On backends that pickle results
-        across a process or host boundary
-        (:attr:`~repro.core.parallel.ExecutionBackend.ships_pickled_results`),
-        workers pool their output into packed bytes before shipping --
-        same bits, ~8x smaller result payloads.
-        """
-        # One batch is one planned round; run_round lets a backend
-        # that ships whole rounds (the remote round protocol) take it
-        # as one request per host.
-        return self.backend.run_round(
-            run_bank_task,
-            self.plan_batch(n, collect_raw,
-                            pack_output=self.backend
-                            .ships_pickled_results))
-
-    def plan_batch(self, n: int, collect_raw: bool = False,
-                   pack_output: bool = False) -> List[BankTask]:
+    def plan_batch(self, n: int,
+                   collect_raw: bool = False) -> List[BankTask]:
         """Plan ``n`` iterations as one picklable task per driven bank.
 
         Planning runs serially in the caller (each bank's task claims
@@ -342,10 +289,7 @@ class QuacTrng:
         the sequential path does), so executing the returned tasks on
         *any* backend, in *any* order, with *any* worker count yields
         bit-identical results.  ``collect_raw`` asks workers to also
-        return the raw read-out matrices, for health monitoring;
-        ``pack_output`` asks them to accumulate results into packed
-        byte pools worker-side (same bits, 8x smaller pickles -- the
-        async harvest engine's wire format).
+        return the raw read-outs, for health monitoring.
         """
         if n <= 0:
             raise ConfigurationError(
@@ -365,38 +309,43 @@ class QuacTrng:
                 block_slices=slices,
                 entropy_per_block=self.conditioner.entropy_per_block,
                 use_builtin_sha=self.conditioner.use_builtin,
-                collect_raw=collect_raw, pack_output=pack_output,
-                first_iteration=first))
+                collect_raw=collect_raw, first_iteration=first))
         return tasks
 
     def assemble_batch(self, results: List[BankResult]) -> np.ndarray:
         """Concatenate per-bank results into the iteration-major matrix.
 
         Row ``i`` of the result is iteration ``i``'s conditioned output
-        in the same bank/block order as :meth:`iteration`.  Packed and
-        unpacked results assemble identically (packing only changes the
-        wire format, never a bit).
+        in the same bank/block order as :meth:`iteration` -- the
+        unpacked view of what :meth:`gather_round` pools.
         """
-        return np.concatenate([result.digest_matrix()
-                               for result in results], axis=1)
+        return np.unpackbits(self.packed_batch(results), axis=1)
+
+    def packed_batch(self, results: List[BankResult]) -> np.ndarray:
+        """The packed ``(iterations, output_bytes)`` form of
+        :meth:`assemble_batch`, built without unpacking."""
+        return packed_rows([result.digests for result in results],
+                           results[0].iterations)
 
     # ------------------------------------------------------------------
     # Harvest-planner protocol (repro.core.harvest)
     # ------------------------------------------------------------------
 
-    def plan_round(self, deficit_bits: int,
-                   pack_output: bool = False) -> HarvestRound:
+    def plan_round(self, deficit_bits: int) -> HarvestRound:
         """Plan one refill round toward a ``deficit_bits`` deficit.
 
-        The single-channel instance of the
-        :class:`~repro.core.harvest.HarvestPlanner` protocol: one round
-        is one batch of :func:`batch_count_for` iterations, planned
-        serially through :meth:`plan_batch` (advancing the segment
-        cursors exactly as the synchronous path would), laid out as a
+        The single-channel :class:`~repro.core.harvest.HarvestPlanner`:
+        one round is one batch of :func:`batch_count_for` iterations,
+        planned serially through :meth:`plan_batch` and laid out as a
         single :class:`~repro.core.harvest.ChannelSpan`.
         """
-        count = batch_count_for(deficit_bits, self.bits_per_iteration)
-        tasks = self.plan_batch(count, pack_output=pack_output)
+        return self.batch_round(
+            batch_count_for(deficit_bits, self.bits_per_iteration))
+
+    def batch_round(self, count: int,
+                    collect_raw: bool = False) -> HarvestRound:
+        """One round of exactly ``count`` iterations (:meth:`plan_batch`)."""
+        tasks = self.plan_batch(count, collect_raw)
         return HarvestRound(
             tasks=tasks,
             spans=[ChannelSpan(channel=0, iterations=count,
@@ -408,75 +357,11 @@ class QuacTrng:
                      pool: BitBuffer) -> None:
         """Pool a landed round's conditioned bits (no monitors here).
 
-        Returns ``None`` always: an unmonitored channel has no health
-        verdicts to defer.  Monitored harvests go through
-        :class:`~repro.core.health.MonitoredTrng` or a monitored
-        :class:`~repro.core.multichannel.SystemTrng`.
+        The banks' packed rows are laid side by side as bytes and
+        appended without unpacking.  Returns ``None`` always: an
+        unmonitored channel has no health verdicts to defer.
         """
-        pool.append(self.assemble_batch(results))
-        return None
-
-    @property
-    def harvest_engine(self) -> AsyncHarvestEngine:
-        """The double-buffered engine behind ``async_harvest`` draws.
-
-        Built lazily on first use (so synchronous generators never pay
-        for it); exposed for introspection (``pending_rounds``,
-        ``back_bits``), readahead control, and teardown
-        (``cancel_pending`` / ``drain``).
-        """
-        if self._harvest_engine is None:
-            self._harvest_engine = AsyncHarvestEngine(self, self.backend)
-        return self._harvest_engine
-
-    def random_bits(self, n_bits: int, faithful: bool = False) -> np.ndarray:
-        """Generate exactly ``n_bits`` conditioned random bits.
-
-        Bulk requests run through :meth:`batch_iterations`; surplus
-        conditioned bits are pooled (packed) and served first on the
-        next call, so consecutive draws never regenerate.  With
-        ``async_harvest`` the refill rounds overlap with pool draining
-        on the execution backend -- same bits, sooner.
-        """
-        if n_bits < 0:
-            raise InsufficientEntropyError("bit count must be non-negative")
-        self._refill(n_bits, faithful)
-        return self._pool.take(n_bits)
-
-    def random_bytes(self, n_bytes: int) -> bytes:
-        """Generate ``n_bytes`` of conditioned random output.
-
-        Served through the pool's packed byte path -- the bits are
-        never unpacked on the way out.
-        """
-        if n_bytes < 0:
-            raise InsufficientEntropyError("byte count must be non-negative")
-        self._refill(8 * n_bytes, faithful=False)
-        return self._pool.take_bytes(n_bytes)
-
-    def _refill(self, n_bits: int, faithful: bool) -> None:
-        """Top the pool up to ``n_bits`` through the batched fast path."""
-        if not faithful:
-            if self.async_harvest:
-                self.harvest_engine.fill(self._pool, n_bits)
-            else:
-                harvest_into(self._pool, n_bits, lambda: self)
-            return
-        while len(self._pool) < n_bits:
-            bits, _latency = self.iteration(faithful=True)
-            self._pool.append(bits)
-
-    def iter_bytes(self, chunk_size: int) -> Iterator[bytes]:
-        """Stream conditioned output as ``chunk_size``-byte chunks.
-
-        An endless generator for bulk consumers (file writers, NIST
-        batch runs); each chunk is drawn through the batched path.
-        """
-        if chunk_size <= 0:
-            raise ConfigurationError(
-                f"chunk size must be positive, got {chunk_size}")
-        while True:
-            yield self.random_bytes(chunk_size)
+        pool.append_bytes(self.packed_batch(results))
 
     # ------------------------------------------------------------------
     # Internals

@@ -7,14 +7,12 @@ remote socket backend on a localhost cluster.  A new backend earns its
 registration by appearing in :data:`BACKEND_IDS` and passing
 unchanged:
 
-* ``map(fn, tasks)`` equals ``[fn(t) for t in tasks]``, in order;
-* ``submit_map(fn, tasks).result()`` equals ``map(fn, tasks)``, in
-  submission order even when tasks complete out of order;
-* ``submit_round(fn, tasks)`` carries the identical contract -- the
-  generic fallback decomposes into ``submit_map``; the remote round
-  protocol ships whole shards -- so both paths run here on every
-  backend (the ``remote-rounds`` fixture is the fast path, everything
-  else the fallback);
+* ``run_round(fn, tasks)`` equals ``[fn(t) for t in tasks]``, in
+  order, even when tasks complete out of order;
+* ``submit_round(fn, tasks)`` returns a ``PendingResult`` whose
+  ``result()`` is that same list (cached, in submission order) -- the
+  remote fixtures run it under both wire protocols: per-task
+  (``remote``) and round shards (``remote-rounds``);
 * a task function's exception propagates (and the backend survives);
 * empty task lists complete immediately;
 * ``close()`` leaves outstanding ``PendingResult``\\ s joinable and the
@@ -87,20 +85,20 @@ def test_every_registered_backend_is_conformance_tested():
         set(available_backends())
 
 
-def test_map_matches_builtin_map(backend):
+def test_run_round_matches_map(backend):
     tasks = list(range(17))
-    assert backend.map(_square, tasks) == list(map(_square, tasks))
+    assert backend.run_round(_square, tasks) == list(map(_square, tasks))
 
 
-def test_submit_map_result_equals_map(backend):
+def test_submit_round_result_equals_map(backend):
     tasks = list(range(23))
-    pending = backend.submit_map(_square, tasks)
-    assert pending.result() == backend.map(_square, tasks)
+    pending = backend.submit_round(_square, tasks)
+    assert pending.result() == list(map(_square, tasks))
     assert pending.done()
 
 
 def test_result_is_cached(backend):
-    pending = backend.submit_map(_square, [3, 4, 5])
+    pending = backend.submit_round(_square, [3, 4, 5])
     first = pending.result()
     assert pending.result() is first
 
@@ -108,93 +106,10 @@ def test_result_is_cached(backend):
 def test_ordering_under_out_of_order_completion(backend):
     # Earlier tasks sleep longer, so on any backend with >= 2 workers
     # the *completion* order inverts the submission order; the result
-    # list must not.
+    # list must not -- whether the round goes out task by task or as
+    # whole shards.
     tasks = [(index, 0.05 * (4 - index) / 4) for index in range(5)]
-    assert backend.map(_sleep_inverse, tasks) == list(range(5))
-    assert backend.submit_map(_sleep_inverse, tasks).result() == \
-        list(range(5))
-
-
-def test_exception_propagates_from_map(backend):
-    with pytest.raises(ValueError):
-        backend.map(_raise_on_marker, [1, "boom", 3])
-
-
-def test_exception_propagates_from_submit_map(backend):
-    pending = backend.submit_map(_raise_on_marker, ["boom"])
-    with pytest.raises(ValueError):
-        pending.result()
-    # The failure is sticky: joining again re-raises, same as a
-    # concurrent.futures future.
-    with pytest.raises(ValueError):
-        pending.result()
-
-
-def test_backend_survives_a_task_exception(backend):
-    with pytest.raises(ValueError):
-        backend.map(_raise_on_marker, ["boom"])
-    assert backend.map(_square, [6]) == [36]
-
-
-def test_empty_task_list_completes_immediately(backend):
-    assert backend.map(_square, []) == []
-    pending = backend.submit_map(_square, [])
-    assert pending.done()
-    assert pending.result() == []
-
-
-def test_single_task(backend):
-    pending = backend.submit_map(_square, [9])
-    assert pending.result() == [81]
-
-
-def test_close_with_pending_keeps_result_joinable(backend):
-    # close() must wait for submitted work: a PendingResult taken
-    # before close stays joinable after it.
-    tasks = list(range(6))
-    pending = backend.submit_map(_slow_square, tasks)
-    backend.close()
-    assert pending.result() == [x * x for x in tasks]
-
-
-def test_backend_rebuilds_after_close(backend):
-    # Runs after the close test on the same (module-scoped) backend:
-    # a closed backend transparently rebuilds its pool/cluster.
-    backend.close()
-    assert backend.map(_square, [2, 3]) == [4, 9]
-
-
-# ----------------------------------------------------------------------
-# submit_round: the same contract, submitted one round at a time
-# ----------------------------------------------------------------------
-
-def test_submit_round_result_equals_map(backend):
-    tasks = list(range(19))
-    pending = backend.submit_round(_square, tasks)
-    assert pending.result() == backend.map(_square, tasks)
-    assert pending.done()
-
-
-def test_run_round_matches_map(backend):
-    # The blocking capability switch the sync refill paths use: same
-    # results as map whichever protocol executes underneath.
-    tasks = list(range(9))
-    assert backend.run_round(_square, tasks) == \
-        list(map(_square, tasks))
-    assert backend.run_round(_square, []) == []
-    assert backend.run_round(_square, [3]) == [9]
-    with pytest.raises(ValueError):
-        backend.run_round(_raise_on_marker, [1, "boom"])
-
-
-def test_submit_round_ordering_under_out_of_order_completion(backend):
-    # Earlier tasks sleep longer; whether the round decomposes into
-    # per-task submissions (the generic fallback) or ships whole
-    # shards (the remote round protocol), the merged list must stay
-    # in submission order.
-    tasks = [(index, 0.05 * (4 - index) / 4) for index in range(5)]
-    assert backend.submit_round(_sleep_inverse, tasks).result() == \
-        list(range(5))
+    assert backend.run_round(_sleep_inverse, tasks) == list(range(5))
 
 
 def test_submit_round_exception_at_join(backend):
@@ -205,22 +120,35 @@ def test_submit_round_exception_at_join(backend):
         pending.result()
     with pytest.raises(ValueError):
         pending.result()
-    # The backend survives a failed round.
-    assert backend.submit_round(_square, [5]).result() == [25]
 
 
-def test_submit_round_empty_round(backend):
+def test_backend_survives_a_task_exception(backend):
+    with pytest.raises(ValueError):
+        backend.run_round(_raise_on_marker, ["boom"])
+    assert backend.run_round(_square, [6]) == [36]
+
+
+def test_empty_task_list_completes_immediately(backend):
     pending = backend.submit_round(_square, [])
     assert pending.done()
     assert pending.result() == []
 
 
-def test_close_with_pending_round_keeps_result_joinable(backend):
-    # An in-flight *round shard* is submitted work like any other:
-    # close() waits for it and the handle stays joinable.
+def test_single_task(backend):
+    assert backend.run_round(_square, [9]) == [81]
+
+
+def test_close_with_pending_keeps_result_joinable(backend):
+    # close() must wait for submitted work: a PendingResult taken
+    # before close stays joinable after it.
     tasks = list(range(6))
     pending = backend.submit_round(_slow_square, tasks)
     backend.close()
     assert pending.result() == [x * x for x in tasks]
-    # And the backend still rebuilds for round submissions after close.
-    assert backend.submit_round(_square, [7]).result() == [49]
+
+
+def test_backend_rebuilds_after_close(backend):
+    # Runs after the close test on the same (module-scoped) backend:
+    # a closed backend transparently rebuilds its pool/cluster.
+    backend.close()
+    assert backend.run_round(_square, [2, 3]) == [4, 9]

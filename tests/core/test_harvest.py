@@ -28,7 +28,7 @@ from repro.core.parallel import (BACKEND_ENV_VAR, ProcessPoolBackend,
                                  resolve_backend, run_bank_task)
 from repro.core.trng import QuacTrng
 from repro.dram.module_factory import build_table3_population
-from repro.errors import InsufficientEntropyError
+from repro.errors import ConfigurationError, InsufficientEntropyError
 
 
 def _fresh_trng(module, entropy_scale, backend=None, **kwargs):
@@ -149,7 +149,7 @@ class TestDoubleBuffer:
     def test_engine_requires_positive_in_flight_bound(self, module_m13,
                                                       entropy_scale):
         trng = _fresh_trng(module_m13, entropy_scale)
-        with pytest.raises(InsufficientEntropyError):
+        with pytest.raises(ConfigurationError):
             AsyncHarvestEngine(trng, trng.backend, max_in_flight=0)
 
 
@@ -328,51 +328,34 @@ class TestBackendEnvSwitching:
 
 
 class TestPackedResults:
-    """Worker-side packed byte pools ship the same bits, smaller."""
+    """Workers ship packed bytes; gathering never moves a bit."""
 
     def test_packed_results_assemble_identically(self, module_m13,
                                                  entropy_scale):
-        trng = _fresh_trng(module_m13, entropy_scale)
-        packed_tasks = trng.plan_batch(5, collect_raw=True,
-                                       pack_output=True)
-        plain = _fresh_trng(module_m13, entropy_scale)
-        plain_tasks = plain.plan_batch(5, collect_raw=True)
-        packed = [run_bank_task(task) for task in packed_tasks]
-        unpacked = [run_bank_task(task) for task in plain_tasks]
-        for a, b in zip(packed, unpacked):
-            np.testing.assert_array_equal(a.digest_matrix(),
-                                          b.digest_matrix())
-            np.testing.assert_array_equal(a.raw_matrix(), b.raw_matrix())
-            assert a.digests is None and a.digests_packed is not None
-            assert a.payload_bytes() * 7 < b.payload_bytes(), \
-                "packed payload should be ~8x smaller"
-
-    def test_engine_packs_only_across_process_boundaries(self, module_m13,
-                                                         entropy_scale):
-        # Packing pays for a pickle, not for shared memory: the engine
-        # defaults to packing exactly on process backends.
-        trng = _fresh_trng(module_m13, entropy_scale)
-        assert AsyncHarvestEngine(trng, SerialBackend()) \
-            .pack_results is False
-        assert AsyncHarvestEngine(trng, ThreadPoolBackend(2)) \
-            .pack_results is False
-        assert AsyncHarvestEngine(trng, ProcessPoolBackend(2)) \
-            .pack_results is True
-        assert AsyncHarvestEngine(trng, SerialBackend(),
-                                  pack_results=True).pack_results is True
+        batched = _fresh_trng(module_m13, entropy_scale)
+        results = [run_bank_task(task) for task in
+                   batched.plan_batch(5, collect_raw=True)]
+        for result in results:
+            assert len(result.digests) * 8 == 5 * result.digest_bits
+            assert len(result.raw) * 8 == 5 * result.raw_bits
+        # The packed gather lays banks side by side as bytes; its
+        # unpacked view is the per-iteration stream.
+        sequential = _fresh_trng(module_m13, entropy_scale)
+        want = np.vstack([sequential.iteration()[0] for _ in range(5)])
+        np.testing.assert_array_equal(batched.assemble_batch(results), want)
 
     def test_packed_monitoring_counts_identically(self, module_m13,
                                                   entropy_scale):
         trng = _fresh_trng(module_m13, entropy_scale)
-        packed = [run_bank_task(t) for t in
-                  trng.plan_batch(4, collect_raw=True, pack_output=True)]
-        plain = _fresh_trng(module_m13, entropy_scale)
-        unpacked = [run_bank_task(t) for t in
-                    plain.plan_batch(4, collect_raw=True)]
+        results = [run_bank_task(t) for t in
+                   trng.plan_batch(4, collect_raw=True)]
+        # Reference order: iteration-major, bank-minor raw rows.
+        rows = np.stack([r.raw_matrix() for r in results], axis=1)
         a = HealthMonitor(claimed_min_entropy=0.01)
         b = HealthMonitor(claimed_min_entropy=0.01)
-        np.testing.assert_array_equal(a.check_bank_results(packed, 4),
-                                      b.check_bank_results(unpacked, 4))
+        np.testing.assert_array_equal(
+            a.check_bank_results(results, 4),
+            b.check_many(rows.reshape(4 * len(results), -1)))
         assert a.samples_checked == b.samples_checked
 
 

@@ -156,7 +156,7 @@ class TestTaskPlanning:
         first = [run_bank_task(task) for task in tasks]
         second = [run_bank_task(task) for task in tasks]
         for a, b in zip(first, second):
-            np.testing.assert_array_equal(a.digests, b.digests)
+            assert a.digests == b.digests
 
     def test_tasks_carry_raw_only_when_asked(self, module_m13,
                                              small_geometry):
@@ -164,8 +164,7 @@ class TestTaskPlanning:
         plain = run_bank_task(trng.plan_batch(2)[0])
         assert plain.raw is None
         monitored = run_bank_task(trng.plan_batch(2, collect_raw=True)[0])
-        assert monitored.raw is not None
-        assert monitored.raw.shape[0] == 2
+        assert monitored.raw_matrix().shape == (2, monitored.raw_bits)
 
     def test_plan_rejects_nonpositive_batch(self, module_m13,
                                             small_geometry):
@@ -232,7 +231,6 @@ class TestBackendResolution:
         assert isinstance(backend, RemoteBackend)
         assert backend.n_workers == 3
         assert backend.round_execution
-        assert backend.ships_whole_rounds
         # A distinct spec from the per-task cluster of the same size:
         # the two protocols never share a backend instance.
         assert resolve_backend("remote:3+rounds") is backend
@@ -241,68 +239,36 @@ class TestBackendResolution:
         assert address_backend._addresses == [("hostc", 9123)]
         assert address_backend.round_execution
 
-    def test_serial_backends_never_ship_whole_rounds(self):
-        for spec in ("serial", "thread:2", "process:2"):
-            assert not resolve_backend(spec).ships_whole_rounds
 
-
-class TestSubmitMap:
-    """The non-blocking half shares the blocking half's contract."""
+class TestSubmitRound:
+    """Backend-specific corners of the one verb (the shared contract
+    lives in ``test_backend_conformance.py``)."""
 
     def test_serial_submit_is_already_done(self):
-        pending = SerialBackend().submit_map(lambda x: x * 2, [1, 2, 3])
+        pending = SerialBackend().submit_round(_square, [1, 2, 3])
         assert pending.done()
-        assert pending.result() == [2, 4, 6]
-
-    @pytest.mark.parametrize("backend_cls", [ThreadPoolBackend,
-                                             ProcessPoolBackend])
-    def test_submit_map_equals_map(self, backend_cls):
-        with backend_cls(2) as backend:
-            tasks = list(range(16))
-            pending = backend.submit_map(_square, tasks)
-            assert pending.result() == backend.map(_square, tasks)
-
-    def test_result_is_cached_and_ordered(self):
-        with ThreadPoolBackend(4) as backend:
-            pending = backend.submit_map(_square, range(32))
-            first = pending.result()
-            assert first == [x * x for x in range(32)]
-            assert pending.result() is first
-            assert pending.done()
-
-    def test_empty_submit_completes_immediately(self):
-        with ThreadPoolBackend(2) as backend:
-            pending = backend.submit_map(_square, [])
-            assert pending.done() and pending.result() == []
+        assert pending.result() == [1, 4, 9]
 
     def test_single_task_submit_goes_to_pool(self):
-        # Unlike map(), submit of one task must not run inline -- the
-        # caller asked for the parent thread back.
+        # Even a one-task round leaves the caller's thread: the pool
+        # runs it, so the caller can keep planning meanwhile.
         backend = ThreadPoolBackend(2)
         try:
-            pending = backend.submit_map(_square, [7])
+            pending = backend.submit_round(_square, [7])
             assert backend._pool is not None
             assert pending.result() == [49]
         finally:
             backend.close()
 
-    def test_pending_survives_backend_close(self):
-        # close() waits for submitted work, so a pending handle taken
-        # before close stays joinable after it.
-        backend = ProcessPoolBackend(2)
-        pending = backend.submit_map(_square, [3, 4])
-        backend.close()
-        assert pending.result() == [9, 16]
-
     def test_bank_tasks_submit_identically(self, module_m13,
                                            small_geometry):
         trng = _fresh_trng(module_m13, small_geometry, SerialBackend())
         tasks = trng.plan_batch(3)
-        want = [r.digest_matrix() for r in map(run_bank_task, tasks)]
+        want = [run_bank_task(task) for task in tasks]
         with ProcessPoolBackend(2) as backend:
-            got = backend.submit_map(run_bank_task, tasks).result()
+            got = backend.submit_round(run_bank_task, tasks).result()
         for a, b in zip(got, want):
-            np.testing.assert_array_equal(a.digest_matrix(), b)
+            assert a.digests == b.digests
 
 
 def _square(x):
@@ -310,22 +276,11 @@ def _square(x):
 
 
 class TestPooledBackendBehavior:
-    def test_single_task_runs_inline(self):
-        backend = ThreadPoolBackend(2)
-        assert backend.map(lambda x: x + 1, [41]) == [42]
-        assert backend._pool is None   # no pool spun up for one task
-        backend.close()
-
-    def test_map_preserves_order(self):
-        with ThreadPoolBackend(4) as backend:
-            assert backend.map(lambda x: x * x, range(32)) == \
-                [x * x for x in range(32)]
-
     def test_close_is_idempotent(self):
         backend = ThreadPoolBackend(2)
-        backend.map(lambda x: x, [1, 2, 3])
+        backend.run_round(_square, [1, 2, 3])
         backend.close()
         backend.close()
         # A closed backend recovers by rebuilding its pool lazily.
-        assert backend.map(lambda x: -x, [1, 2]) == [-1, -2]
+        assert backend.run_round(_square, [1, 2]) == [1, 4]
         backend.close()

@@ -6,8 +6,8 @@ Four concerns, bottom-up:
   payload (0 bytes through multi-hundred-KiB frames), survive TCP
   fragmentation, and fail loudly (``ConnectionClosed``, never a hang
   or a truncated read) when the peer disappears mid-frame;
-* **Packed payloads** -- :attr:`~repro.core.parallel.BankTask.
-  pack_output` results are the wire format of every remote round;
+* **Packed payloads** -- :class:`~repro.core.parallel.BankResult`
+  objects (always packed) are the wire format of every remote round;
   randomized matrices must survive pack -> pickle -> frame -> unpickle
   -> unpack bit for bit, including degenerate shapes;
 * **Round frames + version negotiation** -- the round protocol's
@@ -150,7 +150,7 @@ class TestFrameCodec:
 
 
 class TestPackedPayloadRoundTrip:
-    """pack_output results across pickle + frame, randomized."""
+    """Packed results across pickle + frame, randomized."""
 
     #: (iterations, digest_bits, raw_bits) shapes, from the 0-bit
     #: degenerate through a >64 KiB-frame round.
@@ -167,8 +167,8 @@ class TestPackedPayloadRoundTrip:
         raw = rng.integers(0, 2, (iterations, raw_bits),
                            dtype=np.uint8) if raw_bits else None
         result = BankResult(
-            digests_packed=_pack_matrix(digests),
-            raw_packed=_pack_matrix(raw) if raw is not None else None,
+            digests=_pack_matrix(digests),
+            raw=_pack_matrix(raw) if raw is not None else None,
             iterations=iterations, digest_bits=digest_bits,
             raw_bits=raw_bits)
 
@@ -198,11 +198,9 @@ class TestPackedPayloadRoundTrip:
     def test_packed_frame_is_an_eighth_of_unpacked(self):
         bits = np.ones((64, 4096), dtype=np.uint8)
         packed = pickle.dumps(BankResult(
-            digests_packed=_pack_matrix(bits), iterations=64,
+            digests=_pack_matrix(bits), raw=None, iterations=64,
             digest_bits=4096))
-        unpacked = pickle.dumps(BankResult(digests=bits, iterations=64,
-                                           digest_bits=4096))
-        assert len(packed) * 7 < len(unpacked)
+        assert len(packed) * 7 < len(pickle.dumps(bits))
 
 
 def _double(x):
@@ -270,7 +268,7 @@ class TestRoundFrames:
         matrices = [rng.integers(0, 2, (4, 512), dtype=np.uint8)
                     for _ in range(6)]
         slots = [(wire.SLOT_OK, BankResult(
-            digests_packed=_pack_matrix(matrix), iterations=4,
+            digests=_pack_matrix(matrix), raw=None, iterations=4,
             digest_bits=512)) for matrix in matrices]
         sender = threading.Thread(
             target=wire.send_frame,
@@ -443,7 +441,7 @@ class TestVersionNegotiation:
         # hello, one trip per task, protocol never negotiated.
         backend = RemoteBackend(cluster=LocalCluster(1))
         try:
-            assert backend.map(abs, [-1, -2]) == [1, 2]
+            assert backend.run_round(abs, [-1, -2]) == [1, 2]
             link = backend._links[0]
             assert link.protocol is None
             assert link.requests == 2
@@ -610,7 +608,6 @@ class _StaleBankTask:
     entropy_per_block: float
     use_builtin_sha: bool = False
     collect_raw: bool = False
-    pack_output: bool = False
 
 
 def _stale_run_bank_task(task):
@@ -622,7 +619,7 @@ def _stale_run_bank_task(task):
         iterations=task.iterations, block_slices=task.block_slices,
         entropy_per_block=task.entropy_per_block,
         use_builtin_sha=task.use_builtin_sha,
-        collect_raw=task.collect_raw, pack_output=task.pack_output))
+        collect_raw=task.collect_raw))
 
 
 class _StaleBuildUnpickler(pickle.Unpickler):
@@ -767,34 +764,34 @@ class TestClusterAndFailureModel:
 
     def test_killed_worker_tasks_requeue_onto_survivors(
             self, cluster_backend):
-        assert cluster_backend.map(abs, [-1]) == [1]   # links warm
-        pending = cluster_backend.submit_map(abs, list(range(-9, 0)))
+        assert cluster_backend.run_round(abs, [-1]) == [1]   # links warm
+        pending = cluster_backend.submit_round(abs, list(range(-9, 0)))
         cluster_backend._cluster._procs[0].kill()
         assert pending.result() == list(range(9, 0, -1))
         # The survivors keep serving the next rounds.
-        assert cluster_backend.map(abs, [-7, -8]) == [7, 8]
+        assert cluster_backend.run_round(abs, [-7, -8]) == [7, 8]
         assert sum(link.dead for link in cluster_backend._links) == 1
 
     def test_fully_dead_cluster_raises_remote_error(self):
         backend = RemoteBackend(cluster=LocalCluster(2))
         try:
-            assert backend.map(abs, [-2]) == [2]
+            assert backend.run_round(abs, [-2]) == [2]
             for proc in backend._cluster._procs:
                 proc.kill()
             for proc in backend._cluster._procs:
                 proc.wait()
             with pytest.raises(RemoteExecutionError):
-                backend.map(abs, [-1, -2, -3])
+                backend.run_round(abs, [-1, -2, -3])
         finally:
             backend.close()
 
     def test_close_respawns_on_next_use(self):
         backend = RemoteBackend(cluster=LocalCluster(1))
         try:
-            assert backend.map(abs, [-5]) == [5]
+            assert backend.run_round(abs, [-5]) == [5]
             backend.close()
             assert not backend._cluster.running
-            assert backend.map(abs, [-6]) == [6]   # respawned
+            assert backend.run_round(abs, [-6]) == [6]   # respawned
             assert backend._cluster.running
         finally:
             backend.close()
@@ -824,9 +821,9 @@ class TestClusterAndFailureModel:
         # at join against the task (like a process pool's
         # PicklingError), not crash a shard thread or hang.
         with pytest.raises(Exception) as caught:
-            cluster_backend.map(lambda x: x, [1, 2])
+            cluster_backend.run_round(lambda x: x, [1, 2])
         assert not isinstance(caught.value, RemoteExecutionError)
-        assert cluster_backend.map(abs, [-4]) == [4]
+        assert cluster_backend.run_round(abs, [-4]) == [4]
 
     def test_protocol_violation_marks_worker_dead_and_raises(self):
         # A "worker" that answers with a corrupt (absurd-length) frame
@@ -848,7 +845,7 @@ class TestClusterAndFailureModel:
         backend = RemoteBackend(addresses=[address])
         try:
             with pytest.raises(RemoteExecutionError):
-                backend.map(abs, [-1])
+                backend.run_round(abs, [-1])
             assert backend._links[0].dead
         finally:
             backend.close()
@@ -912,12 +909,12 @@ class TestClusterAndFailureModel:
         # (like a failed future), so pollers terminate.
         backend = RemoteBackend(cluster=LocalCluster(1))
         try:
-            assert backend.map(abs, [-2]) == [2]
+            assert backend.run_round(abs, [-2]) == [2]
             for proc in backend._cluster._procs:
                 proc.kill()
             for proc in backend._cluster._procs:
                 proc.wait()
-            pending = backend.submit_map(abs, [-1, -2, -3])
+            pending = backend.submit_round(abs, [-1, -2, -3])
             deadline = time.time() + 10.0
             while not pending.done():
                 assert time.time() < deadline, \
@@ -937,9 +934,9 @@ class TestClusterAndFailureModel:
         try:
             with pytest.raises(RemoteExecutionError,
                                match="unpickle a task frame"):
-                backend.map(_module_local_fn, [1, 2, 3])
+                backend.run_round(_module_local_fn, [1, 2, 3])
             assert not any(link.dead for link in backend._links)
-            assert backend.map(abs, [-3]) == [3]
+            assert backend.run_round(abs, [-3]) == [3]
         finally:
             backend.close()
 
@@ -951,5 +948,5 @@ class TestClusterAndFailureModel:
             free_port = probe.getsockname()[1]
         backend = RemoteBackend(addresses=[("127.0.0.1", free_port)])
         with pytest.raises(RemoteExecutionError):
-            backend.map(abs, [-1])
+            backend.run_round(abs, [-1])
         backend.close()
