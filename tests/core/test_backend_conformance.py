@@ -85,15 +85,16 @@ def test_every_registered_backend_is_conformance_tested():
         set(available_backends())
 
 
-def test_run_round_matches_map(backend):
+def test_map_matches_builtin_map(backend):
     tasks = list(range(17))
     assert backend.run_round(_square, tasks) == list(map(_square, tasks))
 
 
-def test_submit_round_result_equals_map(backend):
+def test_submit_map_result_equals_map(backend):
+    # The non-blocking verb and its blocking helper agree.
     tasks = list(range(23))
     pending = backend.submit_round(_square, tasks)
-    assert pending.result() == list(map(_square, tasks))
+    assert pending.result() == backend.run_round(_square, tasks)
     assert pending.done()
 
 
@@ -112,10 +113,15 @@ def test_ordering_under_out_of_order_completion(backend):
     assert backend.run_round(_sleep_inverse, tasks) == list(range(5))
 
 
-def test_submit_round_exception_at_join(backend):
-    # One task raising must not abort the round's other tasks, and
-    # the exception surfaces at join -- sticky, like a failed future.
-    pending = backend.submit_round(_raise_on_marker, [1, "boom", 3])
+def test_exception_propagates_from_map(backend):
+    with pytest.raises(ValueError):
+        backend.run_round(_raise_on_marker, [1, "boom", 3])
+
+
+def test_exception_propagates_from_submit_map(backend):
+    # A round whose only task fails: the failure is sticky -- joining
+    # again re-raises, same as a concurrent.futures future.
+    pending = backend.submit_round(_raise_on_marker, ["boom"])
     with pytest.raises(ValueError):
         pending.result()
     with pytest.raises(ValueError):
@@ -129,9 +135,7 @@ def test_backend_survives_a_task_exception(backend):
 
 
 def test_empty_task_list_completes_immediately(backend):
-    pending = backend.submit_round(_square, [])
-    assert pending.done()
-    assert pending.result() == []
+    assert backend.run_round(_square, []) == []
 
 
 def test_single_task(backend):
@@ -152,3 +156,63 @@ def test_backend_rebuilds_after_close(backend):
     # a closed backend transparently rebuilds its pool/cluster.
     backend.close()
     assert backend.run_round(_square, [2, 3]) == [4, 9]
+
+
+# ----------------------------------------------------------------------
+# submit_round: the same contract, joined through the PendingResult
+# ----------------------------------------------------------------------
+
+def test_submit_round_result_equals_map(backend):
+    tasks = list(range(19))
+    pending = backend.submit_round(_square, tasks)
+    assert pending.result() == list(map(_square, tasks))
+    assert pending.done()
+
+
+def test_run_round_matches_map(backend):
+    # The blocking helper batch_iterations uses, over the edge cases.
+    tasks = list(range(9))
+    assert backend.run_round(_square, tasks) == \
+        list(map(_square, tasks))
+    assert backend.run_round(_square, []) == []
+    assert backend.run_round(_square, [3]) == [9]
+    with pytest.raises(ValueError):
+        backend.run_round(_raise_on_marker, [1, "boom"])
+
+
+def test_submit_round_ordering_under_out_of_order_completion(backend):
+    # Earlier tasks sleep longer; whether the round goes out as
+    # per-task submissions or as whole shards (the remote round
+    # protocol), the merged list must stay in submission order.
+    tasks = [(index, 0.05 * (4 - index) / 4) for index in range(5)]
+    assert backend.submit_round(_sleep_inverse, tasks).result() == \
+        list(range(5))
+
+
+def test_submit_round_exception_at_join(backend):
+    # One task raising must not abort the round's other tasks, and
+    # the exception surfaces at join -- sticky, like a failed future.
+    pending = backend.submit_round(_raise_on_marker, [1, "boom", 3])
+    with pytest.raises(ValueError):
+        pending.result()
+    with pytest.raises(ValueError):
+        pending.result()
+    # The backend survives a failed round.
+    assert backend.submit_round(_square, [5]).result() == [25]
+
+
+def test_submit_round_empty_round(backend):
+    pending = backend.submit_round(_square, [])
+    assert pending.done()
+    assert pending.result() == []
+
+
+def test_close_with_pending_round_keeps_result_joinable(backend):
+    # An in-flight *round shard* is submitted work like any other:
+    # close() waits for it and the handle stays joinable.
+    tasks = list(range(6))
+    pending = backend.submit_round(_slow_square, tasks)
+    backend.close()
+    assert pending.result() == [x * x for x in tasks]
+    # And the backend still rebuilds for round submissions after close.
+    assert backend.submit_round(_square, [7]).result() == [49]

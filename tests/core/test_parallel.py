@@ -240,14 +240,35 @@ class TestBackendResolution:
         assert address_backend.round_execution
 
 
-class TestSubmitRound:
-    """Backend-specific corners of the one verb (the shared contract
-    lives in ``test_backend_conformance.py``)."""
+class TestSubmitMap:
+    """Backend-specific corners of the one verb, ``submit_round`` (the
+    shared contract lives in ``test_backend_conformance.py``)."""
 
     def test_serial_submit_is_already_done(self):
         pending = SerialBackend().submit_round(_square, [1, 2, 3])
         assert pending.done()
         assert pending.result() == [1, 4, 9]
+
+    @pytest.mark.parametrize("backend_cls", [ThreadPoolBackend,
+                                             ProcessPoolBackend])
+    def test_submit_map_equals_map(self, backend_cls):
+        with backend_cls(2) as backend:
+            tasks = list(range(16))
+            pending = backend.submit_round(_square, tasks)
+            assert pending.result() == backend.run_round(_square, tasks)
+
+    def test_result_is_cached_and_ordered(self):
+        with ThreadPoolBackend(4) as backend:
+            pending = backend.submit_round(_square, range(32))
+            first = pending.result()
+            assert first == [x * x for x in range(32)]
+            assert pending.result() is first
+            assert pending.done()
+
+    def test_empty_submit_completes_immediately(self):
+        with ThreadPoolBackend(2) as backend:
+            pending = backend.submit_round(_square, [])
+            assert pending.done() and pending.result() == []
 
     def test_single_task_submit_goes_to_pool(self):
         # Even a one-task round leaves the caller's thread: the pool
@@ -259,6 +280,14 @@ class TestSubmitRound:
             assert pending.result() == [49]
         finally:
             backend.close()
+
+    def test_pending_survives_backend_close(self):
+        # close() waits for submitted work, so a pending handle taken
+        # before close stays joinable after it.
+        backend = ProcessPoolBackend(2)
+        pending = backend.submit_round(_square, [3, 4])
+        backend.close()
+        assert pending.result() == [9, 16]
 
     def test_bank_tasks_submit_identically(self, module_m13,
                                            small_geometry):
@@ -276,6 +305,11 @@ def _square(x):
 
 
 class TestPooledBackendBehavior:
+    def test_map_preserves_order(self):
+        with ThreadPoolBackend(4) as backend:
+            assert backend.run_round(_square, range(32)) == \
+                [x * x for x in range(32)]
+
     def test_close_is_idempotent(self):
         backend = ThreadPoolBackend(2)
         backend.run_round(_square, [1, 2, 3])
