@@ -22,6 +22,11 @@ read-out matrix while accounting rows exactly as a loop of
 :meth:`HealthMonitor.check` calls would, which is what lets
 :class:`MonitoredTrng` harvest through the parallel batched engine
 instead of one iteration at a time.
+
+Both tests run on *packed* rows (8 raw bits per byte), the form worker
+results already travel in: the APT is a popcount over each window's
+bytes, and the RCT screens each row's constant (``0x00``/``0xFF``)
+bytes, unpacking only the rare rows that could hold a cutoff-long run.
 """
 
 from __future__ import annotations
@@ -43,19 +48,21 @@ class HealthTestFailure(ReproError):
     """A continuous health test rejected the raw source output."""
 
 
-#: Cap on raw read-out bytes hauled back per monitored batch (~64 MB):
-#: unlike the plain batched path, monitored harvests carry every bank's
-#: full raw matrix alongside the conditioned bits (and pickle it across
-#: process-pool boundaries), so bulk draws are sized by raw volume, not
-#: just by :data:`~repro.core.trng.MAX_BATCH_ITERATIONS`.
+#: Cap on raw read-out *bits* per monitored batch (64 Mi bits, 8 MiB
+#: packed): unlike the plain batched path, monitored harvests carry
+#: every bank's full raw matrix, packed, alongside the conditioned bits,
+#: so bulk draws are sized by raw volume, not just by
+#: :data:`~repro.core.trng.MAX_BATCH_ITERATIONS`.  The value sizes
+#: monitored rounds and so fixes the monitored streams: changing it
+#: changes the output of a monitored ``SystemTrng``.
 MAX_MONITORED_RAW_BYTES = 64 * 1024 * 1024
 
 
 def monitored_batch_cap(trng: QuacTrng) -> int:
     """Iterations per monitored batch keeping raw volume bounded."""
-    raw_bytes_per_iteration = \
+    raw_bits_per_iteration = \
         trng.configuration.n_banks * trng.module.geometry.row_bits
-    return max(1, MAX_MONITORED_RAW_BYTES // raw_bytes_per_iteration)
+    return max(1, MAX_MONITORED_RAW_BYTES // raw_bits_per_iteration)
 
 
 def repetition_count_cutoff(min_entropy_per_bit: float,
@@ -111,13 +118,18 @@ class HealthMonitor:
         Per-bit min-entropy the source is credited with.  QUAC segments
         are credited conservatively: most bitlines are deterministic, so
         per-raw-bit entropy is low -- the default 0.02 matches the
-        paper's ~1800 entropy bits per 64K-bit segment.
+        paper's ~1800 entropy bits per 64K-bit segment.  Must be in
+        (0, 1]: a binary source cannot exceed 1 bit per bit.
     window:
-        APT window size (SP 800-90B uses 512 for binary sources).
+        APT window size in bits, a positive multiple of 8 so every
+        window is whole bytes (SP 800-90B uses 512 or 1024 for binary
+        sources).
     consecutive_failures_to_alarm:
         Unhealthy blocks in a row before :class:`HealthTestFailure`
         raises (one failure may be bad luck; a streak is a broken
-        source).
+        source); at least 1.
+
+    Invalid values raise :class:`~repro.errors.ConfigurationError`.
 
     Example
     -------
@@ -144,9 +156,22 @@ class HealthMonitor:
     _consecutive: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
+        if not 0 < self.claimed_min_entropy <= 1:
+            raise ConfigurationError(
+                "claimed_min_entropy must be in (0, 1] bits per raw bit, "
+                f"got {self.claimed_min_entropy}")
+        if (not isinstance(self.window, (int, np.integer))
+                or self.window <= 0 or self.window % 8):
+            raise ConfigurationError(
+                f"APT window must be a positive multiple of 8 bits, "
+                f"got {self.window}")
+        if self.consecutive_failures_to_alarm < 1:
+            raise ConfigurationError(
+                "consecutive_failures_to_alarm must be at least 1, got "
+                f"{self.consecutive_failures_to_alarm}")
         self.rct_cutoff = repetition_count_cutoff(self.claimed_min_entropy)
         self.apt_cutoff = adaptive_proportion_cutoff(
-            min(self.claimed_min_entropy, 1.0), self.window)
+            self.claimed_min_entropy, self.window)
 
     # ------------------------------------------------------------------
 
@@ -166,12 +191,12 @@ class HealthMonitor:
     def check_many(self, raw_matrix: np.ndarray) -> np.ndarray:
         """Run both tests over every row of a raw block matrix.
 
-        The batched-harvest counterpart of :meth:`check`: the expensive
-        per-row statistics (longest run, per-window dominant-value
-        counts) are computed vectorized over the whole matrix, then the
-        rows are *accounted* in order exactly as a loop of
-        :meth:`check` calls would -- same failure counters, same
-        consecutive-failure streak, and the same
+        The batched-harvest counterpart of :meth:`check`: the matrix is
+        validated, packed once (``np.packbits`` along the rows), and
+        both tests run vectorized over the packed rows (see
+        :meth:`_check_rows`).  The rows are then *accounted* in order
+        exactly as a loop of :meth:`check` calls would -- same failure
+        counters, same consecutive-failure streak, and the same
         :class:`HealthTestFailure` raised at the same row (rows past
         the alarm stay uncounted, as they would be unreached).
 
@@ -184,14 +209,27 @@ class HealthMonitor:
                 f"raw block matrix must be 2-D, got shape {matrix.shape}")
         if matrix.size and not is_binary(matrix):
             raise BitstreamError("bitstream values must be 0 or 1")
-        return self._check_rows(matrix.astype(np.uint8, copy=False))
+        return self._check_rows(
+            np.packbits(matrix.astype(np.uint8, copy=False), axis=1),
+            matrix.shape[1])
 
-    def _check_rows(self, matrix: np.ndarray) -> np.ndarray:
-        """:meth:`check_many` on a validated 2-D ``uint8`` bit matrix."""
-        n_blocks, block_bits = matrix.shape
-        rct_ok = self._repetition_count_ok_rows(matrix)
-        apt_ok = self._adaptive_proportion_ok_rows(matrix)
+    def _check_rows(self, packed: np.ndarray, block_bits: int) -> np.ndarray:
+        """:meth:`check_many` on packed rows.
+
+        ``packed`` is an ``(n, ceil(block_bits / 8))`` ``uint8`` matrix
+        whose rows hold ``block_bits`` raw bits each, MSB first, padded
+        with zeros to a whole byte.  A round where every row passes
+        both tests is accounted in one step; otherwise the rows are
+        accounted one at a time.
+        """
+        n_blocks = packed.shape[0]
+        rct_ok = self._repetition_count_ok_packed(packed, block_bits)
+        apt_ok = self._adaptive_proportion_ok_rows(packed, block_bits)
         healthy = rct_ok & apt_ok
+        if n_blocks and healthy.all():
+            self.samples_checked += n_blocks * block_bits
+            self._consecutive = 0
+            return healthy
         for row in range(n_blocks):
             self.samples_checked += block_bits
             if not rct_ok[row]:
@@ -216,61 +254,88 @@ class HealthMonitor:
         of one batch planned with ``collect_raw=True``.  Their packed
         raw rows are interleaved iteration-major / bank-minor -- the
         exact order a loop of per-iteration harvests would present raw
-        blocks to :meth:`check` -- unpacked once (binary by
-        construction, so unvalidated), and run through the
-        :meth:`check_many` accounting.  The one place the ordering
-        contract lives, shared by every monitored path.
+        blocks to :meth:`check` -- and run, still packed, through the
+        :meth:`check_many` kernel and accounting (bits packed by a
+        worker are binary by construction, so they skip validation).
+        Only rows that fail the repetition-count screen are ever
+        unpacked.  The one place the ordering contract lives, shared
+        by every monitored path.
         """
         if any(result.raw is None for result in results):
             raise BitstreamError(
                 "monitored batch results must carry raw read-outs "
                 "(plan with collect_raw=True)")
         raw = packed_rows([result.raw for result in results], iterations)
-        return self._check_rows(np.unpackbits(
-            raw.reshape(iterations * len(results), -1), axis=1))
+        return self._check_rows(raw.reshape(iterations * len(results), -1),
+                                results[0].raw_bits)
 
     # ------------------------------------------------------------------
 
-    #: Row-chunking bound for the vectorized RCT: the int32 run-length
-    #: temporaries stay under ~32 MB however wide or tall the batch is.
+    #: Bits unpacked at once for the bit-level RCT: the unpacked rows
+    #: and their int32 run-length temporaries stay a few tens of MB
+    #: however wide or tall the batch is, and however many rows fail
+    #: the byte screen.
     _RCT_CHUNK_ELEMENTS = 4 * 1024 * 1024
+
+    def _repetition_count_ok_packed(self, packed: np.ndarray,
+                                    block_bits: int) -> np.ndarray:
+        """RCT verdict per packed row: an exact byte screen, then bits.
+
+        A run of ``L`` identical bits covers at most 7 bits of a
+        partial byte at each end, so it contains at least
+        ``ceil((L - 14) / 8)`` whole ``0x00``/``0xFF`` bytes.  A row
+        with fewer such bytes than a cutoff-long run needs cannot hold
+        one and passes; only the rows left over are unpacked (to
+        ``block_bits``, so padding never extends a run) and resolved by
+        :meth:`_repetition_count_ok_rows`.  The cutoff is at least 21
+        (``claimed_min_entropy`` <= 1), so a failing row always needs
+        one constant byte or more.
+        """
+        ok = np.ones(packed.shape[0], dtype=bool)
+        needed = -(-(self.rct_cutoff - 14) // 8)
+        constant = np.count_nonzero((packed == 0) | (packed == 0xFF), axis=1)
+        suspects = np.flatnonzero(constant >= needed)
+        rows_per_chunk = max(1, self._RCT_CHUNK_ELEMENTS // max(1, block_bits))
+        for start in range(0, suspects.size, rows_per_chunk):
+            chunk = suspects[start:start + rows_per_chunk]
+            ok[chunk] = self._repetition_count_ok_rows(
+                np.unpackbits(packed[chunk], axis=1, count=block_bits))
+        return ok
 
     def _repetition_count_ok_rows(self, matrix: np.ndarray) -> np.ndarray:
         """Longest run of identical bits per row, against the cutoff.
 
         With low credited entropy the cutoff is long (e.g. H=0.02 ->
         C=1001): runs of deterministic bitlines inside one read-out are
-        expected; a kilobit-long constant run is not.  Vectorized per
-        row chunk -- the run length at each position is the distance to
-        the most recent value change in that row -- with chunking
-        keeping the integer temporaries bounded for full-scale batches
-        (a (4096, 65536) read-out matrix would otherwise materialize
-        multi-GiB position arrays).
+        expected; a kilobit-long constant run is not.  The exact
+        bit-level resolver behind :meth:`_repetition_count_ok_packed`'s
+        screen: the run length at each position is the distance to the
+        most recent value change in that row.
         """
-        n_blocks, block_bits = matrix.shape
-        if block_bits == 0:
-            return np.ones(n_blocks, dtype=bool)
-        ok = np.empty(n_blocks, dtype=bool)
-        positions = np.arange(block_bits, dtype=np.int32)
-        rows_per_chunk = max(1, self._RCT_CHUNK_ELEMENTS // block_bits)
-        for start in range(0, n_blocks, rows_per_chunk):
-            block = matrix[start:start + rows_per_chunk]
-            changed = np.zeros(block.shape, dtype=bool)
-            changed[:, 1:] = block[:, 1:] != block[:, :-1]
-            run_start = np.maximum.accumulate(
-                np.where(changed, positions, np.int32(0)), axis=1)
-            longest = (positions - run_start + 1).max(axis=1)
-            ok[start:start + rows_per_chunk] = longest < self.rct_cutoff
-        return ok
+        positions = np.arange(matrix.shape[1], dtype=np.int32)
+        changed = np.zeros(matrix.shape, dtype=bool)
+        changed[:, 1:] = matrix[:, 1:] != matrix[:, :-1]
+        run_start = np.maximum.accumulate(
+            np.where(changed, positions, np.int32(0)), axis=1)
+        longest = (positions - run_start + 1).max(axis=1)
+        return longest < self.rct_cutoff
 
-    def _adaptive_proportion_ok_rows(self, matrix: np.ndarray) -> np.ndarray:
-        """Per-window dominant-value counts per row, against the cutoff."""
-        n_blocks, block_bits = matrix.shape
-        usable = block_bits - block_bits % self.window
-        if usable == 0:
+    def _adaptive_proportion_ok_rows(self, packed: np.ndarray,
+                                     block_bits: int) -> np.ndarray:
+        """Per-window dominant-value counts per packed row.
+
+        The window is a whole number of bytes, so each window's count
+        of ones is the popcount of its ``window // 8`` bytes; a
+        trailing partial window (and any padding) is not tested.
+        """
+        n_blocks = packed.shape[0]
+        n_windows = block_bits // self.window
+        if n_windows == 0:
             return np.ones(n_blocks, dtype=bool)
-        windows = matrix[:, :usable].reshape(n_blocks, -1, self.window)
-        ones = windows.sum(axis=2)
+        window_bytes = self.window // 8
+        windows = packed[:, :n_windows * window_bytes].reshape(
+            n_blocks, n_windows, window_bytes)
+        ones = np.bitwise_count(windows).sum(axis=2, dtype=np.int32)
         dominant = np.maximum(ones, self.window - ones)
         return (dominant < self.apt_cutoff).all(axis=1)
 

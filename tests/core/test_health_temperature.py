@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.trng as trng_module
 from repro.core.health import (HealthMonitor, HealthTestFailure,
@@ -20,6 +22,92 @@ def _loop_check(monitor: HealthMonitor, matrix: np.ndarray):
     for row in matrix:
         verdicts.append(monitor.check(row))
     return np.asarray(verdicts, dtype=bool)
+
+
+def _bit_loop_reference(monitor: HealthMonitor, matrix: np.ndarray):
+    """The SP 800-90B tests and accounting as a plain loop over bits.
+
+    Returns ``(verdicts, stats, alarm_row)`` for a fresh ``monitor``'s
+    parameters: the verdicts of the rows reached, the lifetime
+    statistics after them, and the row that alarms (``None`` if none).
+    """
+    stats = dict(samples_checked=0, rct_failures=0, apt_failures=0,
+                 _consecutive=0)
+    window = monitor.window
+    verdicts = []
+    for index, row in enumerate(matrix.tolist()):
+        longest, run, previous = 0, 0, None
+        for bit in row:
+            run = run + 1 if bit == previous else 1
+            previous = bit
+            longest = max(longest, run)
+        rct_ok = longest < monitor.rct_cutoff
+        apt_ok = True
+        for start in range(0, len(row) - window + 1, window):
+            ones = sum(row[start:start + window])
+            if max(ones, window - ones) >= monitor.apt_cutoff:
+                apt_ok = False
+        stats["samples_checked"] += len(row)
+        stats["rct_failures"] += not rct_ok
+        stats["apt_failures"] += not apt_ok
+        verdicts.append(rct_ok and apt_ok)
+        if rct_ok and apt_ok:
+            stats["_consecutive"] = 0
+            continue
+        stats["_consecutive"] += 1
+        if stats["_consecutive"] >= monitor.consecutive_failures_to_alarm:
+            return verdicts, stats, index
+    return verdicts, stats, None
+
+
+@st.composite
+def _planted_rows(draw):
+    """Monitor parameters plus rows with a run planted at the RCT
+    cutoff and, in some rows, a window planted at the APT cutoff."""
+    entropy = draw(st.sampled_from([1.0, 0.9, 0.5, 0.02]))
+    window = draw(st.sampled_from([64, 128]))
+    alarm = draw(st.integers(1, 4))
+    monitor = HealthMonitor(claimed_min_entropy=entropy, window=window,
+                            consecutive_failures_to_alarm=alarm)
+    cutoff = monitor.rct_cutoff
+    # Wide enough for a cutoff + 1 run bounded on both sides, and
+    # mostly not a whole number of bytes, so padding follows the row.
+    width = 8 * draw(st.integers(cutoff // 8 + 2, cutoff // 8 + 40)) \
+        + draw(st.sampled_from([5, 1, 7, 0, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            row = (np.arange(width) % 2).astype(np.uint8)
+        else:
+            row = rng.integers(0, 2, width, dtype=np.uint8)
+        if width >= window and draw(st.booleans()):
+            # A window whose dominant value count sits at the cutoff.
+            start = window * draw(st.integers(0, width // window - 1))
+            value = draw(st.integers(0, 1))
+            count = monitor.apt_cutoff - draw(st.integers(0, 1))
+            block = np.full(window, 1 - value, dtype=np.uint8)
+            block[rng.permutation(window)[:count]] = value
+            row[start:start + window] = block
+        # A run of cutoff - 1, cutoff or cutoff + 1 bits, flush with
+        # either end of the row or at any bit offset within a byte.
+        length = cutoff + draw(st.sampled_from([-1, 0, 1]))
+        where = draw(st.sampled_from(["end", "start", "offset"]))
+        if where == "start":
+            first = 0
+        elif where == "end":
+            first = width - length
+        else:
+            byte = draw(st.integers(0, (width - length - 8) // 8))
+            first = 8 * byte + draw(st.integers(0, 7))
+        value = draw(st.integers(0, 1))
+        row[first:first + length] = value
+        if first > 0:
+            row[first - 1] = 1 - value
+        if first + length < width:
+            row[first + length] = 1 - value
+        rows.append(row)
+    return monitor, np.stack(rows)
 
 
 class TestCutoffs:
@@ -79,6 +167,21 @@ class TestHealthMonitor:
         biased = (rng.random(4096) < 0.95).astype(np.uint8)
         monitor.check(biased)
         assert monitor.apt_failures >= 1
+
+    @pytest.mark.parametrize("entropy", [0.0, -0.5, 1.01, float("nan")])
+    def test_rejects_entropy_outside_unit_interval(self, entropy):
+        with pytest.raises(ConfigurationError):
+            HealthMonitor(claimed_min_entropy=entropy)
+
+    @pytest.mark.parametrize("window", [0, -512, 500, 12, 512.0])
+    def test_rejects_window_not_positive_multiple_of_8(self, window):
+        with pytest.raises(ConfigurationError):
+            HealthMonitor(window=window)
+
+    @pytest.mark.parametrize("alarm", [0, -1])
+    def test_rejects_alarm_streak_below_one(self, alarm):
+        with pytest.raises(ConfigurationError):
+            HealthMonitor(consecutive_failures_to_alarm=alarm)
 
 
 class TestMonitoredTrng:
@@ -215,6 +318,25 @@ class TestCheckMany:
             monitor.check_many(np.zeros((2, 2, 2), dtype=np.uint8))
         with pytest.raises(BitstreamError):
             monitor.check_many(np.full((1, 8), 2, dtype=np.uint8))
+
+    @given(case=_planted_rows(), split=st.integers(0, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_packed_kernel_matches_bit_loop(self, case, split):
+        monitor, matrix = case
+        verdicts, stats, alarm_row = _bit_loop_reference(monitor, matrix)
+        # Two calls, so a failure streak carries across a call boundary.
+        got = []
+        try:
+            for part in (matrix[:split], matrix[split:]):
+                got.extend(monitor.check_many(part))
+        except HealthTestFailure:
+            assert monitor.samples_checked // matrix.shape[1] - 1 == \
+                alarm_row
+        else:
+            assert alarm_row is None
+            np.testing.assert_array_equal(got, verdicts)
+        for stat, value in stats.items():
+            assert getattr(monitor, stat) == value, stat
 
 
 class TestMonitoredTrngBatched:
