@@ -7,28 +7,17 @@ serial reference -- the bits/sec-vs-hosts curve of the distributed
 backend.  Every remote stream is compared bit-for-bit against the
 serial one: sharding is only allowed to buy time, never to move a bit.
 
-Localhost clusters pay the full wire cost (pickled packed rounds over
-TCP) without real extra silicon, so the *absolute* numbers here are a
+Localhost clusters pay the full wire cost (packed rounds over TCP)
+without real extra silicon, so the *absolute* numbers here are a
 floor, not the multi-machine ceiling; the curve's value is tracking
 the wire overhead and the host scaling trend release over release.
 The speedup gate (multi-host beats one host) arms only via
 ``REPRO_ASSERT_REMOTE_SCALING=1`` -- shared CI runners are too noisy
 for a hard gate by default -- but equality always asserts.
 
-A second benchmark compares the two wire protocols head to head:
-per-task shipping (one socket round trip per bank task) against
-round-shard execution (one round trip per host), counting actual
-request/response exchanges per refill round and timing a bulk draw
-under each.  The round protocol must save at least
-``bank_count / host_count`` round trips per refill -- that gate is
-exact arithmetic, not wall-clock, so it always asserts.
-
-Results land in ``benchmark.extra_info`` *and* JSON artifacts
+Results land in ``benchmark.extra_info`` *and* a JSON artifact
 (``REPRO_REMOTE_SCALING_JSON``, default
-``benchmarks/remote_scaling.json``, for the host curve;
-``REPRO_REMOTE_PROTOCOL_JSON``, default
-``benchmarks/remote_round_protocol.json``, for the protocol
-comparison) so CI can upload the curves.
+``benchmarks/remote_scaling.json``) so CI can upload the curve.
 
 ``REPRO_BENCH_SCALE=small`` (the default) draws 8 Mb; ``full`` draws
 32 Mb.
@@ -43,7 +32,7 @@ import numpy as np
 from _bench_utils import run_once
 
 from repro.core.multichannel import SystemTrng
-from repro.core.parallel import SerialBackend, run_bank_task
+from repro.core.parallel import SerialBackend
 from repro.core.remote import LocalCluster, RemoteBackend
 from repro.dram.geometry import DramGeometry
 from repro.dram.module_factory import build_table3_population
@@ -60,18 +49,6 @@ ASSERT_ENV_VAR = "REPRO_ASSERT_REMOTE_SCALING"
 
 #: Default artifact path (relative to the pytest invocation directory).
 DEFAULT_ARTIFACT = os.path.join("benchmarks", "remote_scaling.json")
-
-#: Protocol-comparison artifact path.
-PROTOCOL_ARTIFACT = os.path.join("benchmarks",
-                                 "remote_round_protocol.json")
-
-#: Host count the protocol comparison runs at.
-PROTOCOL_HOSTS = 3
-
-#: Bits drawn per protocol in the comparison (lighter than the host
-#: curve: the interesting number is the round-trip count, which is
-#: exact at any volume).
-_PROTOCOL_N_BITS = {"small": 4_000_000, "full": 16_000_000}
 
 
 def _system(modules, entropy_per_block, backend):
@@ -140,85 +117,3 @@ def test_remote_scaling(benchmark, bench_scale):
         assert best >= MIN_REMOTE_SPEEDUP * curve[1], (
             f"multi-host generation only reached "
             f"{best / curve[1]:.2f}x of one host")
-
-
-def _refill_round_trips(backend, modules, entropy_per_block):
-    """Socket round trips one full-width refill round costs.
-
-    Plans one system round that schedules every channel (one bank
-    task per driven bank) on a dedicated generator and counts the
-    request/response exchanges its submission spends -- links already
-    warm, so the number is the steady-state protocol cost, not
-    connect/handshake overhead.
-    """
-    system = _system(modules, entropy_per_block, backend)
-    round_ = system.plan_round(system.bits_per_system_iteration())
-    before = backend.request_count()
-    results = backend.submit_round(run_bank_task, round_.tasks).result()
-    assert len(results) == len(round_.tasks)
-    return len(round_.tasks), backend.request_count() - before
-
-
-def test_round_protocol_vs_per_task(benchmark, bench_scale):
-    """Round-trips-per-refill and bits/sec, per wire protocol."""
-    n_bits = _PROTOCOL_N_BITS[bench_scale.value]
-    geometry = DramGeometry.small(segments_per_bank=64,
-                                  cache_blocks_per_row=8)
-    entropy_per_block = 256.0 * geometry.row_bits / 65536
-    modules = build_table3_population(geometry,
-                                      names=["M13", "M4", "M15", "M1"])
-
-    serial = _system(modules, entropy_per_block, SerialBackend())
-    reference = run_once(benchmark, serial.random_bits, n_bits)
-
-    trips = {}
-    bps = {}
-    bank_tasks = None
-    for label, round_execution in (("per_task", False), ("rounds", True)):
-        with RemoteBackend(cluster=LocalCluster(PROTOCOL_HOSTS),
-                           round_execution=round_execution) as backend:
-            # Warm every link (connect + version handshake) off the
-            # books: the comparison is steady-state protocol cost.
-            assert all(backend.ping())
-            backend.submit_round(abs, [-1] * PROTOCOL_HOSTS).result()
-            bank_tasks, trips[label] = _refill_round_trips(
-                backend, modules, entropy_per_block)
-            # Both arms through the same clock (_timed_draw), so the
-            # published ratio is like for like.
-            stream, elapsed = _timed_draw(
-                _system(modules, entropy_per_block, backend), n_bits)
-            np.testing.assert_array_equal(
-                stream, reference,
-                err_msg=f"{label} protocol moved bits")
-            bps[label] = n_bits / elapsed
-
-    # The whole point of the round protocol: one request per host
-    # instead of one per bank.  The saving gate is exact arithmetic
-    # (bank_count / host_count), immune to runner noise.
-    saved = trips["per_task"] - trips["rounds"]
-    assert saved >= bank_tasks / PROTOCOL_HOSTS, (
-        f"round protocol saved only {saved} of {trips['per_task']} "
-        f"round trips per refill")
-    assert trips["rounds"] <= PROTOCOL_HOSTS
-
-    benchmark.extra_info["round_trips_per_refill_per_task"] = \
-        trips["per_task"]
-    benchmark.extra_info["round_trips_per_refill_rounds"] = \
-        trips["rounds"]
-    for label, value in bps.items():
-        benchmark.extra_info[f"bits_per_sec_{label}"] = value
-
-    artifact = {
-        "n_bits": n_bits,
-        "scale": bench_scale.value,
-        "hosts": PROTOCOL_HOSTS,
-        "bank_tasks_per_round": bank_tasks,
-        "round_trips_per_refill": trips,
-        "round_trips_saved": saved,
-        "bits_per_sec": bps,
-        "rounds_vs_per_task_speedup": bps["rounds"] / bps["per_task"],
-    }
-    path = os.environ.get("REPRO_REMOTE_PROTOCOL_JSON",
-                          PROTOCOL_ARTIFACT)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(artifact, handle, indent=2, sort_keys=True)

@@ -18,9 +18,9 @@ interchangeable executors for it:
 * :class:`ProcessPoolBackend` -- a shared ``ProcessPoolExecutor`` for
   full CPU scaling across cores;
 * :class:`~repro.core.remote.RemoteBackend` (in
-  :mod:`repro.core.remote`) -- sharded fan-out to worker *hosts* over
-  a length-prefixed pickle socket protocol, for scaling past one
-  machine (resolved here as ``"remote:2"`` for a localhost cluster or
+  :mod:`repro.core.remote`) -- sharded fan-out of bank-task rounds to
+  worker *hosts* over a ``struct``-framed socket protocol, for scaling
+  past one machine (resolved here as ``"remote:2"`` for a localhost cluster or
   ``"remote:host:port,..."`` for running workers).
 
 **Determinism contract.**  Every task carries its segment's
@@ -95,10 +95,6 @@ class BankTask:
     #: The segment's thermal-stream key (``repro.rng.derive_key``
     #: words); the worker seeds a ``SeedSequence`` from it, so the
     #: stream is a function of the draw site, not of scheduling order.
-    #: Older builds called this field ``key`` and drew each task from
-    #: the start of its own per-draw stream; the new name makes such a
-    #: worker fail every task (``AttributeError``) instead of serving
-    #: the start of the segment's stream again for every task.
     thermal_key: Tuple[int, ...]
     #: Per-bitline settling probabilities of the bank's TRNG segment.
     probabilities: np.ndarray
@@ -146,7 +142,7 @@ class BankResult:
     """A worker's answer to one :class:`BankTask`, always packed.
 
     Both matrices travel as row-major packed bytes plus their shapes,
-    so a result pickles 8x smaller than the bit matrices and the
+    so a result travels 8x smaller than the bit matrices and the
     gather step can lay banks side by side as bytes
     (:func:`packed_rows`).  :meth:`digest_matrix` and
     :meth:`raw_matrix` are the unpacked views.

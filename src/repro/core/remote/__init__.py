@@ -1,76 +1,54 @@
 """Sharded multi-host generation: the remote execution backend.
 
-QUAC-TRNG's throughput scales with the module population, and the
-ROADMAP's next lever past one machine is *distributed* generation: many
-worker hosts, each owning a slice of the bank tasks of every refill
-round, shipping packed byte pools back for merging.  This module is
-that backend:
+QUAC-TRNG's throughput scales with the module population; past one
+machine, that population spreads across worker hosts, each owning a
+slice of the bank tasks of every refill round and shipping packed byte
+pools back for merging.  This package is that backend:
 
-* :class:`RemoteBackend` -- a full
+* :class:`RemoteBackend` -- an
   :class:`~repro.core.parallel.ExecutionBackend` (``submit_round``
-  returning a ``PendingResult``, idempotent ``close``) that fans tasks
-  out to worker hosts over the length-prefixed pickle protocol of
-  :mod:`repro.core.remote.wire`;
+  returning a ``PendingResult``, idempotent ``close``) that runs
+  :func:`~repro.core.parallel.run_bank_task` rounds on worker hosts
+  over the ``struct``-framed schema of :mod:`repro.core.remote.wire`;
 * :mod:`repro.core.remote.worker` -- the loop a host runs to serve
-  tasks (``python -m repro.core.remote.worker --port N``);
+  rounds (``python -m repro.core.remote.worker --port N``);
 * :class:`LocalCluster` -- N worker subprocesses on localhost, for
   tests, CI, and single-machine multi-process deployments without a
   fork-based pool.
 
-**Shard map.**  Each round's task list is partitioned across workers
-by :func:`shard_map`: a contiguous, iteration-weighted split computed
-*serially in the client, in task order* -- so a round planned
-channel-major keeps each channel's banks on one host where balance
-allows, and the partition is a pure function of the round, never of
-which worker answered first.  The backend memoizes the plan keyed on
-the task signature (weights and live-worker count), so steady-state
-refills -- identical bank lists round after round -- skip the
-recompute and invalidate automatically when a bank's iteration
-weight changes.  Because every
+**Round shards.**  Each round's task list is partitioned across the
+live workers by :func:`shard_map`: a contiguous, iteration-weighted
+split computed serially in the client, in task order.  Each host's
+slice ships whole in one ``round`` message, and one ``round_result``
+frame comes back -- so a 16-bank round on a 3-host cluster costs 3
+socket round trips.  Because every
 :class:`~repro.core.parallel.BankTask` is a pure function of itself
 and results are merged in submission order, the assembled stream is
 **bit-identical to the serial reference regardless of host count,
-worker loss ordering, or result arrival order** -- the same contract
-the thread and process pools honor, held to by
+worker loss, or result arrival order** -- held to by
 ``tests/core/test_backend_conformance.py`` and the golden streams in
 ``tests/test_determinism.py``.
 
-**Round execution.**  With ``round_execution=True`` (spec suffix
-``+rounds``) each shard ships *whole*: one
-:class:`~repro.core.remote.wire.RoundShard` message per host carries
-the host's contiguous slice of the round, the worker loops the slice
-locally, and one ``round_result`` frame comes back -- so a 16-bank
-round on a 3-host cluster costs 3 socket round trips instead of 16.
-The protocol is negotiated per link through the ``hello`` handshake;
-a per-task-only (version 1) worker transparently falls back to task
-shipping, and either protocol produces the same bits (pinned by
-``tests/core/test_remote_rounds.py`` and the round-protocol golden
-replays in ``tests/test_determinism.py``).
-
-**Failure model.**  A worker whose connection dies is marked dead and
-its unfinished tasks are requeued onto surviving workers (the tasks
-are stateless, so re-execution reproduces the exact result the dead
-worker would have shipped); under round execution the requeue
-re-shards the *remaining* banks into fresh round shards across the
-survivors.  Only when *every* worker has failed does
-:class:`~repro.errors.RemoteExecutionError` surface.  A task function
-that raises is not a dead worker: its exception ships back and
-re-raises in the client.
+**Failure model.**  A worker whose connection dies, or that answers
+with anything the schema rejects, is marked dead; its unfinished
+tasks are re-sharded across the surviving workers (the tasks are
+stateless, so re-execution reproduces the exact results).  Only when
+*every* worker has failed does
+:class:`~repro.errors.RemoteExecutionError` surface.  A task that
+raises on its worker is not a dead worker: it re-raises at join as a
+``RemoteExecutionError`` naming the worker-side exception type.
 
 Select the backend like any other: ``backend=RemoteBackend(...)``, or
 ``REPRO_EXECUTION_BACKEND=remote:2`` (a 2-worker
 :class:`LocalCluster`) / ``remote:host1:9123,host2:9123`` (explicit
-hosts); append ``+rounds`` to either form (``remote:2+rounds``) for
-round-shard execution -- see
-:func:`repro.core.parallel.resolve_backend`.
+hosts) -- see :func:`repro.core.parallel.resolve_backend`.
 
 .. warning::
-   **Trusted networks only.**  The protocol is pickle over plain TCP:
-   connecting to a worker means being able to execute code on it, and
-   unpickling a worker's replies means trusting the worker.  Keep
-   workers on localhost or an isolated, trusted segment (see the
-   :mod:`repro.core.remote.worker` warning); TLS/authentication is a
-   ROADMAP item.
+   **Trusted networks only.**  No code crosses the wire -- a worker
+   only ever runs ``run_bank_task`` on decoded fields -- but frames are
+   neither authenticated nor encrypted, so the random bits a worker
+   serves are readable on the path.  Keep workers on localhost or an
+   isolated, trusted segment.
 """
 
 from __future__ import annotations
@@ -86,7 +64,7 @@ from collections import deque
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.parallel import (CompletedResult, ExecutionBackend,
-                                 PendingResult)
+                                 PendingResult, run_bank_task)
 from repro.core.remote import wire
 from repro.errors import ConfigurationError, RemoteExecutionError
 
@@ -162,19 +140,6 @@ def task_weights(tasks: Sequence) -> List[int]:
 # One worker host
 # ----------------------------------------------------------------------
 
-def _reply_kind(reply) -> Optional[str]:
-    """The kind marker of a well-formed message tuple, else ``None``.
-
-    Every reply a link reads gets its shape checked through this
-    before any element is indexed: a peer shipping a non-tuple, an
-    empty tuple, or a bare kind marker has violated the protocol, and
-    that must read as a dead link -- never as an ``IndexError`` deep
-    in a dispatch.
-    """
-    if isinstance(reply, tuple) and reply:
-        return reply[0]
-    return None
-
 class _WorkerLink:
     """A persistent, lock-serialized connection to one worker host."""
 
@@ -182,30 +147,21 @@ class _WorkerLink:
         self.address = address
         self.dead = False
         #: Request/response exchanges completed or attempted on this
-        #: link (tasks, rounds, pings, handshakes) -- the round-trip
-        #: accounting the protocol benchmark reads.
+        #: link (rounds and pings).
         self.requests = 0
-        #: Negotiated wire protocol version; ``None`` until the first
-        #: ``hello`` handshake on the current connection.
-        self.protocol: Optional[int] = None
         self._sock: Optional[socket.socket] = None
         self._lock = threading.Lock()
 
-    def _connect(self) -> socket.socket:
-        host, port = self.address
-        sock = socket.create_connection((host, port),
-                                        timeout=CONNECT_TIMEOUT_S)
-        sock.settimeout(None)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return sock
+    def _exchange(self, message: Tuple) -> Tuple[int, object]:
+        """One request/response; a failure marks the link dead.
 
-    def run_task(self, fn: Callable, task) -> object:
-        """One request/response round trip; raises on transport death.
-
-        A transport failure marks the link dead and raises
-        :class:`~repro.core.remote.wire.ConnectionClosed`; a task
-        function that raised on the worker re-raises here as
-        :class:`_TaskFailed` wrapping the shipped exception.
+        Any transport *or* decoding failure (closed socket, absurd
+        header, a reply the schema rejects) leaves the connection
+        desynchronized: the link is dead and
+        :class:`~repro.core.remote.wire.ConnectionClosed` is raised.
+        A message this build cannot encode raises its own
+        :class:`~repro.errors.ConfigurationError` before a byte is
+        sent, leaving the link alive.
         """
         with self._lock:
             if self.dead:
@@ -213,158 +169,67 @@ class _WorkerLink:
                     f"worker {self.address} is marked dead")
             try:
                 if self._sock is None:
-                    self._sock = self._connect()
+                    host, port = self.address
+                    self._sock = socket.create_connection(
+                        (host, port), timeout=CONNECT_TIMEOUT_S)
+                    self._sock.settimeout(None)
+                    self._sock.setsockopt(socket.IPPROTO_TCP,
+                                          socket.TCP_NODELAY, 1)
                 self.requests += 1
-                wire.send_frame(self._sock, (wire.TASK, fn, task))
-                reply = wire.recv_frame(self._sock)
+                wire.send_frame(self._sock, message)
+                return wire.recv_frame(self._sock)
             except (OSError, RemoteExecutionError) as exc:
-                # Any transport *or* protocol failure (truncated
-                # stream, absurd header, unloadable reply) leaves the
-                # connection desynchronized: the link is dead either
-                # way.  Note ``send_frame`` pickles before sending, so
-                # an unpicklable fn/task raises its own error here
-                # with the connection still clean -- that one is the
-                # caller's bug, not a dead worker, and falls through.
-                self._mark_dead_locked()
+                self._close_locked(dead=True)
                 raise wire.ConnectionClosed(
-                    f"worker {self.address} failed: {exc}")
-        kind = _reply_kind(reply)
-        if kind == wire.RESULT and len(reply) > 1:
-            return reply[1]
-        if kind == wire.ERROR and len(reply) > 1:
-            raise _TaskFailed(reply[1])
-        with self._lock:
-            self._mark_dead_locked()
-        raise wire.ConnectionClosed(
-            f"worker {self.address} sent unexpected reply {reply!r}")
+                    f"worker {self.address} failed: {exc}") from exc
 
-    def _handshake_locked(self) -> None:
-        """Learn the worker's protocol version (caller holds the lock).
+    def run_round(self, tasks: List) -> List:
+        """Run one shard; return a result or an exception per task.
 
-        Sends one ``hello`` and caches the negotiated version for the
-        connection's lifetime.  A version-2+ worker answers with its
-        version; a version-1 worker answers with an ``error``
-        ("unknown message kind") over the still-synchronized
-        connection, which *is* its version statement -- so negotiation
-        needs no worker-side support to detect old workers.  Anything
-        else is a protocol violation and raises (the caller's
-        transport clause marks the link dead).
+        A task that raised on the worker comes back as a
+        :class:`~repro.errors.RemoteExecutionError` naming its type; a
+        shard the worker refused (an ``error`` reply) fails every task
+        the same way.  A reply of the wrong kind or slot count marks
+        the link dead and raises, like a transport failure.
         """
-        self.requests += 1
-        wire.send_frame(self._sock, (wire.HELLO, wire.PROTOCOL_VERSION))
-        reply = wire.recv_frame(self._sock)
-        kind = _reply_kind(reply)
-        if kind == wire.HELLO:
-            try:
-                version = int(reply[1])
-            except (IndexError, TypeError, ValueError):
-                raise RemoteExecutionError(
-                    f"worker {self.address} answered the version "
-                    f"handshake with a malformed hello {reply!r}")
-            self.protocol = max(1, min(wire.PROTOCOL_VERSION, version))
-        elif kind == wire.ERROR:
-            self.protocol = 1
-        else:
-            raise RemoteExecutionError(
-                f"worker {self.address} answered the version handshake "
-                f"with reply kind {kind!r}")
-
-    def run_round(self, fn: Callable,
-                  shard: wire.RoundShard) -> List[Tuple[str, object]]:
-        """One whole-shard round trip; returns the per-task slot list.
-
-        Ships the shard in a single ``round`` message and reads back
-        one ``round_result`` frame of ``(SLOT_OK, result)`` /
-        ``(SLOT_ERROR, exception)`` slots in task order.  Raises
-        :class:`_RoundsUnsupported` when the negotiated protocol
-        predates round execution -- the caller then falls back to
-        per-task shipping on the same (healthy) connection.  Transport
-        or protocol failures (including a malformed slot list) mark
-        the link dead, exactly as in :meth:`run_task`; a top-level
-        ``error`` reply means the worker rejected the shard itself
-        (e.g. it could not unpickle the frame) and raises
-        :class:`_TaskFailed` against every task in the shard.
-        """
-        with self._lock:
-            if self.dead:
-                raise wire.ConnectionClosed(
-                    f"worker {self.address} is marked dead")
-            try:
-                if self._sock is None:
-                    self._sock = self._connect()
-                if self.protocol is None:
-                    self._handshake_locked()
-                if self.protocol < wire.ROUND_PROTOCOL_VERSION:
-                    raise _RoundsUnsupported(self.address)
-                self.requests += 1
-                wire.send_frame(self._sock, (wire.ROUND, fn, shard))
-                reply = wire.recv_frame(self._sock)
-            except _RoundsUnsupported:
-                raise
-            except (OSError, RemoteExecutionError) as exc:
-                self._mark_dead_locked()
-                raise wire.ConnectionClosed(
-                    f"worker {self.address} failed: {exc}")
-        kind = _reply_kind(reply)
-        if kind == wire.ROUND_RESULT:
-            slots = reply[1] if len(reply) > 1 else None
-            if not wire.valid_round_slots(slots, len(shard.tasks)):
-                with self._lock:
-                    self._mark_dead_locked()
-                raise wire.ConnectionClosed(
-                    f"worker {self.address} returned a malformed "
-                    f"round result for a {len(shard.tasks)}-task shard")
-            return list(slots)
-        if kind == wire.ERROR and len(reply) > 1:
-            raise _TaskFailed(reply[1])
-        with self._lock:
-            self._mark_dead_locked()
+        kind, body = self._exchange((wire.ROUND, tasks))
+        if kind == wire.ROUND_RESULT and len(body) == len(tasks):
+            return [RemoteExecutionError(
+                f"task raised {slot.type_name} on worker "
+                f"{self.address}: {slot.message}")
+                if isinstance(slot, wire.TaskError) else slot
+                for slot in body]
+        if kind == wire.ERROR:
+            refused = RemoteExecutionError(
+                f"worker {self.address} refused the round: {body}")
+            return [refused] * len(tasks)
+        self.close(dead=True)
         raise wire.ConnectionClosed(
-            f"worker {self.address} sent unexpected reply {reply!r}")
+            f"worker {self.address} answered a {len(tasks)}-task round "
+            f"with kind {kind} ({len(body or ())} slots)")
 
     def ping(self) -> bool:
         """True when the worker answers a ping (marks dead when not)."""
-        with self._lock:
-            if self.dead:
-                return False
-            try:
-                if self._sock is None:
-                    self._sock = self._connect()
-                self.requests += 1
-                wire.send_frame(self._sock, (wire.PING,))
-                if _reply_kind(wire.recv_frame(self._sock)) == wire.PONG:
-                    return True
-                # Anything but a pong means the stream is
-                # desynchronized: dead link, like every other
-                # unexpected reply.
-                self._mark_dead_locked()
-                return False
-            except (OSError, RemoteExecutionError):
-                # Same taxonomy as run_task: transport *or* protocol
-                # failure means a desynchronized link -- dead, not an
-                # exception out of a bool-returning probe.
-                self._mark_dead_locked()
-                return False
+        try:
+            kind, _ = self._exchange((wire.PING,))
+        except wire.ConnectionClosed:
+            return False
+        if kind != wire.PONG:
+            self.close(dead=True)
+        return kind == wire.PONG
 
-    def _mark_dead_locked(self) -> None:
-        self.dead = True
-        # A future reconnection may reach a different (respawned)
-        # worker build; renegotiate the protocol then.
-        self.protocol = None
+    def close(self, dead: bool = False) -> None:
+        """Drop the connection (and mark the link dead if asked)."""
+        with self._lock:
+            self._close_locked(dead)
+
+    def _close_locked(self, dead: bool) -> None:
+        self.dead = self.dead or dead
         if self._sock is not None:
             try:
                 self._sock.close()
             finally:
                 self._sock = None
-
-    def close(self) -> None:
-        with self._lock:
-            self.protocol = None
-            if self._sock is not None:
-                try:
-                    self._sock.close()
-                finally:
-                    self._sock = None
 
     def revive(self) -> None:
         """Forget a dead verdict so the next use reconnects."""
@@ -372,63 +237,26 @@ class _WorkerLink:
             self.dead = False
 
 
-class _TaskFailed(Exception):
-    """Internal: the task *function* raised on the worker."""
-
-    def __init__(self, exception: BaseException) -> None:
-        super().__init__(repr(exception))
-        self.exception = exception
-
-
-class _RoundsUnsupported(Exception):
-    """Internal: the link's negotiated protocol predates round
-    execution; the dispatch falls back to per-task shipping.  Not a
-    :class:`~repro.errors.RemoteExecutionError` on purpose -- it must
-    never be mistaken for (or swallowed as) a transport failure."""
-
-
 # ----------------------------------------------------------------------
 # An in-flight round
 # ----------------------------------------------------------------------
-
-_OK = "ok"
-_RAISE = "raise"
-
 
 class _RemoteDispatch(PendingResult):
     """One ``submit_round`` in flight across the links.
 
     Primary assignment follows the shard map (one sender thread per
     shard, so workers execute concurrently); a shard whose worker dies
-    parks its unfinished indices, and :meth:`result` requeues them onto
-    surviving workers.  Results land slot-per-index, so merge order is
-    submission order whatever the arrival order was.
-
-    With ``use_rounds`` each shard ships as one
-    :class:`~repro.core.remote.wire.RoundShard` message (one round
-    trip per worker instead of one per task); a link whose negotiated
-    protocol predates rounds falls back to per-task shipping on the
-    same connection, and the requeue path re-shards a dead worker's
-    remaining tasks into fresh round shards across the survivors.
-    Either protocol fills the same slots with the same values.
+    parks its indices, and the last sender thread re-shards them over
+    the survivors.  Each slot holds a task's result or its exception,
+    so merge order is submission order whatever the arrival order was.
     """
 
-    def __init__(self, fn: Callable, tasks: List,
-                 links: List[_WorkerLink],
-                 on_finish: Callable[["_RemoteDispatch"], None],
-                 use_rounds: bool = False,
-                 shard_plan: Optional[Callable[[Sequence[int], int],
-                                               List[List[int]]]] = None
-                 ) -> None:
-        self._fn = fn
+    def __init__(self, tasks: List, links: List[_WorkerLink],
+                 on_finish: Callable[["_RemoteDispatch"], None]) -> None:
         self._tasks = tasks
         self._links = links
         self._on_finish = on_finish
-        self._use_rounds = use_rounds
-        self._shard_plan = shard_plan if shard_plan is not None \
-            else shard_map
-        self._slots: List[Optional[Tuple[str, object]]] = \
-            [None] * len(tasks)
+        self._slots: List[object] = [None] * len(tasks)
         self._leftover: List[int] = []
         self._transport_error: Optional[BaseException] = None
         self._threads: List[threading.Thread] = []
@@ -447,89 +275,38 @@ class _RemoteDispatch(PendingResult):
             for link in self._links:
                 link.revive()
             live = list(self._links)
-        shards = self._shard_plan(task_weights(self._tasks), len(live))
-        self._unsettled = len([s for s in shards if s])
+        shards = shard_map(task_weights(self._tasks), len(live))
+        self._unsettled = len(shards)
         for link, indices in zip(live, shards):
-            if not indices:
-                continue
             thread = threading.Thread(target=self._run_shard,
                                       args=(link, indices), daemon=True)
             thread.start()
             self._threads.append(thread)
-
-    def _execute(self, link: _WorkerLink, indices: List[int]) -> None:
-        """Run tasks on one link -- as one round shard where the
-        negotiated protocol allows, task by task otherwise."""
-        if self._use_rounds:
-            try:
-                self._run_round(link, indices)
-                return
-            except _RoundsUnsupported:
-                pass  # version-1 worker: per-task on the same link
-        self._run_indices(link, indices)
 
     def _run_round(self, link: _WorkerLink, indices: List[int]) -> None:
         """Ship one whole shard; park every index if the link dies.
 
         The reply is all-or-nothing (one ``round_result`` frame), so a
         transport death mid-shard parks the *entire* slice for the
-        requeue pass -- re-execution on a survivor reproduces the
-        exact results the dead worker would have shipped.
+        requeue pass.
         """
-        shard = wire.RoundShard(
-            start=indices[0],
-            tasks=tuple(self._tasks[index] for index in indices))
         try:
-            slots = link.run_round(self._fn, shard)
-        except _TaskFailed as failed:
-            # The worker rejected the shard itself (e.g. could not
-            # unpickle the frame): that is every shipped task's
-            # failure, exactly as per-task shipping would record it.
-            for index in indices:
-                self._slots[index] = (_RAISE, failed.exception)
-            return
-        except _RoundsUnsupported:
-            raise
-        except (RemoteExecutionError, OSError) as exc:
+            slots = link.run_round([self._tasks[i] for i in indices])
+        except RemoteExecutionError as exc:
             with self._lock:
-                self._leftover.extend(
-                    index for index in indices
-                    if self._slots[index] is None)
+                self._leftover.extend(indices)
                 self._transport_error = exc
             return
         except Exception as exc:
-            # Not a transport failure: e.g. the fn/shard would not
-            # pickle.  The tasks' own bug, recorded against each.
-            for index in indices:
-                self._slots[index] = (_RAISE, exc)
-            return
-        for index, (status, payload) in zip(indices, slots):
-            self._slots[index] = (_OK, payload) if status == wire.SLOT_OK \
-                else (_RAISE, payload)
-
-    def _run_indices(self, link: _WorkerLink,
-                     indices: List[int]) -> None:
-        """Run tasks on one link, parking the rest if it dies."""
-        for position, index in enumerate(indices):
-            try:
-                self._slots[index] = \
-                    (_OK, link.run_task(self._fn, self._tasks[index]))
-            except _TaskFailed as failed:
-                self._slots[index] = (_RAISE, failed.exception)
-            except (RemoteExecutionError, OSError) as exc:
-                with self._lock:
-                    self._leftover.extend(indices[position:])
-                    self._transport_error = exc
-                return
-            except Exception as exc:
-                # Not a transport failure: e.g. the fn/task would
-                # not pickle.  Record it against the task, exactly
-                # where a process pool surfaces the same error.
-                self._slots[index] = (_RAISE, exc)
+            # Not a transport failure: a task the schema cannot hold.
+            # The tasks' own bug, recorded against each.
+            slots = [exc] * len(indices)
+        for index, slot in zip(indices, slots):
+            self._slots[index] = slot
 
     def _run_shard(self, link: _WorkerLink, indices: List[int]) -> None:
         try:
-            self._execute(link, indices)
+            self._run_round(link, indices)
         finally:
             # The last shard thread to finish settles any leftovers,
             # so a dispatch completes (or fails) without the caller
@@ -548,10 +325,8 @@ class _RemoteDispatch(PendingResult):
         """Requeue dead workers' tasks across the survivors.
 
         Each pass re-shards the parked indices over every live link
-        and runs the shards concurrently (the recovery tail keeps all
-        survivors busy, not one); under round execution each requeued
-        slice ships as a fresh round shard.  A link dying mid-requeue
-        parks its remainder again and the next pass re-shards over the
+        and runs the shards concurrently.  A link dying mid-requeue
+        parks its shard again and the next pass re-shards over the
         shrunken survivor set, so the loop terminates -- with every
         slot filled, or with no links left and a
         :class:`~repro.errors.RemoteExecutionError`.
@@ -564,26 +339,20 @@ class _RemoteDispatch(PendingResult):
             live = [link for link in self._links if not link.dead]
             if not live:
                 with self._lock:
-                    self._leftover.extend(
-                        index for index in pending
-                        if self._slots[index] is None)
+                    self._leftover.extend(pending)
                 raise RemoteExecutionError(
                     f"all {len(self._links)} remote workers failed "
-                    f"with {len(pending)} task(s) unfinished") \
+                    f"with {len(pending)} task(s) unfinished; last "
+                    f"failure: {self._transport_error}") \
                     from self._transport_error
-            shards = self._shard_plan(
-                task_weights([self._tasks[i] for i in pending]),
-                len(live))
-            threads = []
-            for link, shard in zip(live, shards):
-                if not shard:
-                    continue
-                thread = threading.Thread(
-                    target=self._execute,
-                    args=(link, [pending[j] for j in shard]),
-                    daemon=True)
+            shards = shard_map(
+                task_weights([self._tasks[i] for i in pending]), len(live))
+            threads = [threading.Thread(
+                target=self._run_round,
+                args=(link, [pending[j] for j in shard]), daemon=True)
+                for link, shard in zip(live, shards)]
+            for thread in threads:
                 thread.start()
-                threads.append(thread)
             for thread in threads:
                 thread.join()
 
@@ -605,20 +374,11 @@ class _RemoteDispatch(PendingResult):
                 thread.join()
             if self._fatal is not None:
                 raise self._fatal
-            try:
-                # Settled by the last shard thread already; this is
-                # the no-thread / revive edge's safety net.
-                self._run_leftovers()
-            except RemoteExecutionError as exc:
-                self._fatal = exc
-                self._finish()
-                raise
-            for slot in self._slots:
-                if slot[0] == _RAISE:
-                    self._finish()
-                    raise slot[1]
-            self._results = [slot[1] for slot in self._slots]
             self._finish()
+            for slot in self._slots:
+                if isinstance(slot, BaseException):
+                    raise slot
+            self._results = list(self._slots)
             return self._results
 
     def _finish(self) -> None:
@@ -636,28 +396,19 @@ class LocalCluster:
 
     The test/CI/single-machine deployment of the remote backend: each
     worker is ``python -m repro.core.remote.worker --port 0
-    --announce`` with ``src`` prepended to its ``PYTHONPATH`` (plus any
-    ``extra_sys_paths`` -- e.g. a test directory whose module-level
-    functions tasks reference).  ``worker_args`` appends extra CLI
-    flags to every spawned worker -- e.g. ``["--protocol-version",
-    "1"]`` spawns per-task-only workers, which is how the
-    version-negotiation tests build mixed-protocol clusters.
+    --announce`` with ``src`` prepended to its ``PYTHONPATH``.
     :meth:`start` is idempotent and re-entrant after :meth:`stop`, so
     a backend closed mid-session transparently respawns its workers on
     next use.
     """
 
     def __init__(self, n_workers: int,
-                 extra_sys_paths: Sequence[str] = (),
-                 spawn_timeout_s: float = SPAWN_TIMEOUT_S,
-                 worker_args: Sequence[str] = ()) -> None:
+                 spawn_timeout_s: float = SPAWN_TIMEOUT_S) -> None:
         if n_workers < 1:
             raise ConfigurationError(
                 f"worker count must be positive, got {n_workers}")
         self.n_workers = n_workers
-        self.extra_sys_paths = list(extra_sys_paths)
         self.spawn_timeout_s = spawn_timeout_s
-        self.worker_args = list(worker_args)
         self._procs: List[subprocess.Popen] = []
         self._addresses: List[Tuple[str, int]] = []
         self._stderr_tails: List[deque] = []
@@ -687,7 +438,7 @@ class LocalCluster:
             self._stop_locked()
             src_root = os.path.dirname(os.path.dirname(os.path.dirname(
                 os.path.dirname(os.path.abspath(__file__)))))
-            paths = [src_root, *self.extra_sys_paths]
+            paths = [src_root]
             existing = os.environ.get("PYTHONPATH")
             if existing:
                 paths.append(existing)
@@ -698,7 +449,7 @@ class LocalCluster:
                         [sys.executable, "-u", "-m",
                          "repro.core.remote.worker",
                          "--host", "127.0.0.1", "--port", "0",
-                         "--announce", *self.worker_args],
+                         "--announce"],
                         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                         env=env)
                     self._procs.append(proc)
@@ -799,7 +550,8 @@ def _read_announced_port(proc: subprocess.Popen, deadline: float,
 # ----------------------------------------------------------------------
 
 class RemoteBackend(ExecutionBackend):
-    """Execute rounds of tasks on remote worker hosts over sockets.
+    """Execute :func:`~repro.core.parallel.run_bank_task` rounds on
+    remote worker hosts over sockets.
 
     Parameters
     ----------
@@ -812,28 +564,20 @@ class RemoteBackend(ExecutionBackend):
         use, stopped by :meth:`close`, respawned transparently when
         the backend is used again after a close.  Exactly one of
         ``addresses`` / ``cluster`` must be given.
-    round_execution:
-        Ship :meth:`submit_round` rounds as whole
-        :class:`~repro.core.remote.wire.RoundShard` messages -- one
-        socket round trip per *host* instead of one per task.  The
-        spec suffix ``+rounds`` (``"remote:2+rounds"``) sets it; a
-        worker whose negotiated protocol predates rounds transparently
-        falls back to per-task shipping.  Either protocol ships the
-        same bits; only the round-trip count differs.
 
-    The full :class:`~repro.core.parallel.ExecutionBackend` contract
-    holds: results in submission order, ``close()`` waits for
-    in-flight rounds (their :class:`~repro.core.parallel.
-    PendingResult`\\ s stay joinable), and worker count/failure is
-    never observable in the output -- only in wall-clock time.
+    The :class:`~repro.core.parallel.ExecutionBackend` contract holds
+    for the one task function workers run: results in submission
+    order, ``close()`` waits for in-flight rounds (their
+    :class:`~repro.core.parallel.PendingResult`\\ s stay joinable), and
+    worker count/failure is never observable in the output -- only in
+    wall-clock time.
     """
 
     name = "remote"
 
     def __init__(self, addresses: Optional[Sequence[Tuple[str, int]]]
                  = None,
-                 cluster: Optional[LocalCluster] = None,
-                 round_execution: bool = False) -> None:
+                 cluster: Optional[LocalCluster] = None) -> None:
         if (addresses is None) == (cluster is None):
             raise ConfigurationError(
                 "give RemoteBackend exactly one of addresses= or "
@@ -843,19 +587,9 @@ class RemoteBackend(ExecutionBackend):
         self._addresses = [tuple(a) for a in addresses] \
             if addresses is not None else None
         self._cluster = cluster
-        self.round_execution = bool(round_execution)
         self._links: Optional[List[_WorkerLink]] = None
         self._lock = threading.Lock()
         self._active: set = set()
-        # Single-slot shard-plan memo, keyed on the task signature
-        # (weights + live-worker count): steady-state refills reuse
-        # the plan; any weight change misses the key and recomputes.
-        self._shard_cache_key: Optional[Tuple] = None
-        self._shard_cache_plan: Optional[Tuple[Tuple[int, ...], ...]] = None
-        #: Shard plans actually computed / served from the memo --
-        #: the cache's observable behaviour, for the regression tests.
-        self.shard_maps_computed = 0
-        self.shard_map_cache_hits = 0
 
     # ------------------------------------------------------------------
 
@@ -884,11 +618,9 @@ class RemoteBackend(ExecutionBackend):
     def request_count(self) -> int:
         """Socket round trips attempted across the current links.
 
-        Counts every request/response exchange (tasks, round shards,
-        pings, version handshakes) since the links were built; resets
-        when :meth:`close` drops them.  The round-trips-per-refill
-        accounting ``benchmarks/test_remote_scaling.py`` compares the
-        two protocols with.
+        Counts every request/response exchange (round shards and
+        pings) since the links were built; resets when :meth:`close`
+        drops them.
         """
         with self._lock:
             links = self._links or []
@@ -897,47 +629,27 @@ class RemoteBackend(ExecutionBackend):
     # ------------------------------------------------------------------
 
     def submit_round(self, fn: Callable, tasks: Sequence) -> PendingResult:
-        """Submit one planned round across the worker hosts.
+        """Submit one planned round of bank tasks across the hosts.
 
-        With :attr:`round_execution` each worker receives its entire
-        contiguous slice in one ``round`` message (version-1 workers
-        fall back to per-task shipping per link); without it every
-        task is its own request.  Same results either way, in
-        submission order.
+        Workers only run :func:`~repro.core.parallel.run_bank_task`,
+        so any other ``fn`` raises
+        :class:`~repro.errors.ConfigurationError` before a socket is
+        opened.  Each live worker receives its contiguous slice in one
+        ``round`` message.
         """
+        if fn is not run_bank_task:
+            raise ConfigurationError(
+                f"remote workers only run run_bank_task, not "
+                f"{getattr(fn, '__qualname__', fn)!r}")
         tasks = list(tasks)
         if not tasks:
             return CompletedResult([])
-        links = self._ensure_links()
-        dispatch = _RemoteDispatch(fn, tasks, links, self._unregister,
-                                   use_rounds=self.round_execution,
-                                   shard_plan=self._shard_plan)
+        dispatch = _RemoteDispatch(tasks, self._ensure_links(),
+                                   self._unregister)
         with self._lock:
             self._active.add(dispatch)
         dispatch.start()
         return dispatch
-
-    def _shard_plan(self, weights: Sequence[int],
-                    n_shards: int) -> List[List[int]]:
-        """Memoized :func:`shard_map` keyed on the task signature.
-
-        Steady-state generation submits the same bank list round after
-        round; the single-slot memo skips the recompute there and
-        invalidates by key miss the moment a bank's iteration weight
-        (or the live-worker count) changes -- including requeue
-        passes, whose shrunken task lists are their own signatures.
-        """
-        key = (tuple(weights), n_shards)
-        with self._lock:
-            if key == self._shard_cache_key:
-                self.shard_map_cache_hits += 1
-                return [list(shard) for shard in self._shard_cache_plan]
-        plan = shard_map(list(weights), n_shards)
-        with self._lock:
-            self._shard_cache_key = key
-            self._shard_cache_plan = tuple(tuple(s) for s in plan)
-            self.shard_maps_computed += 1
-        return plan
 
     def _unregister(self, dispatch: _RemoteDispatch) -> None:
         with self._lock:
@@ -962,15 +674,10 @@ class RemoteBackend(ExecutionBackend):
             self._cluster.stop()
 
     def __repr__(self) -> str:
-        protocol = ", rounds" if self.round_execution else ""
         if self._cluster is not None:
-            return f"RemoteBackend(cluster={self._cluster!r}{protocol})"
+            return f"RemoteBackend(cluster={self._cluster!r})"
         hosts = ",".join(f"{h}:{p}" for h, p in self._addresses)
-        return f"RemoteBackend({hosts}{protocol})"
-
-
-#: Spec suffix enabling round execution (``"remote:2+rounds"``).
-ROUNDS_SPEC_SUFFIX = "+rounds"
+        return f"RemoteBackend({hosts})"
 
 
 def backend_from_spec(rest: str) -> RemoteBackend:
@@ -978,23 +685,14 @@ def backend_from_spec(rest: str) -> RemoteBackend:
 
     ``"2"`` (a bare integer) means a 2-worker :class:`LocalCluster`;
     ``"host:port[,host:port...]"`` means already-running workers.
-    Either form takes the ``+rounds`` suffix to enable round-shard
-    execution (``"2+rounds"``, ``"host:9123+rounds"``) -- which is how
-    ``REPRO_EXECUTION_BACKEND=remote:2+rounds`` runs a whole suite
-    under the round protocol.
     """
     rest = rest.strip()
-    round_execution = rest.endswith(ROUNDS_SPEC_SUFFIX)
-    if round_execution:
-        rest = rest[:-len(ROUNDS_SPEC_SUFFIX)].strip()
     if not rest:
         raise ConfigurationError(
             "the remote backend spec needs workers: 'remote:N' for N "
-            "localhost workers, or 'remote:host:port[,host:port...]' "
-            "(either with an optional '+rounds' suffix)")
+            "localhost workers, or 'remote:host:port[,host:port...]'")
     if rest.isdigit():
-        return RemoteBackend(cluster=LocalCluster(int(rest)),
-                             round_execution=round_execution)
+        return RemoteBackend(cluster=LocalCluster(int(rest)))
     addresses = []
     for part in rest.split(","):
         host, sep, port = part.strip().rpartition(":")
@@ -1003,4 +701,4 @@ def backend_from_spec(rest: str) -> RemoteBackend:
                 f"bad remote worker address {part.strip()!r}; "
                 f"want host:port")
         addresses.append((host, int(port)))
-    return RemoteBackend(addresses, round_execution=round_execution)
+    return RemoteBackend(addresses)

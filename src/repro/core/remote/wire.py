@@ -1,60 +1,57 @@
-"""Length-prefixed pickle frame codec for the remote backend.
+"""The remote backend's wire format: framed ``struct`` messages.
 
 The remote execution backend (:mod:`repro.core.remote`) and its worker
-loop (:mod:`repro.core.remote.worker`) speak one wire format: a frame
-is an 8-byte big-endian payload length followed by exactly that many
-payload bytes.  Two layers share it:
+loop (:mod:`repro.core.remote.worker`) speak one protocol.  A frame is
+an 8-byte big-endian payload length followed by exactly that many
+payload bytes; :func:`send_raw_frame` / :func:`recv_raw_frame` move
+such opaque payloads.  Every payload is one *message*
+(:func:`send_frame` / :func:`recv_frame` encode and decode it):
 
-* **Raw frames** (:func:`send_raw_frame` / :func:`recv_raw_frame`)
-  move opaque byte strings -- including the empty one -- and are what
-  the property/fuzz suite round-trips at randomized sizes;
-* **Messages** (:func:`send_frame` / :func:`recv_frame`) pickle one
-  Python object per frame.  Every protocol message is a tuple whose
-  first element is one of the :data:`TASK` / :data:`RESULT` /
-  :data:`ERROR` / :data:`PING` / :data:`PONG` / :data:`SHUTDOWN` /
-  :data:`HELLO` / :data:`ROUND` / :data:`ROUND_RESULT` kind markers.
+* a fixed :data:`MESSAGE_HEADER` -- :data:`MAGIC`,
+  :data:`SCHEMA_VERSION`, the sender's :data:`repro.rng.STREAM_EPOCH`
+  and a kind byte;
+* a body whose layout the kind fixes.  :data:`ROUND` carries one
+  host's slice of a harvest round as :class:`~repro.core.parallel.
+  BankTask` fields (key words, a raw float64 probability vector, block
+  slices, iterations, first iteration, entropy and two flags);
+  :data:`ROUND_RESULT` carries one slot per task, either a
+  :class:`~repro.core.parallel.BankResult` (its counts plus the packed
+  ``digests`` and optional ``raw`` bytes) or a :class:`TaskError`;
+  :data:`ERROR` carries a length-prefixed UTF-8 message;
+  :data:`PING`, :data:`PONG` and :data:`SHUTDOWN` carry nothing.
 
-**Protocol versions.**  Version 1 (PR 4) ships one ``task`` message
-per bank task.  Version 2 adds *round-shard execution*: a ``round``
-message carries a :class:`RoundShard` -- one host's contiguous slice
-of a planned harvest round, its bank tasks packed together in a
-single frame -- and the worker answers with one ``round_result``
-frame holding a per-task slot list (:data:`SLOT_OK` results and
-:data:`SLOT_ERROR` exceptions, in task order).  A whole round
-therefore costs one socket round trip per *host* instead of one per
-*bank*.  Clients learn a worker's version through the ``hello``
-handshake (:data:`HELLO` request and reply); a version-1 worker
-answers ``hello`` with an ``error`` message ("unknown message kind"),
-which clients read as version 1 and fall back to per-task shipping --
-so round-capable clients interoperate with old workers with no
-configuration.  The version covers message shapes, not task
-semantics: the task function and task class travel by reference and
-resolve to the worker's own build, so a build whose tasks would draw
-a different stream must fail those tasks instead (see
-:attr:`~repro.core.parallel.BankTask.thermal_key`).
+Messages are data only.  No callable and no class name crosses the
+socket: a worker can only run :func:`~repro.core.parallel.
+run_bank_task` on the fields it decodes.  :func:`decode` checks the
+header against this build (so a worker of another schema or stream
+epoch refuses a round instead of drawing a different stream from it),
+checks every count against the bytes present, and raises only
+:class:`~repro.errors.RemoteExecutionError`.
 
-The codec never buffers across frames and never splits one: a frame is
-fully written with ``sendall`` and fully read before the next, so a
-single connection carries an ordered request/response stream.  A peer
-disappearing mid-frame (or before one) raises
+A frame is fully written with ``sendall`` and fully read before the
+next, so one connection carries an ordered request/response stream.  A
+peer disappearing mid-frame (or before one) raises
 :class:`ConnectionClosed`, which the backend treats as a dead worker
-(requeue) and the worker treats as a departed client (drop the
-connection).
+(requeue) and the worker as a departed client.
 
-Results cross this wire pickled; a
-:class:`~repro.core.parallel.BankResult` is always packed, so a frame
-carries bytes plus counts rather than bit matrices.
+>>> from repro.core.parallel import BankResult
+>>> kind, slots = decode(encode(ROUND_RESULT, [BankResult(
+...     digests=b"\\xff", raw=None, iterations=1, digest_bits=8)]))
+>>> kind == ROUND_RESULT, slots[0].digests
+(True, b'\\xff')
 """
 
 from __future__ import annotations
 
-import pickle
 import socket
 import struct
-from dataclasses import dataclass
-from typing import Any, Tuple
+from typing import Any, List, NamedTuple, Tuple
 
-from repro.errors import RemoteExecutionError
+import numpy as np
+
+from repro.core.parallel import BankResult, BankTask
+from repro.errors import ConfigurationError, RemoteExecutionError
+from repro.rng import STREAM_EPOCH
 
 #: Frame header: payload byte count, 8-byte big-endian unsigned.
 HEADER = struct.Struct(">Q")
@@ -64,66 +61,54 @@ HEADER = struct.Struct(">Q")
 #: round result by orders of magnitude.
 MAX_FRAME_BYTES = 16 * 1024 * 1024 * 1024
 
-#: Message kind markers (first element of every message tuple).
-TASK = "task"
-RESULT = "result"
-ERROR = "error"
-PING = "ping"
-PONG = "pong"
-SHUTDOWN = "shutdown"
-HELLO = "hello"
-ROUND = "round"
-ROUND_RESULT = "round_result"
+#: First bytes of every message.
+MAGIC = b"QUAC"
 
-#: The protocol version this build speaks (version 2: round shards).
-PROTOCOL_VERSION = 2
+#: Version of the message layouts below; bump it with any change.
+SCHEMA_VERSION = 1
 
-#: First protocol version with ``round`` / ``round_result`` support;
-#: a peer negotiated below this gets per-task shipping.
-ROUND_PROTOCOL_VERSION = 2
+#: Message header: magic, schema version, stream epoch, kind.
+MESSAGE_HEADER = struct.Struct(">4sHIB")
 
-#: Per-task outcome markers inside a ``round_result`` slot list.
-SLOT_OK = "ok"
-SLOT_ERROR = "error"
+#: Message kinds.
+ROUND = 1
+ROUND_RESULT = 2
+ERROR = 3
+PING = 4
+PONG = 5
+SHUTDOWN = 6
 
-
-@dataclass(frozen=True)
-class RoundShard:
-    """One host's slice of a planned harvest round, shipped whole.
-
-    The body of a ``round`` message: the slice's bank tasks packed
-    together in one frame, so the worker executes them back to back
-    and answers with a single ``round_result`` frame.  ``start`` is
-    the slice's offset in the round's gather order -- diagnostic
-    only; the client merges the reply by its own index bookkeeping,
-    so a requeued (possibly non-contiguous) slice still lands
-    slot-per-index.
-    """
-
-    #: Offset of ``tasks[0]`` in the planned round's task list.
-    start: int
-    #: The slice's tasks, in round order.
-    tasks: Tuple[Any, ...]
+_COUNT = struct.Struct(">I")
+#: Key words, probabilities, block slices, iterations, first
+#: iteration, entropy per block, flags.
+_TASK = struct.Struct(">HIIIQdB")
+_BUILTIN_SHA = 1
+_COLLECT_RAW = 2
+_SLOT_TAG = struct.Struct(">B")
+_SLOT_RESULT = 0
+_SLOT_ERROR = 1
+#: Iterations, digest bits, raw bits, raw present.
+_RESULT = struct.Struct(">IIIB")
+#: Type-name bytes, message bytes.
+_ERROR = struct.Struct(">HI")
 
 
-def valid_round_slots(slots: Any, n_tasks: int) -> bool:
-    """True when ``slots`` is a well-formed ``round_result`` body.
+class TaskError(NamedTuple):
+    """A task that raised on the worker, as its ``round_result`` slot."""
 
-    A valid body is a sequence of exactly ``n_tasks`` 2-tuples, each
-    ``(SLOT_OK, result)`` or ``(SLOT_ERROR, exception)``.  Anything
-    else means the peer desynchronized (or is hostile) and the link
-    must be treated as dead -- the round-protocol analogue of an
-    absurd frame header.
-    """
-    if not isinstance(slots, (list, tuple)) or len(slots) != n_tasks:
-        return False
-    return all(isinstance(slot, tuple) and len(slot) == 2
-               and slot[0] in (SLOT_OK, SLOT_ERROR) for slot in slots)
+    #: The worker-side exception's type name.
+    type_name: str
+    #: Its message.
+    message: str
 
 
 class ConnectionClosed(RemoteExecutionError):
     """The peer closed (or broke) the connection mid-conversation."""
 
+
+# ----------------------------------------------------------------------
+# Frames
+# ----------------------------------------------------------------------
 
 def pack_frame(payload: bytes) -> bytes:
     """One complete frame for ``payload`` (header plus bytes)."""
@@ -168,17 +153,217 @@ def recv_raw_frame(sock: socket.socket) -> bytes:
     return recv_exact(sock, length)
 
 
-def send_frame(sock: socket.socket, message: Any) -> None:
-    """Pickle one message object and send it as a frame."""
-    send_raw_frame(sock,
-                   pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
+def send_frame(sock: socket.socket, message: Tuple) -> None:
+    """Encode one ``(kind[, body])`` message and send it as a frame."""
+    send_raw_frame(sock, encode(*message))
 
 
-def recv_frame(sock: socket.socket) -> Any:
-    """Read one frame and unpickle its message object."""
-    payload = recv_raw_frame(sock)
+def recv_frame(sock: socket.socket) -> Tuple[int, Any]:
+    """Read one frame and decode its ``(kind, body)`` message."""
+    return decode(recv_raw_frame(sock))
+
+
+# ----------------------------------------------------------------------
+# Encoding
+# ----------------------------------------------------------------------
+
+def encode(kind: int, body: Any = None, epoch: int = STREAM_EPOCH) -> bytes:
+    """The payload of one message (``epoch`` stamps the header).
+
+    ``body`` is a sequence of :class:`~repro.core.parallel.BankTask`
+    for :data:`ROUND`, of ``BankResult`` / :class:`TaskError` slots
+    for :data:`ROUND_RESULT`, a string for :data:`ERROR`, and ignored
+    otherwise.  A value the schema cannot hold raises
+    :class:`~repro.errors.ConfigurationError`.
+    """
+    parts = [MESSAGE_HEADER.pack(MAGIC, SCHEMA_VERSION, epoch, kind)]
     try:
-        return pickle.loads(payload)
-    except Exception as exc:
+        if kind == ROUND:
+            parts.append(_COUNT.pack(len(body)))
+            for task in body:
+                parts.extend(_task_parts(task))
+        elif kind == ROUND_RESULT:
+            parts.append(_COUNT.pack(len(body)))
+            for slot in body:
+                parts.extend(_slot_parts(slot))
+        elif kind == ERROR:
+            text = _utf8(body)
+            parts.extend([_COUNT.pack(len(text)), text])
+        elif kind not in (PING, PONG, SHUTDOWN):
+            raise ConfigurationError(f"unknown message kind {kind!r}")
+    except struct.error as exc:
+        raise ConfigurationError(
+            f"message does not fit the wire schema: {exc}") from None
+    return b"".join(parts)
+
+
+def _utf8(text: str) -> bytes:
+    return str(text).encode("utf-8", "replace")
+
+
+def _packed_size(rows: int, columns: int) -> int:
+    return (rows * columns + 7) // 8
+
+
+def _task_parts(task: BankTask) -> List[bytes]:
+    probabilities = np.asarray(task.probabilities, dtype="<f8")
+    if probabilities.ndim != 1:
+        raise ConfigurationError(
+            "a task's probabilities must be one-dimensional")
+    key = task.thermal_key
+    bounds = [bound for block in task.block_slices for bound in block]
+    flags = (_BUILTIN_SHA if task.use_builtin_sha else 0) | \
+        (_COLLECT_RAW if task.collect_raw else 0)
+    return [_TASK.pack(len(key), probabilities.size,
+                       len(task.block_slices), task.iterations,
+                       task.first_iteration, task.entropy_per_block,
+                       flags),
+            struct.pack(f">{len(key)}I", *key),
+            probabilities.tobytes(),
+            struct.pack(f">{len(bounds)}I", *bounds)]
+
+
+def _slot_parts(slot) -> List[bytes]:
+    if isinstance(slot, TaskError):
+        name, message = _utf8(slot.type_name), _utf8(slot.message)
+        return [_SLOT_TAG.pack(_SLOT_ERROR),
+                _ERROR.pack(len(name), len(message)), name, message]
+    has_raw = slot.raw is not None
+    raw = bytes(slot.raw) if has_raw else b""
+    if (len(slot.digests), len(raw)) != (
+            _packed_size(slot.iterations, slot.digest_bits),
+            _packed_size(slot.iterations, slot.raw_bits) if has_raw else 0):
+        raise ConfigurationError(
+            "a BankResult's bytes do not match its counts")
+    return [_SLOT_TAG.pack(_SLOT_RESULT),
+            _RESULT.pack(slot.iterations, slot.digest_bits, slot.raw_bits,
+                         has_raw),
+            bytes(slot.digests), raw]
+
+
+# ----------------------------------------------------------------------
+# Decoding
+# ----------------------------------------------------------------------
+
+class _Reader:
+    """Bounds-checked cursor over one payload."""
+
+    def __init__(self, payload: bytes) -> None:
+        self._view = memoryview(payload)
+        self._at = 0
+
+    def remaining(self) -> int:
+        return len(self._view) - self._at
+
+    def take(self, n_bytes: int) -> memoryview:
+        if n_bytes > self.remaining():
+            raise RemoteExecutionError(
+                f"message truncated: {n_bytes} bytes wanted at offset "
+                f"{self._at}, {self.remaining()} present")
+        chunk = self._view[self._at:self._at + n_bytes]
+        self._at += n_bytes
+        return chunk
+
+    def unpack(self, layout: struct.Struct) -> tuple:
+        return layout.unpack(self.take(layout.size))
+
+    def count(self, min_item_bytes: int) -> int:
+        """A count field, checked against the bytes its items need."""
+        (count,) = self.unpack(_COUNT)
+        if count * min_item_bytes > self.remaining():
+            raise RemoteExecutionError(
+                f"message announces {count} items but holds only "
+                f"{self.remaining()} bytes")
+        return count
+
+    def array(self, dtype: str, count: int) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self.take(count * dtype.itemsize), dtype)
+
+    def text(self, n_bytes: int) -> str:
+        return bytes(self.take(n_bytes)).decode("utf-8", "replace")
+
+
+def decode(payload: bytes, epoch: int = STREAM_EPOCH) -> Tuple[int, Any]:
+    """Decode one message payload into ``(kind, body)``.
+
+    Raises :class:`~repro.errors.RemoteExecutionError` -- and nothing
+    else -- for a payload this build must not act on: a foreign magic,
+    schema version or stream epoch (``epoch`` is the reader's), an
+    unknown kind, a count the bytes do not hold, trailing bytes, or a
+    task whose fields are out of range.
+    """
+    reader = _Reader(payload)
+    magic, schema, frame_epoch, kind = reader.unpack(MESSAGE_HEADER)
+    if magic != MAGIC:
         raise RemoteExecutionError(
-            f"could not unpickle a {len(payload)}-byte frame: {exc}")
+            f"bad magic {bytes(magic)!r}: not a QUAC-TRNG message")
+    if (schema, frame_epoch) != (SCHEMA_VERSION, epoch):
+        raise RemoteExecutionError(
+            f"message from schema {schema} at stream epoch "
+            f"{frame_epoch}; this build reads schema {SCHEMA_VERSION} "
+            f"at stream epoch {epoch}")
+    if kind == ROUND:
+        body = [_read_task(reader)
+                for _ in range(reader.count(_TASK.size))]
+    elif kind == ROUND_RESULT:
+        body = [_read_slot(reader)
+                for _ in range(reader.count(_SLOT_TAG.size))]
+    elif kind == ERROR:
+        (n_bytes,) = reader.unpack(_COUNT)
+        body = reader.text(n_bytes)
+    elif kind in (PING, PONG, SHUTDOWN):
+        body = None
+    else:
+        raise RemoteExecutionError(f"unknown message kind {kind}")
+    if reader.remaining():
+        raise RemoteExecutionError(
+            f"{reader.remaining()} trailing bytes after a kind-{kind} "
+            f"message")
+    return kind, body
+
+
+def _read_task(reader: _Reader) -> BankTask:
+    (n_key, n_bits, n_blocks, iterations, first_iteration,
+     entropy_per_block, flags) = reader.unpack(_TASK)
+    if flags & ~(_BUILTIN_SHA | _COLLECT_RAW):
+        raise RemoteExecutionError(f"unknown task flags {flags:#x}")
+    key = reader.array(">u4", n_key)
+    probabilities = reader.array("<f8", n_bits)
+    bounds = reader.array(">u4", 2 * n_blocks).reshape(n_blocks, 2)
+    if not np.all((probabilities >= 0.0) & (probabilities <= 1.0)):
+        raise RemoteExecutionError(
+            "task probabilities must be finite and within [0, 1]")
+    if np.any(bounds[:, 0] >= bounds[:, 1]) or \
+            np.any(bounds[:, 1] > n_bits):
+        raise RemoteExecutionError(
+            f"task block slices fall outside its {n_bits}-bit "
+            f"probability vector")
+    if not np.isfinite(entropy_per_block):
+        raise RemoteExecutionError("task entropy must be finite")
+    return BankTask(
+        thermal_key=tuple(key.tolist()),
+        probabilities=probabilities.astype(np.float64),
+        iterations=iterations,
+        block_slices=tuple(map(tuple, bounds.tolist())),
+        entropy_per_block=entropy_per_block,
+        use_builtin_sha=bool(flags & _BUILTIN_SHA),
+        collect_raw=bool(flags & _COLLECT_RAW),
+        first_iteration=first_iteration)
+
+
+def _read_slot(reader: _Reader):
+    (tag,) = reader.unpack(_SLOT_TAG)
+    if tag == _SLOT_ERROR:
+        n_name, n_message = reader.unpack(_ERROR)
+        return TaskError(reader.text(n_name), reader.text(n_message))
+    if tag != _SLOT_RESULT:
+        raise RemoteExecutionError(f"unknown result slot tag {tag}")
+    iterations, digest_bits, raw_bits, has_raw = reader.unpack(_RESULT)
+    if has_raw > 1:
+        raise RemoteExecutionError(f"bad raw-present flag {has_raw}")
+    digests = bytes(reader.take(_packed_size(iterations, digest_bits)))
+    raw = bytes(reader.take(_packed_size(iterations, raw_bits))) \
+        if has_raw else None
+    return BankResult(digests=digests, raw=raw, iterations=iterations,
+                      digest_bits=digest_bits, raw_bits=raw_bits)

@@ -3,63 +3,93 @@
 ``docs/ARCHITECTURE.md``'s add-a-backend guide states the invariants a
 backend must keep; this suite *is* that contract, run against every
 registered backend -- serial, thread pool, process pool, and the
-remote socket backend on a localhost cluster.  A new backend earns its
+remote socket backend on localhost clusters.  A new backend earns its
 registration by appearing in :data:`BACKEND_IDS` and passing
 unchanged:
 
-* ``run_round(fn, tasks)`` equals ``[fn(t) for t in tasks]``, in
-  order, even when tasks complete out of order;
-* ``submit_round(fn, tasks)`` returns a ``PendingResult`` whose
-  ``result()`` is that same list (cached, in submission order) -- the
-  remote fixtures run it under both wire protocols: per-task
-  (``remote``) and round shards (``remote-rounds``);
-* a task function's exception propagates (and the backend survives);
+* ``run_round(run_bank_task, tasks)`` equals
+  ``[run_bank_task(t) for t in tasks]``, in order, even when tasks
+  complete out of order;
+* ``submit_round`` returns a ``PendingResult`` whose ``result()`` is
+  that same list (cached, in submission order);
+* a failing task's exception propagates at join (and the backend
+  survives);
 * empty task lists complete immediately;
 * ``close()`` leaves outstanding ``PendingResult``\\ s joinable and the
   backend transparently rebuilds on next use.
 
-Task functions live at module level so process pools and remote
-workers can unpickle them by reference; the remote cluster gets this
-directory on its workers' ``sys.path`` for exactly that reason.
+Every backend runs the one task function the generators submit,
+:func:`~repro.core.parallel.run_bank_task`, over small
+:class:`~repro.core.parallel.BankTask`\\ s -- the only function a remote
+worker runs.  A task with an odd row width is the failing task:
+``run_bank_task`` rejects it with a ``ConfigurationError``, which a
+remote worker reports back as a ``RemoteExecutionError`` naming it.
 """
 
-import os
-import time
-
+import numpy as np
 import pytest
 
-from repro.core.parallel import (ProcessPoolBackend, SerialBackend,
-                                 ThreadPoolBackend, available_backends)
+from repro.core.parallel import (BankTask, ProcessPoolBackend,
+                                 SerialBackend, ThreadPoolBackend,
+                                 available_backends, run_bank_task)
 from repro.core.remote import LocalCluster, RemoteBackend
+from repro.errors import ConfigurationError, RemoteExecutionError
+from repro.rng import derive_key
 
 #: Every registered backend, by conformance-fixture id.  ``remote``
-#: runs the per-task wire protocol, ``remote-rounds`` the round-shard
-#: protocol -- same registered backend, both protocol versions held to
-#: the same contract.
+#: is a one-host cluster (each round ships as one shard) and
+#: ``remote-rounds`` a two-host cluster (each round splits into
+#: shards across the hosts).
 BACKEND_IDS = ["serial", "thread", "process", "remote", "remote-rounds"]
 
 
-def _square(x):
-    return x * x
+def _task(index, iterations=2, bits=256, fail=False):
+    """A small bank task; ``fail`` gives it an odd row width."""
+    width = bits + 1 if fail else bits
+    return BankTask(
+        thermal_key=derive_key(2021, "conformance", index),
+        probabilities=np.linspace(0.1, 0.9, width),
+        iterations=iterations,
+        block_slices=((0, bits // 2), (bits // 2, bits)),
+        entropy_per_block=8.0, first_iteration=index)
 
 
-def _raise_on_marker(x):
-    if x == "boom":
-        raise ValueError("marked task")
-    return x
+def _tasks(n, **kwargs):
+    return [_task(index, **kwargs) for index in range(n)]
 
 
-def _sleep_inverse(pair):
-    """Sleep *longer* for earlier tasks, so completion order inverts
-    submission order on any concurrent backend."""
-    index, delay_s = pair
-    time.sleep(delay_s)
-    return index
+def _bits(results):
+    """Comparable form of a result list (``BankResult`` has no ==)."""
+    return [(r.digests, r.raw, r.iterations, r.digest_bits, r.raw_bits)
+            for r in results]
 
 
-def _slow_square(x):
-    time.sleep(0.05)
-    return x * x
+def _expected(tasks):
+    return _bits(run_bank_task(task) for task in tasks)
+
+
+def _failing(values):
+    """Tasks where the marker ``"boom"`` stands for a failing task."""
+    return [_task(index, fail=value == "boom")
+            for index, value in enumerate(values)]
+
+
+#: What a failing task raises: its own ``ConfigurationError`` in
+#: process, a ``RemoteExecutionError`` naming it from a worker.
+TASK_FAILURE = dict(expected_exception=(ConfigurationError,
+                                        RemoteExecutionError),
+                    match="even row width")
+
+
+def _inverse_cost(n):
+    """Earlier tasks carry more iterations, so completion order
+    inverts submission order on any concurrent backend."""
+    return [_task(index, iterations=48 * (n - index), bits=4096)
+            for index in range(n)]
+
+
+def _slow(n):
+    return _tasks(n, iterations=64, bits=4096)
 
 
 @pytest.fixture(scope="module", params=BACKEND_IDS)
@@ -72,10 +102,8 @@ def backend(request):
     elif request.param == "process":
         built = ProcessPoolBackend(2)
     else:
-        built = RemoteBackend(
-            cluster=LocalCluster(
-                2, extra_sys_paths=[os.path.dirname(__file__)]),
-            round_execution=(request.param == "remote-rounds"))
+        hosts = 2 if request.param == "remote-rounds" else 1
+        built = RemoteBackend(cluster=LocalCluster(hosts))
     yield built
     built.close()
 
@@ -86,76 +114,84 @@ def test_every_registered_backend_is_conformance_tested():
 
 
 def test_map_matches_builtin_map(backend):
-    tasks = list(range(17))
-    assert backend.run_round(_square, tasks) == list(map(_square, tasks))
+    tasks = _tasks(17)
+    assert _bits(backend.run_round(run_bank_task, tasks)) == \
+        _expected(tasks)
 
 
 def test_submit_map_result_equals_map(backend):
     # The non-blocking verb and its blocking helper agree.
-    tasks = list(range(23))
-    pending = backend.submit_round(_square, tasks)
-    assert pending.result() == backend.run_round(_square, tasks)
+    tasks = _tasks(23)
+    pending = backend.submit_round(run_bank_task, tasks)
+    assert _bits(pending.result()) == \
+        _bits(backend.run_round(run_bank_task, tasks))
     assert pending.done()
 
 
 def test_result_is_cached(backend):
-    pending = backend.submit_round(_square, [3, 4, 5])
+    pending = backend.submit_round(run_bank_task, _tasks(3))
     first = pending.result()
     assert pending.result() is first
 
 
 def test_ordering_under_out_of_order_completion(backend):
-    # Earlier tasks sleep longer, so on any backend with >= 2 workers
+    # Earlier tasks run longer, so on any backend with >= 2 workers
     # the *completion* order inverts the submission order; the result
-    # list must not -- whether the round goes out task by task or as
-    # whole shards.
-    tasks = [(index, 0.05 * (4 - index) / 4) for index in range(5)]
-    assert backend.run_round(_sleep_inverse, tasks) == list(range(5))
+    # list must not.
+    tasks = _inverse_cost(5)
+    assert _bits(backend.run_round(run_bank_task, tasks)) == \
+        _expected(tasks)
 
 
 def test_exception_propagates_from_map(backend):
-    with pytest.raises(ValueError):
-        backend.run_round(_raise_on_marker, [1, "boom", 3])
+    with pytest.raises(**TASK_FAILURE):
+        backend.run_round(run_bank_task, _failing([1, "boom", 3]))
 
 
 def test_exception_propagates_from_submit_map(backend):
     # A round whose only task fails: the failure is sticky -- joining
     # again re-raises, same as a concurrent.futures future.
-    pending = backend.submit_round(_raise_on_marker, ["boom"])
-    with pytest.raises(ValueError):
+    pending = backend.submit_round(run_bank_task, _failing(["boom"]))
+    with pytest.raises(**TASK_FAILURE):
         pending.result()
-    with pytest.raises(ValueError):
+    with pytest.raises(**TASK_FAILURE):
         pending.result()
 
 
 def test_backend_survives_a_task_exception(backend):
-    with pytest.raises(ValueError):
-        backend.run_round(_raise_on_marker, ["boom"])
-    assert backend.run_round(_square, [6]) == [36]
+    with pytest.raises(**TASK_FAILURE):
+        backend.run_round(run_bank_task, _failing(["boom"]))
+    tasks = _tasks(1)
+    assert _bits(backend.run_round(run_bank_task, tasks)) == \
+        _expected(tasks)
 
 
 def test_empty_task_list_completes_immediately(backend):
-    assert backend.run_round(_square, []) == []
+    assert backend.run_round(run_bank_task, []) == []
 
 
 def test_single_task(backend):
-    assert backend.run_round(_square, [9]) == [81]
+    tasks = [_task(9)]
+    assert _bits(backend.run_round(run_bank_task, tasks)) == \
+        _expected(tasks)
 
 
 def test_close_with_pending_keeps_result_joinable(backend):
     # close() must wait for submitted work: a PendingResult taken
     # before close stays joinable after it.
-    tasks = list(range(6))
-    pending = backend.submit_round(_slow_square, tasks)
+    tasks = _slow(6)
+    pending = backend.submit_round(run_bank_task, tasks)
     backend.close()
-    assert pending.result() == [x * x for x in tasks]
+    assert _bits(pending.result()) == _expected(tasks)
 
 
 def test_backend_rebuilds_after_close(backend):
     # Runs after the close test on the same (module-scoped) backend:
     # a closed backend transparently rebuilds its pool/cluster.
     backend.close()
-    assert backend.run_round(_square, [2, 3]) == [4, 9]
+    tasks = _tasks(2)
+    assert _bits(backend.run_round(run_bank_task, tasks)) == \
+        _expected(tasks)
 
 
 # ----------------------------------------------------------------------
@@ -163,56 +199,74 @@ def test_backend_rebuilds_after_close(backend):
 # ----------------------------------------------------------------------
 
 def test_submit_round_result_equals_map(backend):
-    tasks = list(range(19))
-    pending = backend.submit_round(_square, tasks)
-    assert pending.result() == list(map(_square, tasks))
+    tasks = _tasks(19)
+    pending = backend.submit_round(run_bank_task, tasks)
+    assert _bits(pending.result()) == _expected(tasks)
     assert pending.done()
 
 
 def test_run_round_matches_map(backend):
     # The blocking helper batch_iterations uses, over the edge cases.
-    tasks = list(range(9))
-    assert backend.run_round(_square, tasks) == \
-        list(map(_square, tasks))
-    assert backend.run_round(_square, []) == []
-    assert backend.run_round(_square, [3]) == [9]
-    with pytest.raises(ValueError):
-        backend.run_round(_raise_on_marker, [1, "boom"])
+    tasks = _tasks(9)
+    assert _bits(backend.run_round(run_bank_task, tasks)) == \
+        _expected(tasks)
+    assert backend.run_round(run_bank_task, []) == []
+    assert _bits(backend.run_round(run_bank_task, tasks[3:4])) == \
+        _expected(tasks[3:4])
+    with pytest.raises(**TASK_FAILURE):
+        backend.run_round(run_bank_task, _failing([1, "boom"]))
 
 
 def test_submit_round_ordering_under_out_of_order_completion(backend):
-    # Earlier tasks sleep longer; whether the round goes out as
-    # per-task submissions or as whole shards (the remote round
-    # protocol), the merged list must stay in submission order.
-    tasks = [(index, 0.05 * (4 - index) / 4) for index in range(5)]
-    assert backend.submit_round(_sleep_inverse, tasks).result() == \
-        list(range(5))
+    # Earlier tasks run longer; however the round is split across
+    # workers, the merged list must stay in submission order.
+    tasks = _inverse_cost(5)
+    assert _bits(backend.submit_round(run_bank_task, tasks).result()) \
+        == _expected(tasks)
 
 
 def test_submit_round_exception_at_join(backend):
     # One task raising must not abort the round's other tasks, and
     # the exception surfaces at join -- sticky, like a failed future.
-    pending = backend.submit_round(_raise_on_marker, [1, "boom", 3])
-    with pytest.raises(ValueError):
+    pending = backend.submit_round(run_bank_task,
+                                   _failing([1, "boom", 3]))
+    with pytest.raises(**TASK_FAILURE):
         pending.result()
-    with pytest.raises(ValueError):
+    with pytest.raises(**TASK_FAILURE):
         pending.result()
     # The backend survives a failed round.
-    assert backend.submit_round(_square, [5]).result() == [25]
+    tasks = _tasks(1)
+    assert _bits(backend.submit_round(run_bank_task, tasks).result()) \
+        == _expected(tasks)
 
 
 def test_submit_round_empty_round(backend):
-    pending = backend.submit_round(_square, [])
+    pending = backend.submit_round(run_bank_task, [])
     assert pending.done()
     assert pending.result() == []
 
 
 def test_close_with_pending_round_keeps_result_joinable(backend):
-    # An in-flight *round shard* is submitted work like any other:
-    # close() waits for it and the handle stays joinable.
-    tasks = list(range(6))
-    pending = backend.submit_round(_slow_square, tasks)
+    # An in-flight round is submitted work like any other: close()
+    # waits for it and the handle stays joinable.
+    tasks = _slow(6)
+    pending = backend.submit_round(run_bank_task, tasks)
     backend.close()
-    assert pending.result() == [x * x for x in tasks]
+    assert _bits(pending.result()) == _expected(tasks)
     # And the backend still rebuilds for round submissions after close.
-    assert backend.submit_round(_square, [7]).result() == [49]
+    again = _tasks(1)
+    assert _bits(backend.submit_round(run_bank_task, again).result()) \
+        == _expected(again)
+
+
+def test_remote_runs_only_run_bank_task():
+    # Workers run nothing but run_bank_task, so any other function is
+    # refused at submit -- before a socket is opened (nothing listens
+    # on port 1).
+    backend = RemoteBackend(addresses=[("127.0.0.1", 1)])
+    with pytest.raises(ConfigurationError, match="run_bank_task"):
+        backend.submit_round(abs, [-1])
+    with pytest.raises(ConfigurationError):
+        backend.run_round(lambda task: task, [])
+    assert backend.request_count() == 0
+    assert backend._links is None

@@ -204,7 +204,8 @@ class TestBackendResolution:
                                       "process:0", 42, "remote",
                                       "remote:0", "remote:host",
                                       "remote:host:notaport",
-                                      "remote:+rounds"])
+                                      "remote:+rounds", "remote:3+rounds",
+                                      "remote:hostc:9123+rounds"])
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ConfigurationError):
             resolve_backend(spec)
@@ -224,20 +225,6 @@ class TestBackendResolution:
         assert isinstance(backend, RemoteBackend)
         assert backend._addresses == [("hosta", 9123), ("hostb", 9124)]
         assert backend.n_workers == 2
-        assert not backend.round_execution
-
-    def test_remote_rounds_suffix_enables_round_execution(self):
-        backend = resolve_backend("remote:3+rounds")
-        assert isinstance(backend, RemoteBackend)
-        assert backend.n_workers == 3
-        assert backend.round_execution
-        # A distinct spec from the per-task cluster of the same size:
-        # the two protocols never share a backend instance.
-        assert resolve_backend("remote:3+rounds") is backend
-        assert resolve_backend("remote:3") is not backend
-        address_backend = resolve_backend("remote:hostc:9123+rounds")
-        assert address_backend._addresses == [("hostc", 9123)]
-        assert address_backend.round_execution
 
 
 class TestSubmitMap:

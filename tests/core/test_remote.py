@@ -2,20 +2,21 @@
 
 Four concerns, bottom-up:
 
-* **Frame codec** -- the length-prefixed protocol must round-trip any
+* **Frame codec** -- the length-prefixed frames must round-trip any
   payload (0 bytes through multi-hundred-KiB frames), survive TCP
   fragmentation, and fail loudly (``ConnectionClosed``, never a hang
   or a truncated read) when the peer disappears mid-frame;
-* **Packed payloads** -- :class:`~repro.core.parallel.BankResult`
-  objects (always packed) are the wire format of every remote round;
-  randomized matrices must survive pack -> pickle -> frame -> unpickle
-  -> unpack bit for bit, including degenerate shapes;
-* **Round frames + version negotiation** -- the round protocol's
-  :class:`~repro.core.remote.wire.RoundShard` and multi-result frames
-  get the same fuzz treatment (fragmentation, truncation, oversized
-  shards, malformed slot lists), and the ``hello`` handshake must
-  let a round-capable client fall back cleanly against a
-  per-task-only worker;
+* **Message schema** -- :class:`~repro.core.parallel.BankTask` rounds
+  and :class:`~repro.core.parallel.BankResult` slots must survive
+  encode -> frame -> decode field for field (hypothesis round trips
+  included), and the decoder must turn every truncation, count
+  mismatch, foreign header and out-of-range field into a
+  :class:`~repro.errors.RemoteExecutionError` -- never ``struct.error``,
+  ``IndexError``, ``ValueError`` or ``MemoryError``;
+* **Replies and the stream-epoch guard** -- malformed or dying
+  replies kill the link, a task failing on its worker lands on its own
+  slot, and a worker at another stream epoch refuses every round
+  instead of serving a different stream; nothing is ever unpickled;
 * **Cluster + failure model** -- localhost workers spawn/stop/respawn,
   a killed worker's tasks requeue onto survivors, and only a fully
   dead cluster raises :class:`~repro.errors.RemoteExecutionError`.
@@ -25,37 +26,67 @@ property-tested here too: they are what keeps channels/banks grouped
 per host without ever influencing the merged stream.
 """
 
-import dataclasses
-import io
-import os
+import inspect
 import pickle
 import socket
+import struct
 import threading
 import time
-from typing import Tuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import remote as remote_package
 from repro.core.parallel import (BankResult, BankTask, SerialBackend,
                                  _pack_matrix, _unpack_matrix,
                                  run_bank_task)
 from repro.core.remote import (LocalCluster, RemoteBackend, shard_map,
-                               task_weights, wire)
+                               task_weights, wire, worker)
 from repro.core.remote.worker import run_round_shard
 from repro.core.trng import QuacTrng
 from repro.dram.module_factory import build_module, spec_by_name
 from repro.errors import ConfigurationError, RemoteExecutionError
-
-def _module_local_fn(x):
-    """Shipped by reference; unimportable on pathless workers."""
-    return x
-
+from repro.rng import STREAM_EPOCH, derive_key
 
 #: Payload sizes the codec is fuzzed at: the empty frame, sub-header
 #: sizes, exact powers of two around typical buffers, and frames well
 #: past 64 KiB (a full-scale packed round is megabytes).
 FRAME_SIZES = [0, 1, 7, 8, 9, 1024, 65535, 65536, 65537, 300_000]
+
+
+def _task(index, iterations=2, bits=256, fail=False, **fields):
+    """A small bank task; ``fail`` gives it an odd row width, which
+    ``run_bank_task`` rejects with a ``ConfigurationError``."""
+    width = bits + 1 if fail else bits
+    return BankTask(**{
+        "thermal_key": derive_key(2021, "remote-test", index),
+        "probabilities": np.linspace(0.1, 0.9, width),
+        "iterations": iterations,
+        "block_slices": ((0, bits // 2), (bits // 2, bits)),
+        "entropy_per_block": 8.0, "first_iteration": index, **fields})
+
+
+def _tasks(n, **kwargs):
+    return [_task(index, **kwargs) for index in range(n)]
+
+
+def _bits(results):
+    """Comparable form of a result list (``BankResult`` has no ==)."""
+    return [(r.digests, r.raw, r.iterations, r.digest_bits, r.raw_bits)
+            for r in results]
+
+
+def _expected(tasks):
+    return _bits(run_bank_task(task) for task in tasks)
+
+
+def _task_fields(task):
+    return (tuple(task.thermal_key), task.probabilities.tobytes(),
+            task.iterations, tuple(map(tuple, task.block_slices)),
+            task.entropy_per_block, task.use_builtin_sha,
+            task.collect_raw, task.first_iteration)
 
 
 @pytest.fixture()
@@ -64,6 +95,12 @@ def sock_pair():
     yield left, right
     left.close()
     right.close()
+
+
+def _send_in_thread(sock, message):
+    sender = threading.Thread(target=wire.send_frame, args=(sock, message))
+    sender.start()
+    return sender
 
 
 class TestFrameCodec:
@@ -133,24 +170,24 @@ class TestFrameCodec:
 
     def test_message_round_trip(self, sock_pair):
         left, right = sock_pair
-        message = (wire.RESULT, {"bits": np.arange(5), "n": 5})
-        sender = threading.Thread(target=wire.send_frame,
-                                  args=(left, message))
-        sender.start()
-        kind, payload = wire.recv_frame(right)
-        sender.join()
-        assert kind == wire.RESULT
-        np.testing.assert_array_equal(payload["bits"], np.arange(5))
+        for message, body in [((wire.PING,), None),
+                              ((wire.ERROR, "no such round ✗"),
+                               "no such round ✗"),
+                              ((wire.ROUND_RESULT, []), [])]:
+            sender = _send_in_thread(left, message)
+            kind, payload = wire.recv_frame(right)
+            sender.join()
+            assert (kind, payload) == (message[0], body)
 
     def test_garbage_payload_raises_remote_error(self, sock_pair):
         left, right = sock_pair
-        wire.send_raw_frame(left, b"\x80\x05 not a pickle")
+        wire.send_raw_frame(left, b"\x80\x05 not a message")
         with pytest.raises(RemoteExecutionError):
             wire.recv_frame(right)
 
 
 class TestPackedPayloadRoundTrip:
-    """Packed results across pickle + frame, randomized."""
+    """Packed results across encode + frame, randomized."""
 
     #: (iterations, digest_bits, raw_bits) shapes, from the 0-bit
     #: degenerate through a >64 KiB-frame round.
@@ -172,12 +209,10 @@ class TestPackedPayloadRoundTrip:
             iterations=iterations, digest_bits=digest_bits,
             raw_bits=raw_bits)
 
-        sender = threading.Thread(target=wire.send_frame,
-                                  args=(left, (wire.RESULT, result)))
-        sender.start()
-        kind, shipped = wire.recv_frame(right)
+        sender = _send_in_thread(left, (wire.ROUND_RESULT, [result]))
+        kind, (shipped,) = wire.recv_frame(right)
         sender.join()
-        assert kind == wire.RESULT
+        assert kind == wire.ROUND_RESULT
         np.testing.assert_array_equal(shipped.digest_matrix(), digests)
         if raw is None:
             assert shipped.raw_matrix() is None
@@ -197,96 +232,65 @@ class TestPackedPayloadRoundTrip:
 
     def test_packed_frame_is_an_eighth_of_unpacked(self):
         bits = np.ones((64, 4096), dtype=np.uint8)
-        packed = pickle.dumps(BankResult(
+        payload = wire.encode(wire.ROUND_RESULT, [BankResult(
             digests=_pack_matrix(bits), raw=None, iterations=64,
-            digest_bits=4096))
-        assert len(packed) * 7 < len(pickle.dumps(bits))
-
-
-def _double(x):
-    return 2 * x
-
-
-def _boom(x):
-    raise ValueError(f"boom on {x}")
-
-
-def _unshippable_for_one(x):
-    """A result that cannot pickle (a closure) for x == 1 only."""
-    return (lambda: x) if x == 1 else x
+            digest_bits=4096)])
+        assert len(payload) * 7 < bits.nbytes
 
 
 class TestRoundFrames:
-    """RoundShard / multi-result frames through the same fuzz mill."""
-
-    def _random_shard(self, rng, n_tasks):
-        tasks = tuple(
-            rng.integers(0, 256, int(size), dtype=np.uint8).tobytes()
-            for size in rng.integers(0, 4000, n_tasks))
-        return wire.RoundShard(start=int(rng.integers(0, 64)),
-                               tasks=tasks)
+    """Round / multi-result frames through the same fuzz mill."""
 
     @pytest.mark.parametrize("n_tasks", [1, 2, 7, 40])
     def test_round_shard_frame_round_trip(self, sock_pair, n_tasks):
         left, right = sock_pair
-        shard = self._random_shard(np.random.default_rng(n_tasks),
-                                   n_tasks)
-        sender = threading.Thread(
-            target=wire.send_frame,
-            args=(left, (wire.ROUND, _double, shard)))
-        sender.start()
-        kind, fn, shipped = wire.recv_frame(right)
+        tasks = [_task(index, iterations=index + 1,
+                       bits=64 * (index % 4 + 1), collect_raw=bool(index % 2),
+                       use_builtin_sha=bool(index % 3 == 0))
+                 for index in range(n_tasks)]
+        sender = _send_in_thread(left, (wire.ROUND, tasks))
+        kind, shipped = wire.recv_frame(right)
         sender.join()
         assert kind == wire.ROUND
-        assert shipped == shard
-        assert fn(3) == 6
+        assert [_task_fields(t) for t in shipped] == \
+            [_task_fields(t) for t in tasks]
 
     def test_oversized_shard_round_trips_in_one_frame(self, sock_pair):
-        # An oversized shard -- hundreds of tasks, megabytes of
-        # payload, far past any single-task frame -- must still travel
-        # as ONE frame and come back intact.
+        # Hundreds of tasks, megabytes of probabilities, far past any
+        # single-task frame -- still ONE frame, intact.
         left, right = sock_pair
-        rng = np.random.default_rng(4242)
-        shard = wire.RoundShard(
-            start=0,
-            tasks=tuple(rng.integers(0, 256, 16384, dtype=np.uint8)
-                        .tobytes() for _ in range(300)))
-        sender = threading.Thread(target=wire.send_frame,
-                                  args=(left, (wire.ROUND, _double,
-                                               shard)))
-        sender.start()
-        kind, _fn, shipped = wire.recv_frame(right)
+        tasks = _tasks(300, bits=2048)
+        sender = _send_in_thread(left, (wire.ROUND, tasks))
+        payload = wire.recv_raw_frame(right)
         sender.join()
+        assert len(payload) > 300 * 2048 * 8
+        kind, shipped = wire.decode(payload)
         assert kind == wire.ROUND
-        assert shipped == shard
+        assert [_task_fields(t) for t in shipped] == \
+            [_task_fields(t) for t in tasks]
 
     def test_multi_result_frame_round_trip(self, sock_pair):
         # A packed multi-bank result frame: one frame, many
-        # BankResults, bit-exact after pickle + framing.
+        # BankResults, bit-exact after encoding + framing.
         left, right = sock_pair
         rng = np.random.default_rng(99)
         matrices = [rng.integers(0, 2, (4, 512), dtype=np.uint8)
                     for _ in range(6)]
-        slots = [(wire.SLOT_OK, BankResult(
-            digests=_pack_matrix(matrix), raw=None, iterations=4,
-            digest_bits=512)) for matrix in matrices]
-        sender = threading.Thread(
-            target=wire.send_frame,
-            args=(left, (wire.ROUND_RESULT, slots)))
-        sender.start()
+        slots = [BankResult(digests=_pack_matrix(matrix), raw=None,
+                            iterations=4, digest_bits=512)
+                 for matrix in matrices]
+        sender = _send_in_thread(left, (wire.ROUND_RESULT, slots))
         kind, shipped = wire.recv_frame(right)
         sender.join()
         assert kind == wire.ROUND_RESULT
-        assert wire.valid_round_slots(shipped, len(matrices))
-        for (status, result), matrix in zip(shipped, matrices):
-            assert status == wire.SLOT_OK
+        assert len(shipped) == len(matrices)
+        for result, matrix in zip(shipped, matrices):
             np.testing.assert_array_equal(result.digest_matrix(), matrix)
 
     def test_fragmented_round_frame_reassembles(self, sock_pair):
         left, right = sock_pair
-        shard = wire.RoundShard(start=3, tasks=(b"alpha", b"beta"))
-        frame = wire.pack_frame(pickle.dumps((wire.ROUND, _double,
-                                              shard)))
+        tasks = _tasks(2, bits=64)
+        frame = wire.pack_frame(wire.encode(wire.ROUND, tasks))
 
         def drip():
             for start in range(0, len(frame), 5):
@@ -295,71 +299,293 @@ class TestRoundFrames:
 
         sender = threading.Thread(target=drip)
         sender.start()
-        kind, _fn, shipped = wire.recv_frame(right)
+        kind, shipped = wire.recv_frame(right)
         sender.join()
         assert kind == wire.ROUND
-        assert shipped == shard
+        assert [_task_fields(t) for t in shipped] == \
+            [_task_fields(t) for t in tasks]
 
     def test_truncated_round_frame_raises(self, sock_pair):
         left, right = sock_pair
-        frame = wire.pack_frame(pickle.dumps(
-            (wire.ROUND, _double,
-             wire.RoundShard(start=0, tasks=(b"x" * 1000,)))))
+        frame = wire.pack_frame(wire.encode(wire.ROUND, _tasks(3)))
         left.sendall(frame[:len(frame) // 2])
         left.close()
         with pytest.raises(wire.ConnectionClosed):
             wire.recv_frame(right)
 
     def test_run_round_shard_executes_in_order(self):
-        shard = wire.RoundShard(start=0, tasks=(1, 2, 3))
-        slots = run_round_shard(_double, shard)
-        assert slots == [(wire.SLOT_OK, 2), (wire.SLOT_OK, 4),
-                         (wire.SLOT_OK, 6)]
-        assert wire.valid_round_slots(slots, 3)
+        tasks = _tasks(3)
+        assert _bits(run_round_shard(tasks)) == _expected(tasks)
 
     def test_run_round_shard_isolates_task_failures(self):
         # One task raising must not abort the shard: its slot carries
-        # the exception, the later tasks still ran.
-        shard = wire.RoundShard(start=0, tasks=(1, 2, 3))
-
-        def picky(x):
-            if x == 2:
-                raise ValueError("two is right out")
-            return x
-
-        slots = run_round_shard(picky, shard)
-        assert [status for status, _ in slots] == \
-            [wire.SLOT_OK, wire.SLOT_ERROR, wire.SLOT_OK]
-        assert isinstance(slots[1][1], ValueError)
-        assert slots[2][1] == 3
+        # the error, the later tasks still ran.
+        tasks = [_task(0), _task(1, fail=True), _task(2)]
+        slots = run_round_shard(tasks)
+        assert isinstance(slots[1], wire.TaskError)
+        assert slots[1].type_name == "ConfigurationError"
+        assert "even row width" in slots[1].message
+        assert _bits([slots[0], slots[2]]) == \
+            _expected([tasks[0], tasks[2]])
 
     def test_valid_round_slots_rejects_malformed_bodies(self):
-        ok = [(wire.SLOT_OK, 1), (wire.SLOT_ERROR, ValueError("x"))]
-        assert wire.valid_round_slots(ok, 2)
-        # Wrong count, wrong shapes, wrong markers, wrong container.
-        assert not wire.valid_round_slots(ok, 3)
-        assert not wire.valid_round_slots(ok[:1], 2)
-        assert not wire.valid_round_slots([(wire.SLOT_OK,)], 1)
-        assert not wire.valid_round_slots([("nope", 1)], 1)
-        assert not wire.valid_round_slots([[wire.SLOT_OK, 1]], 1)
-        assert not wire.valid_round_slots("slots", 5)
-        assert not wire.valid_round_slots(None, 0)
-        # Fuzzed garbage shapes never validate.
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            n = int(rng.integers(0, 6))
-            body = [tuple(rng.integers(0, 9, int(rng.integers(0, 4))))
-                    for _ in range(n)]
-            assert not wire.valid_round_slots(body, n) or n == 0 \
-                and body == []
+        # The decoder holds every round_result body to its schema:
+        # slot tags, the raw-present flag, byte counts, trailing bytes.
+        good = [BankResult(digests=b"\x01\x02", raw=None, iterations=2,
+                           digest_bits=8),
+                wire.TaskError("ValueError", "x")]
+        payload = wire.encode(wire.ROUND_RESULT, good)
+        kind, slots = wire.decode(payload)
+        assert kind == wire.ROUND_RESULT and slots[1] == good[1]
+        head = wire.MESSAGE_HEADER.size
+        first_slot = head + 4
+        mutations = [
+            _patched(payload, head, struct.pack(">I", 3)),       # count
+            _patched(payload, head, struct.pack(">I", 2 ** 32 - 1)),
+            _patched(payload, first_slot, b"\x07"),              # tag
+            _patched(payload, first_slot + 1 + 12, b"\x02"),     # raw flag
+            _patched(payload, first_slot + 1,                    # counts
+                     struct.pack(">I", 2 ** 32 - 1)),
+            payload + b"\x00",                                   # trailing
+        ]
+        for bad in mutations:
+            with pytest.raises(RemoteExecutionError):
+                wire.decode(bad)
+
+
+def _patched(payload, offset, replacement):
+    """``payload`` with ``replacement`` written at ``offset``."""
+    return payload[:offset] + replacement + \
+        payload[offset + len(replacement):]
+
+
+# ----------------------------------------------------------------------
+# Decoder fuzz
+# ----------------------------------------------------------------------
+
+_u32 = st.integers(0, 2 ** 32 - 1)
+
+
+@st.composite
+def _bank_tasks(draw):
+    bits = draw(st.integers(0, 48))
+    probabilities = np.array(
+        draw(st.lists(st.floats(0.0, 1.0), min_size=bits, max_size=bits)),
+        dtype=np.float64)
+    slices = []
+    if bits:
+        for _ in range(draw(st.integers(0, 4))):
+            start = draw(st.integers(0, bits - 1))
+            slices.append((start, draw(st.integers(start + 1, bits))))
+    return BankTask(
+        thermal_key=tuple(draw(st.lists(_u32, max_size=9))),
+        probabilities=probabilities,
+        iterations=draw(_u32),
+        block_slices=tuple(slices),
+        entropy_per_block=draw(st.floats(allow_nan=False,
+                                         allow_infinity=False)),
+        use_builtin_sha=draw(st.booleans()),
+        collect_raw=draw(st.booleans()),
+        first_iteration=draw(st.integers(0, 2 ** 64 - 1)))
+
+
+@st.composite
+def _slots(draw):
+    if draw(st.booleans()):
+        return wire.TaskError(draw(st.text(max_size=20)),
+                              draw(st.text(max_size=80)))
+    iterations = draw(st.integers(0, 40))
+    digest_bits = draw(st.integers(0, 300))
+    raw_bits = draw(st.integers(0, 300))
+    collected = draw(st.booleans())
+
+    def packed(columns):
+        return draw(st.binary(min_size=(iterations * columns + 7) // 8,
+                              max_size=(iterations * columns + 7) // 8))
+
+    return BankResult(digests=packed(digest_bits),
+                      raw=packed(raw_bits) if collected else None,
+                      iterations=iterations, digest_bits=digest_bits,
+                      raw_bits=raw_bits)
+
+
+def _slot_fields(slot):
+    if isinstance(slot, wire.TaskError):
+        return slot
+    return _bits([slot])[0]
+
+
+def _valid_payloads():
+    """A valid payload of every message kind."""
+    tasks = [_task(0, bits=64), _task(1, bits=32, collect_raw=True)]
+    return [wire.encode(wire.ROUND, tasks),
+            wire.encode(wire.ROUND_RESULT,
+                        run_round_shard(tasks) + [wire.TaskError("E", "m")]),
+            wire.encode(wire.ERROR, "refused"),
+            wire.encode(wire.PING), wire.encode(wire.PONG),
+            wire.encode(wire.SHUTDOWN)]
+
+
+def _decode_or_reject(payload):
+    """Decode, letting only RemoteExecutionError through as a verdict."""
+    try:
+        return wire.decode(payload)
+    except RemoteExecutionError:
+        return None
+
+
+class TestDecoderFuzz:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_bank_tasks(), max_size=4))
+    def test_round_trip_of_random_tasks(self, tasks):
+        kind, shipped = wire.decode(wire.encode(wire.ROUND, tasks))
+        assert kind == wire.ROUND
+        assert [_task_fields(t) for t in shipped] == \
+            [_task_fields(t) for t in tasks]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_slots(), max_size=4))
+    def test_round_trip_of_random_results(self, slots):
+        kind, shipped = wire.decode(wire.encode(wire.ROUND_RESULT, slots))
+        assert kind == wire.ROUND_RESULT
+        assert [_slot_fields(s) for s in shipped] == \
+            [_slot_fields(s) for s in slots]
+
+    def test_every_truncation_raises_remote_error(self):
+        for payload in _valid_payloads():
+            for cut in range(len(payload)):
+                with pytest.raises(RemoteExecutionError):
+                    wire.decode(payload[:cut])
+
+    def test_trailing_garbage_raises_remote_error(self):
+        for payload in _valid_payloads():
+            with pytest.raises(RemoteExecutionError, match="trailing"):
+                wire.decode(payload + b"\x00\x01")
+
+    @pytest.mark.parametrize("field,value", [
+        (0, b"PKL\x80"), (1, wire.SCHEMA_VERSION + 1),
+        (2, STREAM_EPOCH + 1), (3, 99)])
+    def test_foreign_header_raises_remote_error(self, field, value):
+        header = [wire.MAGIC, wire.SCHEMA_VERSION, STREAM_EPOCH, wire.PING]
+        header[field] = value
+        with pytest.raises(RemoteExecutionError):
+            wire.decode(wire.MESSAGE_HEADER.pack(*header))
+
+    @pytest.mark.parametrize("field,value", [
+        (0, 2 ** 16 - 1), (1, 2 ** 32 - 1), (2, 2 ** 32 - 1)])
+    def test_oversized_task_counts_raise_remote_error(self, field, value):
+        # Key words, probabilities, block slices: each count is checked
+        # against the bytes present before anything is allocated.
+        payload = wire.encode(wire.ROUND, [_task(0, bits=16)])
+        offset = wire.MESSAGE_HEADER.size + 4
+        fields = list(wire._TASK.unpack_from(payload, offset))
+        fields[field] = value
+        bad = _patched(payload, offset, wire._TASK.pack(*fields))
+        with pytest.raises(RemoteExecutionError):
+            wire.decode(bad)
+
+    def test_oversized_result_counts_raise_remote_error(self):
+        payload = wire.encode(wire.ROUND_RESULT, [BankResult(
+            digests=b"\x00", raw=b"\x00", iterations=1, digest_bits=8,
+            raw_bits=8)])
+        offset = wire.MESSAGE_HEADER.size + 4 + 1
+        for fields in [(2 ** 32 - 1, 2 ** 32 - 1, 8, 1),
+                       (1, 8, 2 ** 32 - 1, 1)]:
+            with pytest.raises(RemoteExecutionError):
+                wire.decode(_patched(payload, offset,
+                                     wire._RESULT.pack(*fields)))
+
+    @pytest.mark.parametrize("block_slices", [
+        ((0, 17),), ((5, 5),), ((9, 3),), ((0, 8), (8, 2 ** 32 - 1))])
+    def test_block_slices_outside_probabilities_raise(self, block_slices):
+        payload = wire.encode(wire.ROUND, [_task(
+            0, bits=16, block_slices=block_slices)])
+        with pytest.raises(RemoteExecutionError, match="block slices"):
+            wire.decode(payload)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.5])
+    def test_bad_probabilities_raise(self, bad):
+        probabilities = np.full(16, 0.5)
+        probabilities[7] = bad
+        payload = wire.encode(wire.ROUND, [_task(
+            0, bits=16, probabilities=probabilities)])
+        with pytest.raises(RemoteExecutionError, match="probabilities"):
+            wire.decode(payload)
+
+    def test_non_finite_entropy_and_unknown_flags_raise(self):
+        with pytest.raises(RemoteExecutionError, match="entropy"):
+            wire.decode(wire.encode(wire.ROUND, [_task(
+                0, entropy_per_block=float("nan"))]))
+        payload = wire.encode(wire.ROUND, [_task(0)])
+        flags_at = wire.MESSAGE_HEADER.size + 4 + wire._TASK.size - 1
+        with pytest.raises(RemoteExecutionError, match="flags"):
+            wire.decode(_patched(payload, flags_at, b"\x04"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_corruption_raises_only_remote_error(self, data):
+        payloads = _valid_payloads()
+        payload = bytearray(data.draw(st.sampled_from(payloads)))
+        for _ in range(data.draw(st.integers(1, 4))):
+            at = data.draw(st.integers(0, len(payload) - 1))
+            payload[at] = data.draw(st.integers(0, 255))
+        _decode_or_reject(bytes(payload))
+
+    def test_unencodable_task_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError):
+            wire.encode(wire.ROUND, [_task(0, thermal_key=(2 ** 32,))])
+        with pytest.raises(ConfigurationError):
+            wire.encode(wire.ROUND, [_task(0, iterations=-1)])
+        with pytest.raises(ConfigurationError):
+            wire.encode(wire.ROUND_RESULT, [BankResult(
+                digests=b"\x00", raw=None, iterations=2, digest_bits=8)])
+
+
+class TestNoPickle:
+    def test_remote_package_never_names_pickle(self):
+        for module in (remote_package, wire, worker):
+            assert "pickle" not in inspect.getsource(module)
+
+    def test_draw_through_threaded_serve_never_unpickles(
+            self, small_geometry, entropy_scale, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pickle used on the remote path")
+
+        monkeypatch.setattr(pickle, "loads", refuse)
+        monkeypatch.setattr(pickle, "Unpickler", refuse)
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        stop = threading.Event()
+        server = threading.Thread(target=worker.serve, args=(port,),
+                                  kwargs={"stop": stop}, daemon=True)
+        server.start()
+        module = build_module(spec_by_name("M13"), small_geometry)
+
+        def draw(backend):
+            return QuacTrng(module, entropy_per_block=256.0 * entropy_scale,
+                            backend=backend).random_bits(4096)
+
+        backend = RemoteBackend(addresses=[("127.0.0.1", port)])
+        try:
+            deadline = time.monotonic() + 10.0
+            while not all(backend.ping()):
+                assert time.monotonic() < deadline, "worker never listened"
+                backend._links[0].revive()
+                time.sleep(0.05)
+            np.testing.assert_array_equal(draw(backend),
+                                          draw(SerialBackend()))
+        finally:
+            backend.close()
+            stop.set()
+            server.join(timeout=5)
 
 
 class _ScriptedWorker:
-    """A fake worker thread speaking whatever protocol the test wants.
+    """A fake worker thread speaking whatever the test wants.
 
     ``handler(conn)`` is invoked once per accepted connection with the
-    raw socket; helpers below implement the per-task-only (version 1)
-    behaviour and deliberately corrupt round replies.
+    raw socket.
     """
 
     def __init__(self, handler):
@@ -378,6 +604,8 @@ class _ScriptedWorker:
             return
         try:
             self._handler(conn)
+        except (OSError, RemoteExecutionError):
+            pass
         finally:
             conn.close()
 
@@ -386,328 +614,208 @@ class _ScriptedWorker:
         self._thread.join(timeout=5)
 
 
-class TestVersionNegotiation:
-    def test_round_backend_negotiates_version_2(self):
-        backend = RemoteBackend(cluster=LocalCluster(1),
-                                round_execution=True)
-        try:
-            assert backend.submit_round(abs, [-1, -2]).result() == [1, 2]
-            assert backend._links[0].protocol == wire.PROTOCOL_VERSION
-        finally:
-            backend.close()
+def _fails_and_kills_the_link(handler, n_tasks=3):
+    worker_ = _ScriptedWorker(handler)
+    backend = RemoteBackend(addresses=[worker_.address])
+    try:
+        with pytest.raises(RemoteExecutionError):
+            backend.submit_round(run_bank_task, _tasks(n_tasks)).result()
+        assert backend._links[0].dead
+    finally:
+        backend.close()
+        worker_.close()
 
-    def test_round_client_falls_back_against_per_task_worker(self):
-        # The protocol-version-mismatch handshake: a round-capable
-        # client against a worker clamped to the per-task protocol
-        # (exactly a pre-round build: hello/round answered as unknown
-        # message kinds) must degrade to task shipping on the same
-        # healthy connection -- right results, live link, one round
-        # trip per task instead of one per shard.
-        backend = RemoteBackend(
-            cluster=LocalCluster(1,
-                                 worker_args=["--protocol-version", "1"]),
-            round_execution=True)
-        try:
-            before = backend.request_count()
-            assert backend.submit_round(abs, [-1, -2, -3]).result() == \
-                [1, 2, 3]
-            link = backend._links[0]
-            assert link.protocol == 1
-            assert not link.dead
-            # 1 hello + 3 per-task trips; a round shard would be 2.
-            assert backend.request_count() - before == 4
-            # The verdict is cached: the next round skips the
-            # handshake and goes straight to per-task shipping.
-            before = backend.request_count()
-            assert backend.submit_round(abs, [-5, -6]).result() == [5, 6]
-            assert backend.request_count() - before == 2
-        finally:
-            backend.close()
+
+class TestVersionNegotiation:
+    """Reply validation on the one protocol.
+
+    The per-message header (magic, schema version, stream epoch)
+    replaced the old ``hello`` handshake, so what remains of version
+    negotiation is this: any reply the schema rejects, or that does
+    not answer the round it was sent for, kills the link.
+    """
 
     def test_round_protocol_spends_one_trip_per_host(self):
-        backend = RemoteBackend(cluster=LocalCluster(1),
-                                round_execution=True)
-        try:
-            backend.submit_round(abs, [-9]).result()   # connect + hello
-            before = backend.request_count()
-            assert backend.submit_round(abs, list(range(-8, 0))) \
-                .result() == list(range(8, 0, -1))
-            assert backend.request_count() - before == 1
-        finally:
-            backend.close()
-
-    def test_per_task_protocol_needs_no_handshake(self):
-        # round_execution=False must stay wire-identical to PR 4: no
-        # hello, one trip per task, protocol never negotiated.
+        # No handshake: a fresh link's first round is its first
+        # request, and a whole round costs one trip per host.
         backend = RemoteBackend(cluster=LocalCluster(1))
         try:
-            assert backend.run_round(abs, [-1, -2]) == [1, 2]
-            link = backend._links[0]
-            assert link.protocol is None
-            assert link.requests == 2
+            tasks = _tasks(8)
+            assert _bits(backend.run_round(run_bank_task, tasks)) == \
+                _expected(tasks)
+            assert backend.request_count() == 1
         finally:
             backend.close()
 
     def test_malformed_hello_reply_marks_worker_dead(self):
-        # A peer answering the handshake with garbage (a hello whose
-        # version is not a number) has violated the protocol: dead
-        # link, loud failure -- never a TypeError deep in a dispatch,
-        # never a live link with a poisoned verdict.
+        # The header is the version statement now: a reply stamped
+        # with another schema version is a peer this build cannot
+        # read -- dead link, loud failure.
         def handler(conn):
-            wire.recv_frame(conn)                   # hello
-            wire.send_frame(conn, (wire.HELLO, "newest"))
+            wire.recv_frame(conn)
+            wire.send_raw_frame(conn, wire.MESSAGE_HEADER.pack(
+                wire.MAGIC, wire.SCHEMA_VERSION + 1, STREAM_EPOCH,
+                wire.ROUND_RESULT))
 
-        worker = _ScriptedWorker(handler)
-        backend = RemoteBackend(addresses=[worker.address],
-                                round_execution=True)
-        try:
-            with pytest.raises(RemoteExecutionError):
-                backend.submit_round(abs, [-1, -2]).result()
-            assert backend._links[0].dead
-        finally:
-            backend.close()
-            worker.close()
+        _fails_and_kills_the_link(handler)
 
     def test_malformed_round_result_marks_worker_dead(self):
-        # A "worker" that claims version 2 but answers a round with a
-        # wrong-arity slot list has desynchronized the conversation:
+        # A wrong-arity slot list has desynchronized the conversation:
         # dead link, loud failure, no retry spin.
         def handler(conn):
-            kind, *_ = wire.recv_frame(conn)        # hello
-            assert kind == wire.HELLO
-            wire.send_frame(conn, (wire.HELLO, wire.PROTOCOL_VERSION))
-            wire.recv_frame(conn)                   # the round
+            _kind, tasks = wire.recv_frame(conn)
             wire.send_frame(conn, (wire.ROUND_RESULT,
-                                   [(wire.SLOT_OK, 1)]))  # arity 1 != 3
+                                   run_round_shard(tasks[:1])))
 
-        worker = _ScriptedWorker(handler)
-        backend = RemoteBackend(addresses=[worker.address],
-                                round_execution=True)
-        try:
-            with pytest.raises(RemoteExecutionError):
-                backend.submit_round(abs, [-1, -2, -3]).result()
-            assert backend._links[0].dead
-        finally:
-            backend.close()
-            worker.close()
+        _fails_and_kills_the_link(handler)
 
     def test_bare_tuple_round_reply_marks_worker_dead(self):
-        # A reply that is a bare kind marker (or any shape the client
-        # would have to index blindly) is a protocol violation: dead
-        # link and a loud RemoteExecutionError, never an IndexError
-        # recorded against the tasks.
+        # A reply that is a bare header with no body is a protocol
+        # violation: dead link and a loud RemoteExecutionError.
         def handler(conn):
-            wire.recv_frame(conn)                   # hello
-            wire.send_frame(conn, (wire.HELLO, wire.PROTOCOL_VERSION))
-            wire.recv_frame(conn)                   # the round
-            wire.send_frame(conn, (wire.ROUND_RESULT,))
+            wire.recv_frame(conn)
+            wire.send_raw_frame(conn, wire.MESSAGE_HEADER.pack(
+                wire.MAGIC, wire.SCHEMA_VERSION, STREAM_EPOCH,
+                wire.ROUND_RESULT))
 
-        worker = _ScriptedWorker(handler)
-        backend = RemoteBackend(addresses=[worker.address],
-                                round_execution=True)
-        try:
-            with pytest.raises(RemoteExecutionError):
-                backend.submit_round(abs, [-1, -2]).result()
-            assert backend._links[0].dead
-        finally:
-            backend.close()
-            worker.close()
+        _fails_and_kills_the_link(handler)
 
     def test_absurd_round_reply_header_marks_worker_dead(self):
-        # The round-protocol twin of the absurd-header codec test: a
-        # corrupt length prefix in a round reply kills the link.
+        # A corrupt length prefix in a round reply kills the link.
         def handler(conn):
-            wire.recv_frame(conn)                   # hello
-            wire.send_frame(conn, (wire.HELLO, wire.PROTOCOL_VERSION))
-            wire.recv_frame(conn)                   # the round
+            wire.recv_frame(conn)
             conn.sendall(wire.HEADER.pack(wire.MAX_FRAME_BYTES + 1))
 
-        worker = _ScriptedWorker(handler)
-        backend = RemoteBackend(addresses=[worker.address],
-                                round_execution=True)
-        try:
-            with pytest.raises(RemoteExecutionError):
-                backend.submit_round(abs, [-1, -2]).result()
-            assert backend._links[0].dead
-        finally:
-            backend.close()
-            worker.close()
+        _fails_and_kills_the_link(handler)
 
     def test_worker_dying_mid_round_reply_parks_the_shard(self):
-        # Truncation fuzz against the live dispatch: the peer sends
-        # half a round reply and vanishes.  With no survivors the
-        # dispatch must fail loudly (never hang, never half-fill).
+        # Truncation against the live dispatch: the peer sends half a
+        # round reply and vanishes.  With no survivors the dispatch
+        # must fail loudly (never hang, never half-fill).
         def handler(conn):
-            wire.recv_frame(conn)                   # hello
-            wire.send_frame(conn, (wire.HELLO, wire.PROTOCOL_VERSION))
-            wire.recv_frame(conn)                   # the round
-            frame = wire.pack_frame(pickle.dumps(
-                (wire.ROUND_RESULT, [(wire.SLOT_OK, 1)] * 3)))
-            conn.sendall(frame[:len(frame) // 2])   # ...and die
+            _kind, tasks = wire.recv_frame(conn)
+            frame = wire.pack_frame(wire.encode(wire.ROUND_RESULT,
+                                                run_round_shard(tasks)))
+            conn.sendall(frame[:len(frame) // 2])
 
-        worker = _ScriptedWorker(handler)
-        backend = RemoteBackend(addresses=[worker.address],
-                                round_execution=True)
-        try:
-            with pytest.raises(RemoteExecutionError):
-                backend.submit_round(abs, [-1, -2, -3]).result()
-            assert backend._links[0].dead
-        finally:
-            backend.close()
-            worker.close()
+        _fails_and_kills_the_link(handler)
 
     def test_shard_task_exception_lands_on_its_slot(self):
-        # Through a real worker: one failing task in a round shard
-        # re-raises at join, and the backend survives.
-        backend = RemoteBackend(
-            cluster=LocalCluster(
-                1, extra_sys_paths=[os.path.dirname(__file__)]),
-            round_execution=True)
+        # Through a real worker: one failing task re-raises at join as
+        # a RemoteExecutionError naming the worker-side type, and the
+        # backend survives.
+        backend = RemoteBackend(cluster=LocalCluster(1))
         try:
-            pending = backend.submit_round(_boom, [1])
-            with pytest.raises(ValueError, match="boom on 1"):
+            pending = backend.submit_round(run_bank_task,
+                                           [_task(1, fail=True)])
+            with pytest.raises(RemoteExecutionError,
+                               match="ConfigurationError.*even row"):
                 pending.result()
             assert not backend._links[0].dead
-            assert backend.submit_round(abs, [-4]).result() == [4]
+            tasks = _tasks(1)
+            assert _bits(backend.run_round(run_bank_task, tasks)) == \
+                _expected(tasks)
         finally:
             backend.close()
 
     def test_unshippable_result_fails_its_slot_not_the_shard(self):
-        # One task's result refusing to pickle must fail that task
-        # alone -- its shard-mates' results still ship, exactly as
-        # per-task shipping would have it.
-        backend = RemoteBackend(
-            cluster=LocalCluster(
-                1, extra_sys_paths=[os.path.dirname(__file__)]),
-            round_execution=True)
+        # A task the worker cannot produce a result for fails that task
+        # alone -- its shard-mates' results still ship.
+        backend = RemoteBackend(cluster=LocalCluster(1))
         try:
-            pending = backend.submit_round(_unshippable_for_one,
-                                           [0, 1, 2])
+            tasks = [_task(0), _task(1, fail=True), _task(2)]
+            pending = backend.submit_round(run_bank_task, tasks)
             with pytest.raises(RemoteExecutionError,
-                               match="could not be shipped"):
+                               match="ConfigurationError"):
                 pending.result()
-            # The good slots landed; only task 1's slot raises.
-            assert pending._slots[0] == ("ok", 0)
-            assert pending._slots[2] == ("ok", 2)
-            assert pending._slots[1][0] == "raise"
+            assert _bits([pending._slots[0], pending._slots[2]]) == \
+                _expected([tasks[0], tasks[2]])
+            assert isinstance(pending._slots[1], RemoteExecutionError)
             assert not backend._links[0].dead
-            assert backend.submit_round(abs, [-4]).result() == [4]
         finally:
             backend.close()
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class _StaleBankTask:
-    """``BankTask`` as an older build defines it: one child-RNG key per
-    draw, and no notion of a first iteration."""
-
-    key: Tuple[int, ...]
-    probabilities: np.ndarray
-    iterations: int
-    block_slices: Tuple[Tuple[int, int], ...]
-    entropy_per_block: float
-    use_builtin_sha: bool = False
-    collect_raw: bool = False
-
-
-def _stale_run_bank_task(task):
-    """An older build's ``run_bank_task``: it reads ``task.key`` and
-    draws from the start of that key's stream, ignoring any
-    ``first_iteration`` it does not know about."""
-    return run_bank_task(BankTask(
-        thermal_key=task.key, probabilities=task.probabilities,
-        iterations=task.iterations, block_slices=task.block_slices,
-        entropy_per_block=task.entropy_per_block,
-        use_builtin_sha=task.use_builtin_sha,
-        collect_raw=task.collect_raw))
-
-
-class _StaleBuildUnpickler(pickle.Unpickler):
-    """Resolve the task class and task function the way an older build
-    would: by name, to its own definitions."""
-
-    STALE = {("repro.core.parallel", "BankTask"): _StaleBankTask,
-             ("repro.core.parallel", "run_bank_task"):
-                 _stale_run_bank_task}
-
-    def find_class(self, module, name):
-        return self.STALE.get((module, name)) or \
-            super().find_class(module, name)
-
-
-def _worker_of_build(stale):
-    """A scripted version-2 worker handler; ``stale`` makes it resolve
-    shipped tasks with an older build's definitions."""
+def _worker_at_epoch(epoch):
+    """A scripted worker handler answering as a build at ``epoch``."""
     def handler(conn):
         while True:
-            try:
-                payload = wire.recv_raw_frame(conn)
-            except wire.ConnectionClosed:
-                return
-            if stale:
-                message = _StaleBuildUnpickler(io.BytesIO(payload)).load()
-            else:
-                message = pickle.loads(payload)
-            kind = message[0]
-            if kind == wire.HELLO:
-                reply = (wire.HELLO, wire.ROUND_PROTOCOL_VERSION)
-            elif kind == wire.TASK:
-                try:
-                    reply = (wire.RESULT, message[1](message[2]))
-                except Exception as exc:
-                    reply = (wire.ERROR, exc)
-            elif kind == wire.ROUND:
-                reply = (wire.ROUND_RESULT,
-                         run_round_shard(message[1], message[2]))
-            elif kind == wire.PING:
-                reply = (wire.PONG,)
-            else:
-                return
-            wire.send_frame(conn, reply)
+            payload = wire.recv_raw_frame(conn)
+            reply = worker.answer(payload, epoch)
+            wire.send_raw_frame(conn, wire.encode(*reply, epoch=epoch))
     return handler
 
 
 class TestStaleWorkerBuild:
-    """A worker running an older build must fail the draw, not serve
-    stale bits.
+    """A worker at another stream epoch must fail the draw, not serve
+    different bits.
 
-    Tasks ship ``run_bank_task`` and ``BankTask`` by reference, so a
-    worker resolves both to its *own* build's definitions.  An older
-    ``run_bank_task`` knows nothing of ``first_iteration``; were it
-    able to read the task's key, every task of a segment would return
-    the same iterations.  The key's field name differs between the
-    builds, so such a worker raises instead.
+    Every message carries the sender's ``STREAM_EPOCH``; a worker
+    reading a round stamped with another epoch refuses it without
+    running a task, and its reply (stamped with its own epoch) is one
+    the client refuses in turn.  ``per-task`` submits a draw's planned
+    tasks one per round, ``rounds`` draws through the generator.
     """
 
-    @pytest.mark.parametrize("round_execution", [False, True],
-                             ids=["per-task", "rounds"])
+    @pytest.mark.parametrize("shape", ["per-task", "rounds"])
     @pytest.mark.parametrize("stale", [False, True],
                              ids=["current", "stale"])
     def test_stale_worker_fails_closed(self, small_geometry,
-                                       entropy_scale, round_execution,
+                                       entropy_scale, monkeypatch, shape,
                                        stale):
         module = build_module(spec_by_name("M13"), small_geometry)
+        ran = []
+
+        def counted(task):
+            ran.append(task)
+            return run_bank_task(task)
+
+        monkeypatch.setattr(worker, "run_bank_task", counted)
+
+        def trng(backend):
+            return QuacTrng(module, entropy_per_block=256.0 * entropy_scale,
+                            backend=backend)
 
         def draw(backend):
-            trng = QuacTrng(module, entropy_per_block=256.0 * entropy_scale,
-                            backend=backend)
-            return trng.random_bits(4096)
+            if shape == "rounds":
+                return trng(backend).random_bits(4096).tobytes()
+            return [_bits(backend.run_round(run_bank_task, [task]))
+                    for task in trng(backend).plan_batch(4)]
 
-        worker = _ScriptedWorker(_worker_of_build(stale))
-        backend = RemoteBackend(addresses=[worker.address],
-                                round_execution=round_execution)
+        worker_ = _ScriptedWorker(_worker_at_epoch(
+            STREAM_EPOCH + 1 if stale else STREAM_EPOCH))
+        backend = RemoteBackend(addresses=[worker_.address])
         try:
             if stale:
-                with pytest.raises(AttributeError, match="key"):
+                with pytest.raises(RemoteExecutionError,
+                                   match="stream epoch"):
                     draw(backend)
+                assert ran == []
             else:
-                # Control: the same scripted worker on the current
-                # build serves the serial stream.
-                np.testing.assert_array_equal(draw(backend),
-                                              draw(SerialBackend()))
+                # Control: the same scripted worker at this build's
+                # epoch serves the serial stream.
+                assert draw(backend) == draw(SerialBackend())
+                assert ran
         finally:
             backend.close()
-            worker.close()
+            worker_.close()
+
+    def test_worker_refuses_foreign_frames_without_running_them(
+            self, monkeypatch):
+        def refuse(task):
+            raise AssertionError("a refused round ran a task")
+
+        monkeypatch.setattr(worker, "run_bank_task", refuse)
+        payload = wire.encode(wire.ROUND, _tasks(2))
+        for bad in (_patched(payload, 0, b"QUAX"),
+                    wire.encode(wire.ROUND, _tasks(2),
+                                epoch=STREAM_EPOCH + 1),
+                    _patched(payload, 4, struct.pack(
+                        ">H", wire.SCHEMA_VERSION + 1)),
+                    payload[:-1]):
+            kind, message = worker.answer(bad)
+            assert kind == wire.ERROR
+            assert "refused" in message
 
 
 class TestShardMap:
@@ -751,6 +859,29 @@ class TestShardMap:
             shard_map([1, 2], 0)
 
 
+def _one_shot_worker(reply):
+    """A listener whose worker reads one request and calls
+    ``reply(conn)``; returns ``(address, cleanup)``."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen()
+
+    def serve_once():
+        conn, _ = listener.accept()
+        wire.recv_frame(conn)
+        reply(conn)
+        conn.close()
+
+    server = threading.Thread(target=serve_once, daemon=True)
+    server.start()
+
+    def cleanup():
+        listener.close()
+        server.join(timeout=5)
+
+    return listener.getsockname(), cleanup
+
+
 class TestClusterAndFailureModel:
     @pytest.fixture(scope="class")
     def cluster_backend(self):
@@ -764,34 +895,40 @@ class TestClusterAndFailureModel:
 
     def test_killed_worker_tasks_requeue_onto_survivors(
             self, cluster_backend):
-        assert cluster_backend.run_round(abs, [-1]) == [1]   # links warm
-        pending = cluster_backend.submit_round(abs, list(range(-9, 0)))
+        assert all(cluster_backend.ping())                   # links warm
+        tasks = _tasks(9, iterations=64, bits=4096)
+        pending = cluster_backend.submit_round(run_bank_task, tasks)
         cluster_backend._cluster._procs[0].kill()
-        assert pending.result() == list(range(9, 0, -1))
+        assert _bits(pending.result()) == _expected(tasks)
         # The survivors keep serving the next rounds.
-        assert cluster_backend.run_round(abs, [-7, -8]) == [7, 8]
+        again = _tasks(2)
+        assert _bits(cluster_backend.run_round(run_bank_task, again)) == \
+            _expected(again)
         assert sum(link.dead for link in cluster_backend._links) == 1
 
     def test_fully_dead_cluster_raises_remote_error(self):
         backend = RemoteBackend(cluster=LocalCluster(2))
         try:
-            assert backend.run_round(abs, [-2]) == [2]
+            assert all(backend.ping())
             for proc in backend._cluster._procs:
                 proc.kill()
             for proc in backend._cluster._procs:
                 proc.wait()
             with pytest.raises(RemoteExecutionError):
-                backend.run_round(abs, [-1, -2, -3])
+                backend.run_round(run_bank_task, _tasks(3))
         finally:
             backend.close()
 
     def test_close_respawns_on_next_use(self):
         backend = RemoteBackend(cluster=LocalCluster(1))
         try:
-            assert backend.run_round(abs, [-5]) == [5]
+            tasks = _tasks(1)
+            assert _bits(backend.run_round(run_bank_task, tasks)) == \
+                _expected(tasks)
             backend.close()
             assert not backend._cluster.running
-            assert backend.run_round(abs, [-6]) == [6]   # respawned
+            assert _bits(backend.run_round(run_bank_task, tasks)) == \
+                _expected(tasks)                                # respawned
             assert backend._cluster.running
         finally:
             backend.close()
@@ -817,104 +954,72 @@ class TestClusterAndFailureModel:
 
     def test_unpicklable_fn_fails_the_task_not_the_backend(
             self, cluster_backend):
-        # A lambda cannot pickle by reference; the error must surface
-        # at join against the task (like a process pool's
-        # PicklingError), not crash a shard thread or hang.
-        with pytest.raises(Exception) as caught:
-            cluster_backend.run_round(lambda x: x, [1, 2])
+        # No function crosses the wire: anything but run_bank_task is
+        # the caller's configuration error at submit -- never a dead
+        # worker -- and the backend keeps serving.
+        with pytest.raises(ConfigurationError) as caught:
+            cluster_backend.run_round(lambda x: x, _tasks(2))
         assert not isinstance(caught.value, RemoteExecutionError)
-        assert cluster_backend.run_round(abs, [-4]) == [4]
+        tasks = _tasks(1)
+        assert _bits(cluster_backend.run_round(run_bank_task, tasks)) == \
+            _expected(tasks)
 
     def test_protocol_violation_marks_worker_dead_and_raises(self):
         # A "worker" that answers with a corrupt (absurd-length) frame
         # header desynchronizes the connection: the link must go dead
         # and the dispatch must fail loudly, never spin on retries.
-        listener = socket.socket()
-        listener.bind(("127.0.0.1", 0))
-        listener.listen()
-        address = listener.getsockname()
-
-        def bad_worker():
-            conn, _ = listener.accept()
-            wire.recv_frame(conn)          # swallow the task message
-            conn.sendall(wire.HEADER.pack(wire.MAX_FRAME_BYTES + 1))
-            conn.close()
-
-        server = threading.Thread(target=bad_worker, daemon=True)
-        server.start()
+        address, cleanup = _one_shot_worker(
+            lambda conn: conn.sendall(
+                wire.HEADER.pack(wire.MAX_FRAME_BYTES + 1)))
         backend = RemoteBackend(addresses=[address])
         try:
             with pytest.raises(RemoteExecutionError):
-                backend.run_round(abs, [-1])
+                backend.run_round(run_bank_task, _tasks(1))
             assert backend._links[0].dead
         finally:
             backend.close()
-            listener.close()
-            server.join(timeout=5)
+            cleanup()
 
     def test_ping_protocol_violation_is_false_not_raised(self):
         # ping() returns bool, period: a worker answering with a
         # corrupt frame is a dead link, not an exception out of a
         # liveness probe.
-        listener = socket.socket()
-        listener.bind(("127.0.0.1", 0))
-        listener.listen()
-        address = listener.getsockname()
-
-        def bad_worker():
-            conn, _ = listener.accept()
-            wire.recv_frame(conn)          # swallow the ping message
-            conn.sendall(wire.HEADER.pack(wire.MAX_FRAME_BYTES + 1))
-            conn.close()
-
-        server = threading.Thread(target=bad_worker, daemon=True)
-        server.start()
+        address, cleanup = _one_shot_worker(
+            lambda conn: conn.sendall(
+                wire.HEADER.pack(wire.MAX_FRAME_BYTES + 1)))
         backend = RemoteBackend(addresses=[address])
         try:
             assert backend.ping() == [False]
             assert backend._links[0].dead
         finally:
             backend.close()
-            listener.close()
-            server.join(timeout=5)
+            cleanup()
 
     def test_ping_answered_with_wrong_kind_marks_link_dead(self):
         # A well-formed but non-pong reply to a ping is a
         # desynchronized stream, same as a corrupt frame: the link
         # must go dead, not stay schedulable for the next round.
-        listener = socket.socket()
-        listener.bind(("127.0.0.1", 0))
-        listener.listen()
-        address = listener.getsockname()
-
-        def bad_worker():
-            conn, _ = listener.accept()
-            wire.recv_frame(conn)          # swallow the ping message
-            wire.send_frame(conn, (wire.RESULT, 42))   # stale reply
-            conn.close()
-
-        server = threading.Thread(target=bad_worker, daemon=True)
-        server.start()
+        address, cleanup = _one_shot_worker(
+            lambda conn: wire.send_frame(conn, (wire.ROUND_RESULT, [])))
         backend = RemoteBackend(addresses=[address])
         try:
             assert backend.ping() == [False]
             assert backend._links[0].dead
         finally:
             backend.close()
-            listener.close()
-            server.join(timeout=5)
+            cleanup()
 
     def test_done_goes_true_when_the_dispatch_fails_for_good(self):
         # A dispatch that lost every worker is *done with failure*
         # (like a failed future), so pollers terminate.
         backend = RemoteBackend(cluster=LocalCluster(1))
         try:
-            assert backend.run_round(abs, [-2]) == [2]
+            assert all(backend.ping())
             for proc in backend._cluster._procs:
                 proc.kill()
             for proc in backend._cluster._procs:
                 proc.wait()
-            pending = backend.submit_round(abs, [-1, -2, -3])
+            pending = backend.submit_round(run_bank_task, _tasks(3))
             deadline = time.time() + 10.0
             while not pending.done():
                 assert time.time() < deadline, \
@@ -926,17 +1031,23 @@ class TestClusterAndFailureModel:
             backend.close()
 
     def test_unimportable_fn_is_a_task_error_not_dead_workers(self):
-        # This module is not on the workers' sys.path (no
-        # extra_sys_paths), so the worker cannot unpickle the shipped
-        # function -- that is the *task's* failure, answered over the
-        # still-synchronized connection; the workers must stay alive.
+        # A round the workers cannot accept (here: a probability
+        # outside [0, 1], which the schema refuses) is the *tasks'*
+        # failure, answered over the still-synchronized connections;
+        # the workers must stay alive.
+        probabilities = np.full(256, 0.5)
+        probabilities[3] = 2.0
         backend = RemoteBackend(cluster=LocalCluster(2))
         try:
             with pytest.raises(RemoteExecutionError,
-                               match="unpickle a task frame"):
-                backend.run_round(_module_local_fn, [1, 2, 3])
+                               match="refused the round"):
+                backend.run_round(run_bank_task, [
+                    _task(index, probabilities=probabilities)
+                    for index in range(3)])
             assert not any(link.dead for link in backend._links)
-            assert backend.run_round(abs, [-3]) == [3]
+            tasks = _tasks(1)
+            assert _bits(backend.run_round(run_bank_task, tasks)) == \
+                _expected(tasks)
         finally:
             backend.close()
 
@@ -948,5 +1059,5 @@ class TestClusterAndFailureModel:
             free_port = probe.getsockname()[1]
         backend = RemoteBackend(addresses=[("127.0.0.1", free_port)])
         with pytest.raises(RemoteExecutionError):
-            backend.run_round(abs, [-1])
+            backend.run_round(run_bank_task, _tasks(1))
         backend.close()

@@ -1,25 +1,21 @@
-"""Round-protocol fault injection: failures may cost time, never bits.
+"""Round-shard fault injection: failures may cost time, never bits.
 
-The round protocol ships whole shards per host, so its failure unit is
-coarser than the per-task protocol's -- a dying worker takes a whole
-slice of a refill round with it.  This suite injects exactly those
-faults and holds the output to the determinism contract:
+The remote backend ships whole shards per host, so a dying worker
+takes a whole slice of a refill round with it.  This suite injects
+exactly those faults and holds the output to the determinism
+contract:
 
 * a worker killed mid-shard re-shards the remaining banks onto the
   survivors and the stream replays the serial reference **bit for
   bit**, in sync and async harvest modes, through the plain, the
   monitored, and the temperature-managed generators;
-* a mixed-version cluster (round-capable and per-task-only workers
-  side by side) produces the same stream as either pure cluster;
 * a health alarm carried by an in-flight round shard still pools the
-  healthy channels' bits before re-raising;
-* the shard-map memo serves steady-state rounds from cache and
-  invalidates the moment a bank's iteration weight changes.
+  healthy channels' bits before re-raising.
 
 Everything here runs against real worker subprocesses
 (:class:`~repro.core.remote.LocalCluster`); the wire-level fuzz lives
-in ``tests/core/test_remote.py`` and the protocol-agnostic backend
-contract in ``tests/core/test_backend_conformance.py``.
+in ``tests/core/test_remote.py`` and the backend contract in
+``tests/core/test_backend_conformance.py``.
 """
 
 import numpy as np
@@ -49,17 +45,14 @@ def serial_golden(small_geometry, entropy_scale):
                        SerialBackend()).random_bits(GOLDEN_BITS)
 
 
-def _round_backend(n_workers, **kwargs):
-    return RemoteBackend(cluster=LocalCluster(n_workers, **kwargs),
-                         round_execution=True)
+def _round_backend(n_workers):
+    return RemoteBackend(cluster=LocalCluster(n_workers))
 
 
 def _warm(backend):
-    """Open every link and negotiate the protocol (off the clock and,
-    more importantly, *before* the fault is injected)."""
-    count = backend._cluster.n_workers
-    assert backend.submit_round(abs, list(range(-count, 0))).result() \
-        == list(range(count, 0, -1))
+    """Open every link (off the clock and, more importantly, *before*
+    the fault is injected)."""
+    assert all(backend.ping())
 
 
 class TestKilledWorkerMidShard:
@@ -99,30 +92,6 @@ class TestKilledWorkerMidShard:
             tail = trng.random_bits(GOLDEN_BITS - 1000)
             np.testing.assert_array_equal(
                 np.concatenate([head, tail]), serial_golden)
-
-    def test_mixed_version_cluster_replays_golden_stream(
-            self, small_geometry, entropy_scale, serial_golden):
-        # One round-capable worker next to one per-task-only worker:
-        # the client speaks version 2 to the first and falls back to
-        # task shipping on the second, inside the same dispatch.
-        module = build_module(spec_by_name("M13"), small_geometry)
-        modern = LocalCluster(1)
-        legacy = LocalCluster(1, worker_args=["--protocol-version", "1"])
-        try:
-            modern.start()
-            legacy.start()
-            backend = RemoteBackend(
-                addresses=modern.addresses + legacy.addresses,
-                round_execution=True)
-            with backend:
-                stream = _fresh_trng(module, entropy_scale,
-                                     backend).random_bits(GOLDEN_BITS)
-                np.testing.assert_array_equal(stream, serial_golden)
-                assert [link.protocol for link in backend._links] == \
-                    [2, 1]
-        finally:
-            modern.stop()
-            legacy.stop()
 
 
 class TestMonitoredAndTemperatureWrappers:
@@ -199,52 +168,3 @@ class TestMonitoredAndTemperatureWrappers:
             backend._cluster._procs[1].wait()
             np.testing.assert_array_equal(managed.random_bits(2500),
                                           expected[1])
-
-
-class TestShardMapCache:
-    def test_cache_hits_on_identical_signature(self):
-        backend = RemoteBackend(addresses=[("127.0.0.1", 1)],
-                                round_execution=True)
-        first = backend._shard_plan([4, 4, 4, 4], 2)
-        again = backend._shard_plan([4, 4, 4, 4], 2)
-        assert again == first
-        assert backend.shard_maps_computed == 1
-        assert backend.shard_map_cache_hits == 1
-        # The memo hands out copies: mutating a served plan must not
-        # poison later rounds.
-        again[0].append(99)
-        assert backend._shard_plan([4, 4, 4, 4], 2) == first
-
-    def test_cache_invalidates_when_iteration_weights_change(self):
-        backend = RemoteBackend(addresses=[("127.0.0.1", 1)],
-                                round_execution=True)
-        balanced = backend._shard_plan([4, 4, 4, 4], 2)
-        assert balanced == [[0, 1], [2, 3]]
-        # A bank's iteration weight changes: same task count, new
-        # signature, recomputed plan reflecting the new balance.
-        skewed = backend._shard_plan([12, 4, 4, 4], 2)
-        assert skewed == [[0], [1, 2, 3]]
-        assert backend.shard_maps_computed == 2
-        # ...and the live-worker count is part of the signature too
-        # (a requeue onto fewer survivors must never reuse the plan).
-        assert backend._shard_plan([12, 4, 4, 4], 1) == [[0, 1, 2, 3]]
-        assert backend.shard_maps_computed == 3
-
-    def test_steady_state_refills_reuse_the_plan(self, small_geometry,
-                                                 entropy_scale):
-        # Equal-sized draws plan identical rounds; only the first
-        # computes a shard map, every later refill is a cache hit.
-        module = build_module(spec_by_name("M13"), small_geometry)
-        with _round_backend(2) as backend:
-            trng = _fresh_trng(module, entropy_scale, backend)
-            draw = 2 * trng.bits_per_iteration
-            for _ in range(3):
-                assert trng.random_bits(draw).size == draw
-            assert backend.shard_maps_computed >= 1
-            computed = backend.shard_maps_computed
-            hits = backend.shard_map_cache_hits
-            assert hits >= 2
-            # A different draw size changes the weights: recompute.
-            trng.random_bits(5 * trng.bits_per_iteration)
-            assert backend.shard_maps_computed == computed + 1
-            assert backend.shard_map_cache_hits == hits

@@ -23,6 +23,7 @@ regenerated.
 """
 
 import hashlib
+import socket
 
 import numpy as np
 import pytest
@@ -68,17 +69,25 @@ SUBSTRATE_SHA256 = {
 }
 
 #: Backends the goldens are replayed on (bit-identical by contract).
-#: The remote entries -- one-host and three-host localhost clusters,
-#: each under the per-task wire protocol and the round-shard protocol
-#: (the ``r`` suffix) -- pin the sharded multi-host contract: the
-#: merged stream must equal the serial reference whatever the host
-#: count and whichever protocol version shipped the tasks.
+#: The remote entries -- one-host and three-host localhost clusters --
+#: pin the sharded multi-host contract: the merged stream must equal
+#: the serial reference whatever the host count.  The requeue legs
+#: (the ``r`` suffix) put an address nobody listens on ahead of the
+#: same clusters, so each test's first round loses its lead shard and
+#: re-shards it over the live hosts.
 BACKEND_IDS = ["serial", "thread", "process", "remote1", "remote3",
                "remote1r", "remote3r"]
 
 
+def _refused_address():
+    """A localhost address with no listener (connections refused)."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()
+
+
 @pytest.fixture(scope="module", params=BACKEND_IDS)
-def golden_backend(request):
+def shared_backend(request):
     """One shared backend per id (remote clusters spawn once, not per
     test) -- safe to share because every test builds fresh
     generators."""
@@ -89,12 +98,30 @@ def golden_backend(request):
         backend = ThreadPoolBackend(2)
     elif request.param == "process":
         backend = ProcessPoolBackend(2)
+    elif request.param.endswith("r"):
+        with LocalCluster(int(request.param[6])) as cluster:
+            with RemoteBackend(addresses=[_refused_address()]
+                               + cluster.addresses) as backend:
+                yield backend
+        return
     else:
         backend = RemoteBackend(
-            cluster=LocalCluster(int(request.param[6])),
-            round_execution=request.param.endswith("r"))
+            cluster=LocalCluster(int(request.param[6])))
     with backend:
         yield backend
+
+
+@pytest.fixture()
+def golden_backend(shared_backend):
+    """The shared backend; a requeue leg's links are dropped first, so
+    this test's first round retries the refused address."""
+    requeue = isinstance(shared_backend, RemoteBackend) and \
+        shared_backend._cluster is None
+    if requeue:
+        shared_backend.close()
+    yield shared_backend
+    if requeue:
+        assert shared_backend._links[0].dead
 
 
 def _geometry():
