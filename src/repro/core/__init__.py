@@ -9,14 +9,14 @@
   fan-out (bit-identical across backends and worker counts); a backend
   implements one method, ``submit_round``, and ``run_round`` blocks on
   it;
-* :mod:`repro.core.remote` -- the sharded multi-host backend: bank
-  tasks fan out to worker hosts over a length-prefixed pickle socket
-  protocol (``RemoteBackend`` / ``LocalCluster``), optionally as
-  whole round shards (one round trip per host, negotiated per link),
-  merged streams bit-identical to the serial reference at any host
-  count;
-* :mod:`repro.core.harvest` -- the one refill loop every generator
-  runs: a :class:`HarvestPlanner` base class (pool, engine,
+* :mod:`repro.core.remote` -- the sharded multi-host backend
+  (``RemoteBackend`` / ``LocalCluster``): each round goes to the
+  worker hosts as whole round shards, one round trip per host, framed
+  in one fixed ``struct`` schema (no pickle); merged streams are
+  bit-identical to the serial reference at any host count;
+* :mod:`repro.core.harvest` -- the one round planner and refill loop
+  every generator runs: a :class:`HarvestPlanner` base class (round
+  planning and gathering over a generator's channels, pool, engine,
   ``random_bits`` / ``random_bytes`` / ``iter_bytes``) and the
   double-buffered engine, with one round in flight by default and two
   under ``async_harvest`` -- the same bits either way;

@@ -7,8 +7,10 @@ refill rounds of per-bank tasks.  Every generator
 :class:`~repro.core.multichannel.SystemTrng`,
 :class:`~repro.core.health.MonitoredTrng`,
 :class:`~repro.core.temperature_manager.TemperatureManagedTrng`) is a
-:class:`HarvestPlanner`: it plans and gathers rounds, and tops up its
-serving pool through one :class:`AsyncHarvestEngine`:
+:class:`HarvestPlanner` over a list of channels (one
+:class:`~repro.core.trng.QuacTrng` each) and their optional health
+monitors; one round planner and one gather step serve them all, and
+one :class:`AsyncHarvestEngine` tops up the serving pool:
 
 * **Planning stays serial.**  Every round is planned in the caller --
   each task claims the next iterations of its segment's thermal-stream
@@ -28,41 +30,37 @@ serving pool through one :class:`AsyncHarvestEngine`:
 Determinism contract
 --------------------
 
+A planner's stream is a sequence of *units*: unit ``u`` is iteration
+``u // C`` of channel ``u % C`` (``C`` channels), so units run
+iteration-major and channel-minor -- the paper's system model, where
+every channel runs every iteration.  Each round claims the next units
+``[u0, u1)`` and pools their rows in unit order, and iteration ``k``
+of a segment is a pure function of (module seed, segment, ``k``), so
+the stream is a pure function of (seeds, unit): round sizes decide
+only *when* a unit is generated, never *what* it is or where it lands.
+Request splits, ``max_in_flight`` and :attr:`AsyncHarvestEngine.
+readahead` (which commits the next round before the next request
+arrives, sized as if the previous request repeats) therefore never
+change a bit, on any backend at any worker count.  Only a health
+alarm (below) and :meth:`AsyncHarvestEngine.cancel_pending` drop
+units: the stream skips them rather than replaying them.
+``tests/core/test_stream_partition.py`` and the golden streams of
+``tests/test_determinism.py`` pin this.
+
 Each round's deficit is the requested bits minus everything already
 committed (front pool + back buffer + in-flight rounds' exact yields,
-all known at plan time because a round's yield is ``iterations x
-bits_per_iteration``).  The planned round sequence is therefore a pure
-function of the request sequence, whatever ``max_in_flight`` is -- and
-since every task result is a pure function of the task, **async
-harvest output is bit-identical to synchronous output** for any
-request sequence, on every backend, at every worker count.
-``tests/test_determinism.py`` replays the golden streams in both
-modes to pin this.
-
-:attr:`AsyncHarvestEngine.readahead` commits the next round *before*
-the next request arrives, sized as if the previous request repeats.
-A wrong guess changes round sizes, never bits, for a single-channel
-planner: iteration ``k`` of a segment is a pure function of (module
-seed, segment, ``k``) and a channel's rounds claim its iterations in
-order, so a :class:`~repro.core.trng.QuacTrng` serves the same stream
-with or without readahead, for any request sequence.  What round
-sizing still decides is the *interleaving* of a
-:class:`~repro.core.multichannel.SystemTrng`: each round gives every
-scheduled channel a fair share of the deficit in round-robin order,
-so with readahead and varying request sizes the system stream
-interleaves the (unchanged) per-channel streams differently from a
-synchronous run -- still reproducible for the same request sequence.
-For constant-size requests (``iter_bytes``, the streaming hot path)
-the system stream equals the synchronous one too.
+all known at plan time because a round's yield is exact arithmetic).
 
 Health monitoring
 -----------------
 
 A planner with per-channel monitors applies their verdicts when an
-in-flight round *lands*: every healthy channel's bits are appended to
-the back buffer (and swapped to the front) **before** the first
-:class:`~repro.core.health.HealthTestFailure` of the round re-raises,
-so an alarm never destroys bits that healthy channels already earned.
+in-flight round *lands*.  A channel whose monitor alarms contributes
+no rows for that round; every other channel's rows are appended to
+the back buffer in unit order (and swapped to the front) **before**
+the round's first :class:`~repro.core.health.HealthTestFailure`
+re-raises, so an alarm never destroys bits that healthy channels
+already earned.
 Rounds still in flight when the alarm propagates stay queued and are
 gathered by the next fill (or discarded by :meth:`
 AsyncHarvestEngine.cancel_pending`).
@@ -85,6 +83,7 @@ Example
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Iterator, List, Optional
@@ -94,8 +93,20 @@ import numpy as np
 from repro.bitops import BitBuffer
 from repro.core.parallel import (BankResult, BankTask, ExecutionBackend,
                                  PendingResult, run_bank_task)
-from repro.errors import (ConfigurationError, InsufficientEntropyError,
-                          ReproError)
+from repro.errors import (ConfigurationError, HealthTestFailure,
+                          InsufficientEntropyError, ReproError)
+
+#: Cap on iterations one channel draws in one round: bounds the
+#: transient read-out matrix to ~64 MB per bank at full-scale geometry
+#: while still amortizing per-batch costs (segment probabilities, RNG
+#: construction) over a thousand iterations.
+MAX_BATCH_ITERATIONS = 1024
+
+#: Cap on raw read-out *bits* a monitored channel draws in one round
+#: (64 Mi bits, 8 MiB packed): its tasks carry every bank's full raw
+#: matrix, packed, alongside the conditioned bits, so its share of a
+#: round is also bounded by raw volume.
+MAX_MONITORED_RAW_BYTES = 64 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -109,7 +120,8 @@ class ChannelSpan:
 
     #: Planner-level channel index (0 for single-channel planners).
     channel: int
-    #: Iterations this channel contributes to the round.
+    #: Iterations this channel contributes to the round (contiguous,
+    #: from its tasks' ``first_iteration``).
     iterations: int
     #: ``[start, stop)`` range into the round's task (and result) list.
     start: int
@@ -144,16 +156,16 @@ class HarvestRound:
 class HarvestPlanner:
     """Base of every generator: plans rounds, serves a pooled stream.
 
-    A planner is the *deterministic* half of a generator: it decides
-    round sizes, claims iterations (serially, advancing the segments'
-    cursors) in :meth:`plan_round`, and accounts a landed round's
-    results in :meth:`gather_round`.  This base class owns the rest,
-    written once for every generator: the serving pool, the lazily
-    built :class:`AsyncHarvestEngine` that fills it, and
-    :meth:`random_bits` / :meth:`random_bytes` / :meth:`iter_bytes`.
-
-    Subclasses call ``super().__init__(backend, async_harvest)`` and
-    implement the two round methods.
+    A planner is the *deterministic* half of a generator.  Subclasses
+    name what it plans over -- ``channels``, a list of
+    :class:`~repro.core.trng.QuacTrng`, and ``monitors``, one optional
+    :class:`~repro.core.health.HealthMonitor` per channel -- and call
+    ``super().__init__(backend, async_harvest)``.  This base class owns
+    the rest, written once for every generator: the round planner
+    (:meth:`plan_round`) and gather step (:meth:`gather_round`), the
+    serving pool, the lazily built :class:`AsyncHarvestEngine` that
+    fills it, and :meth:`random_bits` / :meth:`random_bytes` /
+    :meth:`iter_bytes`.
     """
 
     def __init__(self, backend: ExecutionBackend,
@@ -165,26 +177,101 @@ class HarvestPlanner:
         self._harvest_engine: Optional[AsyncHarvestEngine] = None
 
     def plan_round(self, deficit_bits: int) -> HarvestRound:
-        """Plan one refill round toward ``deficit_bits`` outstanding bits.
+        """Plan one refill round: the next units toward ``deficit_bits``.
 
-        Must advance the segments' iteration cursors by exactly the
-        iterations it plans, and must return a round that yields at
-        least one iteration's worth of output for any positive
-        deficit.
+        The round claims units ``[u0, u1)`` (see the module docstring).
+        ``u0`` is the first unclaimed unit, ``min(cursor_c * C + c)``
+        over the channels' segment cursors; ``u1`` is the smallest end
+        whose yield covers the deficit, but no channel draws more than
+        :data:`MAX_BATCH_ITERATIONS` iterations (a monitored one no
+        more than :data:`MAX_MONITORED_RAW_BYTES` raw bits) per round.
+        A channel's share is contiguous, so each channel is one
+        :meth:`~repro.core.trng.QuacTrng.plan_batch` call, planned
+        serially in channel order; monitored channels' tasks collect
+        their raw read-outs for :meth:`gather_round`.
         """
-        raise NotImplementedError
+        n = len(self.channels)
+        cursors = [channel.cursors()[0] for channel in self.channels]
+        u0 = min(k * n + c for c, k in enumerate(cursors))
+        u1_max = min((k + self._cap(c)) * n + c
+                     for c, k in enumerate(cursors))
+
+        def counts(end: int) -> List[int]:
+            # Channel c's units below ``end``, less those claimed.
+            return [max(0, -(-(end - c) // n) - k)
+                    for c, k in enumerate(cursors)]
+
+        def yield_bits(end: int) -> int:
+            return sum(count * channel.bits_per_iteration
+                       for count, channel in zip(counts(end), self.channels))
+
+        ends = range(u0 + 1, u1_max)
+        u1 = ends.start + bisect_left(ends, deficit_bits, key=yield_bits)
+        tasks: List[BankTask] = []
+        spans: List[ChannelSpan] = []
+        for c, count in enumerate(counts(u1)):
+            if count:
+                bank_tasks = self.channels[c].plan_batch(
+                    count, collect_raw=self.monitors[c] is not None)
+                spans.append(ChannelSpan(c, count, len(tasks),
+                                         len(tasks) + len(bank_tasks)))
+                tasks.extend(bank_tasks)
+        return HarvestRound(tasks=tasks, spans=spans,
+                            yield_bits=yield_bits(u1))
+
+    def _cap(self, c: int) -> int:
+        """Most iterations channel ``c`` draws in one round."""
+        if self.monitors[c] is None:
+            return MAX_BATCH_ITERATIONS
+        channel = self.channels[c]
+        raw_bits = channel.configuration.n_banks * \
+            channel.module.geometry.row_bits
+        return max(1, min(MAX_BATCH_ITERATIONS,
+                          MAX_MONITORED_RAW_BYTES // raw_bits))
 
     def gather_round(self, round_: HarvestRound,
                      results: List[BankResult],
                      pool: BitBuffer) -> Optional[ReproError]:
-        """Account a landed round: monitor, then pool healthy bits.
+        """Account a landed round: monitor, then pool rows in unit order.
 
-        Appends every healthy channel's conditioned bits to ``pool`` in
-        span order.  A health alarm must not be raised here -- it is
-        *returned* (the first one), so the engine can pool the healthy
-        channels' bits first and re-raise afterwards.
+        Each monitored channel's raw read-outs are checked first.  A
+        channel whose monitor alarms contributes no rows; the round's
+        first :class:`~repro.core.health.HealthTestFailure` is
+        *returned*, not raised, so the engine pools the healthy
+        channels' rows before re-raising it.
+
+        Between consecutive starts and ends of the channels' iteration
+        ranges the same channels are present, so each such stretch of
+        system iterations is one ``np.concatenate`` of the banks'
+        packed rows, side by side in channel and bank order: the whole
+        system iterations in the middle of a round in one piece, a
+        partial first or last system iteration in one piece each.
         """
-        raise NotImplementedError
+        failure: Optional[ReproError] = None
+        live = []    # (first iteration, stop, per-bank packed rows)
+        for span in round_.spans:
+            chunk = results[span.start:span.stop]
+            monitor = self.monitors[span.channel]
+            if monitor is not None:
+                try:
+                    monitor.check_bank_results(chunk, span.iterations)
+                except HealthTestFailure as exc:
+                    failure = failure or exc
+                    continue
+            first = round_.tasks[span.start].first_iteration
+            live.append((first, first + span.iterations,
+                         [np.frombuffer(result.digests, dtype=np.uint8)
+                          .reshape(span.iterations, -1)
+                          for result in chunk]))
+        edges = sorted({edge for first, stop, _ in live
+                        for edge in (first, stop)})
+        for a, b in zip(edges, edges[1:]):
+            rows = [bank[a - first:b - first]
+                    for first, stop, banks in live
+                    if first <= a and b <= stop for bank in banks]
+            if rows:
+                pool.append_bytes(np.concatenate(rows, axis=1))
+        return failure
 
     @property
     def harvest_engine(self) -> AsyncHarvestEngine:
@@ -260,17 +347,14 @@ class AsyncHarvestEngine:
         gathered/drained (front), one executing (back).
     readahead:
         Commit the next draw's first rounds speculatively after each
-        fill, sized as if the previous request repeats.  Bit-identical
-        to the synchronous path for single-channel planners and for
-        constant-size request streams; see the module docstring for
-        what differs on multi-channel systems.
+        fill, sized as if the previous request repeats.  A wrong guess
+        changes round sizes, never bits.
 
     Determinism
     -----------
-    ``fill`` produces the same pool contents for any ``max_in_flight``
-    and any request sequence (with ``readahead=False``, or with any
-    readahead on a single-channel planner); the bound only changes
-    *when* work happens.
+    ``fill`` produces the same pool contents for any ``max_in_flight``,
+    any readahead and any request sequence; they only change *when*
+    work happens.
     """
 
     def __init__(self, planner: HarvestPlanner, backend: ExecutionBackend,

@@ -32,37 +32,16 @@ bytes, unpacking only the rare rows that could hold a cutoff-long run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.bitops import BitBuffer, is_binary
-from repro.core.harvest import HarvestPlanner, HarvestRound
+from repro.bitops import is_binary
+from repro.core.harvest import HarvestPlanner
 from repro.core.parallel import packed_rows, run_bank_task
-from repro.core.trng import QuacTrng, batch_count_for
+from repro.core.trng import QuacTrng
 from repro.errors import (BitstreamError, ConfigurationError,
-                          ReproError)
-
-
-class HealthTestFailure(ReproError):
-    """A continuous health test rejected the raw source output."""
-
-
-#: Cap on raw read-out *bits* per monitored batch (64 Mi bits, 8 MiB
-#: packed): unlike the plain batched path, monitored harvests carry
-#: every bank's full raw matrix, packed, alongside the conditioned bits,
-#: so bulk draws are sized by raw volume, not just by
-#: :data:`~repro.core.trng.MAX_BATCH_ITERATIONS`.  The value sizes
-#: monitored rounds and so fixes the monitored streams: changing it
-#: changes the output of a monitored ``SystemTrng``.
-MAX_MONITORED_RAW_BYTES = 64 * 1024 * 1024
-
-
-def monitored_batch_cap(trng: QuacTrng) -> int:
-    """Iterations per monitored batch keeping raw volume bounded."""
-    raw_bits_per_iteration = \
-        trng.configuration.n_banks * trng.module.geometry.row_bits
-    return max(1, MAX_MONITORED_RAW_BYTES // raw_bits_per_iteration)
+                          HealthTestFailure)
 
 
 def repetition_count_cutoff(min_entropy_per_bit: float,
@@ -348,12 +327,13 @@ class MonitoredTrng(HarvestPlanner):
     looks perfect even from a dead source -- exactly the failure the
     tests exist to catch).
 
-    Pooled draws run on the wrapped generator's backend: raw read-outs
-    travel with each round, and the monitor's verdict is applied when
-    a round *lands* -- so bits pooled from rounds that passed stay
-    pooled when a later round alarms.  ``async_harvest=True`` keeps
-    two rounds in flight instead of one; the output and the monitor's
-    counters are identical either way.
+    Pooled draws run on the wrapped generator's backend through the
+    shared round planner, as one channel (``trng``) with one monitor:
+    raw read-outs travel with each round, and the monitor's verdict is
+    applied when a round *lands* -- so bits pooled from rounds that
+    passed stay pooled when a later round alarms.
+    ``async_harvest=True`` keeps two rounds in flight instead of one;
+    the output and the monitor's counters are identical either way.
     """
 
     def __init__(self, trng: QuacTrng,
@@ -362,6 +342,16 @@ class MonitoredTrng(HarvestPlanner):
         super().__init__(trng.backend, async_harvest)
         self.trng = trng
         self.monitor = monitor or HealthMonitor()
+
+    @property
+    def channels(self) -> List[QuacTrng]:
+        """The one channel: the wrapped generator."""
+        return [self.trng]
+
+    @property
+    def monitors(self) -> List[HealthMonitor]:
+        """The one channel's monitor."""
+        return [self.monitor]
 
     @property
     def bits_per_iteration(self) -> int:
@@ -399,37 +389,3 @@ class MonitoredTrng(HarvestPlanner):
         self.monitor.check_bank_results(results, n)
         return (self.trng.assemble_batch(results),
                 n * self.trng.iteration_latency_ns)
-
-    # ------------------------------------------------------------------
-    # Harvest-planner protocol (repro.core.harvest)
-    # ------------------------------------------------------------------
-
-    def plan_round(self, deficit_bits: int) -> HarvestRound:
-        """Plan one monitored refill round toward ``deficit_bits``.
-
-        The batch cap is tightened by raw volume
-        (:data:`MAX_MONITORED_RAW_BYTES`), since every iteration's raw
-        read-out travels with the round, and the tasks collect raw
-        read-outs so the verdict can be applied at gather time.
-        """
-        count = max(1, min(
-            batch_count_for(deficit_bits, self.bits_per_iteration),
-            monitored_batch_cap(self.trng)))
-        return self.trng.batch_round(count, collect_raw=True)
-
-    def gather_round(self, round_: HarvestRound, results,
-                     pool: BitBuffer):
-        """Monitor a landed round; pool its bits only when healthy.
-
-        Returns (never raises) the round's :class:`HealthTestFailure`,
-        exactly like the system planner -- the engine pools earlier
-        healthy rounds' bits before the alarm re-raises, so an alarm
-        cannot destroy entropy the monitor already passed.
-        """
-        try:
-            self.monitor.check_bank_results(results,
-                                            round_.spans[0].iterations)
-        except HealthTestFailure as failure:
-            return failure
-        pool.append_bytes(self.trng.packed_batch(results))
-        return None

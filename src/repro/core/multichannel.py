@@ -3,40 +3,40 @@
 Sections 7.3 / 7.4 evaluate a system with four DDR4 channels, each
 hosting an independent QUAC-TRNG; system throughput is the per-channel
 sum (13.76 Gb/s at the population average).  :class:`SystemTrng` models
-that: one :class:`~repro.core.trng.QuacTrng` per channel, round-robin
-harvesting, and aggregate accounting.
+that: one :class:`~repro.core.trng.QuacTrng` per channel, harvested by
+system iteration, and aggregate accounting.
 
 Channels run *distinct modules* (real systems mix modules), so per-
-channel SIB counts differ and the round-robin order matters for fairness
--- requests drain channels with data before forcing new iterations.
+channel SIB counts -- and output widths -- differ.  The stream is laid
+out in *units*: unit ``u`` is iteration ``u // C`` of channel
+``u % C``, so system iteration ``s`` is channel 0's iteration ``s``,
+then channel 1's, and so on.  The stream is a pure function of (seeds,
+unit), whatever the request sizes, backend or readahead.
 
-Harvesting is *planned, then executed*: each refill round computes every
-scheduled channel's fair share of the deficit, plans all of their
-per-bank tasks serially (claiming their iterations), and fans the whole
-task list out on one execution backend -- so with a thread or process
-backend, all channels and all banks generate concurrently, exactly the
-parallelism the paper's hardware gets for free.  Optionally each
-channel's raw read-outs pass a per-channel
-:class:`~repro.core.health.HealthMonitor` before its bits are pooled; a
-channel that alarms never contaminates the pool, and bits harvested
-from healthy channels in the same round are pooled *before* the alarm
-propagates, so they are never lost.
+Harvesting is *planned, then executed* by the shared round planner
+(:meth:`~repro.core.harvest.HarvestPlanner.plan_round`): each refill
+round claims the next units, plans every channel's per-bank tasks
+serially, and fans the whole task list out on one execution backend --
+so with a thread or process backend, all channels and all banks
+generate concurrently, exactly the parallelism the paper's hardware
+gets for free.  Optionally each channel's raw read-outs pass a
+per-channel :class:`~repro.core.health.HealthMonitor` before its bits
+are pooled; a channel that alarms contributes no rows for that round,
+and the healthy channels' rows of the same round are pooled *before*
+the alarm propagates, so they are never lost.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.bitops import BitBuffer
-from repro.core.harvest import ChannelSpan, HarvestPlanner, HarvestRound
-from repro.core.health import (HealthMonitor, HealthTestFailure,
-                               monitored_batch_cap)
-from repro.core.parallel import (BankResult, ExecutionBackend,
-                                 resolve_backend)
+from repro.core.harvest import HarvestPlanner
+from repro.core.health import HealthMonitor
+from repro.core.parallel import ExecutionBackend, resolve_backend
 # Not called here; kept importable so a tracer that rebinds the task
 # entry point by module attribute (``hostbench/layers.py``) finds it.
 from repro.core.parallel import run_bank_task  # noqa: F401
-from repro.core.trng import QuacTrng, batch_count_for
+from repro.core.trng import QuacTrng
 from repro.core.throughput import TrngConfiguration
 from repro.dram.device import BEST_DATA_PATTERN, DramModule
 from repro.errors import ConfigurationError
@@ -44,6 +44,10 @@ from repro.errors import ConfigurationError
 
 class SystemTrng(HarvestPlanner):
     """A bank of independent per-channel QUAC-TRNGs.
+
+    Every channel runs every system iteration: the pooled stream is
+    channel 0's iteration 0, channel 1's iteration 0, ..., then every
+    channel's iteration 1, and so on (see :mod:`repro.core.multichannel`).
 
     Parameters
     ----------
@@ -63,8 +67,8 @@ class SystemTrng(HarvestPlanner):
         Optional per-channel health monitors (one entry per channel;
         entries may be ``None`` to leave a channel unmonitored).  When a
         monitor is present, the channel's raw read-outs are checked
-        through :meth:`HealthMonitor.check_many` before its conditioned
-        bits enter the pool.
+        through :meth:`HealthMonitor.check_bank_results` before its
+        conditioned bits enter the pool.
     async_harvest:
         Keep two refill rounds in flight on the
         :class:`~repro.core.harvest.AsyncHarvestEngine` instead of one:
@@ -86,7 +90,7 @@ class SystemTrng(HarvestPlanner):
     ...                     * geometry.row_bits / 65536)
     >>> system.n_channels
     2
-    >>> len(system.random_bytes(32))      # round-robin across channels
+    >>> len(system.random_bytes(32))      # channel 0's iteration 0
     32
     >>> system.pooled_bits > 0            # the surplus stays pooled
     True
@@ -117,7 +121,6 @@ class SystemTrng(HarvestPlanner):
                     f"got {len(monitors)} monitors for "
                     f"{len(self.channels)} channels")
             self.monitors = list(monitors)
-        self._next_channel = 0
 
     @property
     def n_channels(self) -> int:
@@ -140,96 +143,6 @@ class SystemTrng(HarvestPlanner):
     def worst_channel_latency_ns(self) -> float:
         """Slowest channel's iteration latency (system-iteration gate)."""
         return max(trng.iteration_latency_ns for trng in self.channels)
-
-    def _harvest_plan(self, deficit: int) -> List[Tuple[int, int]]:
-        """Schedule one refill round as ``(channel, batch size)`` pairs.
-
-        Walks the channels in round-robin order from the rotation
-        cursor, giving each its fair share of the deficit (capped by
-        :func:`~repro.core.trng.batch_count_for`, and additionally by
-        raw volume on monitored channels) until the round covers the
-        deficit; small draws therefore touch one channel, bulk draws
-        spread over all of them.  The cursor advances past the
-        scheduled channels so consecutive draws stay fair.
-        """
-        plan: List[Tuple[int, int]] = []
-        remaining = deficit
-        index = self._next_channel
-        share = -(-deficit // self.n_channels)
-        for _ in range(self.n_channels):
-            if remaining <= 0:
-                break
-            trng = self.channels[index]
-            count = batch_count_for(share, trng.bits_per_iteration)
-            if self.monitors[index] is not None:
-                count = max(1, min(count, monitored_batch_cap(trng)))
-            plan.append((index, count))
-            remaining -= count * trng.bits_per_iteration
-            index = (index + 1) % self.n_channels
-        self._next_channel = index
-        return plan
-
-    # ------------------------------------------------------------------
-    # Harvest-planner protocol (repro.core.harvest)
-    # ------------------------------------------------------------------
-
-    def plan_round(self, deficit_bits: int) -> HarvestRound:
-        """Plan one multi-channel refill round toward ``deficit_bits``.
-
-        Channels are scheduled in rotation so sustained draws spread
-        work evenly: the round-robin schedule (:meth:`_harvest_plan`)
-        picks channels and batch sizes, then every scheduled channel's
-        per-bank tasks are planned *serially in schedule order* --
-        claiming each channel's iterations and advancing the rotation
-        cursor, whatever backend later executes the round, so all
-        scheduled channels' banks execute together.  Monitored
-        channels' tasks carry their raw read-outs
-        (``collect_raw=True``) so verdicts can be applied at gather
-        time.
-        """
-        plan = self._harvest_plan(deficit_bits)
-        tasks: List = []
-        spans: List[ChannelSpan] = []
-        yield_bits = 0
-        for channel, count in plan:
-            monitored = self.monitors[channel] is not None
-            bank_tasks = self.channels[channel].plan_batch(
-                count, collect_raw=monitored)
-            spans.append(ChannelSpan(channel=channel, iterations=count,
-                                     start=len(tasks),
-                                     stop=len(tasks) + len(bank_tasks)))
-            tasks.extend(bank_tasks)
-            yield_bits += count * self.channels[channel].bits_per_iteration
-        return HarvestRound(tasks=tasks, spans=spans,
-                            yield_bits=yield_bits)
-
-    def gather_round(self, round_: HarvestRound,
-                     results: Sequence[BankResult],
-                     pool: BitBuffer) -> Optional[HealthTestFailure]:
-        """Account one landed round: monitor, then pool healthy bits.
-
-        Each channel's results are health-checked (when a monitor is
-        configured) and its conditioned bits appended to ``pool`` in
-        schedule order.  A channel whose monitor alarms contributes
-        nothing, but every healthy channel's bits are pooled first; the
-        round's *first* failure is **returned**, not raised, so the
-        engine can commit the healthy bits before propagating the
-        alarm.
-        """
-        failure: Optional[HealthTestFailure] = None
-        for span in round_.spans:
-            chunk = results[span.start:span.stop]
-            monitor = self.monitors[span.channel]
-            if monitor is not None:
-                try:
-                    monitor.check_bank_results(chunk, span.iterations)
-                except HealthTestFailure as exc:
-                    if failure is None:
-                        failure = exc
-                    continue
-            channel = self.channels[span.channel]
-            pool.append_bytes(channel.packed_batch(chunk))
-        return failure
 
 
 def reference_system(modules: Optional[Sequence[DramModule]] = None,

@@ -104,8 +104,6 @@ class BankTask:
     block_slices: Tuple[Tuple[int, int], ...]
     #: Shannon entropy credited to each block (conditioner parameter).
     entropy_per_block: float
-    #: Condition with the from-scratch SHA-256 instead of hashlib.
-    use_builtin_sha: bool = False
     #: Also return the raw read-outs (for health monitoring).
     collect_raw: bool = False
     #: Index of the segment's first iteration in this task; the worker
@@ -185,8 +183,7 @@ def run_bank_task(task: BankTask) -> BankResult:
     raw = np.atleast_2d(sample_iterations(
         task.probabilities, task.thermal_key, task.first_iteration,
         task.iterations))
-    conditioner = Sha256Conditioner(task.entropy_per_block,
-                                    use_builtin=task.use_builtin_sha)
+    conditioner = Sha256Conditioner(task.entropy_per_block)
     columns = [
         conditioner.condition_many(raw[:, start:stop])
                    .reshape(task.iterations, Sha256.DIGEST_BITS)

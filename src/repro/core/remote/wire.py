@@ -13,7 +13,7 @@ such opaque payloads.  Every payload is one *message*
 * a body whose layout the kind fixes.  :data:`ROUND` carries one
   host's slice of a harvest round as :class:`~repro.core.parallel.
   BankTask` fields (key words, a raw float64 probability vector, block
-  slices, iterations, first iteration, entropy and two flags);
+  slices, iterations, first iteration, entropy and a flags byte);
   :data:`ROUND_RESULT` carries one slot per task, either a
   :class:`~repro.core.parallel.BankResult` (its counts plus the packed
   ``digests`` and optional ``raw`` bytes) or a :class:`TaskError`;
@@ -65,7 +65,7 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024 * 1024
 MAGIC = b"QUAC"
 
 #: Version of the message layouts below; bump it with any change.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Message header: magic, schema version, stream epoch, kind.
 MESSAGE_HEADER = struct.Struct(">4sHIB")
@@ -82,7 +82,8 @@ _COUNT = struct.Struct(">I")
 #: Key words, probabilities, block slices, iterations, first
 #: iteration, entropy per block, flags.
 _TASK = struct.Struct(">HIIIQdB")
-_BUILTIN_SHA = 1
+#: The one task flag.  Bit 0 selected the from-scratch SHA-256 up to
+#: schema 1; it is now an unknown flag.
 _COLLECT_RAW = 2
 _SLOT_TAG = struct.Struct(">B")
 _SLOT_RESULT = 0
@@ -212,8 +213,7 @@ def _task_parts(task: BankTask) -> List[bytes]:
             "a task's probabilities must be one-dimensional")
     key = task.thermal_key
     bounds = [bound for block in task.block_slices for bound in block]
-    flags = (_BUILTIN_SHA if task.use_builtin_sha else 0) | \
-        (_COLLECT_RAW if task.collect_raw else 0)
+    flags = _COLLECT_RAW if task.collect_raw else 0
     return [_TASK.pack(len(key), probabilities.size,
                        len(task.block_slices), task.iterations,
                        task.first_iteration, task.entropy_per_block,
@@ -326,7 +326,7 @@ def decode(payload: bytes, epoch: int = STREAM_EPOCH) -> Tuple[int, Any]:
 def _read_task(reader: _Reader) -> BankTask:
     (n_key, n_bits, n_blocks, iterations, first_iteration,
      entropy_per_block, flags) = reader.unpack(_TASK)
-    if flags & ~(_BUILTIN_SHA | _COLLECT_RAW):
+    if flags & ~_COLLECT_RAW:
         raise RemoteExecutionError(f"unknown task flags {flags:#x}")
     key = reader.array(">u4", n_key)
     probabilities = reader.array("<f8", n_bits)
@@ -347,7 +347,6 @@ def _read_task(reader: _Reader) -> BankTask:
         iterations=iterations,
         block_slices=tuple(map(tuple, bounds.tolist())),
         entropy_per_block=entropy_per_block,
-        use_builtin_sha=bool(flags & _BUILTIN_SHA),
         collect_raw=bool(flags & _COLLECT_RAW),
         first_iteration=first_iteration)
 

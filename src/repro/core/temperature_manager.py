@@ -19,6 +19,7 @@ characterizes once at construction temperature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -150,9 +151,15 @@ class TemperatureManagedTrng(HarvestPlanner):
 
         Leaves of the characterized envelope trigger an automatic
         re-characterization extending the table (counted, so tests and
-        cost models can see it happen).
+        cost models can see it happen).  A non-finite reading (a failed
+        sensor) raises :class:`~repro.errors.CharacterizationError`
+        before anything is characterized.
         """
         temperature = self.module.temperature_c
+        if not math.isfinite(temperature):
+            raise CharacterizationError(
+                f"temperature sensor reads {temperature} C; refusing to "
+                f"select or characterize a range for it")
         for entry in self._entries:
             if entry.covers(temperature):
                 return entry

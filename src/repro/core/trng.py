@@ -31,11 +31,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.bitops import BitBuffer
 from repro.controller.rowclone import (reserved_rows_for,
                                        rowclone_segment_init_program,
                                        check_rowclone_pattern)
-from repro.core.harvest import ChannelSpan, HarvestPlanner, HarvestRound
+from repro.core.harvest import HarvestPlanner
 from repro.core.parallel import (BankResult, BankTask, ExecutionBackend,
                                  packed_rows, resolve_backend,
                                  run_bank_task)
@@ -51,23 +50,6 @@ from repro.entropy.characterization import ModuleCharacterization
 from repro.errors import (CharacterizationError, ConfigurationError,
                           InsufficientEntropyError)
 from repro.softmc.program import row_initialization_program
-
-#: Cap on iterations drawn in one vectorized batch: bounds the transient
-#: read-out matrix to ~64 MB per bank at full-scale geometry while still
-#: amortizing per-batch costs (segment probabilities, RNG construction)
-#: over a thousand iterations.
-MAX_BATCH_ITERATIONS = 1024
-
-
-def batch_count_for(deficit_bits: int, bits_per_iteration: int) -> int:
-    """Iterations needed to cover a bit deficit, capped at the batch cap.
-
-    The one batch-sizing rule every planner shares (the single-channel
-    generator, the monitored and temperature-managed wrappers, and the
-    system scheduler) -- change it here and they all follow.
-    """
-    return min(MAX_BATCH_ITERATIONS,
-               -(-deficit_bits // bits_per_iteration))
 
 
 class QuacTrng(HarvestPlanner):
@@ -85,10 +67,6 @@ class QuacTrng(HarvestPlanner):
         ("0111").
     entropy_per_block:
         Shannon entropy per SHA input block (the security parameter).
-    use_builtin_sha:
-        When True, conditioning uses this library's from-scratch SHA-256;
-        the default uses :mod:`hashlib` for bulk speed (bit-identical --
-        the test suite proves it -- just faster).
     backend:
         Execution backend for the batched path's per-bank fan-out: an
         :class:`~repro.core.parallel.ExecutionBackend`, a spec string
@@ -129,7 +107,6 @@ class QuacTrng(HarvestPlanner):
                  configuration: TrngConfiguration = TrngConfiguration.RC_BGP,
                  data_pattern: str = BEST_DATA_PATTERN,
                  entropy_per_block: float = 256.0,
-                 use_builtin_sha: bool = False,
                  backend: Optional[ExecutionBackend] = None,
                  async_harvest: bool = False) -> None:
         if configuration.uses_rowclone:
@@ -139,9 +116,7 @@ class QuacTrng(HarvestPlanner):
         self.configuration = configuration
         self.data_pattern = data_pattern
         self.entropy_per_block = entropy_per_block
-        self.use_builtin_sha = use_builtin_sha
-        self.conditioner = Sha256Conditioner(entropy_per_block,
-                                             use_builtin=use_builtin_sha)
+        self.conditioner = Sha256Conditioner(entropy_per_block)
         self.executor = QuacExecutor(module)
         self._banks = [(group, 0) for group in range(configuration.n_banks)]
         self._characterize()
@@ -204,6 +179,16 @@ class QuacTrng(HarvestPlanner):
     def segments(self) -> List[SegmentAddress]:
         """The selected highest-entropy segment of each driven bank."""
         return [self._segments[b] for b in self._banks]
+
+    @property
+    def channels(self) -> List[QuacTrng]:
+        """The harvest planner's one channel: this generator."""
+        return [self]
+
+    @property
+    def monitors(self) -> List[None]:
+        """No monitor on the plain generator."""
+        return [None]
 
     @property
     def sib_per_bank(self) -> List[int]:
@@ -308,7 +293,6 @@ class QuacTrng(HarvestPlanner):
                 thermal_key=rng_key, probabilities=p, iterations=n,
                 block_slices=slices,
                 entropy_per_block=self.conditioner.entropy_per_block,
-                use_builtin_sha=self.conditioner.use_builtin,
                 collect_raw=collect_raw, first_iteration=first))
         return tasks
 
@@ -316,52 +300,11 @@ class QuacTrng(HarvestPlanner):
         """Concatenate per-bank results into the iteration-major matrix.
 
         Row ``i`` of the result is iteration ``i``'s conditioned output
-        in the same bank/block order as :meth:`iteration` -- the
-        unpacked view of what :meth:`gather_round` pools.
+        in the same bank/block order as :meth:`iteration`.
         """
-        return np.unpackbits(self.packed_batch(results), axis=1)
-
-    def packed_batch(self, results: List[BankResult]) -> np.ndarray:
-        """The packed ``(iterations, output_bytes)`` form of
-        :meth:`assemble_batch`, built without unpacking."""
-        return packed_rows([result.digests for result in results],
-                           results[0].iterations)
-
-    # ------------------------------------------------------------------
-    # Harvest-planner protocol (repro.core.harvest)
-    # ------------------------------------------------------------------
-
-    def plan_round(self, deficit_bits: int) -> HarvestRound:
-        """Plan one refill round toward a ``deficit_bits`` deficit.
-
-        The single-channel :class:`~repro.core.harvest.HarvestPlanner`:
-        one round is one batch of :func:`batch_count_for` iterations,
-        planned serially through :meth:`plan_batch` and laid out as a
-        single :class:`~repro.core.harvest.ChannelSpan`.
-        """
-        return self.batch_round(
-            batch_count_for(deficit_bits, self.bits_per_iteration))
-
-    def batch_round(self, count: int,
-                    collect_raw: bool = False) -> HarvestRound:
-        """One round of exactly ``count`` iterations (:meth:`plan_batch`)."""
-        tasks = self.plan_batch(count, collect_raw)
-        return HarvestRound(
-            tasks=tasks,
-            spans=[ChannelSpan(channel=0, iterations=count,
-                               start=0, stop=len(tasks))],
-            yield_bits=count * self.bits_per_iteration)
-
-    def gather_round(self, round_: HarvestRound,
-                     results: List[BankResult],
-                     pool: BitBuffer) -> None:
-        """Pool a landed round's conditioned bits (no monitors here).
-
-        The banks' packed rows are laid side by side as bytes and
-        appended without unpacking.  Returns ``None`` always: an
-        unmonitored channel has no health verdicts to defer.
-        """
-        pool.append_bytes(self.packed_batch(results))
+        return np.unpackbits(packed_rows(
+            [result.digests for result in results],
+            results[0].iterations), axis=1)
 
     # ------------------------------------------------------------------
     # Internals

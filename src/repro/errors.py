@@ -65,6 +65,10 @@ class BitstreamError(ReproError, ValueError):
     """A bit sequence has the wrong dtype, shape, or values outside {0, 1}."""
 
 
+class HealthTestFailure(ReproError):
+    """A continuous health test rejected the raw source output."""
+
+
 class RemoteExecutionError(ReproError):
     """The remote execution backend could not complete a task set.
 

@@ -11,7 +11,8 @@ also pass the NIST frequency and runs tests.
 import numpy as np
 import pytest
 
-from repro.core.trng import MAX_BATCH_ITERATIONS, QuacTrng
+from repro.core.harvest import MAX_BATCH_ITERATIONS
+from repro.core.trng import QuacTrng
 from repro.errors import ConfigurationError
 from repro.nist.suite import run_all_tests
 
@@ -63,11 +64,6 @@ class TestBatchIdentity:
         bits, _ = make_trng().batch_iterations(4)
         for i in range(3):
             assert not np.array_equal(bits[i], bits[i + 1])
-
-    def test_builtin_sha_batch_matches_hashlib_batch(self, make_trng):
-        fast, _ = make_trng().batch_iterations(2)
-        builtin, _ = make_trng(use_builtin_sha=True).batch_iterations(2)
-        np.testing.assert_array_equal(fast, builtin)
 
     def test_nonpositive_batch_rejected(self, make_trng):
         trng = make_trng()

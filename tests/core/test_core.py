@@ -87,17 +87,6 @@ class TestQuacTrng:
         bits, _ = trng.iteration(faithful=True)
         assert bits.size == trng.bits_per_iteration
 
-    def test_builtin_sha_matches_hashlib_path(self, module_m13,
-                                              entropy_scale):
-        fast = QuacTrng(module_m13,
-                        entropy_per_block=256.0 * entropy_scale)
-        slow = QuacTrng(module_m13,
-                        entropy_per_block=256.0 * entropy_scale,
-                        use_builtin_sha=True)
-        block = np.ones(512, dtype=np.uint8)
-        np.testing.assert_array_equal(fast._condition(block),
-                                      slow._condition(block))
-
     def test_negative_request_rejected(self, trng):
         with pytest.raises(InsufficientEntropyError):
             trng.random_bits(-1)

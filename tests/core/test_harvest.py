@@ -19,7 +19,7 @@ while round k executes) without multi-megabit draws.
 import numpy as np
 import pytest
 
-import repro.core.trng as trng_module
+import repro.core.harvest as harvest_module
 from repro.core.harvest import AsyncHarvestEngine
 from repro.core.health import HealthMonitor, HealthTestFailure
 from repro.core.multichannel import SystemTrng
@@ -79,7 +79,7 @@ class TestAsyncEquivalence:
     def test_multi_round_pipeline_matches_sync(self, module_m13,
                                                entropy_scale, monkeypatch):
         # Tiny batches force every draw through many pipelined rounds.
-        monkeypatch.setattr(trng_module, "MAX_BATCH_ITERATIONS", 3)
+        monkeypatch.setattr(harvest_module, "MAX_BATCH_ITERATIONS", 3)
         sync = _fresh_trng(module_m13, entropy_scale)
         expected = sync.random_bits(20 * sync.bits_per_iteration)
         trng = _fresh_trng(module_m13, entropy_scale, async_harvest=True)
@@ -115,7 +115,7 @@ class TestDoubleBuffer:
         # With readahead on, serving a draw leaves the next round in
         # flight; the consumer drains the front buffer while the back
         # buffer is still filling, and the next draw swaps forward.
-        monkeypatch.setattr(trng_module, "MAX_BATCH_ITERATIONS", 4)
+        monkeypatch.setattr(harvest_module, "MAX_BATCH_ITERATIONS", 4)
         sync = _fresh_trng(module_m13, entropy_scale)
         draw = 4 * sync.bits_per_iteration
         expected = [sync.random_bits(draw) for _ in range(4)]
@@ -161,7 +161,7 @@ class TestTeardown:
         # Closing the backend with a round in flight must not hang or
         # lose the round: pooled backends finish submitted work, so the
         # pending result stays joinable and the stream stays intact.
-        monkeypatch.setattr(trng_module, "MAX_BATCH_ITERATIONS", 4)
+        monkeypatch.setattr(harvest_module, "MAX_BATCH_ITERATIONS", 4)
         sync = _fresh_trng(module_m13, entropy_scale)
         draw = 4 * sync.bits_per_iteration
         expected = [sync.random_bits(draw) for _ in range(2)]
@@ -180,7 +180,7 @@ class TestTeardown:
     def test_cancel_pending_discards_but_recovers(self, module_m13,
                                                   entropy_scale,
                                                   monkeypatch):
-        monkeypatch.setattr(trng_module, "MAX_BATCH_ITERATIONS", 4)
+        monkeypatch.setattr(harvest_module, "MAX_BATCH_ITERATIONS", 4)
         trng = _fresh_trng(module_m13, entropy_scale, async_harvest=True)
         trng.harvest_engine.readahead = True
         draw = 4 * trng.bits_per_iteration
@@ -201,7 +201,7 @@ class TestTeardown:
                                          monkeypatch):
         # drain() is the graceful teardown: pending bits pool instead
         # of being discarded, so the stream stays equal to synchronous.
-        monkeypatch.setattr(trng_module, "MAX_BATCH_ITERATIONS", 4)
+        monkeypatch.setattr(harvest_module, "MAX_BATCH_ITERATIONS", 4)
         sync = _fresh_trng(module_m13, entropy_scale)
         draw = 4 * sync.bits_per_iteration
         expected = [sync.random_bits(draw) for _ in range(2)]
@@ -261,7 +261,7 @@ class TestInFlightHealthFailure:
         # Shrink rounds so the alarm lands while another round is
         # genuinely in flight; the queued round must survive the raise
         # and be gathered by the next fill.
-        monkeypatch.setattr(trng_module, "MAX_BATCH_ITERATIONS", 2)
+        monkeypatch.setattr(harvest_module, "MAX_BATCH_ITERATIONS", 2)
         system, _monitors = self._monitored_async_system(
             small_geometry, entropy_scale)
         system.channels[1].data_pattern = "1111"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.trng as trng_module
+import repro.core.harvest as harvest_module
 from repro.core.health import (HealthMonitor, HealthTestFailure,
                                MonitoredTrng, adaptive_proportion_cutoff,
                                repetition_count_cutoff)
@@ -13,7 +13,8 @@ from repro.core.parallel import ThreadPoolBackend
 from repro.core.temperature_manager import (DEFAULT_RANGES,
                                             TemperatureManagedTrng)
 from repro.core.trng import QuacTrng
-from repro.errors import BitstreamError, ConfigurationError
+from repro.errors import (BitstreamError, CharacterizationError,
+                          ConfigurationError)
 
 
 def _loop_check(monitor: HealthMonitor, matrix: np.ndarray):
@@ -441,6 +442,27 @@ class TestTemperatureManager:
         finally:
             module_m13.temperature_c = 50.0
 
+    @pytest.mark.parametrize("reading", [float("nan"), float("inf"),
+                                         float("-inf")])
+    def test_non_finite_reading_rejected_before_characterizing(
+            self, managed, module_m13, reading):
+        # A failed sensor must not characterize a range around its
+        # reading (nan covers nothing; inf gives an infinite range).
+        module_m13.temperature_c = 50.0
+        passes, ranges = managed.characterization_passes, managed.ranges
+        module_m13.temperature_c = reading
+        try:
+            with pytest.raises(CharacterizationError,
+                               match=f"sensor reads {reading}"):
+                managed.random_bits(256)
+        finally:
+            module_m13.temperature_c = 50.0
+        assert managed.characterization_passes == passes
+        assert managed.ranges == ranges
+        bits = managed.random_bits(4000)
+        assert bits.size == 4000
+        assert abs(bits.mean() - 0.5) < 0.05
+
     def test_overlapping_ranges_rejected(self, module_m13, entropy_scale):
         with pytest.raises(ConfigurationError):
             TemperatureManagedTrng(
@@ -530,7 +552,7 @@ class TestAsyncWrappers:
         # The open ROADMAP item's regression: a health alarm landing
         # from an in-flight round must not destroy conditioned bits
         # the monitor already passed in earlier rounds.
-        monkeypatch.setattr(trng_module, "MAX_BATCH_ITERATIONS", 4)
+        monkeypatch.setattr(harvest_module, "MAX_BATCH_ITERATIONS", 4)
         scale = small_geometry.row_bits / 65536
         monitored = self._monitored(fresh_module, scale,
                                     async_harvest=True)
@@ -588,7 +610,7 @@ class TestAsyncWrappers:
             self, module_m13, entropy_scale, monkeypatch):
         # One-iteration rounds + readahead leave rounds genuinely in
         # flight when the sensor moves.
-        monkeypatch.setattr(trng_module, "MAX_BATCH_ITERATIONS", 1)
+        monkeypatch.setattr(harvest_module, "MAX_BATCH_ITERATIONS", 1)
         module_m13.temperature_c = 50.0
         try:
             managed = TemperatureManagedTrng(
@@ -620,7 +642,7 @@ class TestAsyncWrappers:
         # the stale round, flush the old range's surplus, and replan
         # under the new range: never starve the engine, never mix
         # ranges in one pool.
-        monkeypatch.setattr(trng_module, "MAX_BATCH_ITERATIONS", 1)
+        monkeypatch.setattr(harvest_module, "MAX_BATCH_ITERATIONS", 1)
         module_m13.temperature_c = 50.0
         try:
             managed = TemperatureManagedTrng(

@@ -85,8 +85,8 @@ def _expected(tasks):
 def _task_fields(task):
     return (tuple(task.thermal_key), task.probabilities.tobytes(),
             task.iterations, tuple(map(tuple, task.block_slices)),
-            task.entropy_per_block, task.use_builtin_sha,
-            task.collect_raw, task.first_iteration)
+            task.entropy_per_block, task.collect_raw,
+            task.first_iteration)
 
 
 @pytest.fixture()
@@ -245,8 +245,7 @@ class TestRoundFrames:
     def test_round_shard_frame_round_trip(self, sock_pair, n_tasks):
         left, right = sock_pair
         tasks = [_task(index, iterations=index + 1,
-                       bits=64 * (index % 4 + 1), collect_raw=bool(index % 2),
-                       use_builtin_sha=bool(index % 3 == 0))
+                       bits=64 * (index % 4 + 1), collect_raw=bool(index % 2))
                  for index in range(n_tasks)]
         sender = _send_in_thread(left, (wire.ROUND, tasks))
         kind, shipped = wire.recv_frame(right)
@@ -384,7 +383,6 @@ def _bank_tasks(draw):
         block_slices=tuple(slices),
         entropy_per_block=draw(st.floats(allow_nan=False,
                                          allow_infinity=False)),
-        use_builtin_sha=draw(st.booleans()),
         collect_raw=draw(st.booleans()),
         first_iteration=draw(st.integers(0, 2 ** 64 - 1)))
 
@@ -520,6 +518,15 @@ class TestDecoderFuzz:
         flags_at = wire.MESSAGE_HEADER.size + 4 + wire._TASK.size - 1
         with pytest.raises(RemoteExecutionError, match="flags"):
             wire.decode(_patched(payload, flags_at, b"\x04"))
+
+    def test_schema_1_builtin_sha_bit_is_an_unknown_flag(self):
+        # Bit 0 chose the from-scratch SHA-256 up to schema 1; the
+        # schema no longer has it, so a task carrying it is refused.
+        payload = wire.encode(wire.ROUND, [_task(0, collect_raw=True)])
+        flags_at = wire.MESSAGE_HEADER.size + 4 + wire._TASK.size - 1
+        assert payload[flags_at] == 2
+        with pytest.raises(RemoteExecutionError, match="flags 0x3"):
+            wire.decode(_patched(payload, flags_at, b"\x03"))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

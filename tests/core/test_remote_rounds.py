@@ -21,7 +21,7 @@ in ``tests/core/test_remote.py`` and the backend contract in
 import numpy as np
 import pytest
 
-import repro.core.trng as trng_module
+import repro.core.harvest as harvest_module
 from repro.core.health import HealthMonitor, HealthTestFailure, MonitoredTrng
 from repro.core.parallel import SerialBackend
 from repro.core.remote import LocalCluster, RemoteBackend
@@ -132,7 +132,7 @@ class TestMonitoredAndTemperatureWrappers:
         # The PR-4 regression, re-pinned for round shards: an alarm
         # arriving with an in-flight round shard must not destroy
         # conditioned bits the monitor already passed.
-        monkeypatch.setattr(trng_module, "MAX_BATCH_ITERATIONS", 4)
+        monkeypatch.setattr(harvest_module, "MAX_BATCH_ITERATIONS", 4)
         scale = small_geometry.row_bits / 65536
         with _round_backend(2) as backend:
             _warm(backend)

@@ -12,6 +12,13 @@ so the contract covers the plain :class:`QuacTrng`, the health-
 monitored wrapper (whose monitor must also count exactly what the
 per-iteration path counts) and the temperature-managed wrapper at a
 steady sensor reading.
+
+A :class:`SystemTrng` stream is a sequence of *units* -- unit ``u`` is
+iteration ``u // C`` of channel ``u % C`` -- so it must equal the
+per-channel per-iteration rows interleaved iteration-major,
+channel-minor, for any request split, plain or monitored, synchronous
+or asynchronous, with or without readahead.  A channel whose monitor
+alarms loses exactly its units of that round.
 """
 
 import numpy as np
@@ -19,7 +26,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.health import HealthMonitor, MonitoredTrng
+from repro.core.health import HealthMonitor, HealthTestFailure, MonitoredTrng
+from repro.core.multichannel import SystemTrng
 from repro.core.parallel import (ProcessPoolBackend, SerialBackend,
                                  ThreadPoolBackend)
 from repro.core.remote import LocalCluster, RemoteBackend
@@ -32,6 +40,9 @@ REFERENCE_ITERATIONS = 48
 
 #: The single-channel generators under test.
 KINDS = ("quac", "monitored", "temperature")
+
+#: The two-channel systems under test.
+SYSTEM_KINDS = ("system", "monitored_system")
 
 
 @pytest.fixture(scope="module", params=["serial", "thread", "process",
@@ -144,3 +155,104 @@ def test_any_request_split_yields_the_same_bits(
     np.testing.assert_array_equal(served, want.ravel()[:sum(requests)])
     if kind == "monitored":
         _check_monitor(generator, counters)
+
+
+@pytest.fixture(scope="module")
+def system_modules(module_m13, module_m4):
+    return [module_m13, module_m4]
+
+
+@pytest.fixture(scope="module")
+def make_system(system_modules, entropy_scale):
+    def build(kind, backend, async_harvest=False):
+        monitors = None
+        if kind == "monitored_system":
+            monitors = [HealthMonitor(claimed_min_entropy=0.01,
+                                      consecutive_failures_to_alarm=2)
+                        for _ in system_modules]
+        return SystemTrng(system_modules,
+                          entropy_per_block=256.0 * entropy_scale,
+                          backend=backend, monitors=monitors,
+                          async_harvest=async_harvest)
+    return build
+
+
+@pytest.fixture(scope="module")
+def channel_rows(system_modules, entropy_scale):
+    """Per channel, ``REFERENCE_ITERATIONS`` rows of a lone
+    :class:`QuacTrng`'s per-iteration path on the serial backend."""
+    rows = []
+    for module in system_modules:
+        trng = QuacTrng(module, entropy_per_block=256.0 * entropy_scale,
+                        backend=SerialBackend())
+        rows.append([trng.iteration()[0]
+                     for _ in range(REFERENCE_ITERATIONS)])
+    return rows
+
+
+def _units(channel_rows, keep=lambda channel, iteration: True):
+    """The unit stream: every channel's iteration 0 in channel order,
+    then every channel's iteration 1, ... (``keep`` drops units)."""
+    return np.concatenate([rows[k]
+                           for k in range(REFERENCE_ITERATIONS)
+                           for c, rows in enumerate(channel_rows)
+                           if keep(c, k)])
+
+
+def _serve(system, requests, readahead):
+    system.harvest_engine.readahead = readahead
+    try:
+        return np.concatenate([system.random_bits(n) for n in requests])
+    finally:
+        system.harvest_engine.cancel_pending()
+
+
+@given(fractions=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=6),
+       async_harvest=st.booleans(), readahead=st.booleans(),
+       kind=st.sampled_from(SYSTEM_KINDS))
+@settings(max_examples=12, deadline=None)
+def test_any_request_split_of_a_system_yields_the_unit_stream(
+        backend, make_system, channel_rows, fractions, async_harvest,
+        readahead, kind):
+    system = make_system(kind, backend, async_harvest)
+    width = system.bits_per_system_iteration()
+    requests = [max(1, int(f * width)) for f in fractions]
+    served = _serve(system, requests, readahead)
+    np.testing.assert_array_equal(served,
+                                  _units(channel_rows)[:sum(requests)])
+
+
+@pytest.mark.parametrize("kind", SYSTEM_KINDS)
+def test_async_system_with_readahead_and_varying_requests(
+        backend, make_system, channel_rows, kind):
+    # Readahead sizes its rounds from the previous request, so varying
+    # sizes give rounds that split system iterations differently.
+    system = make_system(kind, backend, async_harvest=True)
+    width = system.bits_per_system_iteration()
+    requests = [width // 3, 2 * width + 17, 256, 5 * width // 2, 1,
+                width - 5]
+    served = _serve(system, requests, readahead=True)
+    np.testing.assert_array_equal(served,
+                                  _units(channel_rows)[:sum(requests)])
+
+
+def test_alarmed_channel_loses_its_units_for_that_round(
+        backend, make_system, channel_rows):
+    system = make_system("monitored_system", backend)
+    width = system.bits_per_system_iteration()
+    first = system.random_bits(3 * width // 2)
+    before = [channel.cursors()[0] for channel in system.channels]
+    system.channels[1].data_pattern = "1111"     # channel 1 goes dead
+    with pytest.raises(HealthTestFailure):
+        system.random_bits(4 * width)
+    after = [channel.cursors()[0] for channel in system.channels]
+    assert after[1] > before[1]
+    pooled = system.random_bits(system.pooled_bits)
+
+    def keep(channel, iteration):
+        # Units claimed so far, less channel 1's in the alarmed round.
+        return iteration < after[channel] and not (
+            channel == 1 and iteration >= before[1])
+
+    np.testing.assert_array_equal(np.concatenate([first, pooled]),
+                                  _units(channel_rows, keep))

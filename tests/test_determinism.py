@@ -48,16 +48,18 @@ QUAC_PREFIX = \
     "1111000010110001110111110010001011010111011010001101001010100101"
 
 #: First 4096 bits of a two-channel [M13, M4] SystemTrng.  The system
-#: schedule serves a first draw this small entirely from channel 0's
-#: opening batch, so this stream intentionally equals the QuacTrng
-#: golden -- pinning that scheduling fact too.
+#: stream starts with unit 0 -- channel 0's iteration 0 -- and a draw
+#: this small fits in it, so this stream intentionally equals the
+#: QuacTrng golden, pinning the unit order's first step too.
 SYSTEM_SHA256 = QUAC_SHA256
 
 #: The system's *second* draw (three system iterations), which forces
-#: both channels to contribute and therefore pins the round-robin
-#: interleaving, the fair-share batch sizing, and channel 1's stream.
+#: both channels to contribute and therefore pins the unit order
+#: (iteration-major, channel-minor: channel 0's iteration ``s``, then
+#: channel 1's) and channel 1's stream.  It opens with the surplus of
+#: unit 0, so its prefix is still channel 0's.
 SYSTEM_SECOND_DRAW_SHA256 = \
-    "b66d5c6f5475505375bcd04df6e156c3ac5b1023e6fe28aa40f717fae42a7bfe"
+    "a6b4e4a3fc35dce690efc61e55bffd3190f2b94f56e376396a878a7974712b9d"
 SYSTEM_SECOND_DRAW_PREFIX = \
     "0011101100110000111011111100110100000010010011111100110011011000"
 
