@@ -6,7 +6,7 @@ twice on the *same* warm process pool:
 
 * **sync**: the harvest engine with one round in flight -- every
   chunk blocks on plan -> execute -> gather;
-* **async**: the double-buffered engine
+* **async**: the same engine with two rounds in flight
   (:class:`repro.core.harvest.AsyncHarvestEngine`, readahead on) keeps
   the next planned round in flight while the previous chunk's bits
   pool and serve.

@@ -14,8 +14,7 @@ core generator:
 4. a monitored multi-channel system harvesting all channels in parallel
    on a thread-pool backend, surviving one channel going dead without
    losing the healthy channels' pooled bits;
-5. the asynchronous double-buffered harvest engine streaming chunks
-   with readahead -- refill rounds in flight while the consumer works,
+5. the asynchronous harvest engine streaming chunks with readahead -- refill rounds in flight while the consumer works,
    bit-identical to the synchronous stream (the README's "Async
    harvest" snippet, runnable).
 
@@ -108,7 +107,7 @@ def main() -> None:
             print(f"healthy channel's bits kept pooled: "
                   f"{system.pooled_bits} bits still serveable")
 
-    # --- 5. async double-buffered harvest (the README snippet) ---------
+    # --- 5. async harvest with readahead (the README snippet) ---------
     modules = build_table3_population(geometry, names=["M13", "M4"])
     with ThreadPoolBackend(4) as backend:
         sync_system = SystemTrng(modules, entropy_per_block=entropy_budget,
@@ -129,7 +128,7 @@ def main() -> None:
         print(f"streamed 8 x 4096-byte chunks, {matched}/8 identical to "
               f"the synchronous stream; {engine.rounds_planned} rounds "
               f"planned, {engine.pending_rounds} still in flight")
-        engine.cancel_pending()   # drop the last readahead guess
+        engine.cancel_pending()   # hand the last readahead guess back
 
 
 if __name__ == "__main__":

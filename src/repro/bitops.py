@@ -159,27 +159,20 @@ class BitBuffer:
         self._data[byte:byte + packed.size] = packed
         self._end += arr.size
 
-    def append_bytes(self, data: bytes, n_bits: int = None) -> None:
-        """Append pre-packed bytes (MSB first; ``n_bits`` trims padding).
+    def append_bytes(self, data: bytes) -> None:
+        """Append pre-packed bytes (MSB first).
 
-        When the write cursor is byte-aligned and no trimming is needed
-        this is a straight byte copy; otherwise the bytes are unpacked
-        and appended as bits.
+        When the write cursor is byte-aligned this is a straight byte
+        copy; otherwise the bytes are unpacked and appended as bits.
         """
         raw = np.frombuffer(data, dtype=np.uint8)
-        total = 8 * raw.size
-        if n_bits is None:
-            n_bits = total
-        if n_bits > total:
-            raise BitstreamError(
-                f"requested {n_bits} bits from {total}-bit buffer")
-        if self._end % 8 == 0 and n_bits == total:
-            self._reserve(n_bits)
-            byte = self._end // 8
-            self._data[byte:byte + raw.size] = raw
-            self._end += n_bits
-        else:
-            self.append(np.unpackbits(raw)[:n_bits])
+        if self._end % 8:
+            self.append(np.unpackbits(raw))
+            return
+        self._reserve(8 * raw.size)
+        byte = self._end // 8
+        self._data[byte:byte + raw.size] = raw
+        self._end += 8 * raw.size
 
     # -- reading -------------------------------------------------------
 
@@ -217,44 +210,6 @@ class BitBuffer:
         """Drop all buffered bits."""
         self._start = 0
         self._end = 0
-
-    # -- buffer-to-buffer (the double-buffer primitives) ---------------
-
-    def swap(self, other: "BitBuffer") -> None:
-        """Exchange contents with ``other`` in O(1).
-
-        The front/back swap of the double-buffered harvest engine: when
-        the front buffer drains, it trades storage with the freshly
-        filled back buffer instead of copying bits.  Both objects keep
-        their identity; only their contents trade places.
-
-        >>> front, back = BitBuffer(), BitBuffer(np.ones(8, dtype=np.uint8))
-        >>> front.swap(back)
-        >>> len(front), len(back)
-        (8, 0)
-        """
-        self._data, other._data = other._data, self._data
-        self._start, other._start = other._start, self._start
-        self._end, other._end = other._end, self._end
-
-    def drain_into(self, other: "BitBuffer") -> None:
-        """Move every buffered bit to the tail of ``other`` (in order).
-
-        Used when the front buffer is *not* empty at swap time: the
-        back buffer's bits must queue behind the front's remainder to
-        preserve stream order.  Whole bytes move through the packed
-        path when both cursors are byte-aligned.
-        """
-        if not len(self):
-            return
-        if self._start % 8 == 0 and other._end % 8 == 0:
-            whole, tail = divmod(len(self), 8)
-            if whole:
-                other.append_bytes(self.take_bytes(whole))
-            if tail:
-                other.append(self.take(tail))
-            return
-        other.append(self.take(len(self)))
 
     # -- internals -----------------------------------------------------
 

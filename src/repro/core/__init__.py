@@ -17,9 +17,10 @@
 * :mod:`repro.core.harvest` -- the one round planner and refill loop
   every generator runs: a :class:`HarvestPlanner` base class (round
   planning and gathering over a generator's channels, pool, engine,
-  ``random_bits`` / ``random_bytes`` / ``iter_bytes``) and the
-  double-buffered engine, with one round in flight by default and two
-  under ``async_harvest`` -- the same bits either way;
+  ``random_bits`` / ``random_bytes`` / ``iter_bytes``) and the engine
+  that gathers rounds straight into the one serving pool, with one
+  round in flight by default and two under ``async_harvest`` -- the
+  same bits either way;
 * :mod:`repro.core.throughput` -- iteration latency and throughput from
   tightly-scheduled command sequences (Sections 7.2 / 7.4 / Figure 13);
 * :mod:`repro.core.overheads` -- memory / storage / area accounting

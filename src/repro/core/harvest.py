@@ -18,14 +18,14 @@ one :class:`AsyncHarvestEngine` tops up the serving pool:
   change *what* it produces.
 * **Execution may be in flight.**  Planned rounds are submitted through
   :meth:`~repro.core.parallel.ExecutionBackend.submit_round` and
-  gathered when their results land.  ``max_in_flight=1`` (a
-  generator's default) is the synchronous loop: plan, execute, gather.
-  ``async_harvest=True`` allows two rounds, so the backend's workers
-  fill the next round while the consumer drains the previous one.
-* **Buffers are double.**  Gathered bits land in a *back*
-  :class:`~repro.bitops.BitBuffer`; the consumer drains the *front*
-  buffer (the generator's serving pool); when the front drains, the
-  buffers swap in O(1).
+  gathered, oldest first, when their results land.
+  ``max_in_flight=1`` (a generator's default) is the synchronous loop:
+  plan, execute, gather.  ``async_harvest=True`` allows two rounds, so
+  the backend's workers fill the next round while the consumer drains
+  the previous one.
+* **One pool.**  A landed round's rows are appended straight to the
+  generator's serving :class:`~repro.bitops.BitBuffer`, behind
+  whatever it still holds; there is no other buffer.
 
 Determinism contract
 --------------------
@@ -41,15 +41,17 @@ only *when* a unit is generated, never *what* it is or where it lands.
 Request splits, ``max_in_flight`` and :attr:`AsyncHarvestEngine.
 readahead` (which commits the next round before the next request
 arrives, sized as if the previous request repeats) therefore never
-change a bit, on any backend at any worker count.  Only a health
-alarm (below) and :meth:`AsyncHarvestEngine.cancel_pending` drop
-units: the stream skips them rather than replaying them.
+change a bit, on any backend at any worker count.
+:meth:`AsyncHarvestEngine.cancel_pending` hands a discarded round's
+units back to the channels' cursors, so the next round claims them
+again; only a health alarm (below) drops units, and the stream skips
+them rather than replaying them.
 ``tests/core/test_stream_partition.py`` and the golden streams of
 ``tests/test_determinism.py`` pin this.
 
-Each round's deficit is the requested bits minus everything already
-committed (front pool + back buffer + in-flight rounds' exact yields,
-all known at plan time because a round's yield is exact arithmetic).
+Each round's deficit is the requested bits minus what is already
+committed: the pool plus the in-flight rounds' exact yields, known at
+plan time because a round's yield is exact arithmetic.
 
 Health monitoring
 -----------------
@@ -57,12 +59,11 @@ Health monitoring
 A planner with per-channel monitors applies their verdicts when an
 in-flight round *lands*.  A channel whose monitor alarms contributes
 no rows for that round; every other channel's rows are appended to
-the back buffer in unit order (and swapped to the front) **before**
-the round's first :class:`~repro.core.health.HealthTestFailure`
-re-raises, so an alarm never destroys bits that healthy channels
-already earned.
-Rounds still in flight when the alarm propagates stay queued and are
-gathered by the next fill (or discarded by :meth:`
+the pool in unit order **before** the round's first
+:class:`~repro.core.health.HealthTestFailure` re-raises, so an alarm
+never destroys bits that healthy channels already earned.  Rounds
+still in flight when the alarm propagates stay queued and are gathered
+by the next fill (or handed back by :meth:`
 AsyncHarvestEngine.cancel_pending`).
 
 Example
@@ -273,13 +274,23 @@ class HarvestPlanner:
                 pool.append_bytes(np.concatenate(rows, axis=1))
         return failure
 
+    def unclaim_round(self, round_: HarvestRound) -> None:
+        """Hand a discarded round's units back to the channels' cursors.
+
+        Rewinds each channel to its share's first iteration, so the
+        next round plans exactly the units this one claimed.
+        """
+        for span in round_.spans:
+            self.channels[span.channel].unclaim(
+                round_.tasks[span.start:span.stop])
+
     @property
     def harvest_engine(self) -> AsyncHarvestEngine:
         """The engine that fills the serving pool.
 
         Built lazily on first use, with one round in flight (two with
         ``async_harvest``); exposed for introspection
-        (``pending_rounds``, ``back_bits``), readahead control, and
+        (``pending_rounds``, ``in_flight_bits``), readahead control, and
         teardown (``cancel_pending`` / ``drain``).
         """
         if self._harvest_engine is None:
@@ -343,8 +354,8 @@ class AsyncHarvestEngine:
         engine just sees the round land later, with identical bits.
     max_in_flight:
         Outstanding-round bound: 1 is the synchronous loop (plan,
-        execute, gather), 2 the double buffer -- one round being
-        gathered/drained (front), one executing (back).
+        execute, gather), 2 lets one round execute while the consumer
+        drains the pool the previous one filled.
     readahead:
         Commit the next draw's first rounds speculatively after each
         fill, sized as if the previous request repeats.  A wrong guess
@@ -366,7 +377,6 @@ class AsyncHarvestEngine:
         self.backend = backend
         self.max_in_flight = max_in_flight
         self.readahead = readahead
-        self._back = BitBuffer()
         self._in_flight: Deque[HarvestRound] = deque()
         #: Lifetime statistics (rounds planned / gathered / discarded).
         self.rounds_planned = 0
@@ -386,31 +396,23 @@ class AsyncHarvestEngine:
         """Exact conditioned-bit yield of every in-flight round."""
         return sum(round_.yield_bits for round_ in self._in_flight)
 
-    def back_bits(self) -> int:
-        """Bits gathered into the back buffer, not yet swapped forward."""
-        return len(self._back)
-
-    def committed_bits(self) -> int:
-        """Bits already earned beyond the serving pool (back + in flight)."""
-        return self.back_bits() + self.in_flight_bits()
-
     def __repr__(self) -> str:
         return (f"AsyncHarvestEngine({self.pending_rounds} rounds in "
-                f"flight, {self.back_bits()} bits buffered, "
+                f"flight, {self.in_flight_bits()} bits committed, "
                 f"readahead={self.readahead})")
 
     # ------------------------------------------------------------------
-    # The double-buffered fill loop
+    # The fill loop
     # ------------------------------------------------------------------
 
     def fill(self, pool: BitBuffer, n_bits: int) -> None:
-        """Top ``pool`` (the front buffer) up to ``n_bits``.
+        """Top ``pool`` (the serving pool) up to ``n_bits``.
 
-        Plans and submits rounds until the committed bits cover the
-        deficit (at most :attr:`max_in_flight` rounds outstanding),
-        gathers landed rounds into the back buffer, and swaps the back
-        buffer forward -- all in plan order, so the pool fills with
-        the same bits whatever the in-flight bound.
+        Plans and submits rounds until the pool plus the in-flight
+        rounds' yields cover ``n_bits`` (at most :attr:`max_in_flight`
+        rounds outstanding), and gathers landed rounds straight into
+        the pool -- in plan order, so the pool fills with the same bits
+        whatever the in-flight bound.
 
         Raises the first deferred health failure of a landing round
         *after* pooling that round's healthy channels' bits; rounds
@@ -421,26 +423,20 @@ class AsyncHarvestEngine:
         stalls = 0
         while len(pool) < n_bits:
             self._prime(n_bits - len(pool))
-            failure = None
-            gathered = 0
+            before = len(pool)
             if self._in_flight:
-                back_before = len(self._back)
-                failure = self._gather_next()
-                # The round's own contribution -- robust even when a
-                # planner flushes buffers at gather (the temperature
-                # manager discards a stale range's surplus), which can
-                # shrink the pool while still making real progress.
-                gathered = len(self._back) - back_before
-            self._swap_forward(pool)
-            if failure is not None:
-                raise failure
-            # A fruitless iteration (nothing gathered, nothing
-            # committed) gets one replan: a legitimately *discarded*
-            # round -- e.g. a temperature-managed round landing after
-            # a sensor excursion -- is followed by a fresh round
-            # planned under the new conditions.  Two in a row means
-            # the planner covers no part of the deficit.
-            if gathered > 0 or self._in_flight or len(self._back):
+                failure = self._gather(pool)
+                if failure is not None:
+                    raise failure
+            # A pass makes progress when the round changed the pool
+            # (a planner may flush stale bits at gather, so it can
+            # shrink) or rounds are still in flight.  A fruitless pass
+            # gets one replan: a legitimately *discarded* round -- e.g.
+            # a temperature-managed round landing after a sensor
+            # excursion -- is followed by a fresh round planned under
+            # the new conditions.  Two in a row means the planner
+            # covers no part of the deficit.
+            if len(pool) != before or self._in_flight:
                 stalls = 0
                 continue
             stalls += 1
@@ -457,11 +453,11 @@ class AsyncHarvestEngine:
         """Plan/submit rounds until committed bits cover ``needed_bits``.
 
         ``needed_bits`` counts bits needed beyond the serving pool;
-        rounds already gathered (back buffer) or in flight count toward
-        it with their exact yields.  Planning happens here, serially,
-        in the consumer -- the determinism contract's anchor.
+        in-flight rounds count toward it with their exact yields.
+        Planning happens here, serially, in the consumer -- the
+        determinism contract's anchor.
         """
-        committed = self.committed_bits()
+        committed = self.in_flight_bits()
         while (committed < needed_bits
                and len(self._in_flight) < self.max_in_flight):
             round_ = self.planner.plan_round(needed_bits - committed)
@@ -471,26 +467,12 @@ class AsyncHarvestEngine:
             self.rounds_planned += 1
             committed += round_.yield_bits
 
-    def _gather_next(self) -> Optional[ReproError]:
-        """Join the oldest in-flight round into the back buffer."""
+    def _gather(self, pool: BitBuffer) -> Optional[ReproError]:
+        """Join the oldest in-flight round into ``pool``."""
         round_ = self._in_flight.popleft()
         results = round_.pending.result()
         self.rounds_gathered += 1
-        return self.planner.gather_round(round_, results, self._back)
-
-    def _swap_forward(self, pool: BitBuffer) -> None:
-        """Move the back buffer's bits into the front (serving) pool.
-
-        A fully-drained front swaps with the back in O(1); otherwise
-        the back buffer's bits are appended behind the front's
-        remainder, preserving stream order.
-        """
-        if not len(self._back):
-            return
-        if not len(pool):
-            pool.swap(self._back)
-        else:
-            self._back.drain_into(pool)
+        return self.planner.gather_round(round_, results, pool)
 
     # ------------------------------------------------------------------
     # Teardown
@@ -500,12 +482,12 @@ class AsyncHarvestEngine:
         """Join and discard every in-flight round; return the count.
 
         For teardown (or abandoning a readahead guess): the rounds'
-        results are dropped, *not* pooled.  The discarded rounds'
-        iterations were already claimed from the segments' cursors at
-        plan time, so the stream continues after them -- still fully
-        reproducible for the same call sequence, but no longer equal
-        to a run that never cancelled.  Safe to call with the backend already closed
-        (pooled backends finish submitted work before closing).
+        results are dropped, *not* pooled, and their units go back to
+        the channels' cursors (:meth:`HarvestPlanner.unclaim_round`),
+        so the next fill plans them again and the stream stays equal
+        to a run that never cancelled.  Safe to call with the backend
+        already closed (pooled backends finish submitted work before
+        closing).
         """
         cancelled = 0
         while self._in_flight:
@@ -514,6 +496,7 @@ class AsyncHarvestEngine:
                 round_.pending.result()
             except Exception:
                 pass  # a discarded round's failure is moot
+            self.planner.unclaim_round(round_)
             cancelled += 1
         self.rounds_cancelled += cancelled
         return cancelled
@@ -530,8 +513,6 @@ class AsyncHarvestEngine:
         """
         failure = None
         while self._in_flight:
-            exc = self._gather_next()
-            if failure is None:
-                failure = exc
-        self._swap_forward(pool)
+            exc = self._gather(pool)
+            failure = failure or exc
         return failure

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.bitops import is_binary
 from repro.core.harvest import HarvestPlanner
-from repro.core.parallel import packed_rows, run_bank_task
+from repro.core.parallel import packed_rows
 from repro.core.trng import QuacTrng
 from repro.errors import (BitstreamError, ConfigurationError,
                           HealthTestFailure)
@@ -372,20 +372,3 @@ class MonitoredTrng(HarvestPlanner):
                 digests.append(self.trng._condition(block))
         return (np.concatenate(digests),
                 self.trng.iteration_latency_ns)
-
-    def batch_iterations(self, n: int) -> Tuple[np.ndarray, float]:
-        """``n`` health-checked iterations through the batched path.
-
-        Workers return each bank's *raw* read-outs alongside the
-        conditioned bits; the raw blocks are then monitored in the
-        per-iteration path's exact order (iteration-major, bank-minor)
-        through :meth:`HealthMonitor.check_bank_results`, so failure
-        counting -- and any :class:`HealthTestFailure` alarm -- lands
-        on exactly the read-out it would have with one
-        :meth:`iteration` at a time.
-        """
-        results = self.backend.run_round(
-            run_bank_task, self.trng.plan_batch(n, collect_raw=True))
-        self.monitor.check_bank_results(results, n)
-        return (self.trng.assemble_batch(results),
-                n * self.trng.iteration_latency_ns)

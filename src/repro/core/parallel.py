@@ -3,11 +3,11 @@
 QUAC-TRNG's headline throughput comes from *concurrency*: the paper
 drives four banks per channel and four channels per system, and every
 bank's iteration is independent of every other's.  The simulator's
-batched fast path (:meth:`repro.core.trng.QuacTrng.batch_iterations`)
-mirrors that structure -- one vectorized draw per bank -- which makes
-the per-bank work an embarrassingly parallel unit.  This module turns
-that unit into a first-class, *picklable* task and provides three
-interchangeable executors for it:
+refill rounds (:mod:`repro.core.harvest`) mirror that structure -- one
+vectorized draw per bank (:meth:`repro.core.trng.QuacTrng.plan_batch`)
+-- which makes the per-bank work an embarrassingly parallel unit.  This
+module turns that unit into a first-class, *picklable* task and
+provides four interchangeable executors for it:
 
 * :class:`SerialBackend` -- in-process loop (the default; zero overhead,
   bit-identical reference);

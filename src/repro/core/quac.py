@@ -55,6 +55,11 @@ class QuacExecutor:
         return self._cursors.get(
             (segment.bank_group, segment.bank, segment.segment), 0)
 
+    def rewind(self, segment: SegmentAddress, iteration: int) -> None:
+        """Move the segment's cursor back to ``iteration`` (never forward)."""
+        coords = (segment.bank_group, segment.bank, segment.segment)
+        self._cursors[coords] = min(self.cursor(segment), iteration)
+
     def plan_direct(self, segment: SegmentAddress, pattern: str,
                     first_position: int = 0, iterations: int = 1
                     ) -> Tuple[Tuple[int, ...], np.ndarray, int]:

@@ -188,14 +188,6 @@ class TemperatureManagedTrng(HarvestPlanner):
         """One iteration using the active range's plans."""
         return self.active_entry().trng.iteration()
 
-    def batch_iterations(self, n: int) -> Tuple[np.ndarray, float]:
-        """``n`` batched iterations using the active range's plans.
-
-        The range is selected once per batch; the batch itself runs on
-        the active generator's execution backend.
-        """
-        return self.active_entry().trng.batch_iterations(n)
-
     # ------------------------------------------------------------------
     # Harvest-planner protocol (repro.core.harvest)
     # ------------------------------------------------------------------
@@ -222,27 +214,29 @@ class TemperatureManagedTrng(HarvestPlanner):
         temperature is discarded (its bits were conditioned under
         stale column-address tables); the engine simply plans the next
         round under the now-active range.  The first round landing
-        under a *new* range additionally flushes surplus the old range
-        left behind -- the serving pool and the engine's back buffer
-        -- exactly as the synchronous path's per-batch
-        :meth:`_pooled_source` check does mid-draw, so output never
-        mixes ranges.
+        under a *new* range first clears the surplus the old range
+        left in the pool, so output never mixes ranges.  (A draw that
+        starts under a new range is flushed by :meth:`_refill`; this
+        catches a range change between the rounds of one fill.)
         """
         entry = round_.context
         if not entry.covers(self.module.temperature_c):
             return None
         if entry is not self._pool_entry:
-            pool.clear()         # back buffer: gathered, not yet served
-            self._pool.clear()   # serving pool: the old range's surplus
+            pool.clear()
             self._pool_entry = entry
         return entry.trng.gather_round(round_, results, pool)
+
+    def unclaim_round(self, round_: HarvestRound) -> None:
+        """Hand a cancelled round's units back to the range that planned it."""
+        round_.context.trng.unclaim_round(round_)
 
     def _refill(self, n_bits: int) -> None:
         """Top the pool up, re-selecting the range as temperature moves.
 
         Surplus conditioned bits are served first on the next call --
         unless the temperature has left the range that generated them:
-        everything backlogged (pooled, buffered, or in flight) was
+        everything backlogged (pooled or in flight) was
         planned under another range's tables, so it is gathered and
         flushed before serving from the new range (stale rounds
         discard themselves at gather).

@@ -15,12 +15,14 @@ Two execution paths mirror :class:`~repro.core.quac.QuacExecutor`:
 ``faithful=True`` replays every DRAM command through the SoftMC host;
 the default fast path samples the analytic settling distribution and is
 what bulk bitstream generation (the NIST experiments) uses.  Bulk
-requests additionally run *batched*: :meth:`QuacTrng.batch_iterations`
-samples many iterations per bank in one vectorized draw, slices all SHA
-input blocks as 2-D matrices and conditions them in bulk -- the same
-back-to-back iteration structure from which the paper derives its
-3.44 Gb/s per channel.  Iteration *latency* always comes from the
-scheduled command sequence
+requests additionally run *batched*: :meth:`QuacTrng.random_bits`
+fills through the shared round planner
+(:class:`~repro.core.harvest.HarvestPlanner`), whose rounds sample many
+iterations per bank in one vectorized draw (:meth:`QuacTrng.plan_batch`
+plans them), slice all SHA input blocks as 2-D matrices and condition
+them in bulk -- the same back-to-back iteration structure from which
+the paper derives its 3.44 Gb/s per channel.  Iteration *latency*
+always comes from the scheduled command sequence
 (:class:`~repro.core.throughput.QuacThroughputModel`), never from
 wall-clock simulation time.
 """
@@ -35,9 +37,10 @@ from repro.controller.rowclone import (reserved_rows_for,
                                        rowclone_segment_init_program,
                                        check_rowclone_pattern)
 from repro.core.harvest import HarvestPlanner
-from repro.core.parallel import (BankResult, BankTask, ExecutionBackend,
-                                 packed_rows, resolve_backend,
-                                 run_bank_task)
+from repro.core.parallel import BankTask, ExecutionBackend, resolve_backend
+# Not called here; kept importable so a tracer that rebinds the task
+# entry point by module attribute (``hostbench/layers.py``) finds it.
+from repro.core.parallel import run_bank_task  # noqa: F401
 from repro.core.quac import QuacExecutor
 from repro.core.throughput import (IterationBreakdown, QuacThroughputModel,
                                    TrngConfiguration)
@@ -198,8 +201,9 @@ class QuacTrng(HarvestPlanner):
     def cursors(self) -> List[int]:
         """Per driven bank, the next thermal-noise iteration to plan.
 
-        Every harvest path advances these by exactly the iterations it
-        plans, so they count the iterations generated so far.
+        :meth:`plan_batch` advances these by exactly the iterations it
+        plans and :meth:`unclaim` hands cancelled ones back, so they
+        count the iterations claimed so far.
         """
         return [self.executor.cursor(self._segments[b]) for b in self._banks]
 
@@ -238,33 +242,6 @@ class QuacTrng(HarvestPlanner):
                 digests.append(self._condition(block))
         return np.concatenate(digests), self._breakdown.total_ns
 
-    def batch_iterations(self, n: int) -> Tuple[np.ndarray, float]:
-        """``n`` back-to-back iterations through the vectorized fast path.
-
-        The batch is planned as one independent task per driven bank
-        (:meth:`plan_batch`) and fanned out on the configured execution
-        backend; each worker samples its bank's ``n`` read-outs in one
-        vectorized draw, slices the SHA input blocks as
-        ``(n, block_bits)`` matrices and conditions them in bulk.
-        Because every task carries its segment's thermal key and first
-        iteration index, the result is bit-identical whichever backend
-        executes it.
-
-        Returns
-        -------
-        ``(bits, latency_ns)`` where ``bits`` has shape
-        ``(n, bits_per_iteration)`` -- row ``i`` is iteration ``i``'s
-        conditioned output in the same bank/block order as
-        :meth:`iteration` -- and ``latency_ns`` is the scheduled latency
-        of the whole batch.  The batch is bit-identical to ``n`` calls
-        of :meth:`iteration` for every ``n``: iteration ``k`` of a
-        segment's thermal stream is the same however the iterations
-        are grouped (the test suite proves it).
-        """
-        results = self.backend.run_round(run_bank_task,
-                                         self.plan_batch(n))
-        return self.assemble_batch(results), n * self._breakdown.total_ns
-
     def plan_batch(self, n: int,
                    collect_raw: bool = False) -> List[BankTask]:
         """Plan ``n`` iterations as one picklable task per driven bank.
@@ -296,15 +273,15 @@ class QuacTrng(HarvestPlanner):
                 collect_raw=collect_raw, first_iteration=first))
         return tasks
 
-    def assemble_batch(self, results: List[BankResult]) -> np.ndarray:
-        """Concatenate per-bank results into the iteration-major matrix.
+    def unclaim(self, tasks: List[BankTask]) -> None:
+        """Rewind each driven bank's cursor to its task's first iteration.
 
-        Row ``i`` of the result is iteration ``i``'s conditioned output
-        in the same bank/block order as :meth:`iteration`.
+        The inverse of :meth:`plan_batch` for tasks that were planned
+        but never pooled; a cursor already behind ``first_iteration``
+        stays where it is.
         """
-        return np.unpackbits(packed_rows(
-            [result.digests for result in results],
-            results[0].iterations), axis=1)
+        for key, task in zip(self._banks, tasks):
+            self.executor.rewind(self._segments[key], task.first_iteration)
 
     # ------------------------------------------------------------------
     # Internals

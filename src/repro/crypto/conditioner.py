@@ -140,7 +140,8 @@ class Sha256Conditioner(Conditioner):
 
         One ``packbits`` packs every block; the digests are written into
         a single contiguous byte buffer and unpacked once -- the hot
-        path of :meth:`repro.core.trng.QuacTrng.batch_iterations`.
+        path of :func:`repro.core.parallel.run_bank_task`, which every
+        harvest round runs per bank.
         """
         matrix = ensure_block_matrix(blocks)
         n_blocks = matrix.shape[0]

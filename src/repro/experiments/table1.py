@@ -12,11 +12,11 @@ Section 7.1 pass-rate analysis: the stream is partitioned into
 sequences, each runs the full suite, and the passing proportion is
 compared against the NIST acceptance band.
 
-The SHA-256 stream is harvested through the generator's *batched* path
-(:meth:`~repro.core.trng.QuacTrng.batch_iterations` under
-``random_bits``): the megabit-scale bulk draw is the pipeline the paper
-sizes at 3.44 Gb/s, and the simulator now exploits the same
-back-to-back iteration structure.
+The SHA-256 stream is harvested through ``random_bits``, whose refill
+rounds draw many iterations per bank at once
+(:meth:`~repro.core.trng.QuacTrng.plan_batch`): the megabit-scale bulk
+draw is the pipeline the paper sizes at 3.44 Gb/s, and the simulator
+exploits the same back-to-back iteration structure.
 """
 
 from __future__ import annotations

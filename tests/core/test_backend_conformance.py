@@ -206,7 +206,7 @@ def test_submit_round_result_equals_map(backend):
 
 
 def test_run_round_matches_map(backend):
-    # The blocking helper batch_iterations uses, over the edge cases.
+    # The blocking helper over submit_round, over the edge cases.
     tasks = _tasks(9)
     assert _bits(backend.run_round(run_bank_task, tasks)) == \
         _expected(tasks)

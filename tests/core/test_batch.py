@@ -2,10 +2,11 @@
 
 The batched engine must be a pure speedup, not a different generator:
 iteration ``k`` of a segment's thermal stream is the same whether it is
-drawn alone or inside a batch, so a batch of any size ``n`` is
-bit-identical to ``n`` calls of :meth:`QuacTrng.iteration`, for any
-partition of the iterations into batches.  Bulk streams from both paths
-also pass the NIST frequency and runs tests.
+drawn alone or inside a refill round, so ``random_bits`` of ``n``
+iterations' worth of bits, reshaped to ``n`` rows, is bit-identical to
+``n`` calls of :meth:`QuacTrng.iteration`, for any partition of the
+iterations into draws.  Bulk streams from both paths also pass the
+NIST frequency and runs tests.
 """
 
 import numpy as np
@@ -28,49 +29,59 @@ def make_trng(module_m13, small_geometry):
     return build
 
 
+def _rows(trng, n):
+    """``n`` iterations' worth of ``random_bits``, one row each."""
+    return trng.random_bits(n * trng.bits_per_iteration).reshape(n, -1)
+
+
 class TestBatchIdentity:
     def test_batch_one_bit_identical_to_iteration(self, make_trng):
         sequential = make_trng()
         batched = make_trng()
-        # Identity must hold for every batch size and across the
-        # cursor state left by earlier batches.
+        # Identity must hold for every draw size and across the
+        # cursor state left by earlier draws.
         for n in (1, 1, 3, 2, 5):
-            batch_bits, batch_latency = batched.batch_iterations(n)
-            assert batch_bits.shape == (n, sequential.bits_per_iteration)
-            for row in batch_bits:
+            rows = _rows(batched, n)
+            assert rows.shape == (n, sequential.bits_per_iteration)
+            for row in rows:
                 seq_bits, seq_latency = sequential.iteration()
                 np.testing.assert_array_equal(row, seq_bits)
-            assert batch_latency == pytest.approx(n * seq_latency)
+                assert seq_latency == pytest.approx(
+                    batched.iteration_latency_ns)
 
     def test_first_batch_row_matches_first_iteration(self, make_trng):
-        # Every row of a batch is its iteration, wherever the batch
-        # boundaries fall: one batch of 6 equals iteration + batch of
-        # 3 + batch of 2.
-        whole, _ = make_trng().batch_iterations(6)
+        # Every row of a draw is its iteration, wherever the draw
+        # boundaries fall: one draw of 6 equals iteration + draw of
+        # 3 + draw of 2.
+        whole = _rows(make_trng(), 6)
         trng = make_trng()
         first, _ = trng.iteration()
-        middle, _ = trng.batch_iterations(3)
-        last, _ = trng.batch_iterations(2)
+        middle = _rows(trng, 3)
+        last = _rows(trng, 2)
         np.testing.assert_array_equal(
             whole, np.vstack([first[None, :], middle, last]))
 
     def test_batch_shape_and_latency(self, make_trng):
         trng = make_trng()
-        bits, latency = trng.batch_iterations(7)
+        bits = _rows(trng, 7)
         assert bits.shape == (7, trng.bits_per_iteration)
-        assert latency == pytest.approx(7 * trng.iteration_latency_ns)
+        # Whole iterations leave no surplus and claim exactly 7.
+        assert len(trng._pool) == 0
+        assert trng.cursors() == [7] * len(trng.cursors())
+        _, latency = trng.iteration()
+        assert latency == pytest.approx(trng.iteration_latency_ns)
 
     def test_batch_rows_are_distinct(self, make_trng):
-        bits, _ = make_trng().batch_iterations(4)
+        bits = _rows(make_trng(), 4)
         for i in range(3):
             assert not np.array_equal(bits[i], bits[i + 1])
 
     def test_nonpositive_batch_rejected(self, make_trng):
         trng = make_trng()
         with pytest.raises(ConfigurationError):
-            trng.batch_iterations(0)
+            trng.plan_batch(0)
         with pytest.raises(ConfigurationError):
-            trng.batch_iterations(-3)
+            trng.plan_batch(-3)
 
 
 class TestBatchStatisticalAgreement:

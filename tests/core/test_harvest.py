@@ -1,4 +1,4 @@
-"""The asynchronous double-buffered harvest engine.
+"""The harvest engine: one refill loop gathering into one pool.
 
 Two families of guarantees:
 
@@ -108,13 +108,13 @@ class TestAsyncEquivalence:
 
 
 class TestDoubleBuffer:
-    """Front/back buffer mechanics around in-flight rounds."""
+    """Serving-pool mechanics around in-flight rounds."""
 
     def test_drain_while_refill_in_flight(self, module_m13, entropy_scale,
                                           monkeypatch):
         # With readahead on, serving a draw leaves the next round in
-        # flight; the consumer drains the front buffer while the back
-        # buffer is still filling, and the next draw swaps forward.
+        # flight; the consumer drains the pool while that round
+        # executes, and the next draw gathers it into the pool.
         monkeypatch.setattr(harvest_module, "MAX_BATCH_ITERATIONS", 4)
         sync = _fresh_trng(module_m13, entropy_scale)
         draw = 4 * sync.bits_per_iteration
@@ -126,15 +126,15 @@ class TestDoubleBuffer:
             first = trng.random_bits(draw)
             # The engine committed the assumed-repeat round already.
             assert trng.harvest_engine.pending_rounds > 0
-            assert trng.harvest_engine.committed_bits() >= draw
+            assert trng.harvest_engine.in_flight_bits() >= draw
             rest = [trng.random_bits(draw) for _ in range(3)]
         for got, want in zip([first] + rest, expected):
             np.testing.assert_array_equal(got, want)
 
     def test_drained_front_swaps_with_back_in_place(self, module_m13,
                                                     entropy_scale):
-        # Pool identity must survive the O(1) swap: random_bits serves
-        # from the same BitBuffer object across draws.
+        # Rounds gather straight into the serving pool: random_bits
+        # serves from the same BitBuffer object across draws.
         trng = _fresh_trng(module_m13, entropy_scale, async_harvest=True)
         pool = trng._pool
         trng.random_bits(trng.bits_per_iteration)
@@ -181,21 +181,23 @@ class TestTeardown:
                                                   entropy_scale,
                                                   monkeypatch):
         monkeypatch.setattr(harvest_module, "MAX_BATCH_ITERATIONS", 4)
+        sync = _fresh_trng(module_m13, entropy_scale)
+        draw = 4 * sync.bits_per_iteration
+        expected = [sync.random_bits(draw) for _ in range(2)]
         trng = _fresh_trng(module_m13, entropy_scale, async_harvest=True)
         trng.harvest_engine.readahead = True
-        draw = 4 * trng.bits_per_iteration
         trng.random_bits(draw)
+        claimed = trng.cursors()
         assert trng.harvest_engine.pending_rounds > 0
         cancelled = trng.harvest_engine.cancel_pending()
         assert cancelled > 0
         assert trng.harvest_engine.pending_rounds == 0
         assert trng.harvest_engine.rounds_cancelled == cancelled
-        # The engine keeps serving (from later draws in the key
-        # sequence -- reproducible, just no longer equal to a run that
-        # never cancelled).
-        out = trng.random_bits(draw)
-        assert out.size == draw
-        assert abs(out.mean() - 0.5) < 0.1
+        # The cancelled rounds' iterations go back to the cursors, so
+        # the engine serves them next: the stream equals a run that
+        # never cancelled.
+        assert trng.cursors()[0] < claimed[0]
+        np.testing.assert_array_equal(trng.random_bits(draw), expected[1])
 
     def test_drain_keeps_planned_entropy(self, module_m13, entropy_scale,
                                          monkeypatch):
@@ -269,7 +271,7 @@ class TestInFlightHealthFailure:
             system.random_bits(8 * system.bits_per_system_iteration())
         engine = system.harvest_engine
         leftover = engine.pending_rounds
-        pooled_before = len(system._pool) + engine.back_bits()
+        pooled_before = len(system._pool)
         # Draining gathers the queued rounds; their healthy channel's
         # bits pool, their dead channel's alarm is reported, not lost.
         failure = engine.drain(system._pool)
@@ -340,9 +342,12 @@ class TestPackedResults:
             assert len(result.raw) * 8 == 5 * result.raw_bits
         # The packed gather lays banks side by side as bytes; its
         # unpacked view is the per-iteration stream.
+        fresh = _fresh_trng(module_m13, entropy_scale)
         sequential = _fresh_trng(module_m13, entropy_scale)
         want = np.vstack([sequential.iteration()[0] for _ in range(5)])
-        np.testing.assert_array_equal(batched.assemble_batch(results), want)
+        np.testing.assert_array_equal(
+            fresh.random_bits(5 * fresh.bits_per_iteration).reshape(5, -1),
+            want)
 
     def test_packed_monitoring_counts_identically(self, module_m13,
                                                   entropy_scale):

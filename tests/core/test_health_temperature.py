@@ -353,10 +353,11 @@ class TestMonitoredTrngBatched:
     def test_batch_one_matches_iteration(self, module_m13, entropy_scale):
         sequential = self._pair(module_m13, entropy_scale)
         batched = self._pair(module_m13, entropy_scale)
-        # A batch of any size n is n health-checked iterations, with
-        # identical monitor accounting.
+        # A draw of n iterations' bits is n health-checked iterations,
+        # with identical monitor accounting.
+        width = batched.bits_per_iteration
         for n in (1, 4, 2):
-            got, _ = batched.batch_iterations(n)
+            got = batched.random_bits(n * width).reshape(n, -1)
             for row in got:
                 want, _ = sequential.iteration()
                 np.testing.assert_array_equal(row, want)
@@ -478,13 +479,27 @@ class TestTemperatureManager:
         assert managed.stored_column_entries() == sum(
             sum(e.trng.sib_per_bank) for e in managed._entries)
 
-    def test_batch_iterations_uses_active_range(self, managed,
-                                                module_m13):
+    def test_batch_iterations_uses_active_range(self, module_m13,
+                                                entropy_scale):
         module_m13.temperature_c = 50.0
-        active = managed.active_entry().trng
-        bits, latency = managed.batch_iterations(3)
+
+        def build():
+            return TemperatureManagedTrng(
+                module_m13, entropy_per_block=256.0 * entropy_scale)
+
+        fresh, sequential = build(), build()
+        active = fresh.active_entry().trng
+        width = active.bits_per_iteration
+        bits = fresh.random_bits(3 * width).reshape(3, -1)
         assert bits.shape == (3, active.bits_per_iteration)
-        assert latency == pytest.approx(3 * active.iteration_latency_ns)
+        for row in bits:
+            want, latency = sequential.iteration()
+            np.testing.assert_array_equal(row, want)
+            assert latency == pytest.approx(active.iteration_latency_ns)
+        # Only the active range's generator claimed iterations.
+        assert [sum(e.trng.cursors()) for e in fresh._entries] == [
+            3 * len(active.cursors()) if e.trng is active else 0
+            for e in fresh._entries]
 
     def test_random_bits_pools_surplus(self, managed, module_m13):
         module_m13.temperature_c = 50.0

@@ -38,6 +38,11 @@ def _fresh_trng(module, small_geometry, backend):
                     backend=backend)
 
 
+def _rows(trng, n):
+    """``n`` iterations' worth of ``random_bits``, one row each."""
+    return trng.random_bits(n * trng.bits_per_iteration).reshape(n, -1)
+
+
 class TestBackendEquivalence:
     """Serial == ThreadPool == ProcessPool, bit for bit."""
 
@@ -47,12 +52,12 @@ class TestBackendEquivalence:
                                                  small_geometry,
                                                  module_fixture, n):
         module = request.getfixturevalue(module_fixture)
-        reference, _ = _fresh_trng(module, small_geometry,
-                                   SerialBackend()).batch_iterations(n)
+        reference = _rows(_fresh_trng(module, small_geometry,
+                                      SerialBackend()), n)
         for backend in (ThreadPoolBackend(2), ProcessPoolBackend(2)):
             with backend:
-                bits, _ = _fresh_trng(module, small_geometry,
-                                      backend).batch_iterations(n)
+                bits = _rows(_fresh_trng(module, small_geometry, backend),
+                             n)
             np.testing.assert_array_equal(
                 bits, reference,
                 err_msg=f"{backend!r} diverged from serial at n={n}")
@@ -62,12 +67,12 @@ class TestBackendEquivalence:
     def test_worker_count_does_not_perturb_stream(self, module_m13,
                                                   small_geometry,
                                                   backend_cls):
-        reference, _ = _fresh_trng(module_m13, small_geometry,
-                                   SerialBackend()).batch_iterations(5)
+        reference = _rows(_fresh_trng(module_m13, small_geometry,
+                                      SerialBackend()), 5)
         for workers in WORKER_COUNTS:
             with backend_cls(workers) as backend:
-                bits, _ = _fresh_trng(module_m13, small_geometry,
-                                      backend).batch_iterations(5)
+                bits = _rows(_fresh_trng(module_m13, small_geometry,
+                                         backend), 5)
             np.testing.assert_array_equal(
                 bits, reference,
                 err_msg=f"{backend_cls.__name__}({workers}) perturbed "
@@ -90,15 +95,14 @@ class TestBackendEquivalence:
 
     def test_batch_one_still_matches_iteration(self, module_m13,
                                                small_geometry):
-        # The identity survives the fan-out on a process pool: a batch
-        # of any size n is n sequential iterations.
+        # The identity survives the fan-out on a process pool: a draw
+        # of n iterations' bits is n sequential iterations.
         with ProcessPoolBackend(2) as backend:
             batched = _fresh_trng(module_m13, small_geometry, backend)
             sequential = _fresh_trng(module_m13, small_geometry,
                                      SerialBackend())
             for n in (1, 3, 2):
-                bits, _ = batched.batch_iterations(n)
-                for row in bits:
+                for row in _rows(batched, n):
                     want, _ = sequential.iteration()
                     np.testing.assert_array_equal(row, want)
 

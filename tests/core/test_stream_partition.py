@@ -18,7 +18,8 @@ iteration ``u // C`` of channel ``u % C`` -- so it must equal the
 per-channel per-iteration rows interleaved iteration-major,
 channel-minor, for any request split, plain or monitored, synchronous
 or asynchronous, with or without readahead.  A channel whose monitor
-alarms loses exactly its units of that round.
+alarms loses exactly its units of that round; cancelling in-flight
+rounds loses none, because their units go back to the cursors.
 """
 
 import numpy as np
@@ -120,21 +121,6 @@ def _check_monitor(generator, counters):
     assert _counters(monitor) == counters[checked - 1]
 
 
-@given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
-       kind=st.sampled_from(KINDS))
-@settings(max_examples=12, deadline=None)
-def test_any_batch_partition_yields_the_same_iterations(
-        backend, make_generator, reference, sizes, kind):
-    generator = make_generator(kind, backend)
-    rows = np.vstack([generator.batch_iterations(n)[0] for n in sizes])
-    want, counters = reference[kind]
-    np.testing.assert_array_equal(rows, want[:sum(sizes)])
-    cursors = _cursors(generator)
-    assert cursors == [sum(sizes)] * len(cursors)
-    if kind == "monitored":
-        _check_monitor(generator, counters)
-
-
 @given(fractions=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=6),
        async_harvest=st.booleans(), readahead=st.booleans(),
        kind=st.sampled_from(KINDS))
@@ -153,6 +139,10 @@ def test_any_request_split_yields_the_same_bits(
         generator.harvest_engine.cancel_pending()
     want, counters = reference[kind]
     np.testing.assert_array_equal(served, want.ravel()[:sum(requests)])
+    if not readahead:
+        # Each round claims just enough iterations for its deficit.
+        cursors = _cursors(generator)
+        assert cursors == [-(-sum(requests) // width)] * len(cursors)
     if kind == "monitored":
         _check_monitor(generator, counters)
 
@@ -256,3 +246,29 @@ def test_alarmed_channel_loses_its_units_for_that_round(
 
     np.testing.assert_array_equal(np.concatenate([first, pooled]),
                                   _units(channel_rows, keep))
+
+
+@pytest.mark.parametrize("kind", KINDS + SYSTEM_KINDS)
+def test_cancel_pending_loses_no_units(backend, make_generator, make_system,
+                                       reference, channel_rows, kind):
+    # Cancelling readahead rounds after every draw hands their units
+    # back, so the stream equals one that never cancelled.
+    if kind in SYSTEM_KINDS:
+        generator = make_system(kind, backend, async_harvest=True)
+        width = generator.bits_per_system_iteration()
+        want = _units(channel_rows)
+    else:
+        generator = make_generator(kind, backend, async_harvest=True)
+        width = reference[kind][0].shape[1]
+        want = reference[kind][0].ravel()
+    generator.harvest_engine.readahead = True
+    requests = [width // 3, 2 * width + 17, 256, 5 * width // 2, width - 5]
+    served = []
+    for n in requests:
+        served.append(generator.random_bits(n))
+        generator.harvest_engine.cancel_pending()
+    assert generator.harvest_engine.rounds_cancelled > 0
+    np.testing.assert_array_equal(np.concatenate(served),
+                                  want[:sum(requests)])
+    if kind == "monitored":
+        _check_monitor(generator, reference[kind][1])

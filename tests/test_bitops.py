@@ -169,13 +169,13 @@ class TestBitBuffer:
         np.testing.assert_array_equal(buf.take(16),
                                       bitops.unpack_bits(b"\xa5\x0f"))
 
-    def test_append_bytes_unaligned_and_trimmed(self):
+    def test_append_bytes_unaligned(self):
         buf = bitops.BitBuffer()
         buf.append(np.array([1, 0, 1], dtype=np.uint8))
-        buf.append_bytes(b"\xff", n_bits=5)
-        np.testing.assert_array_equal(buf.take(8),
-                                      np.array([1, 0, 1, 1, 1, 1, 1, 1],
-                                               dtype=np.uint8))
+        buf.append_bytes(b"\x0f")
+        np.testing.assert_array_equal(buf.take(11),
+                                      np.array([1, 0, 1, 0, 0, 0, 0, 1,
+                                                1, 1, 1], dtype=np.uint8))
 
     def test_take_bytes_packs_msb_first(self):
         buf = bitops.BitBuffer()
@@ -195,10 +195,6 @@ class TestBitBuffer:
         with pytest.raises(BitstreamError):
             bitops.BitBuffer().append(np.array([0, 2], dtype=np.uint8))
 
-    def test_append_bytes_overrun_raises(self):
-        with pytest.raises(BitstreamError):
-            bitops.BitBuffer().append_bytes(b"\x00", n_bits=9)
-
     def test_clear(self):
         buf = bitops.BitBuffer(np.ones(100, dtype=np.uint8))
         buf.clear()
@@ -213,48 +209,3 @@ class TestBitBuffer:
             buf.append(chunk)
             buf.take(4096)
         assert buf._data.size < 16 * 4096
-
-    # -- double-buffer primitives (the async harvest engine's swap) ----
-
-    def test_swap_exchanges_contents_in_place(self):
-        rng = np.random.default_rng(7)
-        bits = rng.integers(0, 2, 131).astype(np.uint8)
-        front = bitops.BitBuffer()
-        back = bitops.BitBuffer(bits)
-        front.swap(back)
-        assert len(back) == 0
-        np.testing.assert_array_equal(front.take(131), bits)
-
-    def test_swap_preserves_read_cursors(self):
-        a = bitops.BitBuffer(np.ones(16, dtype=np.uint8))
-        a.take(3)   # misaligned read cursor must travel with the data
-        b = bitops.BitBuffer(np.zeros(5, dtype=np.uint8))
-        a.swap(b)
-        assert len(a) == 5 and len(b) == 13
-        np.testing.assert_array_equal(b.take(13),
-                                      np.ones(13, dtype=np.uint8))
-
-    def test_drain_into_preserves_stream_order(self):
-        rng = np.random.default_rng(11)
-        head = rng.integers(0, 2, 77).astype(np.uint8)
-        tail = rng.integers(0, 2, 203).astype(np.uint8)
-        front = bitops.BitBuffer(head)
-        back = bitops.BitBuffer(tail)
-        back.drain_into(front)
-        assert len(back) == 0
-        np.testing.assert_array_equal(front.take(280),
-                                      np.concatenate([head, tail]))
-
-    def test_drain_into_byte_aligned_fast_path(self):
-        head = np.ones(64, dtype=np.uint8)    # byte-aligned tail in front
-        tail = np.zeros(128 + 5, dtype=np.uint8)
-        front = bitops.BitBuffer(head)
-        back = bitops.BitBuffer(tail)
-        back.drain_into(front)
-        np.testing.assert_array_equal(
-            front.take(197), np.concatenate([head, tail]))
-
-    def test_drain_empty_is_noop(self):
-        front = bitops.BitBuffer(np.ones(9, dtype=np.uint8))
-        bitops.BitBuffer().drain_into(front)
-        assert len(front) == 9
