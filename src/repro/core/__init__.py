@@ -29,11 +29,11 @@
 
 from repro.core.harvest import (AsyncHarvestEngine, ChannelSpan,
                                 HarvestPlanner, HarvestRound)
-from repro.core.parallel import (BankResult, BankTask, CompletedResult,
-                                 ExecutionBackend, PendingResult,
-                                 ProcessPoolBackend, SerialBackend,
-                                 ThreadPoolBackend, available_backends,
-                                 resolve_backend, run_bank_task)
+from repro.core.parallel import (BankResult, BankTask, ExecutionBackend,
+                                 PendingResult, ProcessPoolBackend,
+                                 SerialBackend, ThreadPoolBackend,
+                                 available_backends, resolve_backend,
+                                 run_bank_task)
 from repro.core.quac import QuacExecutor
 from repro.core.throughput import (QuacThroughputModel, IterationBreakdown,
                                    TrngConfiguration,
@@ -50,7 +50,6 @@ __all__ = [
     "BankResult",
     "BankTask",
     "ChannelSpan",
-    "CompletedResult",
     "ExecutionBackend",
     "HarvestPlanner",
     "HarvestRound",

@@ -44,8 +44,11 @@ arrives, sized as if the previous request repeats) therefore never
 change a bit, on any backend at any worker count.
 :meth:`AsyncHarvestEngine.cancel_pending` hands a discarded round's
 units back to the channels' cursors, so the next round claims them
-again; only a health alarm (below) drops units, and the stream skips
-them rather than replaying them.
+again.  A round whose join raises (say, every remote worker lost) is
+handed back the same way, with every later round still in flight, and
+the exception propagates; the next fill claims those units again.
+Only a health alarm (below) drops units, and the stream skips them
+rather than replaying them.
 ``tests/core/test_stream_partition.py`` and the golden streams of
 ``tests/test_determinism.py`` pin this.
 
@@ -416,7 +419,9 @@ class AsyncHarvestEngine:
 
         Raises the first deferred health failure of a landing round
         *after* pooling that round's healthy channels' bits; rounds
-        still in flight stay queued for the next fill.
+        still in flight stay queued for the next fill.  A round whose
+        join raises re-raises that exception after its units and the
+        later rounds' are handed back (:meth:`cancel_pending`).
         """
         if n_bits < 0:
             raise InsufficientEntropyError("bit count must be non-negative")
@@ -470,7 +475,14 @@ class AsyncHarvestEngine:
     def _gather(self, pool: BitBuffer) -> Optional[ReproError]:
         """Join the oldest in-flight round into ``pool``."""
         round_ = self._in_flight.popleft()
-        results = round_.pending.result()
+        try:
+            results = round_.pending.result()
+        except Exception:
+            # The round never lands: hand its units back, and the later
+            # rounds' too, so the next fill claims them again in order.
+            self.planner.unclaim_round(round_)
+            self.cancel_pending()
+            raise
         self.rounds_gathered += 1
         return self.planner.gather_round(round_, results, pool)
 

@@ -42,13 +42,14 @@ CI runs the whole tier-1 suite under a process pool.
 
 One verb carries the determinism contract:
 :meth:`ExecutionBackend.submit_round` starts one planned refill round
-and returns a :class:`PendingResult` immediately, so the caller can
-keep planning, draining a bit pool, or submitting further rounds while
-the tasks execute.  The harvest engine (:mod:`repro.core.harvest`)
-submits every round through it; :meth:`ExecutionBackend.run_round` is
-the blocking one-liner on top.  Because every result is a pure
-function of its task, *when* a result is gathered can never change
-*what* it contains.
+and returns a :class:`PendingResult` immediately -- one
+``concurrent.futures.Future`` per task, whoever sets them -- so the
+caller can keep planning, draining a bit pool, or submitting further
+rounds while the tasks execute.  The harvest engine
+(:mod:`repro.core.harvest`) submits every round through it;
+:meth:`ExecutionBackend.run_round` is the blocking one-liner on top.
+Because every result is a pure function of its task, *when* a result
+is gathered can never change *what* it contains.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ import abc
 import atexit
 import os
 import threading
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -199,79 +201,36 @@ def run_bank_task(task: BankTask) -> BankResult:
 
 
 # ----------------------------------------------------------------------
-# Pending results (the submit/poll half of the API)
+# The round handle (the submit/poll half of the API)
 # ----------------------------------------------------------------------
 
-class PendingResult(abc.ABC):
-    """Handle to an in-flight :meth:`ExecutionBackend.submit_round`.
+class PendingResult:
+    """Handle to one :meth:`ExecutionBackend.submit_round`: a
+    ``concurrent.futures.Future`` per task, in submission order.
 
-    Poll with :meth:`done`, join with :meth:`result`.  Joining is
-    idempotent (the result list is cached), and the list is always in
-    submission order -- gathering order can never reorder results, just
-    as scheduling order can never change them.
+    Poll with :meth:`done`, join with :meth:`result`.  Every backend
+    returns this one class; they differ only in who sets the futures
+    (the serial loop before returning, a pool's workers, or a remote
+    round's dispatch loop).  ``futures`` is public, so a caller can
+    read each task's outcome on its own.
     """
 
-    @abc.abstractmethod
-    def done(self) -> bool:
-        """True once every task's result is available without blocking."""
-
-    @abc.abstractmethod
-    def result(self) -> List:
-        """Block until complete; return results in submission order."""
-
-
-class CompletedResult(PendingResult):
-    """A :class:`PendingResult` that was computed eagerly at submit.
-
-    What :class:`SerialBackend` returns: the serial reference has no
-    concurrency to expose, so its "pending" rounds are already done --
-    which keeps callers of the submit/poll API backend-agnostic.
-    """
-
-    def __init__(self, results: List) -> None:
-        self._results = results
-
-    def done(self) -> bool:
-        return True
-
-    def result(self) -> List:
-        return self._results
-
-
-class FailedResult(PendingResult):
-    """A :class:`PendingResult` whose computation failed at submit.
-
-    What :class:`SerialBackend` returns when a task raised: the
-    exception is deferred to :meth:`result`, matching pooled futures
-    (and remote dispatches), where a task's exception surfaces at
-    join, never at submit.  The conformance suite
-    (``tests/core/test_backend_conformance.py``) holds every backend
-    to that.
-    """
-
-    def __init__(self, exception: BaseException) -> None:
-        self._exception = exception
-
-    def done(self) -> bool:
-        return True
-
-    def result(self) -> List:
-        raise self._exception
-
-
-class _FuturePendingResult(PendingResult):
-    """Pending results backed by ``concurrent.futures`` futures."""
-
-    def __init__(self, futures: List) -> None:
-        self._futures = futures
+    def __init__(self, futures: List[Future]) -> None:
+        self.futures = futures
         self._results: Optional[List] = None
 
     def done(self) -> bool:
-        return all(future.done() for future in self._futures)
+        """True once every task's future is done (result or exception)."""
+        return all(future.done() for future in self.futures)
 
     def result(self) -> List:
+        """Block until complete; return results in submission order.
+
+        Cached once it succeeds; a task's exception re-raises at every
+        join, like a failed future's.
+        """
         if self._results is None:
-            self._results = [future.result() for future in self._futures]
+            self._results = [future.result() for future in self.futures]
         return self._results
 
 
@@ -283,10 +242,11 @@ class ExecutionBackend(abc.ABC):
     """Runs a round of tasks through one function, preserving order.
 
     Implementations must be *transparent*:
-    ``backend.submit_round(fn, tasks).result()`` returns ``[fn(t) for
-    t in tasks]`` in order, for any scheduling underneath, and a
-    task's exception surfaces at :meth:`PendingResult.result`, never
-    at submit.  The conformance suite
+    ``backend.submit_round(fn, tasks)`` returns a
+    :class:`PendingResult` over one future per task, in submission
+    order, so ``.result()`` is ``[fn(t) for t in tasks]`` for any
+    scheduling underneath, and a task's exception surfaces at
+    :meth:`PendingResult.result`, never at submit.  The conformance suite
     (``tests/core/test_backend_conformance.py``) holds every backend
     to that; :meth:`submit_round` is the one method a backend
     implements.
@@ -338,16 +298,22 @@ class ExecutionBackend(abc.ABC):
 class SerialBackend(ExecutionBackend):
     """In-process execution; the reference the pools must match.
 
-    Rounds run eagerly at submit, so their handles are already done.
+    Rounds run eagerly at submit: every future is set (a result, or
+    the task's exception) before the handle is returned.
     """
 
     name = "serial"
 
     def submit_round(self, fn: Callable, tasks: Sequence) -> PendingResult:
-        try:
-            return CompletedResult([fn(task) for task in tasks])
-        except Exception as exc:
-            return FailedResult(exc)
+        futures = []
+        for task in tasks:
+            future = Future()
+            try:
+                future.set_result(fn(task))
+            except Exception as exc:
+                future.set_exception(exc)
+            futures.append(future)
+        return PendingResult(futures)
 
 
 class _PooledBackend(ExecutionBackend):
@@ -369,12 +335,8 @@ class _PooledBackend(ExecutionBackend):
         """Construct the underlying ``concurrent.futures`` executor."""
 
     def submit_round(self, fn: Callable, tasks: Sequence) -> PendingResult:
-        tasks = list(tasks)
-        if not tasks:
-            return CompletedResult([])
         pool = self._ensure_pool()
-        return _FuturePendingResult([pool.submit(fn, task)
-                                     for task in tasks])
+        return PendingResult([pool.submit(fn, task) for task in tasks])
 
     def _ensure_pool(self):
         with self._pool_lock:

@@ -29,12 +29,19 @@ worker loss, or result arrival order** -- held to by
 ``tests/core/test_backend_conformance.py`` and the golden streams in
 ``tests/test_determinism.py``.
 
+**One dispatch loop per round.**  ``submit_round`` returns a
+:class:`~repro.core.parallel.PendingResult` over one future per task
+and hands the round to :func:`_dispatch` on a thread the backend owns.
+Each pass ships the shards of the unfinished tasks concurrently and
+sets the futures of every shard that comes back.
+
 **Failure model.**  A worker whose connection dies, or that answers
-with anything the schema rejects, is marked dead; its unfinished
-tasks are re-sharded across the surviving workers (the tasks are
-stateless, so re-execution reproduces the exact results).  Only when
-*every* worker has failed does
-:class:`~repro.errors.RemoteExecutionError` surface.  A task that
+with anything the schema rejects, is marked dead; its shard stays
+unfinished and the next pass re-shards it across the surviving
+workers (the tasks are stateless, so re-execution reproduces the
+exact results).  Only when *every* worker has failed do the
+unfinished futures fail with
+:class:`~repro.errors.RemoteExecutionError`.  A task that
 raises on its worker is not a dead worker: it re-raises at join as a
 ``RemoteExecutionError`` naming the worker-side exception type.
 
@@ -61,10 +68,11 @@ import sys
 import threading
 import time
 from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.core.parallel import (CompletedResult, ExecutionBackend,
-                                 PendingResult, run_bank_task)
+from repro.core.parallel import (ExecutionBackend, PendingResult,
+                                 run_bank_task)
 from repro.core.remote import wire
 from repro.errors import ConfigurationError, RemoteExecutionError
 
@@ -131,9 +139,9 @@ def shard_map(weights: Sequence[int], n_shards: int) -> List[List[int]]:
 
 
 def task_weights(tasks: Sequence) -> List[int]:
-    """Relative shard weights of a task list (``iterations``, else 1)."""
-    return [max(1, int(getattr(task, "iterations", 1) or 1))
-            for task in tasks]
+    """Relative shard weights of a task list (``iterations``, at least
+    1)."""
+    return [max(1, task.iterations) for task in tasks]
 
 
 # ----------------------------------------------------------------------
@@ -238,153 +246,66 @@ class _WorkerLink:
 
 
 # ----------------------------------------------------------------------
-# An in-flight round
+# One round in flight
 # ----------------------------------------------------------------------
 
-class _RemoteDispatch(PendingResult):
-    """One ``submit_round`` in flight across the links.
+def _dispatch(tasks: List, futures: List[Future],
+              links: List[_WorkerLink]) -> None:
+    """Run one round over ``links``, setting one future per task.
 
-    Primary assignment follows the shard map (one sender thread per
-    shard, so workers execute concurrently); a shard whose worker dies
-    parks its indices, and the last sender thread re-shards them over
-    the survivors.  Each slot holds a task's result or its exception,
-    so merge order is submission order whatever the arrival order was.
+    Each pass shards the tasks whose futures are still unset over the
+    live links (:func:`shard_map`), ships the shards concurrently and
+    sets the futures of every shard that comes back.  A shard whose
+    link died stays unset, so the next pass re-shards it over the
+    survivors; with no live link left, every unset future fails with a
+    :class:`~repro.errors.RemoteExecutionError` chained from the last
+    transport failure.  If every link is already dead when the round
+    starts, they all get one reconnection chance.
     """
-
-    def __init__(self, tasks: List, links: List[_WorkerLink],
-                 on_finish: Callable[["_RemoteDispatch"], None]) -> None:
-        self._tasks = tasks
-        self._links = links
-        self._on_finish = on_finish
-        self._slots: List[object] = [None] * len(tasks)
-        self._leftover: List[int] = []
-        self._transport_error: Optional[BaseException] = None
-        self._threads: List[threading.Thread] = []
-        self._unsettled = 0
-        self._lock = threading.Lock()
-        self._result_lock = threading.Lock()
-        self._results: Optional[List] = None
-        self._fatal: Optional[BaseException] = None
-        self._finished = False
-
-    def start(self) -> None:
-        live = [link for link in self._links if not link.dead]
-        if not live:
-            # Every worker failed earlier; give them one reconnection
-            # chance rather than failing a fresh round outright.
-            for link in self._links:
-                link.revive()
-            live = list(self._links)
-        shards = shard_map(task_weights(self._tasks), len(live))
-        self._unsettled = len(shards)
-        for link, indices in zip(live, shards):
-            thread = threading.Thread(target=self._run_shard,
-                                      args=(link, indices), daemon=True)
-            thread.start()
-            self._threads.append(thread)
-
-    def _run_round(self, link: _WorkerLink, indices: List[int]) -> None:
-        """Ship one whole shard; park every index if the link dies.
-
-        The reply is all-or-nothing (one ``round_result`` frame), so a
-        transport death mid-shard parks the *entire* slice for the
-        requeue pass.
-        """
-        try:
-            slots = link.run_round([self._tasks[i] for i in indices])
-        except RemoteExecutionError as exc:
-            with self._lock:
-                self._leftover.extend(indices)
-                self._transport_error = exc
-            return
-        except Exception as exc:
-            # Not a transport failure: a task the schema cannot hold.
-            # The tasks' own bug, recorded against each.
-            slots = [exc] * len(indices)
-        for index, slot in zip(indices, slots):
-            self._slots[index] = slot
-
-    def _run_shard(self, link: _WorkerLink, indices: List[int]) -> None:
-        try:
-            self._run_round(link, indices)
-        finally:
-            # The last shard thread to finish settles any leftovers,
-            # so a dispatch completes (or fails) without the caller
-            # having to join it -- done() stays live.
-            with self._lock:
-                self._unsettled -= 1
-                last = self._unsettled == 0
-            if last:
-                try:
-                    self._run_leftovers()
-                except RemoteExecutionError as exc:
-                    self._fatal = exc
-                    self._finish()
-
-    def _run_leftovers(self) -> None:
-        """Requeue dead workers' tasks across the survivors.
-
-        Each pass re-shards the parked indices over every live link
-        and runs the shards concurrently.  A link dying mid-requeue
-        parks its shard again and the next pass re-shards over the
-        shrunken survivor set, so the loop terminates -- with every
-        slot filled, or with no links left and a
-        :class:`~repro.errors.RemoteExecutionError`.
-        """
+    if all(link.dead for link in links):
+        for link in links:
+            link.revive()
+    transport_error: Optional[BaseException] = None
+    try:
         while True:
-            with self._lock:
-                pending, self._leftover = self._leftover, []
-            if not pending:
+            unfinished = [index for index, future in enumerate(futures)
+                          if not future.done()]
+            if not unfinished:
                 return
-            live = [link for link in self._links if not link.dead]
+            live = [link for link in links if not link.dead]
             if not live:
-                with self._lock:
-                    self._leftover.extend(pending)
                 raise RemoteExecutionError(
-                    f"all {len(self._links)} remote workers failed "
-                    f"with {len(pending)} task(s) unfinished; last "
-                    f"failure: {self._transport_error}") \
-                    from self._transport_error
-            shards = shard_map(
-                task_weights([self._tasks[i] for i in pending]), len(live))
-            threads = [threading.Thread(
-                target=self._run_round,
-                args=(link, [pending[j] for j in shard]), daemon=True)
-                for link, shard in zip(live, shards)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-
-    def done(self) -> bool:
-        """Complete -- every slot filled, or failed for good.
-
-        A dispatch that lost every worker counts as done (joining it
-        raises), matching how a failed ``concurrent.futures`` future
-        reports ``done() == True``.
-        """
-        return self._fatal is not None or \
-            all(slot is not None for slot in self._slots)
-
-    def result(self) -> List:
-        with self._result_lock:
-            if self._results is not None:
-                return self._results
-            for thread in self._threads:
-                thread.join()
-            if self._fatal is not None:
-                raise self._fatal
-            self._finish()
-            for slot in self._slots:
-                if isinstance(slot, BaseException):
-                    raise slot
-            self._results = list(self._slots)
-            return self._results
-
-    def _finish(self) -> None:
-        if not self._finished:
-            self._finished = True
-            self._on_finish(self)
+                    f"all {len(links)} remote workers failed with "
+                    f"{len(unfinished)} task(s) unfinished; last "
+                    f"failure: {transport_error}") from transport_error
+            shards = [[unfinished[j] for j in shard] for shard in shard_map(
+                task_weights([tasks[i] for i in unfinished]), len(live))]
+            with ThreadPoolExecutor(len(shards)) as pool:
+                replies = [pool.submit(link.run_round,
+                                       [tasks[i] for i in shard])
+                           for link, shard in zip(live, shards)]
+                for shard, reply in zip(shards, replies):
+                    try:
+                        slots = reply.result()
+                    except RemoteExecutionError as exc:
+                        # The link died: the next pass re-shards these.
+                        transport_error = exc
+                        continue
+                    except Exception as exc:
+                        # A task the schema cannot hold: the tasks' own
+                        # bug, recorded against each.
+                        slots = [exc] * len(shard)
+                    for index, slot in zip(shard, slots):
+                        if isinstance(slot, BaseException):
+                            futures[index].set_exception(slot)
+                        else:
+                            futures[index].set_result(slot)
+    except BaseException as exc:
+        # No live link left (or a failure of the loop itself): no
+        # future may stay unset, or its join would hang.
+        for future in futures:
+            if not future.done():
+                future.set_exception(exc)
 
 
 # ----------------------------------------------------------------------
@@ -567,7 +488,8 @@ class RemoteBackend(ExecutionBackend):
 
     The :class:`~repro.core.parallel.ExecutionBackend` contract holds
     for the one task function workers run: results in submission
-    order, ``close()`` waits for in-flight rounds (their
+    order, ``close()`` shuts down the dispatch pool, which waits for
+    in-flight rounds (their
     :class:`~repro.core.parallel.PendingResult`\\ s stay joinable), and
     worker count/failure is never observable in the output -- only in
     wall-clock time.
@@ -588,8 +510,9 @@ class RemoteBackend(ExecutionBackend):
             if addresses is not None else None
         self._cluster = cluster
         self._links: Optional[List[_WorkerLink]] = None
+        #: Runs each round's dispatch loop; built with the links.
+        self._dispatcher: Optional[ThreadPoolExecutor] = None
         self._lock = threading.Lock()
-        self._active: set = set()
 
     # ------------------------------------------------------------------
 
@@ -601,19 +524,24 @@ class RemoteBackend(ExecutionBackend):
         return len(self._addresses)
 
     def _ensure_links(self) -> List[_WorkerLink]:
-        with self._lock:
-            if self._links is None:
-                if self._cluster is not None:
-                    self._cluster.start()
-                    addresses = self._cluster.addresses
-                else:
-                    addresses = self._addresses
-                self._links = [_WorkerLink(a) for a in addresses]
-            return self._links
+        """The links and the dispatcher, built on first use (call with
+        ``_lock`` held)."""
+        if self._links is None:
+            if self._cluster is not None:
+                self._cluster.start()
+                addresses = self._cluster.addresses
+            else:
+                addresses = self._addresses
+            self._links = [_WorkerLink(a) for a in addresses]
+            self._dispatcher = ThreadPoolExecutor(
+                thread_name_prefix="remote-round")
+        return self._links
 
     def ping(self) -> List[bool]:
         """Per-worker liveness (True where a ping round-trips)."""
-        return [link.ping() for link in self._ensure_links()]
+        with self._lock:
+            links = self._ensure_links()
+        return [link.ping() for link in links]
 
     def request_count(self) -> int:
         """Socket round trips attempted across the current links.
@@ -634,40 +562,31 @@ class RemoteBackend(ExecutionBackend):
         Workers only run :func:`~repro.core.parallel.run_bank_task`,
         so any other ``fn`` raises
         :class:`~repro.errors.ConfigurationError` before a socket is
-        opened.  Each live worker receives its contiguous slice in one
-        ``round`` message.
+        opened.  The round's futures are set by one dispatch loop on
+        the backend's dispatcher thread; each live worker receives its
+        contiguous slice in one ``round`` message.
         """
         if fn is not run_bank_task:
             raise ConfigurationError(
                 f"remote workers only run run_bank_task, not "
                 f"{getattr(fn, '__qualname__', fn)!r}")
         tasks = list(tasks)
-        if not tasks:
-            return CompletedResult([])
-        dispatch = _RemoteDispatch(tasks, self._ensure_links(),
-                                   self._unregister)
-        with self._lock:
-            self._active.add(dispatch)
-        dispatch.start()
-        return dispatch
-
-    def _unregister(self, dispatch: _RemoteDispatch) -> None:
-        with self._lock:
-            self._active.discard(dispatch)
+        futures = [Future() for _ in tasks]
+        if tasks:
+            with self._lock:
+                links = self._ensure_links()
+                self._dispatcher.submit(_dispatch, tasks, futures, links)
+        return PendingResult(futures)
 
     def close(self) -> None:
         """Wait for in-flight rounds, drop connections, stop the
         cluster (if owned).  Idempotent; the backend transparently
         reconnects -- and respawns an owned cluster -- on next use."""
         with self._lock:
-            active = list(self._active)
-        for dispatch in active:
-            try:
-                dispatch.result()
-            except Exception:
-                pass  # the owner of the PendingResult sees it too
-        with self._lock:
             links, self._links = self._links, None
+            dispatcher, self._dispatcher = self._dispatcher, None
+        if dispatcher is not None:
+            dispatcher.shutdown()
         for link in links or []:
             link.close()
         if self._cluster is not None:

@@ -18,7 +18,7 @@ such opaque payloads.  Every payload is one *message*
   :class:`~repro.core.parallel.BankResult` (its counts plus the packed
   ``digests`` and optional ``raw`` bytes) or a :class:`TaskError`;
   :data:`ERROR` carries a length-prefixed UTF-8 message;
-  :data:`PING`, :data:`PONG` and :data:`SHUTDOWN` carry nothing.
+  :data:`PING` and :data:`PONG` carry nothing.
 
 Messages are data only.  No callable and no class name crosses the
 socket: a worker can only run :func:`~repro.core.parallel.
@@ -65,7 +65,7 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024 * 1024
 MAGIC = b"QUAC"
 
 #: Version of the message layouts below; bump it with any change.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Message header: magic, schema version, stream epoch, kind.
 MESSAGE_HEADER = struct.Struct(">4sHIB")
@@ -76,7 +76,6 @@ ROUND_RESULT = 2
 ERROR = 3
 PING = 4
 PONG = 5
-SHUTDOWN = 6
 
 _COUNT = struct.Struct(">I")
 #: Key words, probabilities, block slices, iterations, first
@@ -190,7 +189,7 @@ def encode(kind: int, body: Any = None, epoch: int = STREAM_EPOCH) -> bytes:
         elif kind == ERROR:
             text = _utf8(body)
             parts.extend([_COUNT.pack(len(text)), text])
-        elif kind not in (PING, PONG, SHUTDOWN):
+        elif kind not in (PING, PONG):
             raise ConfigurationError(f"unknown message kind {kind!r}")
     except struct.error as exc:
         raise ConfigurationError(
@@ -312,7 +311,7 @@ def decode(payload: bytes, epoch: int = STREAM_EPOCH) -> Tuple[int, Any]:
     elif kind == ERROR:
         (n_bytes,) = reader.unpack(_COUNT)
         body = reader.text(n_bytes)
-    elif kind in (PING, PONG, SHUTDOWN):
+    elif kind in (PING, PONG):
         body = None
     else:
         raise RemoteExecutionError(f"unknown message kind {kind}")

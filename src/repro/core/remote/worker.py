@@ -20,7 +20,9 @@ strictly in order.
 A task that *raises* fills its slot with a
 :class:`~repro.core.remote.wire.TaskError` and its shard-mates still
 run.  A frame this worker cannot decode -- another schema or stream
-epoch, or a malformed body -- gets an ``error`` reply and runs nothing.
+epoch, an unknown kind, or a malformed body -- gets an ``error`` reply
+and runs nothing.  No message stops a worker; only the process that
+runs :func:`serve` can (its ``stop`` event, or a signal).
 
 Run a host manually::
 
@@ -88,8 +90,6 @@ def answer(payload: bytes, epoch: int = STREAM_EPOCH) -> Tuple:
         return wire.ROUND_RESULT, run_round_shard(body)
     if kind == wire.PING:
         return (wire.PONG,)
-    if kind == wire.SHUTDOWN:
-        return (wire.SHUTDOWN,)
     return wire.ERROR, f"a worker does not answer message kind {kind}"
 
 
@@ -104,13 +104,9 @@ def _serve_connection(conn: socket.socket, stop: threading.Event) -> None:
                 # Peer gone, or the stream is desynchronized (absurd
                 # header): nothing sane to answer on this connection.
                 return
-            reply = answer(payload)
             try:
-                wire.send_frame(conn, reply)
+                wire.send_frame(conn, answer(payload))
             except OSError:
-                return
-            if reply[0] == wire.SHUTDOWN:
-                stop.set()
                 return
     finally:
         conn.close()
@@ -123,8 +119,8 @@ def serve(port: int, host: str = "127.0.0.1", announce: bool = False,
     ``port=0`` binds an ephemeral port; ``announce=True`` prints
     ``QUAC-REMOTE-WORKER <port>`` to stdout once listening (the
     :class:`~repro.core.remote.LocalCluster` handshake).  ``stop`` is
-    an optional external kill switch; a client's ``shutdown`` message
-    sets it too.
+    an optional kill switch for the process that runs the loop; no
+    message a client sends can stop a worker.
     """
     stop = stop if stop is not None else threading.Event()
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)

@@ -10,10 +10,12 @@ unchanged:
 * ``run_round(run_bank_task, tasks)`` equals
   ``[run_bank_task(t) for t in tasks]``, in order, even when tasks
   complete out of order;
-* ``submit_round`` returns a ``PendingResult`` whose ``result()`` is
-  that same list (cached, in submission order);
-* a failing task's exception propagates at join (and the backend
-  survives);
+* ``submit_round`` returns a ``PendingResult`` holding one future per
+  task, in submission order, whose ``result()`` is that same list
+  (cached);
+* a failing task's exception propagates at join, sticky, from its own
+  future alone (its round-mates still land), the round reports
+  ``done()``, and the backend survives;
 * empty task lists complete immediately;
 * ``close()`` leaves outstanding ``PendingResult``\\ s joinable and the
   backend transparently rebuilds on next use.
@@ -25,6 +27,8 @@ worker runs.  A task with an odd row width is the failing task:
 ``run_bank_task`` rejects it with a ``ConfigurationError``, which a
 remote worker reports back as a ``RemoteExecutionError`` naming it.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -119,15 +123,6 @@ def test_map_matches_builtin_map(backend):
         _expected(tasks)
 
 
-def test_submit_map_result_equals_map(backend):
-    # The non-blocking verb and its blocking helper agree.
-    tasks = _tasks(23)
-    pending = backend.submit_round(run_bank_task, tasks)
-    assert _bits(pending.result()) == \
-        _bits(backend.run_round(run_bank_task, tasks))
-    assert pending.done()
-
-
 def test_result_is_cached(backend):
     pending = backend.submit_round(run_bank_task, _tasks(3))
     first = pending.result()
@@ -199,10 +194,14 @@ def test_backend_rebuilds_after_close(backend):
 # ----------------------------------------------------------------------
 
 def test_submit_round_result_equals_map(backend):
+    # One future per task, in submission order; the joined list is
+    # their results.
     tasks = _tasks(19)
     pending = backend.submit_round(run_bank_task, tasks)
     assert _bits(pending.result()) == _expected(tasks)
     assert pending.done()
+    assert _bits(future.result() for future in pending.futures) == \
+        _expected(tasks)
 
 
 def test_run_round_matches_map(backend):
@@ -228,16 +227,33 @@ def test_submit_round_ordering_under_out_of_order_completion(backend):
 def test_submit_round_exception_at_join(backend):
     # One task raising must not abort the round's other tasks, and
     # the exception surfaces at join -- sticky, like a failed future.
-    pending = backend.submit_round(run_bank_task,
-                                   _failing([1, "boom", 3]))
+    tasks = _failing([1, "boom", 3])
+    pending = backend.submit_round(run_bank_task, tasks)
     with pytest.raises(**TASK_FAILURE):
         pending.result()
     with pytest.raises(**TASK_FAILURE):
         pending.result()
+    first, failed, last = pending.futures
+    assert failed.exception() is not None
+    assert _bits([first.result(), last.result()]) == \
+        _expected([tasks[0], tasks[2]])
     # The backend survives a failed round.
     tasks = _tasks(1)
     assert _bits(backend.submit_round(run_bank_task, tasks).result()) \
         == _expected(tasks)
+
+
+def test_failed_round_reports_done(backend):
+    # A round whose task failed is *done with failure* (like a failed
+    # future), so a poller waiting on done() terminates.
+    pending = backend.submit_round(run_bank_task, _failing(["boom", 2]))
+    deadline = time.monotonic() + 30.0
+    while not pending.done():
+        assert time.monotonic() < deadline, \
+            "failed round never reported done()"
+        time.sleep(0.01)
+    with pytest.raises(**TASK_FAILURE):
+        pending.result()
 
 
 def test_submit_round_empty_round(backend):

@@ -420,8 +420,7 @@ def _valid_payloads():
             wire.encode(wire.ROUND_RESULT,
                         run_round_shard(tasks) + [wire.TaskError("E", "m")]),
             wire.encode(wire.ERROR, "refused"),
-            wire.encode(wire.PING), wire.encode(wire.PONG),
-            wire.encode(wire.SHUTDOWN)]
+            wire.encode(wire.PING), wire.encode(wire.PONG)]
 
 
 def _decode_or_reject(payload):
@@ -654,7 +653,7 @@ class TestVersionNegotiation:
         finally:
             backend.close()
 
-    def test_malformed_hello_reply_marks_worker_dead(self):
+    def test_foreign_schema_reply_marks_worker_dead(self):
         # The header is the version statement now: a reply stamped
         # with another schema version is a peer this build cannot
         # read -- dead link, loud failure.
@@ -735,9 +734,10 @@ class TestVersionNegotiation:
             with pytest.raises(RemoteExecutionError,
                                match="ConfigurationError"):
                 pending.result()
-            assert _bits([pending._slots[0], pending._slots[2]]) == \
+            first, failed, last = pending.futures
+            assert _bits([first.result(), last.result()]) == \
                 _expected([tasks[0], tasks[2]])
-            assert isinstance(pending._slots[1], RemoteExecutionError)
+            assert isinstance(failed.exception(), RemoteExecutionError)
             assert not backend._links[0].dead
         finally:
             backend.close()
@@ -824,6 +824,28 @@ class TestStaleWorkerBuild:
             assert kind == wire.ERROR
             assert "refused" in message
 
+    def test_no_message_stops_a_worker(self):
+        # Kind 6 was a ``shutdown`` any peer could send.  It is now an
+        # unknown kind: refused, and the connection keeps serving.
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            client = socket.create_connection(listener.getsockname())
+            server, _ = listener.accept()
+        stop = threading.Event()
+        serving = threading.Thread(target=worker._serve_connection,
+                                   args=(server, stop), daemon=True)
+        serving.start()
+        try:
+            wire.send_raw_frame(client, wire.MESSAGE_HEADER.pack(
+                wire.MAGIC, wire.SCHEMA_VERSION, STREAM_EPOCH, 6))
+            kind, message = wire.recv_frame(client)
+            assert kind == wire.ERROR and "unknown message kind" in message
+            wire.send_frame(client, (wire.PING,))
+            assert wire.recv_frame(client) == (wire.PONG, None)
+            assert not stop.is_set()
+        finally:
+            client.close()
+            serving.join(timeout=5)
+
 
 class TestShardMap:
     def test_fuzzed_invariants(self):
@@ -859,7 +881,7 @@ class TestShardMap:
             def __init__(self, iterations):
                 self.iterations = iterations
 
-        assert task_weights([Task(5), Task(1), object()]) == [5, 1, 1]
+        assert task_weights([Task(5), Task(1), Task(0)]) == [5, 1, 1]
 
     def test_zero_shards_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -959,7 +981,7 @@ class TestClusterAndFailureModel:
         with pytest.raises(ConfigurationError):
             LocalCluster(0)
 
-    def test_unpicklable_fn_fails_the_task_not_the_backend(
+    def test_other_fn_is_refused_not_a_dead_worker(
             self, cluster_backend):
         # No function crosses the wire: anything but run_bank_task is
         # the caller's configuration error at submit -- never a dead
@@ -1037,7 +1059,7 @@ class TestClusterAndFailureModel:
         finally:
             backend.close()
 
-    def test_unimportable_fn_is_a_task_error_not_dead_workers(self):
+    def test_refused_round_leaves_workers_alive(self):
         # A round the workers cannot accept (here: a probability
         # outside [0, 1], which the schema refuses) is the *tasks'*
         # failure, answered over the still-synchronized connections;

@@ -19,7 +19,8 @@ per-channel per-iteration rows interleaved iteration-major,
 channel-minor, for any request split, plain or monitored, synchronous
 or asynchronous, with or without readahead.  A channel whose monitor
 alarms loses exactly its units of that round; cancelling in-flight
-rounds loses none, because their units go back to the cursors.
+rounds loses none, and neither does a round whose join raises (say,
+every remote worker lost), because their units go back to the cursors.
 """
 
 import numpy as np
@@ -29,11 +30,12 @@ from hypothesis import strategies as st
 
 from repro.core.health import HealthMonitor, HealthTestFailure, MonitoredTrng
 from repro.core.multichannel import SystemTrng
-from repro.core.parallel import (ProcessPoolBackend, SerialBackend,
-                                 ThreadPoolBackend)
+from repro.core.parallel import (ExecutionBackend, ProcessPoolBackend,
+                                 SerialBackend, ThreadPoolBackend)
 from repro.core.remote import LocalCluster, RemoteBackend
 from repro.core.temperature_manager import TemperatureManagedTrng
 from repro.core.trng import QuacTrng
+from repro.errors import RemoteExecutionError
 
 #: Iterations of the reference stream; covers the largest example,
 #: including rounds a readahead guess gathers beyond the requests.
@@ -272,3 +274,62 @@ def test_cancel_pending_loses_no_units(backend, make_generator, make_system,
                                   want[:sum(requests)])
     if kind == "monitored":
         _check_monitor(generator, reference[kind][1])
+
+
+class _LostRound:
+    """A round handle whose join raises once the round has run."""
+
+    def __init__(self, pending):
+        self._pending = pending
+
+    def done(self):
+        return self._pending.done()
+
+    def result(self):
+        self._pending.result()
+        raise RemoteExecutionError("every remote worker was lost")
+
+
+class _LoseOneRound(ExecutionBackend):
+    """Delegates to ``inner``, but the second round's join raises."""
+
+    name = "lose-one-round"
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.rounds = 0
+
+    def submit_round(self, fn, tasks):
+        pending = self.inner.submit_round(fn, tasks)
+        self.rounds += 1
+        return _LostRound(pending) if self.rounds == 2 else pending
+
+
+@pytest.mark.parametrize("async_harvest", [False, True])
+@pytest.mark.parametrize("kind", ["quac", "system"])
+def test_failed_join_loses_no_units(backend, make_generator, make_system,
+                                    reference, channel_rows, kind,
+                                    async_harvest):
+    # The failed round's units, and those of any later round still in
+    # flight, go back to the cursors; the stream carries on as if the
+    # failure never happened.
+    lossy = _LoseOneRound(backend)
+    if kind == "system":
+        generator = make_system(kind, lossy, async_harvest)
+        width = generator.bits_per_system_iteration()
+        want = _units(channel_rows)
+    else:
+        generator = make_generator(kind, lossy, async_harvest)
+        width = reference[kind][0].shape[1]
+        want = reference[kind][0].ravel()
+    generator.harvest_engine.readahead = async_harvest
+    served, failures = [], 0
+    for n in [width // 3, 2 * width + 17, 256, 5 * width // 2, width - 5]:
+        try:
+            served.append(generator.random_bits(n))
+        except RemoteExecutionError:
+            failures += 1
+    generator.harvest_engine.cancel_pending()
+    assert failures == 1
+    served = np.concatenate(served)
+    np.testing.assert_array_equal(served, want[:served.size])
