@@ -10,12 +10,9 @@ sums over every row, then per-row accounting.
 
 Both must give the same verdicts and counters, and the packed kernel
 must be at least :data:`MIN_SPEEDUP` times faster in the same run.
-Results land in ``benchmark.extra_info`` *and* a JSON artifact
-(``REPRO_HEALTH_JSON``, default ``benchmarks/health_kernel.json``).
+The timings land in ``benchmark.extra_info``.
 """
 
-import json
-import os
 import time
 
 import numpy as np
@@ -33,9 +30,6 @@ MIN_SPEEDUP = 5.0
 
 #: Timed repetitions per kernel (the best one counts).
 REPEATS = 5
-
-#: Default artifact path (relative to the pytest invocation directory).
-DEFAULT_ARTIFACT = os.path.join("benchmarks", "health_kernel.json")
 
 
 def _planted_round(monitor: HealthMonitor):
@@ -117,31 +111,9 @@ def test_health_kernel(benchmark):
     packed_ms = _best_ms(_packed, results)
     reference_ms = _best_ms(_bit_level_reference, results)
     speedup = reference_ms / packed_ms
-    raw_bits = bits.size
     benchmark.extra_info["packed_ms"] = packed_ms
     benchmark.extra_info["bit_level_ms"] = reference_ms
     benchmark.extra_info["speedup"] = speedup
-
-    artifact = {
-        "rows": len(bits),
-        "row_bits": ROW_BITS,
-        "banks": BANKS,
-        "rct_cutoff": packed_monitor.rct_cutoff,
-        "apt_cutoff": packed_monitor.apt_cutoff,
-        "window": packed_monitor.window,
-        "rct_failures": packed_monitor.rct_failures,
-        "apt_failures": packed_monitor.apt_failures,
-        "cpu_count": os.cpu_count(),
-        "packed_ms": packed_ms,
-        "bit_level_ms": reference_ms,
-        "packed_ns_per_raw_bit": 1e6 * packed_ms / raw_bits,
-        "bit_level_ns_per_raw_bit": 1e6 * reference_ms / raw_bits,
-        "speedup": speedup,
-    }
-    path = os.environ.get("REPRO_HEALTH_JSON", DEFAULT_ARTIFACT)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(artifact, handle, indent=2)
 
     assert speedup >= MIN_SPEEDUP, (
         f"packed health kernel only {speedup:.1f}x the bit-level one "

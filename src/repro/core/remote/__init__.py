@@ -17,11 +17,11 @@ pools back for merging.  This package is that backend:
   fork-based pool.
 
 **Round shards.**  Each round's task list is partitioned across the
-live workers by :func:`shard_map`: a contiguous, iteration-weighted
-split computed serially in the client, in task order.  Each host's
-slice ships whole in one ``round`` message, and one ``round_result``
-frame comes back -- so a 16-bank round on a 3-host cluster costs 3
-socket round trips.  Because every
+live workers by :func:`shard_map`: contiguous runs of near-equal
+task counts, computed serially in the client, in task order.  Each
+host's slice ships whole in one ``round`` message, and one
+``round_result`` frame comes back -- so a 16-bank round on a 3-host
+cluster costs 3 socket round trips.  Because every
 :class:`~repro.core.parallel.BankTask` is a pure function of itself
 and results are merged in submission order, the assembled stream is
 **bit-identical to the serial reference regardless of host count,
@@ -88,60 +88,28 @@ SPAWN_TIMEOUT_S = 60.0
 # The shard map
 # ----------------------------------------------------------------------
 
-def shard_map(weights: Sequence[int], n_shards: int) -> List[List[int]]:
-    """Partition task indices into up to ``n_shards`` contiguous runs.
+def shard_map(n_tasks: int, n_shards: int) -> List[range]:
+    """Split ``n_tasks`` task indices into contiguous, near-equal runs.
 
-    ``weights[i]`` is task ``i``'s relative cost (the backend uses the
-    task's ``iterations``); a greedy fill closes each shard once it
-    has reached its fair share of the remaining weight, so shards
-    carry near-equal weight while staying *contiguous in task order*
-    -- a channel-major round therefore keeps each channel's banks
-    together where balance allows.  Every returned shard is non-empty
-    (a very heavy head task simply leaves later shards unused).
-    Deterministic: a pure function of the weights, computed serially
-    in the client.
+    Returns ``min(n_shards, n_tasks)`` non-empty runs, in task order,
+    whose sizes differ by at most one.  The tasks of one round carry
+    iteration counts that differ by at most one (every bank task of a
+    channel draws the channel's share, and the shares of a round's
+    units differ by at most one), so equal runs carry equal work.
 
-    >>> shard_map([1, 1, 1, 1], 2)
+    >>> [list(shard) for shard in shard_map(4, 2)]
     [[0, 1], [2, 3]]
-    >>> shard_map([4, 1, 1], 3)       # heavy head task gets a shard
-    [[0], [1], [2]]
-    >>> shard_map([1, 1, 4], 2)       # heavy tail task gets one too
-    [[0, 1], [2]]
-    >>> shard_map([1, 1], 4)          # never more shards than tasks
+    >>> [list(shard) for shard in shard_map(5, 3)]
+    [[0], [1, 2], [3, 4]]
+    >>> [list(shard) for shard in shard_map(2, 4)]   # never > n_tasks
     [[0], [1]]
     """
     if n_shards < 1:
         raise ConfigurationError(
             f"shard count must be positive, got {n_shards}")
-    if not weights:
-        return []
-    n_shards = min(n_shards, len(weights))
-    shards: List[List[int]] = [[]]
-    remaining_total = sum(weights)
-    remaining_shards = n_shards
-    current_weight = 0
-    for index, weight in enumerate(weights):
-        shards[-1].append(index)
-        current_weight += weight
-        tasks_left = len(weights) - index - 1
-        if len(shards) < n_shards and tasks_left > 0 and (
-                # Fair share reached...
-                current_weight * remaining_shards >= remaining_total
-                # ...or every later task must open a shard of its own
-                # (keeps tail-heavy rounds from collapsing onto one
-                # worker).
-                or tasks_left == n_shards - len(shards)):
-            remaining_total -= current_weight
-            remaining_shards -= 1
-            current_weight = 0
-            shards.append([])
-    return shards
-
-
-def task_weights(tasks: Sequence) -> List[int]:
-    """Relative shard weights of a task list (``iterations``, at least
-    1)."""
-    return [max(1, task.iterations) for task in tasks]
+    n_shards = min(n_shards, n_tasks)
+    return [range(n_tasks * k // n_shards, n_tasks * (k + 1) // n_shards)
+            for k in range(n_shards)]
 
 
 # ----------------------------------------------------------------------
@@ -278,8 +246,8 @@ def _dispatch(tasks: List, futures: List[Future],
                     f"all {len(links)} remote workers failed with "
                     f"{len(unfinished)} task(s) unfinished; last "
                     f"failure: {transport_error}") from transport_error
-            shards = [[unfinished[j] for j in shard] for shard in shard_map(
-                task_weights([tasks[i] for i in unfinished]), len(live))]
+            shards = [[unfinished[j] for j in shard]
+                      for shard in shard_map(len(unfinished), len(live))]
             with ThreadPoolExecutor(len(shards)) as pool:
                 replies = [pool.submit(link.run_round,
                                        [tasks[i] for i in shard])
@@ -323,13 +291,11 @@ class LocalCluster:
     next use.
     """
 
-    def __init__(self, n_workers: int,
-                 spawn_timeout_s: float = SPAWN_TIMEOUT_S) -> None:
+    def __init__(self, n_workers: int) -> None:
         if n_workers < 1:
             raise ConfigurationError(
                 f"worker count must be positive, got {n_workers}")
         self.n_workers = n_workers
-        self.spawn_timeout_s = spawn_timeout_s
         self._procs: List[subprocess.Popen] = []
         self._addresses: List[Tuple[str, int]] = []
         self._stderr_tails: List[deque] = []
@@ -375,7 +341,7 @@ class LocalCluster:
                         env=env)
                     self._procs.append(proc)
                     self._stderr_tails.append(_drain_stderr(proc))
-                deadline = time.monotonic() + self.spawn_timeout_s
+                deadline = time.monotonic() + SPAWN_TIMEOUT_S
                 for proc, tail in zip(self._procs, self._stderr_tails):
                     self._addresses.append(
                         ("127.0.0.1", _read_announced_port(

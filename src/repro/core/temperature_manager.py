@@ -28,6 +28,7 @@ import numpy as np
 from repro.bitops import BitBuffer
 from repro.core.harvest import HarvestPlanner, HarvestRound
 from repro.core.parallel import ExecutionBackend, resolve_backend
+from repro.core.quac import QuacExecutor
 from repro.core.trng import QuacTrng
 from repro.core.throughput import TrngConfiguration
 from repro.dram.device import BEST_DATA_PATTERN, DramModule
@@ -95,6 +96,10 @@ class TemperatureManagedTrng(HarvestPlanner):
         self.entropy_per_block = entropy_per_block
         super().__init__(resolve_backend(backend), async_harvest)
         self._validate_ranges(ranges)
+        #: One cursor table for every range's generator: ranges often
+        #: pick the same segments, and a range switch must carry on
+        #: from the iterations other ranges already claimed there.
+        self.executor = QuacExecutor(module)
         #: Count of offline characterization passes (the paper's cost
         #: model assumes this stays at 1 unless conditions leave the
         #: characterized envelope).
@@ -132,6 +137,7 @@ class TemperatureManagedTrng(HarvestPlanner):
                 trng = QuacTrng(self.module, self.configuration,
                                 self.data_pattern, self.entropy_per_block,
                                 backend=self.backend)
+                trng.executor = self.executor
                 self._entries.append(RangeEntry(low, high, trng))
         finally:
             self.module.temperature_c = original

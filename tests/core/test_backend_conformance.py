@@ -5,20 +5,18 @@ backend must keep; this suite *is* that contract, run against every
 registered backend -- serial, thread pool, process pool, and the
 remote socket backend on localhost clusters.  A new backend earns its
 registration by appearing in :data:`BACKEND_IDS` and passing
-unchanged:
+unchanged.  Each behaviour is checked once, by one test:
 
-* ``run_round(run_bank_task, tasks)`` equals
-  ``[run_bank_task(t) for t in tasks]``, in order, even when tasks
-  complete out of order;
 * ``submit_round`` returns a ``PendingResult`` holding one future per
-  task, in submission order, whose ``result()`` is that same list
-  (cached);
+  task, in submission order, whose ``result()`` (cached) equals
+  ``[run_bank_task(t) for t in tasks]``, as does the blocking
+  ``run_round`` -- even when tasks complete out of order;
 * a failing task's exception propagates at join, sticky, from its own
   future alone (its round-mates still land), the round reports
-  ``done()``, and the backend survives;
+  ``done()``, ``run_round`` raises it too, and the backend survives;
 * empty task lists complete immediately;
-* ``close()`` leaves outstanding ``PendingResult``\\ s joinable and the
-  backend transparently rebuilds on next use.
+* ``close()`` is idempotent, leaves outstanding ``PendingResult``\\ s
+  joinable, and the backend transparently rebuilds on next use.
 
 Every backend runs the one task function the generators submit,
 :func:`~repro.core.parallel.run_bank_task`, over small
@@ -117,108 +115,26 @@ def test_every_registered_backend_is_conformance_tested():
         set(available_backends())
 
 
-def test_map_matches_builtin_map(backend):
-    tasks = _tasks(17)
-    assert _bits(backend.run_round(run_bank_task, tasks)) == \
-        _expected(tasks)
-
-
-def test_result_is_cached(backend):
-    pending = backend.submit_round(run_bank_task, _tasks(3))
-    first = pending.result()
-    assert pending.result() is first
-
-
-def test_ordering_under_out_of_order_completion(backend):
-    # Earlier tasks run longer, so on any backend with >= 2 workers
-    # the *completion* order inverts the submission order; the result
-    # list must not.
-    tasks = _inverse_cost(5)
-    assert _bits(backend.run_round(run_bank_task, tasks)) == \
-        _expected(tasks)
-
-
-def test_exception_propagates_from_map(backend):
-    with pytest.raises(**TASK_FAILURE):
-        backend.run_round(run_bank_task, _failing([1, "boom", 3]))
-
-
-def test_exception_propagates_from_submit_map(backend):
-    # A round whose only task fails: the failure is sticky -- joining
-    # again re-raises, same as a concurrent.futures future.
-    pending = backend.submit_round(run_bank_task, _failing(["boom"]))
-    with pytest.raises(**TASK_FAILURE):
-        pending.result()
-    with pytest.raises(**TASK_FAILURE):
-        pending.result()
-
-
-def test_backend_survives_a_task_exception(backend):
-    with pytest.raises(**TASK_FAILURE):
-        backend.run_round(run_bank_task, _failing(["boom"]))
-    tasks = _tasks(1)
-    assert _bits(backend.run_round(run_bank_task, tasks)) == \
-        _expected(tasks)
-
-
-def test_empty_task_list_completes_immediately(backend):
-    assert backend.run_round(run_bank_task, []) == []
-
-
-def test_single_task(backend):
-    tasks = [_task(9)]
-    assert _bits(backend.run_round(run_bank_task, tasks)) == \
-        _expected(tasks)
-
-
-def test_close_with_pending_keeps_result_joinable(backend):
-    # close() must wait for submitted work: a PendingResult taken
-    # before close stays joinable after it.
-    tasks = _slow(6)
-    pending = backend.submit_round(run_bank_task, tasks)
-    backend.close()
-    assert _bits(pending.result()) == _expected(tasks)
-
-
-def test_backend_rebuilds_after_close(backend):
-    # Runs after the close test on the same (module-scoped) backend:
-    # a closed backend transparently rebuilds its pool/cluster.
-    backend.close()
-    tasks = _tasks(2)
-    assert _bits(backend.run_round(run_bank_task, tasks)) == \
-        _expected(tasks)
-
-
-# ----------------------------------------------------------------------
-# submit_round: the same contract, joined through the PendingResult
-# ----------------------------------------------------------------------
-
 def test_submit_round_result_equals_map(backend):
     # One future per task, in submission order; the joined list is
-    # their results.
-    tasks = _tasks(19)
-    pending = backend.submit_round(run_bank_task, tasks)
-    assert _bits(pending.result()) == _expected(tasks)
-    assert pending.done()
-    assert _bits(future.result() for future in pending.futures) == \
-        _expected(tasks)
-
-
-def test_run_round_matches_map(backend):
-    # The blocking helper over submit_round, over the edge cases.
-    tasks = _tasks(9)
-    assert _bits(backend.run_round(run_bank_task, tasks)) == \
-        _expected(tasks)
-    assert backend.run_round(run_bank_task, []) == []
-    assert _bits(backend.run_round(run_bank_task, tasks[3:4])) == \
-        _expected(tasks[3:4])
-    with pytest.raises(**TASK_FAILURE):
-        backend.run_round(run_bank_task, _failing([1, "boom"]))
+    # their results, cached, and the blocking run_round returns the
+    # same list -- for a one-task round too.
+    for tasks in (_tasks(17), [_task(9)]):
+        pending = backend.submit_round(run_bank_task, tasks)
+        first = pending.result()
+        assert _bits(first) == _expected(tasks)
+        assert pending.result() is first
+        assert pending.done()
+        assert _bits(future.result() for future in pending.futures) == \
+            _expected(tasks)
+        assert _bits(backend.run_round(run_bank_task, tasks)) == \
+            _expected(tasks)
 
 
 def test_submit_round_ordering_under_out_of_order_completion(backend):
-    # Earlier tasks run longer; however the round is split across
-    # workers, the merged list must stay in submission order.
+    # Earlier tasks run longer, so on any backend with >= 2 workers the
+    # *completion* order inverts the submission order; however the
+    # round is split across workers, the result list must not.
     tasks = _inverse_cost(5)
     assert _bits(backend.submit_round(run_bank_task, tasks).result()) \
         == _expected(tasks)
@@ -229,7 +145,7 @@ def test_submit_round_exception_at_join(backend):
     # the exception surfaces at join -- sticky, like a failed future.
     tasks = _failing([1, "boom", 3])
     pending = backend.submit_round(run_bank_task, tasks)
-    with pytest.raises(**TASK_FAILURE):
+    with pytest.raises(**TASK_FAILURE) as joined:
         pending.result()
     with pytest.raises(**TASK_FAILURE):
         pending.result()
@@ -237,7 +153,17 @@ def test_submit_round_exception_at_join(backend):
     assert failed.exception() is not None
     assert _bits([first.result(), last.result()]) == \
         _expected([tasks[0], tasks[2]])
-    # The backend survives a failed round.
+    # A round whose only task fails is just as sticky.
+    alone = backend.submit_round(run_bank_task, _failing(["boom"]))
+    with pytest.raises(**TASK_FAILURE):
+        alone.result()
+    with pytest.raises(**TASK_FAILURE):
+        alone.result()
+    # The blocking run_round raises the same error.
+    with pytest.raises(**TASK_FAILURE) as ran:
+        backend.run_round(run_bank_task, tasks)
+    assert type(ran.value) is type(joined.value)
+    # The backend survives failed rounds.
     tasks = _tasks(1)
     assert _bits(backend.submit_round(run_bank_task, tasks).result()) \
         == _expected(tasks)
@@ -260,6 +186,7 @@ def test_submit_round_empty_round(backend):
     pending = backend.submit_round(run_bank_task, [])
     assert pending.done()
     assert pending.result() == []
+    assert backend.run_round(run_bank_task, []) == []
 
 
 def test_close_with_pending_round_keeps_result_joinable(backend):
@@ -269,8 +196,10 @@ def test_close_with_pending_round_keeps_result_joinable(backend):
     pending = backend.submit_round(run_bank_task, tasks)
     backend.close()
     assert _bits(pending.result()) == _expected(tasks)
-    # And the backend still rebuilds for round submissions after close.
-    again = _tasks(1)
+    # close() is idempotent, and a closed backend transparently
+    # rebuilds its pool or cluster on next use.
+    backend.close()
+    again = _tasks(2)
     assert _bits(backend.submit_round(run_bank_task, again).result()) \
         == _expected(again)
 

@@ -9,12 +9,25 @@ import repro.core.harvest as harvest_module
 from repro.core.health import (HealthMonitor, HealthTestFailure,
                                MonitoredTrng, adaptive_proportion_cutoff,
                                repetition_count_cutoff)
-from repro.core.parallel import ThreadPoolBackend
+from repro.core.parallel import SerialBackend, ThreadPoolBackend
 from repro.core.temperature_manager import (DEFAULT_RANGES,
                                             TemperatureManagedTrng)
 from repro.core.trng import QuacTrng
+from repro.dram.geometry import DramGeometry
+from repro.dram.module_factory import build_module, spec_by_name
 from repro.errors import (BitstreamError, CharacterizationError,
                           ConfigurationError)
+
+
+class _RecordingBackend(SerialBackend):
+    """The serial backend, keeping every task it is handed."""
+
+    def __init__(self):
+        self.tasks = []
+
+    def submit_round(self, fn, tasks):
+        self.tasks.extend(tasks)
+        return super().submit_round(fn, tasks)
 
 
 def _loop_check(monitor: HealthMonitor, matrix: np.ndarray):
@@ -496,10 +509,35 @@ class TestTemperatureManager:
             want, latency = sequential.iteration()
             np.testing.assert_array_equal(row, want)
             assert latency == pytest.approx(active.iteration_latency_ns)
-        # Only the active range's generator claimed iterations.
-        assert [sum(e.trng.cursors()) for e in fresh._entries] == [
-            3 * len(active.cursors()) if e.trng is active else 0
-            for e in fresh._entries]
+        # Every range reads one shared cursor table, and only the
+        # active range's segments advanced.
+        assert all(e.trng.executor is fresh.executor
+                   for e in fresh._entries)
+        segments = {s for e in fresh._entries for s in e.trng.segments}
+        assert {s: fresh.executor.cursor(s) for s in segments} == {
+            s: 3 if s in active.segments else 0 for s in segments}
+
+    def test_temperature_swing_never_replays_an_iteration(self):
+        # The ranges of one module mostly pick the same segments, so
+        # they share thermal keys: a range switch must carry on from
+        # the iterations other ranges claimed, never redraw them.
+        geometry = DramGeometry.small(segments_per_bank=16,
+                                      cache_blocks_per_row=4)
+        module = build_module(spec_by_name("M13"), geometry)
+        backend = _RecordingBackend()
+        managed = TemperatureManagedTrng(
+            module, entropy_per_block=256.0 * geometry.row_bits / 65536,
+            backend=backend)
+        entries = managed._entries
+        assert set(entries[0].trng.segments) & set(entries[1].trng.segments)
+        for temperature in (50.0, 60.0, 50.0, 80.0, 60.0):
+            module.temperature_c = temperature
+            managed.random_bytes(200 * 32)
+        claimed = [(task.thermal_key, k) for task in backend.tasks
+                   for k in range(task.first_iteration,
+                                  task.first_iteration + task.iterations)]
+        assert len({task.thermal_key for task in backend.tasks}) > 1
+        assert len(claimed) == len(set(claimed))
 
     def test_random_bits_pools_surplus(self, managed, module_m13):
         module_m13.temperature_c = 50.0

@@ -207,9 +207,7 @@ class TestBackendResolution:
     @pytest.mark.parametrize("spec", ["gpu", "thread:zero", "serial:2",
                                       "process:0", 42, "remote",
                                       "remote:0", "remote:host",
-                                      "remote:host:notaport",
-                                      "remote:+rounds", "remote:3+rounds",
-                                      "remote:hostc:9123+rounds"])
+                                      "remote:host:notaport"])
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ConfigurationError):
             resolve_backend(spec)
@@ -240,27 +238,6 @@ class TestSubmitMap:
         assert pending.done()
         assert pending.result() == [1, 4, 9]
 
-    @pytest.mark.parametrize("backend_cls", [ThreadPoolBackend,
-                                             ProcessPoolBackend])
-    def test_submit_map_equals_map(self, backend_cls):
-        with backend_cls(2) as backend:
-            tasks = list(range(16))
-            pending = backend.submit_round(_square, tasks)
-            assert pending.result() == backend.run_round(_square, tasks)
-
-    def test_result_is_cached_and_ordered(self):
-        with ThreadPoolBackend(4) as backend:
-            pending = backend.submit_round(_square, range(32))
-            first = pending.result()
-            assert first == [x * x for x in range(32)]
-            assert pending.result() is first
-            assert pending.done()
-
-    def test_empty_submit_completes_immediately(self):
-        with ThreadPoolBackend(2) as backend:
-            pending = backend.submit_round(_square, [])
-            assert pending.done() and pending.result() == []
-
     def test_single_task_submit_goes_to_pool(self):
         # Even a one-task round leaves the caller's thread: the pool
         # runs it, so the caller can keep planning meanwhile.
@@ -272,40 +249,6 @@ class TestSubmitMap:
         finally:
             backend.close()
 
-    def test_pending_survives_backend_close(self):
-        # close() waits for submitted work, so a pending handle taken
-        # before close stays joinable after it.
-        backend = ProcessPoolBackend(2)
-        pending = backend.submit_round(_square, [3, 4])
-        backend.close()
-        assert pending.result() == [9, 16]
-
-    def test_bank_tasks_submit_identically(self, module_m13,
-                                           small_geometry):
-        trng = _fresh_trng(module_m13, small_geometry, SerialBackend())
-        tasks = trng.plan_batch(3)
-        want = [run_bank_task(task) for task in tasks]
-        with ProcessPoolBackend(2) as backend:
-            got = backend.submit_round(run_bank_task, tasks).result()
-        for a, b in zip(got, want):
-            assert a.digests == b.digests
-
 
 def _square(x):
     return x * x
-
-
-class TestPooledBackendBehavior:
-    def test_map_preserves_order(self):
-        with ThreadPoolBackend(4) as backend:
-            assert backend.run_round(_square, range(32)) == \
-                [x * x for x in range(32)]
-
-    def test_close_is_idempotent(self):
-        backend = ThreadPoolBackend(2)
-        backend.run_round(_square, [1, 2, 3])
-        backend.close()
-        backend.close()
-        # A closed backend recovers by rebuilding its pool lazily.
-        assert backend.run_round(_square, [1, 2]) == [1, 4]
-        backend.close()

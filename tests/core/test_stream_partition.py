@@ -21,6 +21,8 @@ or asynchronous, with or without readahead.  A channel whose monitor
 alarms loses exactly its units of that round; cancelling in-flight
 rounds loses none, and neither does a round whose join raises (say,
 every remote worker lost), because their units go back to the cursors.
+A round's bank tasks draw iteration counts that differ by at most one,
+which is what the remote backend's shard map balances on.
 """
 
 import numpy as np
@@ -28,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import harvest
 from repro.core.health import HealthMonitor, HealthTestFailure, MonitoredTrng
 from repro.core.multichannel import SystemTrng
 from repro.core.parallel import (ExecutionBackend, ProcessPoolBackend,
@@ -212,6 +215,45 @@ def test_any_request_split_of_a_system_yields_the_unit_stream(
     served = _serve(system, requests, readahead)
     np.testing.assert_array_equal(served,
                                   _units(channel_rows)[:sum(requests)])
+
+
+class _RecordRounds(SerialBackend):
+    """The serial backend, keeping each round's task iterations."""
+
+    def __init__(self):
+        self.rounds = []
+
+    def submit_round(self, fn, tasks):
+        self.rounds.append([task.iterations for task in tasks])
+        return super().submit_round(fn, tasks)
+
+
+@given(fractions=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=6),
+       async_harvest=st.booleans(), readahead=st.booleans(),
+       cancel=st.booleans(), cap=st.sampled_from([1, 7, 1024]),
+       kind=st.sampled_from(SYSTEM_KINDS))
+@settings(max_examples=12, deadline=None)
+def test_round_tasks_draw_near_equal_iterations(
+        make_system, fractions, async_harvest, readahead, cancel, cap,
+        kind):
+    # A round's units are consecutive, so its channels' shares -- and
+    # with them its bank tasks' iteration counts -- differ by at most
+    # one for any request split.  That is what lets the remote backend
+    # shard a round by task count alone.
+    recorder = _RecordRounds()
+    system = make_system(kind, recorder, async_harvest)
+    width = system.bits_per_system_iteration()
+    system.harvest_engine.readahead = readahead
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harvest, "MAX_BATCH_ITERATIONS", cap)
+        for fraction in fractions:
+            system.random_bits(max(1, int(fraction * width)))
+            if cancel:
+                system.harvest_engine.cancel_pending()
+        system.harvest_engine.cancel_pending()
+    assert recorder.rounds
+    for iterations in recorder.rounds:
+        assert max(iterations) - min(iterations) <= 1
 
 
 @pytest.mark.parametrize("kind", SYSTEM_KINDS)

@@ -48,25 +48,11 @@ def candidate_paths(text):
             yield token
 
 
-def generated_artifacts():
-    """Exact paths .gitignore names: generated files (benchmark JSON
-    artifacts) that docs may legitimately reference without the file
-    existing on a fresh checkout."""
-    gitignore = REPO_ROOT / ".gitignore"
-    if not gitignore.exists():
-        return set()
-    return {line.strip() for line in gitignore.read_text().splitlines()
-            if line.strip() and not line.startswith("#")
-            and "*" not in line and not line.endswith("/")}
-
-
-def missing_in(doc: Path, generated=frozenset()):
+def missing_in(doc: Path):
     text = doc.read_text(encoding="utf-8")
     base = doc.parent
     missing = []
     for ref in sorted(set(candidate_paths(text))):
-        if ref in generated:
-            continue
         candidates = [REPO_ROOT / ref, base / ref]
         # `repro/...` references mean the package under src/.
         if ref.startswith("repro/"):
@@ -79,11 +65,10 @@ def missing_in(doc: Path, generated=frozenset()):
 def main(argv):
     docs = [Path(arg) for arg in argv] or \
         [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
-    generated = generated_artifacts()
     broken = 0
     for doc in docs:
-        for ref in missing_in(doc, generated):
-            print(f"{doc.relative_to(REPO_ROOT)}: missing file {ref!r}")
+        for ref in missing_in(doc):
+            print(f"{doc}: missing file {ref!r}")
             broken += 1
     if broken:
         print(f"{broken} broken file reference(s)")
