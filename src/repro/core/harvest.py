@@ -150,11 +150,6 @@ class HarvestRound:
     yield_bits: int
     #: In-flight handle, set once the engine submits the round.
     pending: Optional[PendingResult] = field(default=None, repr=False)
-    #: Planner-private context carried through execution untouched --
-    #: e.g. the temperature range a round was planned under, so
-    #: :meth:`HarvestPlanner.gather_round` can tell whether a landing
-    #: round's plans still cover the sensor reading.
-    context: Optional[object] = field(default=None, repr=False)
 
 
 class HarvestPlanner:
@@ -167,9 +162,8 @@ class HarvestPlanner:
     ``super().__init__(backend, async_harvest)``.  This base class owns
     the rest, written once for every generator: the round planner
     (:meth:`plan_round`) and gather step (:meth:`gather_round`), the
-    serving pool, the lazily built :class:`AsyncHarvestEngine` that
-    fills it, and :meth:`random_bits` / :meth:`random_bytes` /
-    :meth:`iter_bytes`.
+    serving pool, the :class:`AsyncHarvestEngine` that fills it, and
+    :meth:`random_bits` / :meth:`random_bytes` / :meth:`iter_bytes`.
     """
 
     def __init__(self, backend: ExecutionBackend,
@@ -178,7 +172,10 @@ class HarvestPlanner:
         #: Keep two rounds in flight instead of one (same bits).
         self.async_harvest = async_harvest
         self._pool = BitBuffer()
-        self._harvest_engine: Optional[AsyncHarvestEngine] = None
+        #: The engine that fills the serving pool; exposed for
+        #: introspection (``pending_rounds``, ``in_flight_bits``),
+        #: readahead control and teardown (``cancel_pending``).
+        self.harvest_engine = AsyncHarvestEngine(self)
 
     def plan_round(self, deficit_bits: int) -> HarvestRound:
         """Plan one refill round: the next units toward ``deficit_bits``.
@@ -287,21 +284,6 @@ class HarvestPlanner:
             self.channels[span.channel].unclaim(
                 round_.tasks[span.start:span.stop])
 
-    @property
-    def harvest_engine(self) -> AsyncHarvestEngine:
-        """The engine that fills the serving pool.
-
-        Built lazily on first use, with one round in flight (two with
-        ``async_harvest``); exposed for introspection
-        (``pending_rounds``, ``in_flight_bits``), readahead control, and
-        teardown (``cancel_pending`` / ``drain``).
-        """
-        if self._harvest_engine is None:
-            self._harvest_engine = AsyncHarvestEngine(
-                self, self.backend,
-                max_in_flight=2 if self.async_harvest else 1)
-        return self._harvest_engine
-
     def random_bits(self, n_bits: int) -> np.ndarray:
         """Generate exactly ``n_bits`` conditioned random bits.
 
@@ -348,21 +330,25 @@ class AsyncHarvestEngine:
     ----------
     planner:
         The generator's deterministic half (see :class:`HarvestPlanner`).
-    backend:
-        Execution backend rounds are submitted to.  With the serial
-        backend rounds complete at submit time (the reference
+        Rounds are submitted to its ``backend``: with the serial
+        backend they complete at submit time (the reference
         behaviour); thread pools, process pools, and remote worker
         clusters genuinely overlap.  A remote round that loses a
         worker host mid-flight is requeued inside the backend -- the
         engine just sees the round land later, with identical bits.
+
+    Attributes
+    ----------
     max_in_flight:
-        Outstanding-round bound: 1 is the synchronous loop (plan,
-        execute, gather), 2 lets one round execute while the consumer
-        drains the pool the previous one filled.
+        Outstanding-round bound, from the planner's ``async_harvest``:
+        1 is the synchronous loop (plan, execute, gather), 2 lets one
+        round execute while the consumer drains the pool the previous
+        one filled.
     readahead:
-        Commit the next draw's first rounds speculatively after each
-        fill, sized as if the previous request repeats.  A wrong guess
-        changes round sizes, never bits.
+        Off by default.  Commit the next draw's first rounds
+        speculatively after each fill, sized as if the previous
+        request repeats.  A wrong guess changes round sizes, never
+        bits.
 
     Determinism
     -----------
@@ -371,15 +357,11 @@ class AsyncHarvestEngine:
     work happens.
     """
 
-    def __init__(self, planner: HarvestPlanner, backend: ExecutionBackend,
-                 max_in_flight: int = 2, readahead: bool = False) -> None:
-        if max_in_flight < 1:
-            raise ConfigurationError(
-                f"need at least one in-flight round, got {max_in_flight}")
+    def __init__(self, planner: HarvestPlanner) -> None:
         self.planner = planner
-        self.backend = backend
-        self.max_in_flight = max_in_flight
-        self.readahead = readahead
+        self.backend = planner.backend
+        self.max_in_flight = 2 if planner.async_harvest else 1
+        self.readahead = False
         self._in_flight: Deque[HarvestRound] = deque()
         #: Lifetime statistics (rounds planned / gathered / discarded).
         self.rounds_planned = 0
@@ -425,30 +407,13 @@ class AsyncHarvestEngine:
         """
         if n_bits < 0:
             raise InsufficientEntropyError("bit count must be non-negative")
-        stalls = 0
         while len(pool) < n_bits:
+            # Priming leaves at least one round in flight, and a landed
+            # round pools its whole yield unless a channel alarms.
             self._prime(n_bits - len(pool))
-            before = len(pool)
-            if self._in_flight:
-                failure = self._gather(pool)
-                if failure is not None:
-                    raise failure
-            # A pass makes progress when the round changed the pool
-            # (a planner may flush stale bits at gather, so it can
-            # shrink) or rounds are still in flight.  A fruitless pass
-            # gets one replan: a legitimately *discarded* round -- e.g.
-            # a temperature-managed round landing after a sensor
-            # excursion -- is followed by a fresh round planned under
-            # the new conditions.  Two in a row means the planner
-            # covers no part of the deficit.
-            if len(pool) != before or self._in_flight:
-                stalls = 0
-                continue
-            stalls += 1
-            if stalls >= 2:
-                raise InsufficientEntropyError(
-                    f"planner covered no part of a {n_bits - len(pool)}"
-                    f"-bit deficit")
+            failure = self._gather(pool)
+            if failure is not None:
+                raise failure
         if self.readahead:
             # Commit the assumed-repeat draw's opening rounds so they
             # execute while the consumer drains what we just served.
@@ -493,8 +458,9 @@ class AsyncHarvestEngine:
     def cancel_pending(self) -> int:
         """Join and discard every in-flight round; return the count.
 
-        For teardown (or abandoning a readahead guess): the rounds'
-        results are dropped, *not* pooled, and their units go back to
+        The one teardown verb, also used to abandon a readahead guess
+        or a temperature range's backlog: the rounds' results are
+        dropped, *not* pooled, and their units go back to
         the channels' cursors (:meth:`HarvestPlanner.unclaim_round`),
         so the next fill plans them again and the stream stays equal
         to a run that never cancelled.  Safe to call with the backend
@@ -512,19 +478,3 @@ class AsyncHarvestEngine:
             cancelled += 1
         self.rounds_cancelled += cancelled
         return cancelled
-
-    def drain(self, pool: BitBuffer) -> Optional[ReproError]:
-        """Gather every in-flight round into ``pool`` without waiting
-        for a request.
-
-        The graceful counterpart of :meth:`cancel_pending`: planned
-        entropy is kept (pooled bits serve later draws), so a drained
-        engine's stream stays bit-identical to an undrained one.
-        Returns the first deferred health failure instead of raising,
-        so teardown code can log and continue.
-        """
-        failure = None
-        while self._in_flight:
-            exc = self._gather(pool)
-            failure = failure or exc
-        return failure

@@ -444,8 +444,8 @@ class RemoteBackend(ExecutionBackend):
     ----------
     addresses:
         ``(host, port)`` pairs of already-running workers (see
-        :mod:`repro.core.remote.worker`).  Connections are opened
-        lazily and kept for the backend's lifetime.
+        :mod:`repro.core.remote.worker`), ports 1-65535.  Connections
+        are opened lazily and kept for the backend's lifetime.
     cluster:
         A :class:`LocalCluster` this backend *owns*: started on first
         use, stopped by :meth:`close`, respawned transparently when
@@ -470,10 +470,17 @@ class RemoteBackend(ExecutionBackend):
             raise ConfigurationError(
                 "give RemoteBackend exactly one of addresses= or "
                 "cluster=")
-        if addresses is not None and not list(addresses):
-            raise ConfigurationError("need at least one worker address")
-        self._addresses = [tuple(a) for a in addresses] \
-            if addresses is not None else None
+        if addresses is not None:
+            addresses = [tuple(a) for a in addresses]
+            if not addresses:
+                raise ConfigurationError("need at least one worker address")
+            for host, port in addresses:
+                # A socket connect wraps ports modulo 65536.
+                if not (isinstance(port, int) and 0 < port < 65536):
+                    raise ConfigurationError(
+                        f"worker port {port!r} of {host!r} is not in "
+                        f"1-65535")
+        self._addresses = addresses
         self._cluster = cluster
         self._links: Optional[List[_WorkerLink]] = None
         #: Runs each round's dispatch loop; built with the links.

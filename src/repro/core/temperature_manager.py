@@ -8,10 +8,18 @@ sensors)".  :class:`TemperatureManagedTrng` implements exactly that:
 
 * at setup it characterizes the module at the centre of each configured
   range and stores per-range SIB plans (and the per-range best segment);
-* per iteration it reads the module's temperature sensor, selects the
+* per draw it reads the module's temperature sensor, selects the
   matching plan table, and only re-characterizes when the temperature
   leaves every characterized range (with a counter, so the paper's
   "one-time" property is checkable).
+
+Draws run through the shared round planner unchanged, with the range
+that serves them as the one channel.  When a draw finds the sensor in
+another range, the rounds still in flight go back to the cursors
+(:meth:`~repro.core.harvest.AsyncHarvestEngine.cancel_pending`), the
+old range's pooled surplus is dropped, and the new range serves.  Every
+range shares one cursor table, so whichever range plans next claims
+those units again, and no iteration is served twice.
 
 This closes the gap left by :class:`~repro.core.trng.QuacTrng`, which
 characterizes once at construction temperature.
@@ -25,8 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bitops import BitBuffer
-from repro.core.harvest import HarvestPlanner, HarvestRound
+from repro.core.harvest import HarvestPlanner
 from repro.core.parallel import ExecutionBackend, resolve_backend
 from repro.core.quac import QuacExecutor
 from repro.core.trng import QuacTrng
@@ -74,12 +81,11 @@ class TemperatureManagedTrng(HarvestPlanner):
     async_harvest:
         Keep two refill rounds in flight on the
         :class:`~repro.core.harvest.AsyncHarvestEngine` instead of one.
-        Rounds are planned against the active range's stored tables; a
-        round that lands after the sensor has left the range it was
-        planned under is discarded, upholding the stored-table
-        contract that output always comes from plans covering the
-        current temperature.  At a steady sensor reading the output is
-        the same either way.
+        The sensor is read once per draw; a draw under a new range
+        hands the rounds still in flight back to the cursors and drops
+        the old range's surplus, so output always comes from plans
+        covering the reading at the draw.  At a steady sensor reading
+        the output is the same either way.
     """
 
     def __init__(self, module: DramModule,
@@ -106,7 +112,8 @@ class TemperatureManagedTrng(HarvestPlanner):
         self.characterization_passes = 0
         self._entries: List[RangeEntry] = []
         self._characterize_ranges(ranges)
-        #: Range entry whose plans filled the current pool surplus.
+        #: Range entry that serves draws and plans rounds; set from the
+        #: sensor by each draw, so construction reads no sensor.
         self._pool_entry: Optional[RangeEntry] = None
 
     # ------------------------------------------------------------------
@@ -119,6 +126,9 @@ class TemperatureManagedTrng(HarvestPlanner):
             raise ConfigurationError("need at least one temperature range")
         ordered = sorted(ranges)
         for (low, high) in ordered:
+            if not (math.isfinite(low) and math.isfinite(high)):
+                raise ConfigurationError(
+                    f"range [{low}, {high}) has a non-finite bound")
             if high <= low:
                 raise ConfigurationError(
                     f"range [{low}, {high}) is empty")
@@ -198,58 +208,26 @@ class TemperatureManagedTrng(HarvestPlanner):
     # Harvest-planner protocol (repro.core.harvest)
     # ------------------------------------------------------------------
 
-    def plan_round(self, deficit_bits: int) -> HarvestRound:
-        """Plan one refill round against the *active* range's tables.
+    @property
+    def channels(self) -> List[QuacTrng]:
+        """The one channel: the range that serves draws."""
+        return [self._pool_entry.trng]
 
-        The sensor is read per round (a temperature excursion mid-draw
-        switches plan tables at round granularity) and the round
-        remembers which range planned it
-        (:attr:`~repro.core.harvest.HarvestRound.context`), so a
-        landing round can be checked against the sensor again.
-        """
-        entry = self.active_entry()
-        round_ = entry.trng.plan_round(deficit_bits)
-        round_.context = entry
-        return round_
-
-    def gather_round(self, round_: HarvestRound, results,
-                     pool: BitBuffer):
-        """Pool a landed round -- unless the sensor left its range.
-
-        A round whose planning range no longer covers the current
-        temperature is discarded (its bits were conditioned under
-        stale column-address tables); the engine simply plans the next
-        round under the now-active range.  The first round landing
-        under a *new* range first clears the surplus the old range
-        left in the pool, so output never mixes ranges.  (A draw that
-        starts under a new range is flushed by :meth:`_refill`; this
-        catches a range change between the rounds of one fill.)
-        """
-        entry = round_.context
-        if not entry.covers(self.module.temperature_c):
-            return None
-        if entry is not self._pool_entry:
-            pool.clear()
-            self._pool_entry = entry
-        return entry.trng.gather_round(round_, results, pool)
-
-    def unclaim_round(self, round_: HarvestRound) -> None:
-        """Hand a cancelled round's units back to the range that planned it."""
-        round_.context.trng.unclaim_round(round_)
+    @property
+    def monitors(self) -> List[None]:
+        """No monitor on the temperature-managed generator."""
+        return [None]
 
     def _refill(self, n_bits: int) -> None:
-        """Top the pool up, re-selecting the range as temperature moves.
+        """Top the pool up from the range covering the sensor reading.
 
-        Surplus conditioned bits are served first on the next call --
-        unless the temperature has left the range that generated them:
-        everything backlogged (pooled or in flight) was
-        planned under another range's tables, so it is gathered and
-        flushed before serving from the new range (stale rounds
-        discard themselves at gather).
+        On a range change the rounds still in flight go back to the
+        cursors, and the old range's surplus is dropped, before the
+        new range plans anything.
         """
         entry = self.active_entry()
         if entry is not self._pool_entry:
-            self.harvest_engine.drain(self._pool)
+            self.harvest_engine.cancel_pending()
             self._pool.clear()
             self._pool_entry = entry
         super()._refill(n_bits)

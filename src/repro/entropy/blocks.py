@@ -15,7 +15,7 @@ is the throughput parameter of Section 7.2:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -109,19 +109,3 @@ def sib_count(segment_entropy_bits: float,
     if segment_entropy_bits < 0:
         raise CharacterizationError("segment entropy cannot be negative")
     return int(segment_entropy_bits // entropy_per_block)
-
-
-def temperature_indexed_plans(
-        plans_by_range: List[Tuple[float, float, List[EntropyBlockPlan]]],
-        temperature_c: float) -> List[EntropyBlockPlan]:
-    """Select the plan list for the range containing ``temperature_c``.
-
-    ``plans_by_range`` holds (low_c, high_c, plans) tuples with
-    non-overlapping [low, high) ranges -- the controller's stored
-    per-temperature column-address sets (Section 8).
-    """
-    for low, high, plans in plans_by_range:
-        if low <= temperature_c < high:
-            return plans
-    raise CharacterizationError(
-        f"no characterized temperature range covers {temperature_c} C")

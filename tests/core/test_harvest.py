@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 import repro.core.harvest as harvest_module
-from repro.core.harvest import AsyncHarvestEngine
 from repro.core.health import HealthMonitor, HealthTestFailure
 from repro.core.multichannel import SystemTrng
 from repro.core.parallel import (BACKEND_ENV_VAR, ProcessPoolBackend,
@@ -28,7 +27,7 @@ from repro.core.parallel import (BACKEND_ENV_VAR, ProcessPoolBackend,
                                  resolve_backend, run_bank_task)
 from repro.core.trng import QuacTrng
 from repro.dram.module_factory import build_table3_population
-from repro.errors import ConfigurationError, InsufficientEntropyError
+from repro.errors import InsufficientEntropyError
 
 
 def _fresh_trng(module, entropy_scale, backend=None, **kwargs):
@@ -146,15 +145,9 @@ class TestDoubleBuffer:
         with pytest.raises(InsufficientEntropyError):
             trng.random_bits(-1)
 
-    def test_engine_requires_positive_in_flight_bound(self, module_m13,
-                                                      entropy_scale):
-        trng = _fresh_trng(module_m13, entropy_scale)
-        with pytest.raises(ConfigurationError):
-            AsyncHarvestEngine(trng, trng.backend, max_in_flight=0)
-
 
 class TestTeardown:
-    """Pending rounds through close/cancel/drain."""
+    """Pending rounds through backend close and cancel_pending."""
 
     def test_backend_close_with_pending_round(self, module_m13,
                                               entropy_scale, monkeypatch):
@@ -198,25 +191,6 @@ class TestTeardown:
         # never cancelled.
         assert trng.cursors()[0] < claimed[0]
         np.testing.assert_array_equal(trng.random_bits(draw), expected[1])
-
-    def test_drain_keeps_planned_entropy(self, module_m13, entropy_scale,
-                                         monkeypatch):
-        # drain() is the graceful teardown: pending bits pool instead
-        # of being discarded, so the stream stays equal to synchronous.
-        monkeypatch.setattr(harvest_module, "MAX_BATCH_ITERATIONS", 4)
-        sync = _fresh_trng(module_m13, entropy_scale)
-        draw = 4 * sync.bits_per_iteration
-        expected = [sync.random_bits(draw) for _ in range(2)]
-        trng = _fresh_trng(module_m13, entropy_scale, async_harvest=True)
-        trng.harvest_engine.readahead = True
-        first = trng.random_bits(draw)
-        assert trng.harvest_engine.pending_rounds > 0
-        failure = trng.harvest_engine.drain(trng._pool)
-        assert failure is None
-        assert trng.harvest_engine.pending_rounds == 0
-        second = trng.random_bits(draw)
-        np.testing.assert_array_equal(first, expected[0])
-        np.testing.assert_array_equal(second, expected[1])
 
 
 class TestInFlightHealthFailure:
@@ -262,7 +236,7 @@ class TestInFlightHealthFailure:
             self, small_geometry, entropy_scale, monkeypatch):
         # Shrink rounds so the alarm lands while another round is
         # genuinely in flight; the queued round must survive the raise
-        # and be gathered by the next fill.
+        # and be gathered by the next draw.
         monkeypatch.setattr(harvest_module, "MAX_BATCH_ITERATIONS", 2)
         system, _monitors = self._monitored_async_system(
             small_geometry, entropy_scale)
@@ -270,15 +244,17 @@ class TestInFlightHealthFailure:
         with pytest.raises(HealthTestFailure):
             system.random_bits(8 * system.bits_per_system_iteration())
         engine = system.harvest_engine
-        leftover = engine.pending_rounds
+        assert engine.pending_rounds == 1
+        gathered = engine.rounds_gathered
         pooled_before = len(system._pool)
-        # Draining gathers the queued rounds; their healthy channel's
-        # bits pool, their dead channel's alarm is reported, not lost.
-        failure = engine.drain(system._pool)
+        # A draw past the pool gathers the queued round first, before
+        # planning another: its healthy channel's bits pool, and its
+        # dead channel's alarm is raised, not lost.
+        with pytest.raises(HealthTestFailure):
+            system.random_bits(pooled_before + 1)
+        assert engine.rounds_gathered == gathered + 1
         assert engine.pending_rounds == 0
-        if leftover:
-            assert failure is not None
-            assert len(system._pool) >= pooled_before
+        assert len(system._pool) > pooled_before
 
     def test_healthy_async_monitored_system_matches_sync(
             self, small_geometry, entropy_scale):

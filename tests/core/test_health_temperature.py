@@ -9,7 +9,7 @@ import repro.core.harvest as harvest_module
 from repro.core.health import (HealthMonitor, HealthTestFailure,
                                MonitoredTrng, adaptive_proportion_cutoff,
                                repetition_count_cutoff)
-from repro.core.parallel import SerialBackend, ThreadPoolBackend
+from repro.core.parallel import ThreadPoolBackend
 from repro.core.temperature_manager import (DEFAULT_RANGES,
                                             TemperatureManagedTrng)
 from repro.core.trng import QuacTrng
@@ -17,17 +17,6 @@ from repro.dram.geometry import DramGeometry
 from repro.dram.module_factory import build_module, spec_by_name
 from repro.errors import (BitstreamError, CharacterizationError,
                           ConfigurationError)
-
-
-class _RecordingBackend(SerialBackend):
-    """The serial backend, keeping every task it is handed."""
-
-    def __init__(self):
-        self.tasks = []
-
-    def submit_round(self, fn, tasks):
-        self.tasks.extend(tasks)
-        return super().submit_round(fn, tasks)
 
 
 def _loop_check(monitor: HealthMonitor, matrix: np.ndarray):
@@ -488,6 +477,17 @@ class TestTemperatureManager:
             TemperatureManagedTrng(module_m13, ranges=[],
                                    entropy_per_block=256.0 * entropy_scale)
 
+    @pytest.mark.parametrize("ranges", [
+        [(float("-inf"), float("inf"))], [(float("nan"), 60.0)],
+        [(40.0, float("inf"))]], ids=["-inf..inf", "nan..60", "40..inf"])
+    def test_non_finite_ranges_rejected(self, module_m13, entropy_scale,
+                                        ranges):
+        # Rejected up front, before a characterization at a non-finite
+        # centre fails with an unrelated message.
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            TemperatureManagedTrng(module_m13, ranges=ranges,
+                                   entropy_per_block=256.0 * entropy_scale)
+
     def test_stored_entries_accounting(self, managed):
         assert managed.stored_column_entries() == sum(
             sum(e.trng.sib_per_bank) for e in managed._entries)
@@ -517,27 +517,41 @@ class TestTemperatureManager:
         assert {s: fresh.executor.cursor(s) for s in segments} == {
             s: 3 if s in active.segments else 0 for s in segments}
 
-    def test_temperature_swing_never_replays_an_iteration(self):
+    @pytest.mark.parametrize("async_harvest", [False, True],
+                             ids=["sync", "async-readahead"])
+    def test_temperature_swing_never_replays_an_iteration(self,
+                                                          async_harvest):
         # The ranges of one module mostly pick the same segments, so
         # they share thermal keys: a range switch must carry on from
-        # the iterations other ranges claimed, never redraw them.
+        # the iterations other ranges claimed, never redraw them.  With
+        # readahead, each switch hands in-flight rounds back; their
+        # units are claimed again, so only gathered rounds count.
         geometry = DramGeometry.small(segments_per_bank=16,
                                       cache_blocks_per_row=4)
         module = build_module(spec_by_name("M13"), geometry)
-        backend = _RecordingBackend()
         managed = TemperatureManagedTrng(
             module, entropy_per_block=256.0 * geometry.row_bits / 65536,
-            backend=backend)
+            async_harvest=async_harvest)
+        managed.harvest_engine.readahead = async_harvest
+        gathered = []
+        gather_round = managed.gather_round
+
+        def record(round_, results, pool):
+            gathered.extend(round_.tasks)
+            return gather_round(round_, results, pool)
+
+        managed.gather_round = record
         entries = managed._entries
         assert set(entries[0].trng.segments) & set(entries[1].trng.segments)
         for temperature in (50.0, 60.0, 50.0, 80.0, 60.0):
             module.temperature_c = temperature
             managed.random_bytes(200 * 32)
-        claimed = [(task.thermal_key, k) for task in backend.tasks
+        claimed = [(task.thermal_key, k) for task in gathered
                    for k in range(task.first_iteration,
                                   task.first_iteration + task.iterations)]
-        assert len({task.thermal_key for task in backend.tasks}) > 1
+        assert len({task.thermal_key for task in gathered}) > 1
         assert len(claimed) == len(set(claimed))
+        assert (managed.harvest_engine.rounds_cancelled > 0) == async_harvest
 
     def test_random_bits_pools_surplus(self, managed, module_m13):
         module_m13.temperature_c = 50.0
@@ -662,60 +676,32 @@ class TestAsyncWrappers:
     def test_temperature_async_range_change_discards_backlog(
             self, module_m13, entropy_scale, monkeypatch):
         # One-iteration rounds + readahead leave rounds genuinely in
-        # flight when the sensor moves.
+        # flight when the sensor moves.  The next draw hands them back
+        # to the cursors and drops the old range's pooled surplus.
         monkeypatch.setattr(harvest_module, "MAX_BATCH_ITERATIONS", 1)
         module_m13.temperature_c = 50.0
         try:
             managed = TemperatureManagedTrng(
                 module_m13, entropy_per_block=256.0 * entropy_scale,
                 async_harvest=True)
-            managed.harvest_engine.readahead = True
+            engine = managed.harvest_engine
+            engine.readahead = True
             bpi = managed.active_entry().trng.bits_per_iteration
             managed.random_bits(2 * bpi + 7)
             low_entry = managed._pool_entry
-            assert len(managed._pool) > 0
-            assert managed.harvest_engine.pending_rounds > 0
+            pending = engine.pending_rounds
+            assert pending > 0
             module_m13.temperature_c = 85.0
-            high_trng = managed.active_entry().trng
-            counter = sum(high_trng.cursors())
+            high_entry = managed.active_entry()
+            assert high_entry is not low_entry
+            high_bpi = high_entry.trng.bits_per_iteration
+            assert len(managed._pool) % high_bpi != 0  # surplus tellable
             out = managed.random_bits(100)
             assert out.size == 100
-            # The stale backlog (pool, back buffer, in-flight rounds)
-            # was discarded; the high range harvested fresh bits.
-            assert managed._pool_entry is not low_entry
-            assert managed._pool_entry is managed.active_entry()
-            assert sum(high_trng.cursors()) > counter
-        finally:
-            module_m13.temperature_c = 50.0
-
-    def test_round_landing_after_midfill_excursion_is_replanned(
-            self, module_m13, entropy_scale, monkeypatch):
-        # The sensor moving between a round's plan and its landing --
-        # mid-fill, past random_bits' backlog guard -- must discard
-        # the stale round, flush the old range's surplus, and replan
-        # under the new range: never starve the engine, never mix
-        # ranges in one pool.
-        monkeypatch.setattr(harvest_module, "MAX_BATCH_ITERATIONS", 1)
-        module_m13.temperature_c = 50.0
-        try:
-            managed = TemperatureManagedTrng(
-                module_m13, entropy_per_block=256.0 * entropy_scale,
-                async_harvest=True)
-            managed.harvest_engine.readahead = True
-            bpi = managed.active_entry().trng.bits_per_iteration
-            managed.random_bits(2 * bpi + 7)
-            assert managed.harvest_engine.pending_rounds > 0
-            # Excursion lands mid-fill: in-flight rounds are stale.
-            module_m13.temperature_c = 85.0
-            have = len(managed._pool)
-            high_bpi = managed.active_entry().trng.bits_per_iteration
-            assert have % high_bpi != 0     # stale surplus is tellable
-            managed.harvest_engine.fill(managed._pool, have + high_bpi)
-            # Everything pooled came from whole high-range rounds: the
-            # low range's surplus (and its in-flight rounds) are gone.
-            assert len(managed._pool) >= have + 1
-            assert len(managed._pool) % high_bpi == 0
-            assert managed._pool_entry is managed.active_entry()
-            assert managed.harvest_engine.rounds_gathered > 0
+            assert engine.rounds_cancelled == pending
+            assert managed._pool_entry is high_entry
+            # Every bit served or pooled since the switch came from
+            # whole one-iteration rounds of the high range.
+            assert (len(managed._pool) + 100) % high_bpi == 0
         finally:
             module_m13.temperature_c = 50.0

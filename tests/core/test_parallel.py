@@ -207,7 +207,9 @@ class TestBackendResolution:
     @pytest.mark.parametrize("spec", ["gpu", "thread:zero", "serial:2",
                                       "process:0", 42, "remote",
                                       "remote:0", "remote:host",
-                                      "remote:host:notaport"])
+                                      "remote:host:notaport",
+                                      "remote:host:70000",
+                                      "remote:host:0"])
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ConfigurationError):
             resolve_backend(spec)

@@ -960,6 +960,9 @@ class TestClusterAndFailureModel:
                           cluster=LocalCluster(1))
         with pytest.raises(ConfigurationError):
             RemoteBackend(addresses=[])
+        for port in (0, 65536, 98323, "9123"):
+            with pytest.raises(ConfigurationError, match="1-65535"):
+                RemoteBackend(addresses=[("127.0.0.1", port)])
         with pytest.raises(ConfigurationError):
             LocalCluster(0)
 

@@ -5,8 +5,7 @@ import pytest
 
 from repro.dram.device import BEST_DATA_PATTERN
 from repro.entropy.blocks import (EntropyBlockPlan, plan_entropy_blocks,
-                                  sha_input_blocks, sib_count,
-                                  temperature_indexed_plans)
+                                  sha_input_blocks, sib_count)
 from repro.entropy.characterization import ModuleCharacterization
 from repro.entropy.shannon import (bitline_entropy_from_bitstreams,
                                    cache_block_entropies, segment_entropy)
@@ -156,12 +155,3 @@ class TestBlockPlanning:
         # The paper's example: 11 SIBs need >= 2816 bits of entropy.
         assert sib_count(2816.0) == 11
         assert sib_count(255.9) == 0
-
-    def test_temperature_indexed_selection(self):
-        plans_a = [EntropyBlockPlan(0, 1, 256.0)]
-        plans_b = [EntropyBlockPlan(0, 2, 256.0)]
-        table = [(0.0, 60.0, plans_a), (60.0, 100.0, plans_b)]
-        assert temperature_indexed_plans(table, 50.0) is plans_a
-        assert temperature_indexed_plans(table, 85.0) is plans_b
-        with pytest.raises(CharacterizationError):
-            temperature_indexed_plans(table, 150.0)
