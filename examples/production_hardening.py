@@ -56,7 +56,7 @@ def main() -> None:
         entry = managed.active_entry()
         print(f"  at {module.temperature_c:5.1f} C: range "
               f"[{entry.low_c}, {entry.high_c}) -> SIBs "
-              f"{managed.sib_per_bank()}, output bias {bits.mean():.3f}")
+              f"{managed.sib_per_bank}, output bias {bits.mean():.3f}")
     print(f"offline passes after the excursion: "
           f"{managed.characterization_passes} (still one: every "
           f"temperature stayed inside the characterized envelope)")

@@ -22,7 +22,8 @@ Package map
                       sense amplifiers, variation, thermal response)
 ``repro.softmc``      programmable command host (Algorithm 1)
 ``repro.controller``  DDR4 scheduler, RowClone copies, output buffer
-``repro.crypto``      SHA-256 (FIPS 180-2) and the Von Neumann corrector
+``repro.crypto``      SHA-256 SIB conditioner (hashlib; from-scratch
+                      FIPS 180-2 reference) and the Von Neumann corrector
 ``repro.nist``        NIST SP 800-22, all fifteen tests
 ``repro.entropy``     Shannon maps, characterization, SIB planning
 ``repro.core``        QUAC execution, the TRNG, throughput, overheads

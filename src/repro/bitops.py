@@ -123,12 +123,10 @@ class BitBuffer:
 
     _INITIAL_BYTES = 64
 
-    def __init__(self, bits: np.ndarray = None) -> None:
+    def __init__(self) -> None:
         self._data = np.zeros(self._INITIAL_BYTES, dtype=np.uint8)
         self._start = 0   # read cursor (bit index into _data)
         self._end = 0     # write cursor (bit index into _data)
-        if bits is not None:
-            self.append(bits)
 
     def __len__(self) -> int:
         """Number of bits currently held."""

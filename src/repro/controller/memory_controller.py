@@ -14,7 +14,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.controller.buffer import RandomNumberBuffer
-from repro.controller.scheduler import CommandScheduler
 from repro.dram.device import DramModule
 from repro.softmc.host import ExecutionResult, SoftMcHost
 from repro.softmc.instructions import SoftMcProgram
@@ -33,10 +32,6 @@ class MemoryController:
         self.buffer = RandomNumberBuffer(buffer_capacity_bits)
         #: Total nanoseconds of channel time spent on TRNG work.
         self.trng_time_ns = 0.0
-
-    def new_scheduler(self) -> CommandScheduler:
-        """A fresh constraint tracker for latency analysis."""
-        return CommandScheduler(self.module.timing)
 
     def execute(self, program: SoftMcProgram) -> ExecutionResult:
         """Execute a program functionally against the module."""

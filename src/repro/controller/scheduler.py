@@ -88,16 +88,6 @@ class CommandScheduler:
         return max(self.trace[-1].time_ns, self._data_bus_free) \
             - self.trace[0].time_ns
 
-    def last_issue_ns(self) -> float:
-        """Issue time of the most recently scheduled command."""
-        if len(self.trace) == 0:
-            return 0.0
-        return self.trace[-1].time_ns
-
-    def data_bus_busy_until(self) -> float:
-        """Time at which the data bus becomes free."""
-        return self._data_bus_free
-
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------

@@ -88,10 +88,11 @@ class BankTask:
     condition them.
 
     Everything a worker needs travels with the task (settling
-    probabilities, the segment's thermal key and first iteration, the
-    SIB slices and conditioning parameters), so the task pickles
-    cheaply and never drags a :class:`~repro.dram.device.DramModule`
-    across a process boundary.
+    probabilities, the segment's thermal key and first iteration, and
+    the SIB slices), so the task pickles cheaply and never drags a
+    :class:`~repro.dram.device.DramModule` across a process boundary.
+    The entropy budget that planned the slices stays with the
+    generator: hashing a block does not depend on it.
     """
 
     #: The segment's thermal-stream key (``repro.rng.derive_key``
@@ -104,8 +105,6 @@ class BankTask:
     iterations: int
     #: ``(start, stop)`` bit ranges of the bank's SHA input blocks.
     block_slices: Tuple[Tuple[int, int], ...]
-    #: Shannon entropy credited to each block (conditioner parameter).
-    entropy_per_block: float
     #: Also return the raw read-outs (for health monitoring).
     collect_raw: bool = False
     #: Index of the segment's first iteration in this task; the worker
@@ -185,7 +184,7 @@ def run_bank_task(task: BankTask) -> BankResult:
     raw = np.atleast_2d(sample_iterations(
         task.probabilities, task.thermal_key, task.first_iteration,
         task.iterations))
-    conditioner = Sha256Conditioner(task.entropy_per_block)
+    conditioner = Sha256Conditioner()
     columns = [
         conditioner.condition_many(raw[:, start:stop])
                    .reshape(task.iterations, Sha256.DIGEST_BITS)

@@ -13,7 +13,7 @@ such opaque payloads.  Every payload is one *message*
 * a body whose layout the kind fixes.  :data:`ROUND` carries one
   host's slice of a harvest round as :class:`~repro.core.parallel.
   BankTask` fields (key words, a raw float64 probability vector, block
-  slices, iterations, first iteration, entropy and a flags byte);
+  slices, iterations, first iteration and a flags byte);
   :data:`ROUND_RESULT` carries one slot per task, either a
   :class:`~repro.core.parallel.BankResult` (its counts plus the packed
   ``digests`` and optional ``raw`` bytes) or a :class:`TaskError`;
@@ -65,7 +65,7 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024 * 1024
 MAGIC = b"QUAC"
 
 #: Version of the message layouts below; bump it with any change.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 #: Message header: magic, schema version, stream epoch, kind.
 MESSAGE_HEADER = struct.Struct(">4sHIB")
@@ -79,8 +79,8 @@ PONG = 5
 
 _COUNT = struct.Struct(">I")
 #: Key words, probabilities, block slices, iterations, first
-#: iteration, entropy per block, flags.
-_TASK = struct.Struct(">HIIIQdB")
+#: iteration, flags.
+_TASK = struct.Struct(">HIIIQB")
 #: The one task flag.  Bit 0 selected the from-scratch SHA-256 up to
 #: schema 1; it is now an unknown flag.
 _COLLECT_RAW = 2
@@ -215,8 +215,7 @@ def _task_parts(task: BankTask) -> List[bytes]:
     flags = _COLLECT_RAW if task.collect_raw else 0
     return [_TASK.pack(len(key), probabilities.size,
                        len(task.block_slices), task.iterations,
-                       task.first_iteration, task.entropy_per_block,
-                       flags),
+                       task.first_iteration, flags),
             struct.pack(f">{len(key)}I", *key),
             probabilities.tobytes(),
             struct.pack(f">{len(bounds)}I", *bounds)]
@@ -324,7 +323,7 @@ def decode(payload: bytes, epoch: int = STREAM_EPOCH) -> Tuple[int, Any]:
 
 def _read_task(reader: _Reader) -> BankTask:
     (n_key, n_bits, n_blocks, iterations, first_iteration,
-     entropy_per_block, flags) = reader.unpack(_TASK)
+     flags) = reader.unpack(_TASK)
     if flags & ~_COLLECT_RAW:
         raise RemoteExecutionError(f"unknown task flags {flags:#x}")
     key = reader.array(">u4", n_key)
@@ -338,14 +337,11 @@ def _read_task(reader: _Reader) -> BankTask:
         raise RemoteExecutionError(
             f"task block slices fall outside its {n_bits}-bit "
             f"probability vector")
-    if not np.isfinite(entropy_per_block):
-        raise RemoteExecutionError("task entropy must be finite")
     return BankTask(
         thermal_key=tuple(key.tolist()),
         probabilities=probabilities.astype(np.float64),
         iterations=iterations,
         block_slices=tuple(map(tuple, bounds.tolist())),
-        entropy_per_block=entropy_per_block,
         collect_raw=bool(flags & _COLLECT_RAW),
         first_iteration=first_iteration)
 

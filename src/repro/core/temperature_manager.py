@@ -113,7 +113,8 @@ class TemperatureManagedTrng(HarvestPlanner):
         self._entries: List[RangeEntry] = []
         self._characterize_ranges(ranges)
         #: Range entry that serves draws and plans rounds; set from the
-        #: sensor by each draw, so construction reads no sensor.
+        #: sensor by each draw (or by the first round planned), so
+        #: construction reads no sensor.
         self._pool_entry: Optional[RangeEntry] = None
 
     # ------------------------------------------------------------------
@@ -210,7 +211,13 @@ class TemperatureManagedTrng(HarvestPlanner):
 
     @property
     def channels(self) -> List[QuacTrng]:
-        """The one channel: the range that serves draws."""
+        """The one channel: the range that serves draws.
+
+        Before any draw has picked a range, the sensor picks it here,
+        as a draw would (nothing is pooled or in flight yet).
+        """
+        if self._pool_entry is None:
+            self._pool_entry = self.active_entry()
         return [self._pool_entry.trng]
 
     @property
@@ -232,6 +239,7 @@ class TemperatureManagedTrng(HarvestPlanner):
             self._pool_entry = entry
         super()._refill(n_bits)
 
+    @property
     def sib_per_bank(self) -> List[int]:
         """The active range's SHA-input-block counts."""
         return self.active_entry().trng.sib_per_bank

@@ -48,11 +48,10 @@ from repro.crypto.conditioner import Sha256Conditioner
 from repro.dram.device import BEST_DATA_PATTERN, DramModule
 from repro.dram.geometry import SegmentAddress
 from repro.entropy.blocks import (EntropyBlockPlan, plan_entropy_blocks,
-                                  sha_input_blocks, sib_count)
+                                  sha_input_blocks)
 from repro.entropy.characterization import ModuleCharacterization
 from repro.errors import (CharacterizationError, ConfigurationError,
                           InsufficientEntropyError)
-from repro.softmc.program import row_initialization_program
 
 
 class QuacTrng(HarvestPlanner):
@@ -119,7 +118,7 @@ class QuacTrng(HarvestPlanner):
         self.configuration = configuration
         self.data_pattern = data_pattern
         self.entropy_per_block = entropy_per_block
-        self.conditioner = Sha256Conditioner(entropy_per_block)
+        self.conditioner = Sha256Conditioner()
         self.executor = QuacExecutor(module)
         self._banks = [(group, 0) for group in range(configuration.n_banks)]
         self._characterize()
@@ -263,14 +262,10 @@ class QuacTrng(HarvestPlanner):
                 segment, self.data_pattern, iterations=n)
             slices = tuple((plan.bit_slice.start, plan.bit_slice.stop)
                            for plan in self._plans[key])
-            # Conditioning parameters come from the live conditioner
-            # (not the ctor arguments) so post-construction swaps are
-            # honored by both the batched and per-iteration paths.
             tasks.append(BankTask(
                 thermal_key=rng_key, probabilities=p, iterations=n,
-                block_slices=slices,
-                entropy_per_block=self.conditioner.entropy_per_block,
-                collect_raw=collect_raw, first_iteration=first))
+                block_slices=slices, collect_raw=collect_raw,
+                first_iteration=first))
         return tasks
 
     def unclaim(self, tasks: List[BankTask]) -> None:

@@ -8,8 +8,7 @@ implemented here from scratch.
 
 from repro.crypto.sha256 import Sha256, sha256_digest, sha256_bits
 from repro.crypto.von_neumann import von_neumann_correct
-from repro.crypto.conditioner import (Conditioner, Sha256Conditioner,
-                                      VonNeumannConditioner, RawConditioner,
+from repro.crypto.conditioner import (Sha256Conditioner,
                                       SHA256_HW_LATENCY_NS,
                                       SHA256_HW_THROUGHPUT_GBPS,
                                       SHA256_HW_AREA_MM2)
@@ -19,10 +18,7 @@ __all__ = [
     "sha256_digest",
     "sha256_bits",
     "von_neumann_correct",
-    "Conditioner",
     "Sha256Conditioner",
-    "VonNeumannConditioner",
-    "RawConditioner",
     "SHA256_HW_LATENCY_NS",
     "SHA256_HW_THROUGHPUT_GBPS",
     "SHA256_HW_AREA_MM2",

@@ -1,22 +1,7 @@
-"""Timing-failure entropy sources used by the baseline TRNGs.
+"""Startup-value entropy source of the DRNG baseline (Section 7.4).
 
-The paper compares QUAC-TRNG against mechanisms that harvest entropy from
-*other* DRAM failure modes (Section 7.4).  To evaluate those baselines on
-the same simulated silicon, this module models each mechanism's entropy
-yield with the same offset-vs-noise machinery as the QUAC sense-amplifier
-model, calibrated to the paper's own measurements of real chips:
-
-* **Activation failures** (reduced ``tRCD``; D-RaNGe): reading a cache
-  block before the SAs finish developing.  Paper measurements: up to 4
-  high-quality TRNG cells per cache block (basic) and 46.55 bits of
-  average maximum cache-block entropy (enhanced).
-* **Precharge failures** (reduced ``tRP``; Talukder+): activating before
-  the bitlines settle at VDD/2.  Paper: 130.6 random cells per row
-  (basic), 1023.64 bits average maximum row entropy (enhanced).
-* **Startup values** (DRNG): cells powering up into weakly-biased states;
-  usable only once per power cycle.
-
-Retention failures live in :mod:`repro.dram.retention`.
+Cells powering up into weakly-biased states; usable only once per power
+cycle.  Retention failures live in :mod:`repro.dram.retention`.
 """
 
 from __future__ import annotations
@@ -25,166 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dram.calibration import expected_bitline_entropy
-from repro.dram.geometry import CACHE_BLOCK_BITS, DramGeometry
-from repro.dram.sense_amplifier import bernoulli_entropy, settle_probability
-from repro.errors import AddressError
+from repro.dram.geometry import DramGeometry
 from repro.rng import generator_for
-
-
-@dataclass(frozen=True)
-class ActivationFailureModel:
-    """Reduced-tRCD failure entropy (the D-RaNGe mechanism).
-
-    Each cell has a fixed sensing-slack offset; cells whose slack is
-    within the noise window flip randomly when read with reduced tRCD.
-    ``base_zeta`` sets the typical offset spread (larger = fewer random
-    cells); per-cache-block lognormal roughness creates the high-entropy
-    blocks that D-RaNGe selects during characterization.
-
-    Defaults are calibrated to the paper: average maximum cache-block
-    entropy ~46.6 bits across modules, a handful of near-ideal TRNG cells
-    in the best blocks.
-    """
-
-    geometry: DramGeometry
-    seed: int
-    base_zeta: float = 150.0
-    block_roughness: float = 0.62
-
-    def block_zeta(self, bank_group: int, bank: int, row: int,
-                   cache_block: int) -> float:
-        """Offset spread of one cache block under reduced tRCD."""
-        self.geometry.check_row(row)
-        self.geometry.check_cache_block(cache_block)
-        gen = generator_for(self.seed, "trcd-block", bank_group, bank, row,
-                            cache_block)
-        return self.base_zeta / float(
-            np.exp(gen.normal(0.0, self.block_roughness)))
-
-    def cell_probabilities(self, bank_group: int, bank: int, row: int,
-                           cache_block: int) -> np.ndarray:
-        """Per-cell probability of reading 1 under reduced tRCD.
-
-        Assumes the all-zeros initialization the D-RaNGe paper found most
-        random; a read failure manifests as a spurious 1.
-        """
-        zeta = self.block_zeta(bank_group, bank, row, cache_block)
-        gen = generator_for(self.seed, "trcd-offset", bank_group, bank, row,
-                            cache_block)
-        offsets = gen.standard_normal(CACHE_BLOCK_BITS) * zeta
-        # Cells are biased strongly towards reading their stored 0; only
-        # near-zero-slack cells are metastable.  Shift by -zeta/2 so the
-        # typical cell is decisively deterministic.
-        return settle_probability(offsets - 2.0)
-
-    def cache_block_entropy(self, bank_group: int, bank: int, row: int,
-                            cache_block: int) -> float:
-        """Shannon entropy (bits) of one cache block's reduced-tRCD read."""
-        p = self.cell_probabilities(bank_group, bank, row, cache_block)
-        return float(bernoulli_entropy(p).sum())
-
-    def expected_block_entropy(self, zeta: float) -> float:
-        """Analytic expectation of cache-block entropy at a given zeta."""
-        return float(CACHE_BLOCK_BITS *
-                     expected_bitline_entropy(np.array([zeta]), -2.0)[0])
-
-    def trng_cells(self, bank_group: int, bank: int, row: int,
-                   cache_block: int, threshold: float = 0.9) -> int:
-        """Count of near-ideal TRNG cells (entropy above ``threshold``)."""
-        p = self.cell_probabilities(bank_group, bank, row, cache_block)
-        return int((bernoulli_entropy(p) >= threshold).sum())
-
-    def sample_read(self, bank_group: int, bank: int, row: int,
-                    cache_block: int, trial: int) -> np.ndarray:
-        """One Monte-Carlo reduced-tRCD read of a cache block."""
-        p = self.cell_probabilities(bank_group, bank, row, cache_block)
-        rng = generator_for(self.seed, "trcd-read", bank_group, bank, row,
-                            cache_block, trial)
-        return (rng.random(p.size) < p).astype(np.uint8)
-
-    def max_cache_block_entropy(self, bank_group: int = 0, bank: int = 0,
-                                n_rows: int = 64,
-                                blocks_per_row: int = None) -> float:
-        """Maximum cache-block entropy over a sampled region of a bank.
-
-        D-RaNGe's characterization scans the bank for its best blocks;
-        sampling a subgrid keeps this tractable while preserving the
-        extreme-value statistics the enhanced baseline depends on.
-        """
-        blocks = blocks_per_row or self.geometry.cache_blocks_per_row
-        rows = np.unique(np.linspace(0, self.geometry.rows_per_bank - 1,
-                                     n_rows, dtype=np.int64))
-        best = 0.0
-        for row in rows:
-            for cb in range(blocks):
-                gen = generator_for(self.seed, "trcd-block", bank_group,
-                                    bank, int(row), cb)
-                zeta = self.base_zeta / float(
-                    np.exp(gen.normal(0.0, self.block_roughness)))
-                best = max(best, self.expected_block_entropy(zeta))
-        return best
-
-
-@dataclass(frozen=True)
-class PrechargeFailureModel:
-    """Reduced-tRP failure entropy (the Talukder+ mechanism).
-
-    Activating a row before the bitlines finish precharging leaves a
-    fraction of cells metastable -- across the *whole row*, unlike tRCD
-    failures, but at a much lower per-cell rate than QUAC (the paper's
-    core argument for why QUAC wins: Talukder+ harvests ~1 kbit from a
-    64-kbit row where QUAC harvests ~1.8 kbit from its best segment and
-    does so without needing failure accumulation).
-    """
-
-    geometry: DramGeometry
-    seed: int
-    base_zeta: float = 260.0
-    row_roughness: float = 0.30
-
-    def row_zeta(self, bank_group: int, bank: int, row: int) -> float:
-        """Offset spread of one row under reduced tRP."""
-        self.geometry.check_row(row)
-        gen = generator_for(self.seed, "trp-row", bank_group, bank, row)
-        return self.base_zeta / float(
-            np.exp(gen.normal(0.0, self.row_roughness)))
-
-    def row_entropy(self, bank_group: int, bank: int, row: int) -> float:
-        """Expected Shannon entropy (bits) of one row's reduced-tRP read."""
-        zeta = self.row_zeta(bank_group, bank, row)
-        h = expected_bitline_entropy(np.array([zeta]), -1.0)[0]
-        return float(h * self.geometry.row_bits)
-
-    def random_cells_per_row(self, bank_group: int, bank: int, row: int,
-                             threshold: float = 0.5) -> float:
-        """Expected count of cells with entropy above ``threshold``.
-
-        Approximated from the offset density: a cell is "random" when its
-        offset lies within the metastable window (|z + 1| < ~1).
-        """
-        zeta = self.row_zeta(bank_group, bank, row)
-        window = 2.0  # width of the |entropy > 0.5| band in z-units
-        density = np.exp(-0.5 * (1.0 / zeta) ** 2) / (zeta * np.sqrt(2 * np.pi))
-        return float(self.geometry.row_bits * density * window)
-
-    def max_row_entropy(self, bank_group: int = 0, bank: int = 0,
-                        n_rows: int = 256) -> float:
-        """Maximum row entropy over a sampled set of rows."""
-        rows = np.unique(np.linspace(0, self.geometry.rows_per_bank - 1,
-                                     n_rows, dtype=np.int64))
-        return max(self.row_entropy(bank_group, bank, int(r)) for r in rows)
-
-    def sample_read(self, bank_group: int, bank: int, row: int,
-                    trial: int) -> np.ndarray:
-        """One Monte-Carlo reduced-tRP read of a full row."""
-        zeta = self.row_zeta(bank_group, bank, row)
-        gen = generator_for(self.seed, "trp-offset", bank_group, bank, row)
-        offsets = gen.standard_normal(self.geometry.row_bits) * zeta
-        p = settle_probability(offsets - 1.0)
-        rng = generator_for(self.seed, "trp-read", bank_group, bank, row,
-                            trial)
-        return (rng.random(p.size) < p).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -219,10 +46,3 @@ class StartupValueModel:
         """Expected per-row startup entropy in bits."""
         return self.geometry.row_bits * self.metastable_fraction
 
-
-def check_region(geometry: DramGeometry, start_row: int, n_rows: int) -> None:
-    """Validate a [start_row, start_row + n_rows) region of a bank."""
-    if n_rows <= 0:
-        raise AddressError(f"region must span at least one row, got {n_rows}")
-    geometry.check_row(start_row)
-    geometry.check_row(start_row + n_rows - 1)

@@ -112,21 +112,6 @@ class DramGeometry:
         """Bytes per module-level row -- 8 KiB at full scale."""
         return self.row_bits // 8
 
-    @property
-    def bank_bits(self) -> int:
-        """Capacity of a single bank in bits."""
-        return self.rows_per_bank * self.row_bits
-
-    @property
-    def module_bits(self) -> int:
-        """Capacity of the whole module in bits."""
-        return self.banks * self.bank_bits
-
-    @property
-    def subarrays_per_bank(self) -> int:
-        """Number of subarrays in a bank (last one may be partial)."""
-        return -(-self.rows_per_bank // self.subarray_rows)
-
     # ------------------------------------------------------------------
     # Address checks and conversions
     # ------------------------------------------------------------------
@@ -181,11 +166,6 @@ class DramGeometry:
         self.check_cache_block(cache_block)
         start = cache_block * CACHE_BLOCK_BITS
         return slice(start, start + CACHE_BLOCK_BITS)
-
-    def subarray_of_row(self, row: int) -> int:
-        """Subarray index containing ``row``."""
-        self.check_row(row)
-        return row // self.subarray_rows
 
     def distance_to_sense_amps(self, row: int) -> float:
         """Normalized distance (0..1) of a row from its subarray's SAs.

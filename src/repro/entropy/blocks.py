@@ -27,6 +27,14 @@ from repro.errors import CharacterizationError, InsufficientEntropyError
 DEFAULT_BLOCK_ENTROPY = 256.0
 
 
+def _check_budget(entropy_per_block: float) -> None:
+    """Reject a per-block entropy budget that is not finite and positive."""
+    if not (np.isfinite(entropy_per_block) and entropy_per_block > 0):
+        raise CharacterizationError(
+            f"entropy_per_block must be finite and positive, got "
+            f"{entropy_per_block}")
+
+
 @dataclass(frozen=True)
 class EntropyBlockPlan:
     """A contiguous cache-block range carrying one SIB's entropy.
@@ -63,7 +71,8 @@ def plan_entropy_blocks(cache_block_entropies: np.ndarray,
     Raises
     ------
     CharacterizationError
-        If the entropy array is empty or negative anywhere.
+        If the entropy array is empty or negative anywhere, or the
+        budget is not finite and positive.
     """
     entropies = np.asarray(cache_block_entropies, dtype=np.float64)
     if entropies.ndim != 1 or entropies.size == 0:
@@ -71,8 +80,7 @@ def plan_entropy_blocks(cache_block_entropies: np.ndarray,
             "cache-block entropies must be a non-empty 1-D array")
     if np.any(entropies < 0):
         raise CharacterizationError("entropies cannot be negative")
-    if entropy_per_block <= 0:
-        raise CharacterizationError("entropy_per_block must be positive")
+    _check_budget(entropy_per_block)
 
     plans: List[EntropyBlockPlan] = []
     start = 0
@@ -108,4 +116,5 @@ def sib_count(segment_entropy_bits: float,
     """The paper's SIB formula: floor(segment entropy / 256)."""
     if segment_entropy_bits < 0:
         raise CharacterizationError("segment entropy cannot be negative")
+    _check_budget(entropy_per_block)
     return int(segment_entropy_bits // entropy_per_block)

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.dram.calibration import expected_bitline_entropy_fast
 from repro.dram.device import ALL_DATA_PATTERNS, DramModule
-from repro.dram.geometry import CACHE_BLOCK_BITS, SegmentAddress
+from repro.dram.geometry import CACHE_BLOCK_BITS
 from repro.entropy.shannon import bitline_entropy_from_bitstreams
 from repro.errors import CharacterizationError
 from repro.softmc.host import SoftMcHost
@@ -181,10 +181,3 @@ class ModuleCharacterization:
             raise CharacterizationError(
                 f"data pattern must be 4 chars of 0/1, got {pattern!r}")
         return pattern
-
-
-def segment_address_of(characterization: ModuleCharacterization,
-                       segment: int) -> SegmentAddress:
-    """Convenience: the :class:`SegmentAddress` of a characterized segment."""
-    return characterization.module.geometry.segment_address(
-        characterization.bank_group, characterization.bank, segment)

@@ -45,19 +45,6 @@ def runs(bits: np.ndarray) -> TestResult:
                       statistics={"v_obs": float(v_obs), "pi": pi})
 
 
-def _longest_run_in(block: np.ndarray) -> int:
-    """Length of the longest run of ones in a block."""
-    longest = current = 0
-    for bit in block.tolist():
-        if bit:
-            current += 1
-            if current > longest:
-                longest = current
-        else:
-            current = 0
-    return longest
-
-
 def _longest_runs_vectorized(blocks: np.ndarray) -> np.ndarray:
     """Longest run of ones per row of a 2-D 0/1 array.
 

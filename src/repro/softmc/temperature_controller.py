@@ -65,11 +65,6 @@ class TemperatureController:
         self._previous_error = 0.0
         module.temperature_c = ambient_c
 
-    @property
-    def setpoint_c(self) -> float:
-        """Current target temperature."""
-        return self._setpoint
-
     def set_target(self, temperature_c: float) -> None:
         """Change the setpoint (resets the integral term)."""
         if temperature_c < self._ambient:

@@ -53,7 +53,7 @@ def _task(index, iterations=2, bits=256, fail=False):
         probabilities=np.linspace(0.1, 0.9, width),
         iterations=iterations,
         block_slices=((0, bits // 2), (bits // 2, bits)),
-        entropy_per_block=8.0, first_iteration=index)
+        first_iteration=index)
 
 
 def _tasks(n, **kwargs):

@@ -488,9 +488,11 @@ class TestTemperatureManager:
             TemperatureManagedTrng(module_m13, ranges=ranges,
                                    entropy_per_block=256.0 * entropy_scale)
 
-    def test_stored_entries_accounting(self, managed):
+    def test_stored_entries_accounting(self, managed, module_m13):
         assert managed.stored_column_entries() == sum(
             sum(e.trng.sib_per_bank) for e in managed._entries)
+        module_m13.temperature_c = 50.0
+        assert managed.sib_per_bank == managed.active_entry().trng.sib_per_bank
 
     def test_batch_iterations_uses_active_range(self, module_m13,
                                                 entropy_scale):
@@ -516,6 +518,22 @@ class TestTemperatureManager:
         segments = {s for e in fresh._entries for s in e.trng.segments}
         assert {s: fresh.executor.cursor(s) for s in segments} == {
             s: 3 if s in active.segments else 0 for s in segments}
+
+    def test_fill_before_first_draw_reads_the_sensor(self, module_m13,
+                                                     entropy_scale):
+        # Driving the engine before any draw has picked a range picks
+        # it from the sensor, as a draw does, and serves the same bits.
+        module_m13.temperature_c = 50.0
+
+        def build():
+            return TemperatureManagedTrng(
+                module_m13, entropy_per_block=256.0 * entropy_scale)
+
+        filled, twin = build(), build()
+        filled.harvest_engine.fill(filled._pool, 1000)
+        assert len(filled._pool) >= 1000
+        np.testing.assert_array_equal(filled.random_bits(1000),
+                                      twin.random_bits(1000))
 
     @pytest.mark.parametrize("async_harvest", [False, True],
                              ids=["sync", "async-readahead"])

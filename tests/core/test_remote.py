@@ -65,7 +65,7 @@ def _task(index, iterations=2, bits=256, fail=False, **fields):
         "probabilities": np.linspace(0.1, 0.9, width),
         "iterations": iterations,
         "block_slices": ((0, bits // 2), (bits // 2, bits)),
-        "entropy_per_block": 8.0, "first_iteration": index, **fields})
+        "first_iteration": index, **fields})
 
 
 def _tasks(n, **kwargs):
@@ -85,8 +85,7 @@ def _expected(tasks):
 def _task_fields(task):
     return (tuple(task.thermal_key), task.probabilities.tobytes(),
             task.iterations, tuple(map(tuple, task.block_slices)),
-            task.entropy_per_block, task.collect_raw,
-            task.first_iteration)
+            task.collect_raw, task.first_iteration)
 
 
 @pytest.fixture()
@@ -381,8 +380,6 @@ def _bank_tasks(draw):
         probabilities=probabilities,
         iterations=draw(_u32),
         block_slices=tuple(slices),
-        entropy_per_block=draw(st.floats(allow_nan=False,
-                                         allow_infinity=False)),
         collect_raw=draw(st.booleans()),
         first_iteration=draw(st.integers(0, 2 ** 64 - 1)))
 
@@ -509,10 +506,7 @@ class TestDecoderFuzz:
         with pytest.raises(RemoteExecutionError, match="probabilities"):
             wire.decode(payload)
 
-    def test_non_finite_entropy_and_unknown_flags_raise(self):
-        with pytest.raises(RemoteExecutionError, match="entropy"):
-            wire.decode(wire.encode(wire.ROUND, [_task(
-                0, entropy_per_block=float("nan"))]))
+    def test_unknown_flags_raise(self):
         payload = wire.encode(wire.ROUND, [_task(0)])
         flags_at = wire.MESSAGE_HEADER.size + 4 + wire._TASK.size - 1
         with pytest.raises(RemoteExecutionError, match="flags"):

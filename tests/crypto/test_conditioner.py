@@ -1,15 +1,14 @@
-"""Conditioning interfaces and hardware-cost constants."""
+"""SHA-256 conditioning and hardware-cost constants."""
 
 import numpy as np
 import pytest
 
-from repro.crypto.conditioner import (RawConditioner, SHA256_HW_AREA_MM2,
+from repro.crypto.conditioner import (SHA256_HW_AREA_MM2,
                                       SHA256_HW_LATENCY_NS,
                                       SHA256_HW_THROUGHPUT_GBPS,
-                                      Sha256Conditioner,
-                                      VonNeumannConditioner)
+                                      Sha256Conditioner)
 from repro.crypto.sha256 import sha256_bits
-from repro.errors import BitstreamError, InsufficientEntropyError
+from repro.errors import BitstreamError
 
 
 class TestHardwareConstants:
@@ -20,68 +19,17 @@ class TestHardwareConstants:
         assert SHA256_HW_AREA_MM2 == 0.001
 
 
-class TestRaw:
-    def test_identity(self):
-        bits = np.array([0, 1, 1], dtype=np.uint8)
-        out = RawConditioner().condition(bits)
-        np.testing.assert_array_equal(out, bits)
-        assert out is not bits  # defensive copy
-
-    def test_output_bits(self):
-        assert RawConditioner().output_bits_for(100, 30.0) == 100.0
-
-    def test_no_latency(self):
-        assert RawConditioner().latency_ns() == 0.0
-
-
-class TestVnc:
-    def test_conditions_via_corrector(self):
-        out = VonNeumannConditioner().condition(
-            np.array([0, 1, 1, 0], dtype=np.uint8))
-        assert out.tolist() == [1, 0]
-
-    def test_output_bits_bounded_by_quarter(self):
-        model = VonNeumannConditioner()
-        assert model.output_bits_for(1000, 1000.0) <= 250.0
-
-
 class TestSha256Conditioner:
     def test_condition_is_sha(self):
         bits = np.ones(512, dtype=np.uint8)
         out = Sha256Conditioner().condition(bits)
         np.testing.assert_array_equal(out, sha256_bits(bits))
 
-    def test_condition_blocks(self):
-        blocks = [np.zeros(16, dtype=np.uint8),
-                  np.ones(16, dtype=np.uint8)]
-        out = Sha256Conditioner().condition_blocks(blocks)
-        assert out.shape == (512,)
-
-    def test_condition_blocks_empty(self):
-        assert Sha256Conditioner().condition_blocks([]).size == 0
-
-    def test_output_bits_is_sib_formula(self):
-        model = Sha256Conditioner(entropy_per_block=256.0)
-        # 1800 entropy bits -> 7 SIBs -> 1792 output bits.
-        assert model.output_bits_for(65536, 1800.0) == 7 * 256.0
-
-    def test_output_bits_zero_when_insufficient(self):
-        model = Sha256Conditioner()
-        assert model.output_bits_for(65536, 255.0) == 0.0
-
-    def test_latency_is_hardware_core(self):
-        assert Sha256Conditioner().latency_ns() == SHA256_HW_LATENCY_NS
-
-    def test_rejects_nonpositive_entropy_budget(self):
-        with pytest.raises(InsufficientEntropyError):
-            Sha256Conditioner(entropy_per_block=0.0)
-
     def test_builtin_and_hashlib_paths_identical(self):
         rng = np.random.default_rng(11)
         bits = rng.integers(0, 2, 700).astype(np.uint8)
         fast = Sha256Conditioner().condition(bits)
-        builtin = Sha256Conditioner(use_builtin=True).condition(bits)
-        np.testing.assert_array_equal(fast, builtin)
+        np.testing.assert_array_equal(fast, sha256_bits(bits))
 
 
 class TestConditionMany:
@@ -99,27 +47,16 @@ class TestConditionMany:
     def test_sha_bulk_matches_builtin(self):
         blocks = self._blocks(seed=1)
         fast = Sha256Conditioner().condition_many(blocks)
-        builtin = Sha256Conditioner(use_builtin=True).condition_many(blocks)
+        builtin = np.concatenate([sha256_bits(row) for row in blocks])
         np.testing.assert_array_equal(fast, builtin)
 
     def test_sha_output_shape(self):
         out = Sha256Conditioner().condition_many(self._blocks(n=7))
         assert out.shape == (7 * 256,)
 
-    def test_raw_bulk_is_flattened_identity(self):
-        blocks = self._blocks(n=3, width=8, seed=2)
-        out = RawConditioner().condition_many(blocks)
-        np.testing.assert_array_equal(out, blocks.reshape(-1))
-
-    def test_vnc_bulk_concatenates_per_block_outputs(self):
-        blocks = np.array([[0, 1, 1, 0], [1, 0, 0, 1]], dtype=np.uint8)
-        out = VonNeumannConditioner().condition_many(blocks)
-        assert out.tolist() == [1, 0, 0, 1]
-
     def test_empty_matrix(self):
         empty = np.zeros((0, 64), dtype=np.uint8)
         assert Sha256Conditioner().condition_many(empty).size == 0
-        assert RawConditioner().condition_many(empty).size == 0
 
     def test_rejects_1d_input(self):
         with pytest.raises(BitstreamError):

@@ -1,80 +1,11 @@
-"""Baseline failure mechanisms: tRCD, tRP, retention, startup."""
+"""Baseline failure mechanisms: retention, startup."""
 
 import numpy as np
 import pytest
 
-from repro.dram.failures import (ActivationFailureModel,
-                                 PrechargeFailureModel, StartupValueModel,
-                                 check_region)
+from repro.dram.failures import StartupValueModel
 from repro.dram.retention import RetentionModel, VRT_FRACTION
-from repro.errors import AddressError, ConfigurationError
-
-
-@pytest.fixture(scope="module")
-def trcd_model(small_geometry):
-    return ActivationFailureModel(small_geometry, seed=5)
-
-
-@pytest.fixture(scope="module")
-def trp_model(small_geometry):
-    return PrechargeFailureModel(small_geometry, seed=5)
-
-
-class TestActivationFailures:
-    def test_entropy_positive_and_bounded(self, trcd_model):
-        h = trcd_model.cache_block_entropy(0, 0, 3, 1)
-        assert 0 < h < 512
-
-    def test_deterministic(self, trcd_model):
-        a = trcd_model.cell_probabilities(0, 0, 3, 1)
-        b = trcd_model.cell_probabilities(0, 0, 3, 1)
-        np.testing.assert_array_equal(a, b)
-
-    def test_blocks_vary(self, trcd_model):
-        a = trcd_model.cache_block_entropy(0, 0, 3, 1)
-        b = trcd_model.cache_block_entropy(0, 0, 3, 2)
-        assert a != b
-
-    def test_trng_cells_sparse(self, trcd_model):
-        # D-RaNGe's defining property: only a handful of near-ideal
-        # TRNG cells per cache block.
-        cells = trcd_model.trng_cells(0, 0, 3, 1)
-        assert 0 <= cells < 64
-
-    def test_max_block_entropy_exceeds_typical(self, trcd_model):
-        best = trcd_model.max_cache_block_entropy(n_rows=32)
-        typical = trcd_model.expected_block_entropy(trcd_model.base_zeta)
-        assert best > 2 * typical
-
-    def test_sampled_reads_are_biased_towards_zero(self, trcd_model):
-        read = trcd_model.sample_read(0, 0, 3, 1, trial=0)
-        assert read.mean() < 0.5
-
-    def test_sampled_reads_vary_across_trials(self, trcd_model):
-        a = trcd_model.sample_read(0, 0, 3, 1, trial=0)
-        b = trcd_model.sample_read(0, 0, 3, 1, trial=1)
-        assert not np.array_equal(a, b)
-
-
-class TestPrechargeFailures:
-    def test_row_entropy_scale(self, trp_model, small_geometry):
-        # Talukder+ harvests ~1.6% of a row's bits as entropy: far less
-        # than QUAC's best segments, far more than one cache block.
-        h = trp_model.row_entropy(0, 0, 5)
-        assert 0 < h < small_geometry.row_bits * 0.2
-
-    def test_max_row_entropy(self, trp_model):
-        best = trp_model.max_row_entropy(n_rows=64)
-        typical = trp_model.row_entropy(0, 0, 5)
-        assert best >= typical
-
-    def test_random_cells_count(self, trp_model):
-        cells = trp_model.random_cells_per_row(0, 0, 5)
-        assert cells > 0
-
-    def test_sample_read_shape(self, trp_model, small_geometry):
-        read = trp_model.sample_read(0, 0, 5, trial=0)
-        assert read.shape == (small_geometry.row_bits,)
+from repro.errors import ConfigurationError
 
 
 class TestStartupValues:
@@ -136,10 +67,3 @@ class TestRetention:
     def test_vrt_fraction_sane(self):
         assert 0 < VRT_FRACTION < 1
 
-
-def test_check_region(small_geometry):
-    check_region(small_geometry, 0, 4)
-    with pytest.raises(AddressError):
-        check_region(small_geometry, 0, 0)
-    with pytest.raises(AddressError):
-        check_region(small_geometry, small_geometry.rows_per_bank - 1, 4)

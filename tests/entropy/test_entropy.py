@@ -129,6 +129,13 @@ class TestBlockPlanning:
         with pytest.raises(CharacterizationError):
             plan_entropy_blocks(np.array([1.0]), entropy_per_block=0)
 
+    def test_rejects_nonpositive_entropy_budget(self):
+        for budget in (0.0, -256.0, float("nan"), float("inf")):
+            with pytest.raises(CharacterizationError):
+                plan_entropy_blocks(np.array([300.0]), budget)
+            with pytest.raises(CharacterizationError):
+                sib_count(300.0, budget)
+
     def test_bit_slice(self):
         plan = EntropyBlockPlan(start=2, stop=4, entropy_bits=300.0)
         assert plan.bit_slice == slice(1024, 2048)

@@ -183,7 +183,8 @@ class TestBitBuffer:
         assert buf.take_bytes(1) == b"\x81"
 
     def test_take_too_many_raises(self):
-        buf = bitops.BitBuffer(np.ones(4, dtype=np.uint8))
+        buf = bitops.BitBuffer()
+        buf.append(np.ones(4, dtype=np.uint8))
         with pytest.raises(BitstreamError):
             buf.take(5)
 
@@ -196,7 +197,8 @@ class TestBitBuffer:
             bitops.BitBuffer().append(np.array([0, 2], dtype=np.uint8))
 
     def test_clear(self):
-        buf = bitops.BitBuffer(np.ones(100, dtype=np.uint8))
+        buf = bitops.BitBuffer()
+        buf.append(np.ones(100, dtype=np.uint8))
         buf.clear()
         assert len(buf) == 0
 
