@@ -12,9 +12,11 @@ provides four interchangeable executors for it:
 * :class:`SerialBackend` -- in-process loop (the default; zero overhead,
   bit-identical reference);
 * :class:`ThreadPoolBackend` -- a shared ``ThreadPoolExecutor``; numpy
-  releases the GIL inside the heavy kernels (``random``, ``packbits``)
-  and ``hashlib`` releases it for large buffers, so threads already
-  overlap most of the hot path;
+  releases the GIL inside the sampling kernels (``random_raw``, the
+  compare, ``packbits``), but CPython's ``hashlib`` releases it only
+  for inputs of 2,048 bytes or more.  SHA input blocks at the small
+  geometry are 64-128 bytes, so there the threads overlap sampling
+  while the hashing runs one thread at a time;
 * :class:`ProcessPoolBackend` -- a shared ``ProcessPoolExecutor`` for
   full CPU scaling across cores;
 * :class:`~repro.core.remote.RemoteBackend` (in
@@ -171,32 +173,53 @@ class BankResult:
         return _unpack_matrix(self.raw, self.iterations, self.raw_bits)
 
 
+def _byte_slices(block_slices: Sequence[Tuple[int, int]],
+                 width: int) -> Optional[List[Tuple[int, int]]]:
+    """The block slices as byte ranges of a packed ``width``-bit row,
+    or ``None`` unless the row and every slice bound are whole bytes."""
+    if width % 8 or any(start % 8 or stop % 8
+                        for start, stop in block_slices):
+        return None
+    return [(start // 8, stop // 8) for start, stop in block_slices]
+
+
 def run_bank_task(task: BankTask) -> BankResult:
     """Execute one bank task (module-level, so process pools can pickle
     it).
 
-    Reproduces exactly what the serial fast path does for one bank:
-    sample iterations ``[first_iteration, first_iteration +
-    iterations)`` of the segment's thermal stream, slice the SHA input
-    blocks, condition each block matrix in bulk, and pack the
-    conditioned bits (and the raw read-outs, when collected).
+    Samples iterations ``[first_iteration, first_iteration +
+    iterations)`` of the segment's thermal stream and packs the
+    read-out matrix once, row-major: that buffer is the result's
+    ``raw`` when the task collects it.  When the rows and every SHA
+    input block are whole bytes (every slice the planner makes), each
+    block is hashed straight from a byte slice of its packed row
+    (:meth:`~repro.crypto.conditioner.Sha256Conditioner.condition_rows`),
+    which writes the digests in the result's row-major order.  Any
+    other task is conditioned bit by bit, block column by block column
+    (:meth:`~repro.crypto.conditioner.Sha256Conditioner.condition_many`);
+    both give the same bytes.
     """
     raw = np.atleast_2d(sample_iterations(
         task.probabilities, task.thermal_key, task.first_iteration,
         task.iterations))
+    width = raw.shape[1]
+    packed = np.packbits(raw)
     conditioner = Sha256Conditioner()
-    columns = [
-        conditioner.condition_many(raw[:, start:stop])
-                   .reshape(task.iterations, Sha256.DIGEST_BITS)
-        for start, stop in task.block_slices
-    ]
-    digests = np.concatenate(columns, axis=1)
+    byte_slices = _byte_slices(task.block_slices, width)
+    if byte_slices is not None:
+        digests = conditioner.condition_rows(
+            packed.reshape(task.iterations, width // 8), byte_slices)
+    else:
+        digests = _pack_matrix(np.concatenate([
+            conditioner.condition_many(raw[:, start:stop])
+                       .reshape(task.iterations, Sha256.DIGEST_BITS)
+            for start, stop in task.block_slices], axis=1))
     return BankResult(
-        digests=_pack_matrix(digests),
-        raw=_pack_matrix(raw) if task.collect_raw else None,
+        digests=digests,
+        raw=packed.tobytes() if task.collect_raw else None,
         iterations=task.iterations,
-        digest_bits=digests.shape[1],
-        raw_bits=raw.shape[1] if task.collect_raw else 0)
+        digest_bits=Sha256.DIGEST_BITS * len(task.block_slices),
+        raw_bits=width if task.collect_raw else 0)
 
 
 # ----------------------------------------------------------------------
@@ -355,7 +378,7 @@ class _PooledBackend(ExecutionBackend):
 
 
 class ThreadPoolBackend(_PooledBackend):
-    """Thread-pool execution (GIL-released numpy/hashlib kernels)."""
+    """Thread-pool execution (overlaps the GIL-released numpy kernels)."""
 
     name = "thread"
 

@@ -15,11 +15,11 @@ the throughput model and the overhead model agree on them.
 from __future__ import annotations
 
 import hashlib
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.bitops import is_binary, pack_bits, unpack_bits
-from repro.crypto.sha256 import Sha256
 from repro.errors import BitstreamError
 
 #: Hardware SHA-256 core figures used by the paper (Section 9):
@@ -43,32 +43,43 @@ def ensure_block_matrix(blocks: np.ndarray) -> np.ndarray:
 class Sha256Conditioner:
     """The paper's SHA-256 entropy-block conditioning (via :mod:`hashlib`).
 
+    The one hashing loop is :meth:`condition_rows`: it hashes byte
+    slices of packed read-out rows, which is how
+    :func:`repro.core.parallel.run_bank_task` conditions every bank
+    task without unpacking a bit.  :meth:`condition` and
+    :meth:`condition_many` are the bit-level forms.
     :mod:`repro.crypto.sha256` is the from-scratch reference the test
-    suite holds both methods against.
+    suite holds them against.
     """
 
     def condition(self, bits: np.ndarray) -> np.ndarray:
         """Hash the whole input as one entropy block -> 256 output bits."""
         return unpack_bits(hashlib.sha256(pack_bits(bits)).digest())
 
-    def condition_many(self, blocks: np.ndarray) -> np.ndarray:
-        """Hash each row of a ``(n_blocks, block_bits)`` matrix in bulk.
+    def condition_rows(self, rows: np.ndarray,
+                       byte_slices: Sequence[Tuple[int, int]]) -> bytes:
+        """Hash byte slices of packed rows; return the packed digests.
 
-        One ``packbits`` packs every block; the digests are written into
-        a single contiguous byte buffer and unpacked once -- the hot
-        path of :func:`repro.core.parallel.run_bank_task`, which every
-        harvest round runs per bank.
+        ``rows`` is a ``(n_rows, row_bytes)`` ``uint8`` matrix of packed
+        bits and ``byte_slices`` the ``(start, stop)`` byte ranges of
+        the blocks within a row.  The result is row-major: row ``i``'s
+        digests in slice order, then row ``i + 1``'s -- the packed
+        ``(n_rows, 256 * len(byte_slices))`` conditioned-bit matrix.
+        """
+        sha256 = hashlib.sha256
+        return b"".join([sha256(row[start:stop]).digest()
+                         for row in map(memoryview, np.ascontiguousarray(
+                             rows, dtype=np.uint8))
+                         for start, stop in byte_slices])
+
+    def condition_many(self, blocks: np.ndarray) -> np.ndarray:
+        """Hash each row of a ``(n_blocks, block_bits)`` matrix -> the
+        concatenated 256-bit digests.
+
+        Checks the bits, packs each row (zero-padded to whole bytes)
+        and hashes it with :meth:`condition_rows`.
         """
         matrix = ensure_block_matrix(blocks)
-        n_blocks = matrix.shape[0]
-        if n_blocks == 0:
-            return np.zeros(0, dtype=np.uint8)
-        packed = np.packbits(np.ascontiguousarray(matrix), axis=1)
-        rows = packed.tobytes()
-        width = packed.shape[1]
-        digest_bytes = Sha256.DIGEST_BITS // 8
-        digests = bytearray(n_blocks * digest_bytes)
-        for i in range(n_blocks):
-            digests[i * digest_bytes:(i + 1) * digest_bytes] = \
-                hashlib.sha256(rows[i * width:(i + 1) * width]).digest()
-        return unpack_bits(bytes(digests))
+        packed = np.packbits(matrix, axis=1)
+        return unpack_bits(self.condition_rows(packed,
+                                               ((0, packed.shape[1]),)))

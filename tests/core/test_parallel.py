@@ -8,6 +8,9 @@ parallelization safe to refactor -- any scheduling-order leak into the
 output breaks it immediately.
 """
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,9 +19,10 @@ from repro.core.parallel import (BACKEND_ENV_VAR, ProcessPoolBackend,
                                  SerialBackend, ThreadPoolBackend,
                                  available_backends, resolve_backend,
                                  run_bank_task)
-from repro.core.remote import RemoteBackend
+from repro.core.remote import RemoteBackend, wire
 from repro.core.trng import QuacTrng
 from repro.dram.module_factory import build_table3_population
+from repro.dram.sense_amplifier import sample_iterations
 from repro.errors import ConfigurationError
 
 #: Worker counts the equivalence contract is exercised at.
@@ -175,6 +179,79 @@ class TestTaskPlanning:
         trng = _fresh_trng(module_m13, small_geometry, SerialBackend())
         with pytest.raises(ConfigurationError):
             trng.plan_batch(0)
+
+
+def _oracle(task):
+    """``run_bank_task``'s bytes, the plain way: sample, then hash each
+    block of each row on its own, then pack the whole read-out."""
+    raw = np.atleast_2d(sample_iterations(
+        task.probabilities, task.thermal_key, task.first_iteration,
+        task.iterations))
+    digests = b"".join(
+        hashlib.sha256(np.packbits(row[start:stop]).tobytes()).digest()
+        for row in raw for start, stop in task.block_slices)
+    return digests, np.packbits(raw.ravel()).tobytes(), raw.shape[1]
+
+
+class TestBankTaskKernel:
+    """The packed-row kernel against the plain per-block reference."""
+
+    @pytest.fixture(params=[False, True], ids=["digests", "with_raw"])
+    def planned(self, request, module_m13, small_geometry):
+        trng = _fresh_trng(module_m13, small_geometry, SerialBackend())
+        trng.plan_batch(2)
+        return trng.plan_batch(5, collect_raw=request.param)
+
+    def _variants(self, task):
+        """The planned task and the shapes bytes cannot express."""
+        assert task.probabilities.size == 4096
+        narrow = 4092   # even, so sampleable, but not whole bytes
+        return {
+            "planned": task,
+            "unaligned_slice": dataclasses.replace(
+                task, block_slices=((3, 517), (512, 1024))),
+            "ragged_row": dataclasses.replace(
+                task, probabilities=task.probabilities[:narrow],
+                block_slices=((0, 512), (narrow - 512, narrow))),
+        }
+
+    def _check(self, task):
+        digests, raw, width = _oracle(task)
+        result = run_bank_task(task)
+        assert result.digests == digests
+        assert result.iterations == task.iterations
+        assert result.digest_bits == 256 * len(task.block_slices)
+        if task.collect_raw:
+            assert result.raw == raw
+            assert result.raw_bits == width
+        else:
+            assert result.raw is None and result.raw_bits == 0
+
+    def test_planned_slices_are_byte_aligned(self, planned):
+        # The packed-row path is the one every planned task takes.
+        for task in planned:
+            assert all(start % 8 == 0 and stop % 8 == 0
+                       for start, stop in task.block_slices)
+
+    @pytest.mark.parametrize("variant", ["planned", "unaligned_slice",
+                                         "ragged_row"])
+    def test_matches_per_block_reference(self, planned, variant):
+        for task in planned:
+            self._check(self._variants(task)[variant])
+
+    @pytest.mark.parametrize("variant", ["planned", "unaligned_slice",
+                                         "ragged_row"])
+    def test_matches_reference_after_wire_round_trip(self, planned,
+                                                     variant):
+        tasks = [self._variants(task)[variant] for task in planned]
+        kind, decoded = wire.decode(wire.encode(wire.ROUND, tasks))
+        assert kind == wire.ROUND
+        for task in decoded:
+            self._check(task)
+
+    def test_single_iteration(self, planned):
+        for variant in self._variants(planned[0]).values():
+            self._check(dataclasses.replace(variant, iterations=1))
 
 
 class TestBackendResolution:

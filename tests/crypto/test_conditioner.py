@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bitops import unpack_bits
 from repro.crypto.conditioner import (SHA256_HW_AREA_MM2,
                                       SHA256_HW_LATENCY_NS,
                                       SHA256_HW_THROUGHPUT_GBPS,
@@ -53,6 +54,16 @@ class TestConditionMany:
     def test_sha_output_shape(self):
         out = Sha256Conditioner().condition_many(self._blocks(n=7))
         assert out.shape == (7 * 256,)
+
+    def test_rows_hash_byte_slices_of_packed_rows(self):
+        blocks = self._blocks(n=4, width=1024, seed=2)
+        slices = ((0, 64), (64, 128), (10, 21))
+        out = Sha256Conditioner().condition_rows(
+            np.packbits(blocks, axis=1), slices)
+        builtin = np.concatenate([sha256_bits(row[8 * start:8 * stop])
+                                  for row in blocks
+                                  for start, stop in slices])
+        np.testing.assert_array_equal(unpack_bits(out), builtin)
 
     def test_empty_matrix(self):
         empty = np.zeros((0, 64), dtype=np.uint8)

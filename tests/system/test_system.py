@@ -1,5 +1,9 @@
 """Synthetic traces, channel simulation, idle-window TRNG injection."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -50,6 +54,23 @@ class TestArrivals:
         a = generate_arrivals(spec, 1e6, seed=3)
         b = generate_arrivals(spec, 1e6, seed=3)
         np.testing.assert_array_equal(a, b)
+
+    def test_independent_of_string_hash_salt(self):
+        # Python salts ``str`` hashes per process; the trace must not
+        # depend on it, or Figure 12 changes from run to run.
+        script = ("from repro.system.traces import generate_arrivals, "
+                  "workload_by_name\n"
+                  "print(generate_arrivals(workload_by_name('mcf'), 1e5, "
+                  "seed=3).tolist())")
+        outputs = []
+        for salt in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=salt,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True, timeout=120).stdout)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]) > 10
 
     def test_burstiness_tracks_row_hit_rate(self):
         # High row locality yields more back-to-back arrivals.
