@@ -102,8 +102,8 @@ from repro.errors import (ConfigurationError, HealthTestFailure,
 
 #: Cap on iterations one channel draws in one round: bounds the
 #: transient read-out matrix to ~64 MB per bank at full-scale geometry
-#: while still amortizing per-batch costs (segment probabilities, RNG
-#: construction) over a thousand iterations.
+#: while still amortizing per-batch costs (RNG construction, task
+#: dispatch) over a thousand iterations.
 MAX_BATCH_ITERATIONS = 1024
 
 #: Cap on raw read-out *bits* a monitored channel draws in one round

@@ -101,7 +101,9 @@ class BankTask:
     #: words); the worker seeds a ``SeedSequence`` from it, so the
     #: stream is a function of the draw site, not of scheduling order.
     thermal_key: Tuple[int, ...]
-    #: Per-bitline settling probabilities of the bank's TRNG segment.
+    #: Per-bitline settling probabilities of the bank's TRNG segment:
+    #: the planner's cached vector, shared by every task of the slot
+    #: and read-only (workers and the wire only read it).
     probabilities: np.ndarray
     #: Iterations to sample (rows of the read-out matrix).
     iterations: int

@@ -41,6 +41,12 @@ class QuacExecutor:
         # Per-segment iteration cursors, keyed by
         # ``(bank_group, bank, segment)``.
         self._cursors: Dict[Tuple[int, int, int], int] = {}
+        # One plan per planned slot ``(coords, pattern, first
+        # position)``: the ``(temperature_c, age_days)`` it was built
+        # at, the thermal key and the read-only probability vector.
+        self._plans: Dict[Tuple[Tuple[int, int, int], str, int],
+                          Tuple[Tuple[float, int], Tuple[int, ...],
+                                np.ndarray]] = {}
 
     def run_via_softmc(self, segment: SegmentAddress, pattern: str,
                        variant: int = 0) -> np.ndarray:
@@ -76,14 +82,30 @@ class QuacExecutor:
         Iteration ``k`` of a segment depends only on (module seed,
         segment, ``k``), so how the iterations are split into draws
         never changes them.
+
+        The key and probabilities are computed once per planned slot
+        (segment, pattern, first position) and reused until the
+        module's ``temperature_c`` or ``age_days`` changes; then the
+        slot's one entry is rebuilt in place, so arbitrary temperature
+        readings never grow the cache.  The other planning inputs
+        (geometry, ``variation``, ``thermal``, seed) are fixed when the
+        module is built.  The returned vector is shared by every plan
+        of the slot and read-only: copy it before changing it.
         """
-        p = self.module.segment_probabilities(segment, pattern,
-                                              first_position)
         coords = (segment.bank_group, segment.bank, segment.segment)
+        slot = (coords, pattern, first_position)
+        point = (self.module.temperature_c, self.module.age_days)
+        entry = self._plans.get(slot)
+        if entry is None or entry[0] != point:
+            p = self.module.segment_probabilities(segment, pattern,
+                                                  first_position)
+            p.setflags(write=False)
+            key = derive_key(self.module.seed, "quac-thermal",
+                             STREAM_EPOCH, *coords)
+            entry = self._plans[slot] = (point, key, p)
+        _, key, p = entry
         first = self._cursors.get(coords, 0)
         self._cursors[coords] = first + iterations
-        key = derive_key(self.module.seed, "quac-thermal", STREAM_EPOCH,
-                         *coords)
         return key, p, first
 
     def run_direct(self, segment: SegmentAddress, pattern: str,
@@ -103,7 +125,11 @@ class QuacExecutor:
 
     def probabilities(self, segment: SegmentAddress, pattern: str,
                       first_position: int = 0) -> np.ndarray:
-        """Per-bitline settling probabilities (the analytic ground truth)."""
+        """Per-bitline settling probabilities (the analytic ground truth).
+
+        Computed afresh on every call (never the plan cache's shared
+        vector), so the caller owns the returned array.
+        """
         return self.module.segment_probabilities(segment, pattern,
                                                  first_position)
 

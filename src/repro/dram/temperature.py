@@ -124,12 +124,10 @@ class ThermalModel:
             raise ValueError(f"day must be non-negative, got {day}")
         if day == 0:
             return 1.0
-        gen = generator_for(self.seed, "ageing", day)
         # Rebuild the walk from per-day increments so factors are
         # consistent: factor(day) uses increments 1..day.
         total = 0.0
         for d in range(1, day + 1):
             step_gen = generator_for(self.seed, "ageing-step", d)
             total += step_gen.normal(0.0, AGEING_DAILY_SIGMA)
-        del gen
         return float(np.exp(total))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from repro.nist.common import TestResult, check_sequence, to_plus_minus_one
 
@@ -17,12 +17,12 @@ def _cusum_p_value(z: float, n: int) -> float:
     k_end = int((n / z - 1) // 4)
     total = 1.0
     for k in range(k_start, k_end + 1):
-        total -= (norm.cdf((4 * k + 1) * z / sqrt_n) -
-                  norm.cdf((4 * k - 1) * z / sqrt_n))
+        total -= (ndtr((4 * k + 1) * z / sqrt_n) -
+                  ndtr((4 * k - 1) * z / sqrt_n))
     k_start = int((-n / z - 3) // 4)
     for k in range(k_start, k_end + 1):
-        total += (norm.cdf((4 * k + 3) * z / sqrt_n) -
-                  norm.cdf((4 * k + 1) * z / sqrt_n))
+        total += (ndtr((4 * k + 3) * z / sqrt_n) -
+                  ndtr((4 * k + 1) * z / sqrt_n))
     return float(min(max(total, 0.0), 1.0))
 
 

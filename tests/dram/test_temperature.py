@@ -98,3 +98,17 @@ class TestAgeing:
     def test_negative_day_rejected(self, thermal):
         with pytest.raises(ValueError):
             thermal.ageing_factor(-1)
+
+    @pytest.mark.parametrize("seed, factors", [
+        (1, (0.995689365873121, 0.9905634797627356, 0.9506765139132016)),
+        (2, (1.0018847124919708, 1.0037132420364527, 0.9650338485342999)),
+        (3, (0.99625464571916, 0.9912939729796896, 1.0022913805614093)),
+        (4, (0.9942976462123568, 0.9997755981761642, 1.062809587233836)),
+        (5, (0.9956915235476547, 1.0064824415965652, 1.0326019991392963)),
+    ])
+    def test_pinned_walk(self, seed, factors):
+        # Exact factors on days 1, 7 and 30: the walk is drawn from the
+        # per-day "ageing-step" streams and nothing else.
+        thermal = ThermalModel(seed=seed)
+        assert tuple(thermal.ageing_factor(day)
+                     for day in (1, 7, 30)) == factors

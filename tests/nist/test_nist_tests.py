@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.nist.complexity import berlekamp_massey, linear_complexity
-from repro.nist.cusum import cumulative_sums
+from repro.nist.cusum import _cusum_p_value, cumulative_sums
 from repro.nist.excursions import random_excursion, random_excursion_variant
 from repro.nist.frequency import frequency_within_block, monobit
 from repro.nist.matrix import binary_matrix_rank, gf2_rank
@@ -232,6 +232,38 @@ class TestCusum:
         rng = np.random.default_rng(10)
         stream = (rng.random(20000) < 0.53).astype(np.uint8)
         assert not cumulative_sums(stream).passes()
+
+    @pytest.mark.parametrize("n", [100, 1000, 10 ** 4, 10 ** 5, 10 ** 6])
+    @pytest.mark.parametrize("z_of_n", [
+        lambda n: 0.0, lambda n: 1.0, lambda n: 3.0,
+        lambda n: 0.5 * np.sqrt(n), lambda n: float(np.sqrt(n)),
+        lambda n: 3.0 * np.sqrt(n), lambda n: float(n)],
+        ids=["0", "1", "3", "sqrt_n/2", "sqrt_n", "3sqrt_n", "n"])
+    def test_p_value_equals_the_norm_cdf_sum(self, n, z_of_n):
+        # ``ndtr`` is what ``scipy.stats.norm.cdf`` evaluates: the same
+        # sum over ``norm.cdf`` must give the same float, bit for bit.
+        from scipy.stats import norm
+
+        z = z_of_n(n)
+        expected = 0.0
+        if z != 0:
+            sqrt_n = np.sqrt(n)
+            k_end = int((n / z - 1) // 4)
+
+            def cdf(offset, k_start):
+                return norm.cdf(np.array(
+                    [(4 * k + offset) * z / sqrt_n
+                     for k in range(k_start, k_end + 1)]))
+
+            total = 1.0
+            k_start = int((-n / z + 1) // 4)
+            for high, low in zip(cdf(1, k_start), cdf(-1, k_start)):
+                total -= (high - low)
+            k_start = int((-n / z - 3) // 4)
+            for high, low in zip(cdf(3, k_start), cdf(1, k_start)):
+                total += (high - low)
+            expected = float(min(max(total, 0.0), 1.0))
+        assert _cusum_p_value(z, n) == expected
 
 
 class TestExcursions:
