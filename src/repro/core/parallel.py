@@ -69,7 +69,7 @@ import numpy as np
 from repro.bitops import pack_bits, unpack_bits
 from repro.crypto.conditioner import Sha256Conditioner
 from repro.crypto.sha256 import Sha256
-from repro.dram.sense_amplifier import sample_iterations
+from repro.dram.sense_amplifier import SettleThresholds, sample_iterations
 from repro.errors import ConfigurationError
 # Not called here; kept importable so a tracer that rebinds the draw
 # entry points by module attribute (``hostbench/layers.py``) finds them.
@@ -89,22 +89,25 @@ class BankTask:
     """One bank's share of a batch: sample ``iterations`` read-outs and
     condition them.
 
-    Everything a worker needs travels with the task (settling
-    probabilities, the segment's thermal key and first iteration, and
-    the SIB slices), so the task pickles cheaply and never drags a
+    Everything a worker needs travels with the task (lane thresholds,
+    the segment's thermal key and first iteration, and the SIB
+    slices), so the task pickles cheaply and never drags a
     :class:`~repro.dram.device.DramModule` across a process boundary.
-    The entropy budget that planned the slices stays with the
-    generator: hashing a block does not depend on it.
+    The probabilities the thresholds came from, and the entropy budget
+    that planned the slices, stay with the generator: sampling and
+    hashing depend on neither.
     """
 
     #: The segment's thermal-stream key (``repro.rng.derive_key``
     #: words); the worker seeds a ``SeedSequence`` from it, so the
     #: stream is a function of the draw site, not of scheduling order.
     thermal_key: Tuple[int, ...]
-    #: Per-bitline settling probabilities of the bank's TRNG segment:
-    #: the planner's cached vector, shared by every task of the slot
-    #: and read-only (workers and the wire only read it).
-    probabilities: np.ndarray
+    #: Per-bitline lane thresholds of the bank's TRNG segment
+    #: (``uint8`` ``hi``, ``uint32`` ``lo``; see
+    #: :func:`~repro.dram.sense_amplifier.settle_thresholds`): the
+    #: planner's cached pair, shared by every task of the slot and
+    #: read-only (workers and the wire only read it).
+    thresholds: SettleThresholds
     #: Iterations to sample (rows of the read-out matrix).
     iterations: int
     #: ``(start, stop)`` bit ranges of the bank's SHA input blocks.
@@ -202,7 +205,7 @@ def run_bank_task(task: BankTask) -> BankResult:
     both give the same bytes.
     """
     raw = np.atleast_2d(sample_iterations(
-        task.probabilities, task.thermal_key, task.first_iteration,
+        task.thresholds, task.thermal_key, task.first_iteration,
         task.iterations))
     width = raw.shape[1]
     packed = np.packbits(raw)

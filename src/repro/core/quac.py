@@ -21,7 +21,8 @@ import numpy as np
 
 from repro.dram.device import DramModule, cells_for_pattern
 from repro.dram.geometry import SegmentAddress
-from repro.dram.sense_amplifier import sample_iterations
+from repro.dram.sense_amplifier import (SettleThresholds, sample_iterations,
+                                        settle_thresholds)
 from repro.rng import STREAM_EPOCH, derive_key
 # Not called here; kept importable so a tracer that rebinds the draw
 # entry points by module attribute (``hostbench/layers.py``) finds them.
@@ -43,10 +44,11 @@ class QuacExecutor:
         self._cursors: Dict[Tuple[int, int, int], int] = {}
         # One plan per planned slot ``(coords, pattern, first
         # position)``: the ``(temperature_c, age_days)`` it was built
-        # at, the thermal key and the read-only probability vector.
+        # at, the thermal key, and the read-only probability vector
+        # and lane thresholds.
         self._plans: Dict[Tuple[Tuple[int, int, int], str, int],
                           Tuple[Tuple[float, int], Tuple[int, ...],
-                                np.ndarray]] = {}
+                                np.ndarray, SettleThresholds]] = {}
 
     def run_via_softmc(self, segment: SegmentAddress, pattern: str,
                        variant: int = 0) -> np.ndarray:
@@ -68,29 +70,32 @@ class QuacExecutor:
 
     def plan_direct(self, segment: SegmentAddress, pattern: str,
                     first_position: int = 0, iterations: int = 1
-                    ) -> Tuple[Tuple[int, ...], np.ndarray, int]:
+                    ) -> Tuple[Tuple[int, ...], np.ndarray,
+                               SettleThresholds, int]:
         """Plan ``iterations`` direct draws: ``(key, probabilities,
-        first iteration)``.
+        thresholds, first iteration)``.
 
         Claims the next ``iterations`` indices of the segment's cursor
         exactly as :meth:`run_direct` would, but *performs no
-        sampling*: the segment's thermal key, the probability vector
-        and the first claimed index are everything a worker (possibly
-        in another process) needs to draw iterations ``[first,
+        sampling*: the segment's thermal key, its lane thresholds and
+        the first claimed index are everything a worker (possibly in
+        another process) needs to draw iterations ``[first,
         first + iterations)`` bit-identically via
         :func:`~repro.dram.sense_amplifier.sample_iterations`.
         Iteration ``k`` of a segment depends only on (module seed,
         segment, ``k``), so how the iterations are split into draws
         never changes them.
 
-        The key and probabilities are computed once per planned slot
-        (segment, pattern, first position) and reused until the
-        module's ``temperature_c`` or ``age_days`` changes; then the
-        slot's one entry is rebuilt in place, so arbitrary temperature
-        readings never grow the cache.  The other planning inputs
-        (geometry, ``variation``, ``thermal``, seed) are fixed when the
-        module is built.  The returned vector is shared by every plan
-        of the slot and read-only: copy it before changing it.
+        The key, the probability vector and its lane thresholds
+        (:func:`~repro.dram.sense_amplifier.settle_thresholds`) are
+        computed once per planned slot (segment, pattern, first
+        position) and reused until the module's ``temperature_c`` or
+        ``age_days`` changes; then the slot's one entry is rebuilt in
+        place, so arbitrary temperature readings never grow the cache.
+        The other planning inputs (geometry, ``variation``,
+        ``thermal``, seed) are fixed when the module is built.  The
+        returned arrays are shared by every plan of the slot and
+        read-only: copy them before changing them.
         """
         coords = (segment.bank_group, segment.bank, segment.segment)
         slot = (coords, pattern, first_position)
@@ -99,14 +104,16 @@ class QuacExecutor:
         if entry is None or entry[0] != point:
             p = self.module.segment_probabilities(segment, pattern,
                                                   first_position)
-            p.setflags(write=False)
+            thresholds = settle_thresholds(p)
+            for array in (p, *thresholds):
+                array.setflags(write=False)
             key = derive_key(self.module.seed, "quac-thermal",
                              STREAM_EPOCH, *coords)
-            entry = self._plans[slot] = (point, key, p)
-        _, key, p = entry
+            entry = self._plans[slot] = (point, key, p, thresholds)
+        _, key, p, thresholds = entry
         first = self._cursors.get(coords, 0)
         self._cursors[coords] = first + iterations
-        return key, p, first
+        return key, p, thresholds, first
 
     def run_direct(self, segment: SegmentAddress, pattern: str,
                    first_position: int = 0,
@@ -119,9 +126,9 @@ class QuacExecutor:
         calls but remain reproducible for a fixed module seed, and
         ``n`` calls of one iteration equal one call of ``n``.
         """
-        key, p, first = self.plan_direct(segment, pattern, first_position,
-                                         iterations)
-        return sample_iterations(p, key, first, iterations)
+        key, _, thresholds, first = self.plan_direct(
+            segment, pattern, first_position, iterations)
+        return sample_iterations(thresholds, key, first, iterations)
 
     def probabilities(self, segment: SegmentAddress, pattern: str,
                       first_position: int = 0) -> np.ndarray:

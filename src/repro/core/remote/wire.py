@@ -12,8 +12,10 @@ such opaque payloads.  Every payload is one *message*
   and a kind byte;
 * a body whose layout the kind fixes.  :data:`ROUND` carries one
   host's slice of a harvest round as :class:`~repro.core.parallel.
-  BankTask` fields (key words, a raw float64 probability vector, block
-  slices, iterations, first iteration and a flags byte);
+  BankTask` fields (key words, the lane thresholds as a ``uint8``
+  ``hi`` and a little-endian ``uint32`` ``lo`` vector -- 5 bytes per
+  bitline --, block slices, iterations, first iteration and a flags
+  byte);
   :data:`ROUND_RESULT` carries one slot per task, either a
   :class:`~repro.core.parallel.BankResult` (its counts plus the packed
   ``digests`` and optional ``raw`` bytes) or a :class:`TaskError`;
@@ -50,6 +52,7 @@ from typing import Any, List, NamedTuple, Tuple
 import numpy as np
 
 from repro.core.parallel import BankResult, BankTask
+from repro.dram.sense_amplifier import SettleThresholds
 from repro.errors import ConfigurationError, RemoteExecutionError
 from repro.rng import STREAM_EPOCH
 
@@ -65,7 +68,9 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024 * 1024
 MAGIC = b"QUAC"
 
 #: Version of the message layouts below; bump it with any change.
-SCHEMA_VERSION = 4
+#: Schema 5 ships lane thresholds where schema 4 shipped float64
+#: probabilities.
+SCHEMA_VERSION = 5
 
 #: Message header: magic, schema version, stream epoch, kind.
 MESSAGE_HEADER = struct.Struct(">4sHIB")
@@ -78,8 +83,8 @@ PING = 4
 PONG = 5
 
 _COUNT = struct.Struct(">I")
-#: Key words, probabilities, block slices, iterations, first
-#: iteration, flags.
+#: Key words, bitlines (entries of ``hi`` and of ``lo``), block
+#: slices, iterations, first iteration, flags.
 _TASK = struct.Struct(">HIIIQB")
 #: The one task flag.  Bit 0 selected the from-scratch SHA-256 up to
 #: schema 1; it is now an unknown flag.
@@ -206,18 +211,24 @@ def _packed_size(rows: int, columns: int) -> int:
 
 
 def _task_parts(task: BankTask) -> List[bytes]:
-    probabilities = np.asarray(task.probabilities, dtype="<f8")
-    if probabilities.ndim != 1:
+    hi = np.asarray(task.thresholds.hi)
+    lo = np.asarray(task.thresholds.lo)
+    if hi.ndim != 1 or hi.shape != lo.shape:
         raise ConfigurationError(
-            "a task's probabilities must be one-dimensional")
+            "a task's thresholds must be two vectors of one entry per "
+            "bitline")
+    if np.any((hi < 0) | (hi > 255)) or np.any((lo < 0) | (lo > 2 ** 24)):
+        raise ConfigurationError(
+            "a task's thresholds must have hi in [0, 255] and lo in "
+            "[0, 2**24]")
     key = task.thermal_key
     bounds = [bound for block in task.block_slices for bound in block]
     flags = _COLLECT_RAW if task.collect_raw else 0
-    return [_TASK.pack(len(key), probabilities.size,
-                       len(task.block_slices), task.iterations,
-                       task.first_iteration, flags),
+    return [_TASK.pack(len(key), hi.size, len(task.block_slices),
+                       task.iterations, task.first_iteration, flags),
             struct.pack(f">{len(key)}I", *key),
-            probabilities.tobytes(),
+            hi.astype("u1", copy=False).tobytes(),
+            lo.astype("<u4", copy=False).tobytes(),
             struct.pack(f">{len(bounds)}I", *bounds)]
 
 
@@ -275,8 +286,11 @@ class _Reader:
         return count
 
     def array(self, dtype: str, count: int) -> np.ndarray:
+        """A read-only view of the next ``count`` items."""
         dtype = np.dtype(dtype)
-        return np.frombuffer(self.take(count * dtype.itemsize), dtype)
+        array = np.frombuffer(self.take(count * dtype.itemsize), dtype)
+        array.setflags(write=False)
+        return array
 
     def text(self, n_bytes: int) -> str:
         return bytes(self.take(n_bytes)).decode("utf-8", "replace")
@@ -327,19 +341,23 @@ def _read_task(reader: _Reader) -> BankTask:
     if flags & ~_COLLECT_RAW:
         raise RemoteExecutionError(f"unknown task flags {flags:#x}")
     key = reader.array(">u4", n_key)
-    probabilities = reader.array("<f8", n_bits)
+    hi = reader.array("u1", n_bits)
+    lo = reader.array("<u4", n_bits)
     bounds = reader.array(">u4", 2 * n_blocks).reshape(n_blocks, 2)
-    if not np.all((probabilities >= 0.0) & (probabilities <= 1.0)):
+    if np.any(lo > 2 ** 24):
         raise RemoteExecutionError(
-            "task probabilities must be finite and within [0, 1]")
+            "task thresholds: every lo must be at most 2**24")
     if np.any(bounds[:, 0] >= bounds[:, 1]) or \
             np.any(bounds[:, 1] > n_bits):
         raise RemoteExecutionError(
-            f"task block slices fall outside its {n_bits}-bit "
-            f"probability vector")
+            f"task block slices fall outside its {n_bits}-bit row")
+    # Views of the (immutable) payload, not copies: the conversion to
+    # native byte order copies only on a big-endian host.
+    lo = lo.astype(np.uint32, copy=False)
+    lo.setflags(write=False)
     return BankTask(
         thermal_key=tuple(key.tolist()),
-        probabilities=probabilities.astype(np.float64),
+        thresholds=SettleThresholds(hi, lo),
         iterations=iterations,
         block_slices=tuple(map(tuple, bounds.tolist())),
         collect_raw=bool(flags & _COLLECT_RAW),

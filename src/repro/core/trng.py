@@ -258,12 +258,12 @@ class QuacTrng(HarvestPlanner):
         tasks: List[BankTask] = []
         for key in self._banks:
             segment = self._segments[key]
-            rng_key, p, first = self.executor.plan_direct(
+            rng_key, _, thresholds, first = self.executor.plan_direct(
                 segment, self.data_pattern, iterations=n)
             slices = tuple((plan.bit_slice.start, plan.bit_slice.stop)
                            for plan in self._plans[key])
             tasks.append(BankTask(
-                thermal_key=rng_key, probabilities=p, iterations=n,
+                thermal_key=rng_key, thresholds=thresholds, iterations=n,
                 block_slices=slices, collect_raw=collect_raw,
                 first_iteration=first))
         return tasks

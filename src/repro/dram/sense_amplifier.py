@@ -25,6 +25,9 @@ The same functions back both the fast analytic characterization paths
 
 from __future__ import annotations
 
+from copy import deepcopy
+from typing import NamedTuple, Tuple
+
 import numpy as np
 from scipy.special import ndtr
 
@@ -33,6 +36,18 @@ from repro.errors import BitstreamError, ConfigurationError
 
 #: Probabilities are clipped into [EPS, 1-EPS] before taking logarithms.
 _EPS = 1e-300
+
+#: Rows :func:`sample_settles` draws and compares per pass: enough to
+#: amortize the per-pass numpy calls, few enough that a pass's draws
+#: and flags stay small and reused (whole-task temporaries cost page
+#: faults on every task).
+_CHUNK_ROWS = 64
+
+#: Fewest refinement draws per row (16 lanes against 1/256 ties).
+_MIN_REFINEMENT_DRAWS = 8
+
+#: How far past a row's first draw its overflow refinement lanes start.
+_OVERFLOW_DRAWS = 2 ** 126
 
 
 def settle_probability(deviation_z: np.ndarray) -> np.ndarray:
@@ -80,36 +95,89 @@ def empirical_entropy(bits: np.ndarray, axis: int = -1) -> np.ndarray:
     return bernoulli_entropy(p_one)
 
 
-def settle_thresholds(p: np.ndarray) -> np.ndarray:
-    """32-bit lane thresholds ``ceil(p * 2**32)`` as ``uint64``.
+class SettleThresholds(NamedTuple):
+    """A row's lane thresholds, one entry per bitline.
 
-    A uniform 32-bit lane ``u`` settles to one iff ``u < t``, so
-    ``P(1) = t / 2**32``: exactly 0 at p = 0, exactly 1 at p = 1, and
-    within ``2**-32`` of p in between (scaling by a power of two is
-    exact in float64, so the ceiling is the only rounding).
+    ``t = ceil(p * 2**32)`` split as ``hi = min(t >> 24, 255)`` and
+    ``lo = t - hi * 2**24`` (so ``lo`` lies in ``[0, 2**24]``): the
+    decision byte compares with ``hi``, and only a tie reads a 24-bit
+    refinement lane to compare with ``lo`` (:func:`sample_settles`).
+    """
+
+    #: ``uint8`` decision thresholds.
+    hi: np.ndarray
+    #: ``uint32`` refinement thresholds, each at most ``2**24``.
+    lo: np.ndarray
+
+
+def settle_thresholds(p: np.ndarray) -> SettleThresholds:
+    """The lane thresholds of settle probabilities ``p``.
+
+    ``t = ceil(p * 2**32)`` is exact in float64 (scaling by a power of
+    two is exact, so the ceiling is the only rounding), and a bitline
+    settles to one with probability exactly ``t / 2**32``: 0 at p = 0,
+    1 at p = 1 and within ``2**-32`` above p in between.  This is the
+    one place probabilities become thresholds, so it refuses a ``p``
+    below 0, above 1 or NaN with :class:`~repro.errors.BitstreamError`.
+
+    >>> hi, lo = settle_thresholds([0.0, 0.5, 2.0 ** -32, 1.0])
+    >>> hi.tolist(), lo.tolist()
+    ([0, 128, 0, 255], [0, 0, 1, 16777216])
     """
     p = np.asarray(p, dtype=np.float64)
-    return np.ceil(p * 2.0 ** 32).astype(np.uint64)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise BitstreamError(
+            "settle probabilities must lie in [0, 1] (no NaN)")
+    t = np.ceil(p * 2.0 ** 32).astype(np.uint64)
+    hi = np.minimum(t >> 24, 255)
+    return SettleThresholds(hi.astype(np.uint8),
+                            (t - (hi << 24)).astype(np.uint32))
 
 
-def sample_settles(p: np.ndarray, rng: np.random.Generator,
+def row_draws(width: int) -> Tuple[int, int]:
+    """Raw 64-bit draws of one ``width``-bit row: ``(decision,
+    refinement)``.
+
+    ``ceil(width / 8)`` draws hold one decision byte per bitline, and
+    ``max(8, ceil(width / 128))`` more hold the row's refinement lanes,
+    two 32-bit lanes per draw.  At 4,096 bits that is 512 + 32 draws,
+    against 2,048 for one 32-bit lane per bitline.
+    """
+    return -(-width // 8), max(_MIN_REFINEMENT_DRAWS, -(-width // 128))
+
+
+def sample_settles(p, rng: np.random.Generator,
                    iterations: int = 1) -> np.ndarray:
-    """Draw SA settling outcomes.
+    """Draw SA settling outcomes with exact lazy lanes.
 
-    Each outcome consumes one 32-bit lane of the generator's raw
-    64-bit output: raw draw ``j`` supplies lanes ``2j`` (its low half)
-    and ``2j + 1`` (its high half), row-major over
-    ``(iterations, bits)``, whatever the host's byte order.  Lane ``u``
-    settles to one iff ``u < ceil(p * 2**32)``
-    (:func:`settle_thresholds`).  An even ``bits`` keeps every row on
-    whole raw draws, so row ``k`` starts at raw draw ``k * bits / 2``
-    -- which is what lets :func:`sample_iterations` jump to any
-    iteration.
+    Row ``k`` of the call is the ``D = B + R`` raw draws from draw
+    ``k * D`` of ``rng``'s bit generator (:func:`row_draws`), read
+    little-endian whatever the host's byte order:
+
+    * byte ``j`` of the first ``B`` draws is bitline ``j``'s decision
+      byte ``b``.  ``b < hi`` settles it to one, ``b > hi`` to zero;
+    * a tie (``b == hi``, probability 1/256) takes the row's next
+      refinement lane ``r``, in column order, and settles to
+      ``r < lo``.  The last ``R`` draws are the row's ``2R`` refinement
+      lanes (low half of each draw first), each a 32-bit lane shifted
+      right by 8;
+    * ties past the ``2R``-th (about 1e-17 per 4,096-bit row) read
+      their lanes the same way from a copy of the bit generator
+      advanced ``2**126`` draws past the row's first draw.
+
+    So ``P(1)`` is exactly ``t / 2**32``
+    (``(b << 24 | r) < t`` is the same comparison), and every row is a
+    pure function of its own draws, which is what lets
+    :func:`sample_iterations` jump to any iteration.  The ties of
+    bitlines with ``p`` = 0 or 1 take lanes too, and resolve to 0 and 1.
+    Rows run in chunks into one preallocated result, so a long task
+    allocates no whole-task temporaries.
 
     Parameters
     ----------
     p:
-        Per-bitline probability of settling to 1, shape ``(bits,)``.
+        Per-bitline probability of settling to 1, shape ``(bits,)``, or
+        their :class:`SettleThresholds` (computed once and reused).
     rng:
         Source of randomness (deterministic per draw site; see
         :mod:`repro.rng`).
@@ -121,45 +189,82 @@ def sample_settles(p: np.ndarray, rng: np.random.Generator,
     ``uint8`` array of shape ``(iterations, bits)`` (squeezed to
     ``(bits,)`` when ``iterations == 1``).
     """
-    t = settle_thresholds(p)
-    lanes_needed = iterations * t.size
-    lanes = (rng.bit_generator.random_raw(-(-lanes_needed // 2))
-             .astype("<u8", copy=False).view("<u4")[:lanes_needed]
-             .reshape(iterations, t.size))
-    # ``lanes < t`` computed in 32 bits (a mixed 32/64-bit compare
-    # costs 2.5x): t = 2**32 (p = 1) only differs from its 32-bit clip
-    # on the all-ones lane, so those bitlines are forced to one after.
-    always = t > np.iinfo(np.uint32).max
-    bits = np.less(lanes, np.minimum(t, np.iinfo(np.uint32).max)
-                   .astype(np.uint32))
-    if always.any():
-        np.logical_or(bits, always, out=bits)
+    hi, lo = p if isinstance(p, SettleThresholds) else settle_thresholds(p)
+    width = hi.size
+    decision, refinement = row_draws(width)
+    draws = decision + refinement
+    bit_generator = rng.bit_generator
+    bits = np.empty((iterations, width), dtype=bool)
+    # Tie flags, padded to whole decision draws (the padding stays
+    # False), so ties are found a 64-bit word at a time.
+    ties = np.zeros((min(iterations, _CHUNK_ROWS), 8 * decision), dtype=bool)
+    for first in range(0, iterations, _CHUNK_ROWS):
+        rows = min(_CHUNK_ROWS, iterations - first)
+        raw = (bit_generator.random_raw(rows * draws)
+               .astype("<u8", copy=False).reshape(rows, draws))
+        decisions = raw[:, :decision].view(np.uint8)[:, :width]
+        out = bits[first:first + rows]
+        np.less(decisions, hi, out=out)
+        tie = ties[:rows]
+        np.equal(decisions, hi, out=tie[:, :width])
+        words = np.flatnonzero(tie.view(np.uint64) != 0)
+        if not words.size:
+            continue
+        word, byte = np.nonzero(tie.reshape(-1, 8)[words])
+        row, column = np.divmod(words[word] * 8 + byte, 8 * decision)
+        rank = np.arange(row.size) - np.searchsorted(row, row)
+        lanes = raw[:, decision:].view("<u4")
+        fits = rank < lanes.shape[1]
+        if fits.all():
+            out[row, column] = (lanes[row, rank] >> 8) < lo[column]
+            continue
+        out[row[fits], column[fits]] = \
+            (lanes[row[fits], rank[fits]] >> 8) < lo[column[fits]]
+        for i in np.unique(row[~fits]).tolist():
+            excess = (row == i) & ~fits
+            out[i, column[excess]] = _overflow_lanes(
+                bit_generator, (rows - i) * draws,
+                int(excess.sum())) < lo[column[excess]]
     bits = bits.view(np.uint8)
     if iterations == 1:
         return bits[0]
     return bits
 
 
-def sample_iterations(p: np.ndarray, key, first_iteration: int,
+def _overflow_lanes(bit_generator, behind: int, count: int) -> np.ndarray:
+    """``count`` 24-bit lanes from ``2**126`` draws past a row whose
+    first draw is ``behind`` draws before the generator's position (a
+    copy is advanced; the generator itself does not move)."""
+    copy = deepcopy(bit_generator)
+    copy.advance(_OVERFLOW_DRAWS - behind)
+    lanes = copy.random_raw(-(-count // 2)).astype("<u8", copy=False)
+    return lanes.view("<u4")[:count] >> 8
+
+
+def sample_iterations(p, key, first_iteration: int,
                       iterations: int = 1) -> np.ndarray:
     """Draw iterations ``[first_iteration, first_iteration + iterations)``
     of a segment's thermal stream.
 
-    The one place that knows the thermal stream layout: iteration ``k``
-    of a ``bits``-wide segment occupies raw draws ``[k * bits / 2,
-    (k + 1) * bits / 2)`` (two lanes per raw draw, see
-    :func:`sample_settles`), so the stream built by
+    The one place that positions the thermal stream: iteration ``k``
+    of a ``bits``-wide segment is the row of :func:`sample_settles`
+    at raw draws ``[k * D, (k + 1) * D)`` (``D`` from
+    :func:`row_draws`), so the stream built by
     :func:`repro.rng.generator_from_key` is advanced straight past the
     first ``first_iteration`` rows.  Iteration ``k`` is therefore the
-    same however the iterations are split into calls.
+    same however the iterations are split into calls.  ``p`` is the
+    probability vector or its :class:`SettleThresholds`.
 
     Returns the same shapes as :func:`sample_settles`.
     """
-    p = np.asarray(p, dtype=np.float64)
-    if p.size % 2:
+    if not isinstance(p, SettleThresholds):
+        p = settle_thresholds(p)
+    width = p.hi.size
+    if width % 2:
         raise ConfigurationError(
-            f"thermal streams need an even row width, got {p.size} bits")
-    rng = repro.rng.generator_from_key(key, first_iteration * p.size // 2)
+            f"thermal streams need an even row width, got {width} bits")
+    rng = repro.rng.generator_from_key(key,
+                                       first_iteration * sum(row_draws(width)))
     return sample_settles(p, rng, iterations)
 
 

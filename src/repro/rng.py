@@ -22,13 +22,21 @@ Two kinds of stream share that key scheme:
 * **Thermal streams** (:func:`generator_from_key`): the per-iteration
   settling noise of bulk generation.  One PCG64 stream per (module
   seed, ``"quac-thermal"``, :data:`STREAM_EPOCH`, bank group, bank,
-  segment).  :func:`repro.dram.sense_amplifier.sample_iterations` owns
-  the layout of iterations on that stream and uses ``PCG64.advance``
-  to jump straight to any of them, so iteration ``k`` is a pure
-  function of (module seed, bank,
-  segment, ``k``) -- independent of batch sizes, backends and request
-  splits (the counter-based design of Salmon et al., "Parallel Random
-  Numbers: As Easy as 1, 2, 3", SC'11, on O'Neill's PCG).
+  segment).  :func:`repro.dram.sense_amplifier.sample_iterations`
+  positions iterations on that stream and uses ``PCG64.advance`` to
+  jump straight to any of them, so iteration ``k`` is a pure function
+  of (module seed, bank, segment, ``k``) -- independent of batch sizes,
+  backends and request splits (the counter-based design of Salmon et
+  al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11, on
+  O'Neill's PCG).  A ``W``-bit iteration ``k`` is the ``D = B + R``
+  raw 64-bit draws from draw ``k * D``
+  (:func:`repro.dram.sense_amplifier.row_draws`): ``B = ceil(W / 8)``
+  draws of one decision byte per bitline, then ``R = max(8, ceil(W /
+  128))`` draws of 24-bit refinement lanes that only ties read (exact
+  lazy lanes, :func:`repro.dram.sense_amplifier.sample_settles`).
+  Ties past a row's ``2R`` lanes read from ``2**126`` draws past the
+  row's first draw.  ``tests/stream_spec.py`` states the layout as
+  code.
 
 Example
 -------
@@ -56,8 +64,11 @@ _KEY_WORDS = 8
 #: Version of the thermal-noise stream layout.  It is part of every
 #: thermal key, so bumping it re-keys all bulk-generation streams (and
 #: invalidates the golden streams in ``tests/test_determinism.py``)
-#: while leaving the substrate streams untouched.
-STREAM_EPOCH = 2
+#: while leaving the substrate streams untouched.  Epoch 2 spent one
+#: 32-bit lane per bitline; epoch 3 reads one decision byte per
+#: bitline and a 24-bit refinement lane per tie (same ``P(1)``,
+#: about a quarter of the draws).
+STREAM_EPOCH = 3
 
 
 def derive_key(root_seed: int, domain: str, *coords: int) -> Tuple[int, ...]:

@@ -35,6 +35,7 @@ from repro.core.parallel import (BankTask, ProcessPoolBackend,
                                  SerialBackend, ThreadPoolBackend,
                                  available_backends, run_bank_task)
 from repro.core.remote import LocalCluster, RemoteBackend
+from repro.dram.sense_amplifier import settle_thresholds
 from repro.errors import ConfigurationError, RemoteExecutionError
 from repro.rng import derive_key
 
@@ -50,7 +51,7 @@ def _task(index, iterations=2, bits=256, fail=False):
     width = bits + 1 if fail else bits
     return BankTask(
         thermal_key=derive_key(2021, "conformance", index),
-        probabilities=np.linspace(0.1, 0.9, width),
+        thresholds=settle_thresholds(np.linspace(0.1, 0.9, width)),
         iterations=iterations,
         block_slices=((0, bits // 2), (bits // 2, bits)),
         first_iteration=index)

@@ -9,6 +9,7 @@ output breaks it immediately.
 """
 
 import dataclasses
+import functools
 import hashlib
 
 import numpy as np
@@ -22,8 +23,9 @@ from repro.core.parallel import (BACKEND_ENV_VAR, ProcessPoolBackend,
 from repro.core.remote import RemoteBackend, wire
 from repro.core.trng import QuacTrng
 from repro.dram.module_factory import build_table3_population
-from repro.dram.sense_amplifier import sample_iterations
-from repro.errors import ConfigurationError
+from repro.dram.sense_amplifier import SettleThresholds, sample_iterations
+from repro.errors import BitstreamError, ConfigurationError
+from repro.rng import STREAM_EPOCH, derive_key
 
 #: Worker counts the equivalence contract is exercised at.
 WORKER_COUNTS = (1, 2, 8)
@@ -185,7 +187,7 @@ def _oracle(task):
     """``run_bank_task``'s bytes, the plain way: sample, then hash each
     block of each row on its own, then pack the whole read-out."""
     raw = np.atleast_2d(sample_iterations(
-        task.probabilities, task.thermal_key, task.first_iteration,
+        task.thresholds, task.thermal_key, task.first_iteration,
         task.iterations))
     digests = b"".join(
         hashlib.sha256(np.packbits(row[start:stop]).tobytes()).digest()
@@ -204,14 +206,15 @@ class TestBankTaskKernel:
 
     def _variants(self, task):
         """The planned task and the shapes bytes cannot express."""
-        assert task.probabilities.size == 4096
+        hi, lo = task.thresholds
+        assert hi.size == 4096
         narrow = 4092   # even, so sampleable, but not whole bytes
         return {
             "planned": task,
             "unaligned_slice": dataclasses.replace(
                 task, block_slices=((3, 517), (512, 1024))),
             "ragged_row": dataclasses.replace(
-                task, probabilities=task.probabilities[:narrow],
+                task, thresholds=SettleThresholds(hi[:narrow], lo[:narrow]),
                 block_slices=((0, 512), (narrow - 512, narrow))),
         }
 
@@ -252,6 +255,52 @@ class TestBankTaskKernel:
     def test_single_iteration(self, planned):
         for variant in self._variants(planned[0]).values():
             self._check(dataclasses.replace(variant, iterations=1))
+
+
+class TestInvalidProbabilities:
+    """A settle probability below 0, above 1 or NaN is refused where it
+    would become a lane threshold, on every in-process backend (tasks
+    and the wire carry thresholds only, so none reaches a worker)."""
+
+    @pytest.fixture(scope="class", params=["serial", "thread", "process"])
+    def backend(self, request):
+        if request.param == "serial":
+            yield SerialBackend()
+            return
+        pool = (ThreadPoolBackend(2) if request.param == "thread"
+                else ProcessPoolBackend(2))
+        with pool:
+            yield pool
+
+    @pytest.mark.parametrize("bad", [-0.5, 1.5, np.nan])
+    def test_sampling_refuses_it(self, backend, bad):
+        key = derive_key(3, "quac-thermal", STREAM_EPOCH, 0, 0, 1)
+        draw = functools.partial(sample_iterations, key=key,
+                                 first_iteration=0, iterations=2)
+        p = np.full(16, 0.5)
+        p[5] = bad
+        pending = backend.submit_round(draw, [np.full(16, bad), p])
+        for future in pending.futures:
+            with pytest.raises(BitstreamError, match="probabilities"):
+                future.result()
+
+    @pytest.mark.parametrize("bad", [-0.5, 1.5, np.nan])
+    def test_a_generator_refuses_to_plan_it(self, backend, fresh_module,
+                                            small_geometry, monkeypatch,
+                                            bad):
+        trng = _fresh_trng(fresh_module, small_geometry, backend)
+        planned = fresh_module.segment_probabilities
+
+        def segment_probabilities(*args, **kwargs):
+            p = planned(*args, **kwargs)
+            p[17] = bad
+            return p
+
+        monkeypatch.setattr(fresh_module, "segment_probabilities",
+                            segment_probabilities)
+        with pytest.raises(BitstreamError, match="probabilities"):
+            trng.random_bytes(64)
+        assert trng.cursors() == [0] * len(trng.cursors())
 
 
 class TestBackendResolution:

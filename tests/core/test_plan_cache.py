@@ -2,12 +2,13 @@
 
 A segment's settling probabilities depend on the module's operating
 point (``temperature_c``, ``age_days``) and on inputs fixed when the
-module is built, so the executor keeps one plan per planned slot and
-rebuilds it in place when the operating point moves.  These tests pin
-that contract: every plan equals a fresh computation at the current
-operating point, plans of one slot share one read-only vector, the
-cache holds one entry per slot whatever the readings, and a generator
-whose cache is emptied before every draw serves the same bytes.
+module is built, so the executor keeps one plan per planned slot -- the
+probability vector and its lane thresholds -- and rebuilds it in place
+when the operating point moves.  These tests pin that contract: every
+plan equals a fresh computation at the current operating point, plans
+of one slot share one read-only vector and threshold pair, the cache
+holds one entry per slot whatever the readings, and a generator whose
+cache is emptied before every draw serves the same bytes.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 from repro.core.temperature_manager import TemperatureManagedTrng
 from repro.core.trng import QuacTrng
 from repro.dram.module_factory import build_module, spec_by_name
+from repro.dram.sense_amplifier import settle_thresholds
 
 #: Operating points walked between draws: a swing across every default
 #: temperature range, back, and one ageing step.
@@ -48,14 +50,14 @@ def _record_plans(executor):
     planned = executor.plan_direct
 
     def plan_direct(segment, pattern, first_position=0, iterations=1):
-        key, p, first = planned(segment, pattern, first_position,
-                                iterations)
+        key, p, thresholds, first = planned(segment, pattern,
+                                            first_position, iterations)
         fresh = executor.module.segment_probabilities(segment, pattern,
                                                       first_position)
         plans.append(((segment.bank_group, segment.bank, segment.segment),
-                      pattern, first_position, p, fresh,
+                      pattern, first_position, (p, thresholds), fresh,
                       executor.module.temperature_c))
-        return key, p, first
+        return key, p, thresholds, first
 
     executor.plan_direct = plan_direct
     return plans
@@ -76,43 +78,54 @@ def test_every_plan_matches_a_fresh_computation(kind, module,
         start = len(plans)
         trng.random_bytes(4096)
         assert len(plans) > start
-        for _, _, _, p, fresh, _ in plans[start:]:
+        for _, _, _, (p, (hi, lo)), fresh, _ in plans[start:]:
             np.testing.assert_array_equal(p, fresh)
+            want_hi, want_lo = settle_thresholds(fresh)
+            np.testing.assert_array_equal(hi, want_hi)
+            np.testing.assert_array_equal(lo, want_lo)
 
 
 def test_plans_of_one_slot_share_one_read_only_vector(module,
                                                       entropy_scale):
     trng = _quac(module, entropy_scale)
     segment = trng.segments[0]
-    _, first_p, _ = trng.executor.plan_direct(segment, trng.data_pattern)
-    _, second_p, _ = trng.executor.plan_direct(segment, trng.data_pattern)
-    assert second_p is first_p
-    assert first_p.flags.writeable is False
-    with pytest.raises(ValueError):
-        first_p[0] = 0.5
+    _, first_p, first_t, _ = trng.executor.plan_direct(segment,
+                                                       trng.data_pattern)
+    _, second_p, second_t, _ = trng.executor.plan_direct(segment,
+                                                         trng.data_pattern)
+    assert second_p is first_p and second_t is first_t
+    for array in (first_p, *first_t):
+        assert array.flags.writeable is False
+        with pytest.raises(ValueError):
+            array[0] = 1
     tasks = trng.plan_batch(2)
-    assert tasks[0].probabilities is first_p
+    assert tasks[0].thresholds is first_t
 
 
 def test_an_operating_point_change_rebuilds_the_plan(module,
                                                      entropy_scale):
     trng = _quac(module, entropy_scale)
     segment = trng.segments[0]
-    _, cold, _ = trng.executor.plan_direct(segment, trng.data_pattern)
+    _, cold, cold_t, _ = trng.executor.plan_direct(segment,
+                                                   trng.data_pattern)
     module.temperature_c = 85.0
-    _, hot, _ = trng.executor.plan_direct(segment, trng.data_pattern)
-    assert hot is not cold
+    _, hot, hot_t, _ = trng.executor.plan_direct(segment, trng.data_pattern)
+    assert hot is not cold and hot_t is not cold_t
     assert not np.array_equal(hot, cold)
+    assert not np.array_equal(hot_t.hi, cold_t.hi)
     module.temperature_c = 50.0
-    _, back, _ = trng.executor.plan_direct(segment, trng.data_pattern)
+    _, back, back_t, _ = trng.executor.plan_direct(segment,
+                                                   trng.data_pattern)
     np.testing.assert_array_equal(back, cold)
+    np.testing.assert_array_equal(back_t.lo, cold_t.lo)
 
 
 def test_the_table1_probabilities_are_the_callers_own(module,
                                                       entropy_scale):
     trng = _quac(module, entropy_scale)
     segment = trng.segments[0]
-    _, planned, _ = trng.executor.plan_direct(segment, trng.data_pattern)
+    _, planned, _, _ = trng.executor.plan_direct(segment,
+                                                 trng.data_pattern)
     owned = trng.executor.probabilities(segment, trng.data_pattern)
     assert owned is not planned
     assert owned.flags.writeable

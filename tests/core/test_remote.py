@@ -46,6 +46,7 @@ from repro.core.remote import (LocalCluster, RemoteBackend, shard_map,
                                wire, worker)
 from repro.core.remote.worker import run_round_shard
 from repro.core.trng import QuacTrng
+from repro.dram.sense_amplifier import SettleThresholds, settle_thresholds
 from repro.dram.module_factory import build_module, spec_by_name
 from repro.errors import ConfigurationError, RemoteExecutionError
 from repro.rng import STREAM_EPOCH, derive_key
@@ -62,7 +63,7 @@ def _task(index, iterations=2, bits=256, fail=False, **fields):
     width = bits + 1 if fail else bits
     return BankTask(**{
         "thermal_key": derive_key(2021, "remote-test", index),
-        "probabilities": np.linspace(0.1, 0.9, width),
+        "thresholds": settle_thresholds(np.linspace(0.1, 0.9, width)),
         "iterations": iterations,
         "block_slices": ((0, bits // 2), (bits // 2, bits)),
         "first_iteration": index, **fields})
@@ -83,7 +84,9 @@ def _expected(tasks):
 
 
 def _task_fields(task):
-    return (tuple(task.thermal_key), task.probabilities.tobytes(),
+    hi, lo = task.thresholds
+    return (tuple(task.thermal_key), np.asarray(hi, "u1").tobytes(),
+            np.asarray(lo, "<u4").tobytes(),
             task.iterations, tuple(map(tuple, task.block_slices)),
             task.collect_raw, task.first_iteration)
 
@@ -254,14 +257,15 @@ class TestRoundFrames:
             [_task_fields(t) for t in tasks]
 
     def test_oversized_shard_round_trips_in_one_frame(self, sock_pair):
-        # Hundreds of tasks, megabytes of probabilities, far past any
-        # single-task frame -- still ONE frame, intact.
+        # Hundreds of tasks, megabytes of thresholds (5 bytes per
+        # bitline), far past any single-task frame -- still ONE frame,
+        # intact.
         left, right = sock_pair
         tasks = _tasks(300, bits=2048)
         sender = _send_in_thread(left, (wire.ROUND, tasks))
         payload = wire.recv_raw_frame(right)
         sender.join()
-        assert len(payload) > 300 * 2048 * 8
+        assert len(payload) > 300 * 2048 * 5
         kind, shipped = wire.decode(payload)
         assert kind == wire.ROUND
         assert [_task_fields(t) for t in shipped] == \
@@ -367,9 +371,10 @@ _u32 = st.integers(0, 2 ** 32 - 1)
 @st.composite
 def _bank_tasks(draw):
     bits = draw(st.integers(0, 48))
-    probabilities = np.array(
-        draw(st.lists(st.floats(0.0, 1.0), min_size=bits, max_size=bits)),
-        dtype=np.float64)
+    hi = np.array(draw(st.lists(st.integers(0, 255), min_size=bits,
+                                max_size=bits)), dtype=np.uint8)
+    lo = np.array(draw(st.lists(st.integers(0, 2 ** 24), min_size=bits,
+                                max_size=bits)), dtype=np.uint32)
     slices = []
     if bits:
         for _ in range(draw(st.integers(0, 4))):
@@ -377,7 +382,7 @@ def _bank_tasks(draw):
             slices.append((start, draw(st.integers(start + 1, bits))))
     return BankTask(
         thermal_key=tuple(draw(st.lists(_u32, max_size=9))),
-        probabilities=probabilities,
+        thresholds=SettleThresholds(hi, lo),
         iterations=draw(_u32),
         block_slices=tuple(slices),
         collect_raw=draw(st.booleans()),
@@ -497,14 +502,58 @@ class TestDecoderFuzz:
         with pytest.raises(RemoteExecutionError, match="block slices"):
             wire.decode(payload)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.5])
-    def test_bad_probabilities_raise(self, bad):
-        probabilities = np.full(16, 0.5)
-        probabilities[7] = bad
-        payload = wire.encode(wire.ROUND, [_task(
-            0, bits=16, probabilities=probabilities)])
-        with pytest.raises(RemoteExecutionError, match="probabilities"):
-            wire.decode(payload)
+    @pytest.mark.parametrize("lo", [2 ** 24 + 1, 2 ** 32 - 1])
+    def test_bad_lo_raises(self, lo):
+        # A refinement threshold above 2**24 means no probability; the
+        # encoder never writes one, so the frame is patched.
+        payload = wire.encode(wire.ROUND, [_task(0, bits=16)])
+        lo_at = (wire.MESSAGE_HEADER.size + 4 + wire._TASK.size
+                 + 4 * 8 + 16 + 4 * 7)
+        bad = _patched(payload, lo_at, struct.pack("<I", lo))
+        with pytest.raises(RemoteExecutionError, match="2\\*\\*24"):
+            wire.decode(bad)
+        assert wire.decode(_patched(payload, lo_at,
+                                    struct.pack("<I", 2 ** 24)))
+
+    def test_decoded_thresholds_are_read_only_views(self):
+        task = _task(0, bits=64)
+        _, [decoded] = wire.decode(wire.encode(wire.ROUND, [task]))
+        for shipped, planned in zip(decoded.thresholds, task.thresholds):
+            assert not shipped.flags.writeable
+            assert not shipped.flags.owndata
+            assert shipped.dtype == planned.dtype
+            np.testing.assert_array_equal(shipped, planned)
+
+    @pytest.mark.parametrize("hi,lo", [
+        (np.zeros(16, np.uint8), np.zeros(15, np.uint32)),
+        (np.zeros(15, np.uint8), np.zeros(16, np.uint32)),
+        (np.zeros((2, 8), np.uint8), np.zeros((2, 8), np.uint32)),
+        (np.full(16, 256), np.zeros(16, np.uint32)),
+        (np.zeros(16, np.uint8), np.full(16, 2 ** 24 + 1))])
+    def test_short_or_out_of_range_thresholds_do_not_encode(self, hi, lo):
+        task = _task(0, bits=16, thresholds=SettleThresholds(hi, lo))
+        with pytest.raises(ConfigurationError, match="thresholds"):
+            wire.encode(wire.ROUND, [task])
+
+    def test_short_threshold_arrays_raise(self):
+        # A frame announcing more bitlines than its arrays hold: the
+        # count is checked against the bytes present.
+        payload = wire.encode(wire.ROUND, [_task(0, bits=16,
+                                                 block_slices=())])
+        offset = wire.MESSAGE_HEADER.size + 4
+        fields = list(wire._TASK.unpack_from(payload, offset))
+        fields[1] = 17
+        with pytest.raises(RemoteExecutionError, match="truncated"):
+            wire.decode(_patched(payload, offset, wire._TASK.pack(*fields)))
+
+    def test_schema_4_round_is_refused(self):
+        # Schema 4 shipped float64 probabilities where schema 5 ships
+        # thresholds; a frame of the old layout must not be read.
+        payload = wire.encode(wire.ROUND, [_task(0)])
+        old = wire.MESSAGE_HEADER.pack(wire.MAGIC, 4, STREAM_EPOCH,
+                                       wire.ROUND)
+        with pytest.raises(RemoteExecutionError, match="schema 4"):
+            wire.decode(_patched(payload, 0, old))
 
     def test_unknown_flags_raise(self):
         payload = wire.encode(wire.ROUND, [_task(0)])
@@ -1039,18 +1088,16 @@ class TestClusterAndFailureModel:
             backend.close()
 
     def test_refused_round_leaves_workers_alive(self):
-        # A round the workers cannot accept (here: a probability
-        # outside [0, 1], which the schema refuses) is the *tasks'*
-        # failure, answered over the still-synchronized connections;
-        # the workers must stay alive.
-        probabilities = np.full(256, 0.5)
-        probabilities[3] = 2.0
+        # A round the workers cannot accept (here: a block slice past
+        # the end of its row, which the schema refuses) is the
+        # *tasks'* failure, answered over the still-synchronized
+        # connections; the workers must stay alive.
         backend = RemoteBackend(cluster=LocalCluster(2))
         try:
             with pytest.raises(RemoteExecutionError,
                                match="refused the round"):
                 backend.run_round(run_bank_task, [
-                    _task(index, probabilities=probabilities)
+                    _task(index, block_slices=((0, 257),))
                     for index in range(3)])
             assert not any(link.dead for link in backend._links)
             tasks = _tasks(1)

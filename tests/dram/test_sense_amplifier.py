@@ -5,7 +5,7 @@ import pytest
 
 from repro.dram.sense_amplifier import (bernoulli_entropy,
                                         deviation_from_cells,
-                                        empirical_entropy,
+                                        empirical_entropy, row_draws,
                                         sample_iterations, sample_settles,
                                         settle_probability,
                                         settle_thresholds)
@@ -29,10 +29,44 @@ class _ScriptedRng:
         self.bit_generator = _ScriptedBits(raw)
 
 
-def _raw_from_lanes(lanes):
-    """Pack 32-bit lanes two per raw draw, low half first."""
-    lanes = np.asarray(lanes, dtype=np.uint64)
-    return lanes[0::2] | (lanes[1::2] << np.uint64(32))
+def _row_raw(decisions, lanes, width):
+    """The raw draws of one ``width``-bit row: its decision bytes, then
+    its 32-bit refinement lanes two per draw, low half first."""
+    decision, refinement = row_draws(width)
+    head = np.zeros(8 * decision, dtype=np.uint8)
+    head[:len(decisions)] = decisions
+    tail = np.zeros(2 * refinement, dtype="<u4")
+    tail[:len(lanes)] = lanes
+    return np.concatenate([head.view("<u8"), tail.view("<u8")])
+
+
+def _lazy_reference(p, key, rows):
+    """Rows ``[0, rows)`` of a thermal stream by the lane rule, bit by
+    bit: the tie ranked ``n`` in its row reads refinement lane ``n`` if
+    the row has one, else overflow lane ``n - 2R`` from ``2**126``
+    draws past the row's first draw."""
+    t = [int(x) for x in np.ceil(np.asarray(p) * 2.0 ** 32)]
+    decision, refinement = row_draws(len(t))
+    draws = decision + refinement
+    out = np.zeros((rows, len(t)), dtype=np.uint8)
+    for k in range(rows):
+        raw = generator_from_key(key, k * draws).bit_generator \
+            .random_raw(draws).astype("<u8")
+        lanes = list(raw[decision:].view("<u4") >> 8)
+        ties = 0
+        for j, b in enumerate(raw[:decision].view(np.uint8)[:len(t)]):
+            if int(b) == min(t[j] >> 24, 255):
+                if ties == len(lanes):
+                    extra = generator_from_key(
+                        key, k * draws + 2 ** 126).bit_generator \
+                        .random_raw(len(t)).astype("<u8")
+                    lanes += list(extra.view("<u4") >> 8)
+                r = int(lanes[ties])
+                ties += 1
+            else:
+                r = 0
+            out[k, j] = (int(b) << 24 | r) < t[j]
+    return out
 
 
 class TestSettleProbability:
@@ -107,7 +141,7 @@ class TestSampling:
 
 
 class TestLaneKernel:
-    """The 32-bit lane thermal kernel behind ``sample_settles``."""
+    """The exact lazy-lane thermal kernel behind ``sample_settles``."""
 
     def test_p_zero_never_and_p_one_always(self):
         rng = np.random.Generator(np.random.PCG64(5))
@@ -118,44 +152,74 @@ class TestLaneKernel:
         assert out[:, 1::2].all()
 
     def test_extreme_lanes_at_p_zero_and_one(self):
-        # The all-zeros and all-ones lanes are the only ones that could
-        # leak at the endpoints.
+        # p = 0 is (hi, lo) = (0, 0) and p = 1 is (255, 2**24): the
+        # decision bytes 0 and 255 tie with them, and even the extreme
+        # refinement lanes resolve the ties to 0 and 1.
+        p = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
         top = 2 ** 32 - 1
-        rng = _ScriptedRng(_raw_from_lanes([0, top, 0, top]))
-        out = sample_settles(np.array([0.0, 0.0, 1.0, 1.0]), rng)
-        np.testing.assert_array_equal(out, [0, 0, 1, 1])
+        raw = _row_raw([0, 0, 255, 255, 255, 0], [0, top, 0, top], p.size)
+        out = sample_settles(p, _ScriptedRng(raw))
+        np.testing.assert_array_equal(out, [0, 0, 0, 1, 1, 1])
 
-    @pytest.mark.parametrize("k", [1, 2, 2 ** 31, 2 ** 32 - 1])
+    @pytest.mark.parametrize("k", [
+        0, 1, 2, 2 ** 24 - 1, 2 ** 24, 2 ** 24 + 1, 3 * 2 ** 24 - 1,
+        3 * 2 ** 24 + 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32])
     def test_threshold_boundaries(self, k):
-        # p = k / 2**32 exactly: lanes below k settle to one, lane k
-        # and above to zero.  Just above it, lane k joins the ones.
-        exact = k / 2.0 ** 32
-        above = np.nextafter(exact, 1.0)
-        assert settle_thresholds(np.array([exact]))[0] == k
-        assert settle_thresholds(np.array([above]))[0] == k + 1
-        lanes = [k - 1, k, (k + 1) % 2 ** 32, k]
-        p = np.array([exact, exact, exact, above])
-        out = sample_settles(p, _ScriptedRng(_raw_from_lanes(lanes)))
-        want = [1, 0, int(k + 1 == 2 ** 32), 1]
-        np.testing.assert_array_equal(out, want)
+        # p = k / 2**32 exactly gives t = k.  Bytes one below and above
+        # hi settle without a lane; the two ties read r = lo - 1 and
+        # r = lo (lanes carry r in their top 24 bits; the low 8 are
+        # noise), so outcomes are exact on both sides of t.
+        hi, lo = settle_thresholds(np.array([k / 2.0 ** 32]))
+        hi, lo = int(hi[0]), int(lo[0])
+        assert hi == min(k >> 24, 255) and hi * 2 ** 24 + lo == k
+        cases = []     # (decision byte, refinement r or None)
+        if hi > 0:
+            cases.append((hi - 1, None))
+        if hi < 255:
+            cases.append((hi + 1, None))
+        for r in (lo - 1, lo):
+            if 0 <= r < 2 ** 24:
+                cases.append((hi, r))
+        lanes = [r << 8 | 0xFF for _, r in cases if r is not None]
+        p = np.full(len(cases) + len(cases) % 2, k / 2.0 ** 32)
+        decisions = [b for b, _ in cases] + [255 - hi] * (len(cases) % 2)
+        out = sample_settles(p, _ScriptedRng(
+            _row_raw(decisions, lanes, p.size)))
+        want = [int((b << 24 | (r or 0)) < k) for b, r in cases]
+        np.testing.assert_array_equal(out[:len(cases)], want)
 
     def test_thresholds_bound_the_probability_error(self):
         p = np.random.default_rng(3).random(1000)
-        t = settle_thresholds(p)
-        assert t.dtype == np.uint64
+        hi, lo = settle_thresholds(p)
+        assert hi.dtype == np.uint8 and lo.dtype == np.uint32
+        assert (lo <= 2 ** 24).all()
+        t = hi.astype(np.uint64) * 2 ** 24 + lo
         error = t / 2.0 ** 32 - p
         assert (error >= 0).all() and (error < 2.0 ** -32).all()
-        np.testing.assert_array_equal(settle_thresholds([0.0, 1.0]),
-                                      [0, 2 ** 32])
+        hi, lo = settle_thresholds([0.0, 1.0])
+        np.testing.assert_array_equal(hi, [0, 255])
+        np.testing.assert_array_equal(lo, [0, 2 ** 24])
+
+    @pytest.mark.parametrize("bad", [-0.5, 1.5, np.nan, -np.inf, np.inf])
+    def test_invalid_probabilities_are_refused(self, bad):
+        p = np.full(16, 0.5)
+        p[3] = bad
+        key = derive_key(7, "quac-thermal", STREAM_EPOCH, 0, 0, 0)
+        with pytest.raises(BitstreamError, match="probabilities"):
+            settle_thresholds(p)
+        with pytest.raises(BitstreamError, match="probabilities"):
+            sample_iterations(p, key, 0, 2)
+        with pytest.raises(BitstreamError, match="probabilities"):
+            sample_settles(p, generator_from_key(key))
 
     def test_matches_the_uint64_threshold_formula(self):
-        p = np.array([0.0, 1.0, 0.5, 1e-12, 1 - 1e-12, 0.3] * 4)
-        rng = np.random.Generator(np.random.PCG64(11))
-        raw = np.random.Generator(np.random.PCG64(11)).bit_generator \
-            .random_raw(p.size * 50 // 2)
-        lanes = raw.astype("<u8").view("<u4").reshape(50, p.size)
-        want = np.less(lanes, settle_thresholds(p)).astype(np.uint8)
-        np.testing.assert_array_equal(sample_settles(p, rng, 50), want)
+        # The lazy rule is the 32-bit comparison (b << 24 | r) < t of
+        # the composed lane, with r the row's next refinement lane.
+        p = np.array([0.0, 1.0, 0.5, 1e-12, 1 - 1e-12, 0.3,
+                      37.5 / 256, 200.25 / 256] * 4)
+        key = derive_key(9, "quac-thermal", STREAM_EPOCH, 0, 1, 2)
+        np.testing.assert_array_equal(sample_iterations(p, key, 0, 300),
+                                      _lazy_reference(p, key, 300))
 
     def test_frequency_within_six_sigma(self):
         p = np.array([0.001, 0.05, 0.25, 0.5, 0.5, 0.75, 0.95, 0.999])
@@ -165,18 +229,35 @@ class TestLaneKernel:
         sigma = np.sqrt(p * (1 - p) / rows)
         assert (np.abs(freq - p) < 6 * sigma).all()
 
+    def test_frequency_within_five_sigma_over_a_million_rows(self):
+        # Thresholds whose low 24 bits decide often (ties resolved by
+        # the refinement lanes) and the deterministic ends.
+        t = np.array([2 ** 24 + 1, 2 ** 31 - 2 ** 23, 37 * 2 ** 24 + 2 ** 22,
+                      200 * 2 ** 24 + 3 * 2 ** 22, 255 * 2 ** 24 + 2 ** 23,
+                      2 ** 32 - 2 ** 20, 0, 2 ** 32], dtype=np.float64)
+        p = t / 2.0 ** 32
+        rows = 10 ** 6
+        key = derive_key(11, "quac-thermal", STREAM_EPOCH, 0, 0, 9)
+        freq = sample_iterations(p, key, 0, rows).mean(axis=0)
+        sigma = np.sqrt(p * (1 - p) / rows)
+        assert (np.abs(freq - p) <= 5 * sigma).all()
+
     def test_lane_order_is_pinned(self):
-        # Raw draw j feeds lanes 2j (low half) and 2j + 1 (high half).
-        lanes = [0, 2 ** 32 - 1] * 4 + [2 ** 31 - 1, 2 ** 31] * 4
-        rng = _ScriptedRng(_raw_from_lanes(lanes))
-        out = sample_settles(np.full(16, 0.5), rng)
-        np.testing.assert_array_equal(out, [1, 0] * 8)
-        # And a literal 16-lane PCG64 draw, so a reordering of the
+        # Byte j of the row's draws is bitline j's decision byte, and
+        # ties read the refinement lanes in column order, low half of
+        # each draw first.  p = 128.5 / 256 is (hi, lo) = (128, 2**23).
+        width = 16
+        decisions = [0, 255] * 4 + [128] * 8
+        lanes = [(2 ** 23 - 1) << 8, 2 ** 23 << 8] * 4
+        out = sample_settles(np.full(width, 128.5 / 256), _ScriptedRng(
+            _row_raw(decisions, lanes, width)))
+        np.testing.assert_array_equal(out, [1, 0] * 4 + [1, 0] * 4)
+        # And a literal 16-bitline PCG64 draw, so a reordering of the
         # generator's output cannot go unnoticed either.
         out = sample_settles(np.full(16, 0.5),
                              generator_from_key((1, 2, 3, 4)))
         np.testing.assert_array_equal(
-            out, [int(c) for c in "1110111011001110"])
+            out, [int(c) for c in "0101000101110000"])
 
     def test_advance_to_row_k_matches_long_draw(self):
         key = derive_key(7, "quac-thermal", STREAM_EPOCH, 1, 0, 3)
@@ -190,9 +271,53 @@ class TestLaneKernel:
         np.testing.assert_array_equal(sample_iterations(p, key, 4, 6),
                                       long[4:])
 
+    @pytest.mark.parametrize("width", [16, 4096, 4092])
+    def test_splits_change_nothing(self, width):
+        # Rows split one by one, across the kernel's 64-row passes and
+        # across task boundaries are the same rows.
+        key = derive_key(5, "quac-thermal", STREAM_EPOCH, 0, 2, 1)
+        thresholds = settle_thresholds(
+            np.random.default_rng(width).random(width))
+        whole = sample_iterations(thresholds, key, 0, 200)
+        for sizes in ([1] * 200, [63, 2, 64, 71], [64, 64, 64, 8],
+                      [65, 135], [127, 1, 1, 71]):
+            parts, first = [], 0
+            for size in sizes:
+                parts.append(np.atleast_2d(
+                    sample_iterations(thresholds, key, first, size)))
+                first += size
+            np.testing.assert_array_equal(np.vstack(parts), whole)
+
+    def test_forced_overflow(self):
+        # p_j = (b_j + 0.5) / 256 for a row's own decision bytes b_j:
+        # all 4,096 bitlines of that row tie, 4,032 past its 64
+        # refinement lanes, and each tie is a fair coin (lo = 2**23).
+        width = 4096
+        decision, refinement = row_draws(width)
+        ones = total = 0
+        for seed in range(8):
+            key = derive_key(seed, "quac-thermal", STREAM_EPOCH, 0, 0, 0)
+            forced = 5 + seed
+            raw = generator_from_key(
+                key, forced * (decision + refinement)).bit_generator \
+                .random_raw(decision).astype("<u8")
+            p = (raw.view(np.uint8).astype(np.float64) + 0.5) / 256
+            whole = sample_iterations(p, key, 0, 70)
+            assert whole.shape == (70, width)
+            np.testing.assert_array_equal(
+                sample_iterations(p, key, forced), whole[forced])
+            np.testing.assert_array_equal(
+                sample_iterations(p, key, forced - 3, 4)[3], whole[forced])
+            if seed == 0:
+                np.testing.assert_array_equal(
+                    whole[:forced + 1], _lazy_reference(p, key, forced + 1))
+            ones += int(whole[forced].sum())
+            total += width
+        assert abs(ones / total - 0.5) <= 5 * np.sqrt(0.25 / total)
+
     def test_odd_row_width_is_rejected(self):
-        # An odd row would straddle raw draws, so no iteration past the
-        # first could be reached by advancing the stream.
+        # Rows stay even, as they have been since the stream was
+        # counter-addressed: every geometry's row is whole cache blocks.
         key = derive_key(7, "quac-thermal", STREAM_EPOCH, 0, 0, 0)
         with pytest.raises(ConfigurationError, match="even row width"):
             sample_iterations(np.full(5, 0.5), key, 3)

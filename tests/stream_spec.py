@@ -21,9 +21,15 @@ The stream, read from the top:
 * Read-out row ``k`` of a segment comes from the segment's thermal
   stream, a PCG64 seeded through ``SeedSequence`` with
   ``derive_key(seed, "quac-thermal", EPOCH, bank group, bank,
-  segment)``.  Epoch 2: row ``k`` is the ``W / 2`` raw draws from draw
-  ``k * W / 2``, read as ``W`` little-endian 32-bit lanes, and bitline
-  ``j`` settles to one iff lane ``j < ceil(p_j * 2**32)``.
+  segment)``.  Epoch 3: a ``W``-bit row is the ``D = B + R`` raw draws
+  from draw ``k * D``, ``B = ceil(W / 8)``, ``R = max(8, ceil(W /
+  128))``, read little-endian.  Bitline ``j`` with threshold ``t_j =
+  ceil(p_j * 2**32)`` settles to one iff ``(b << 24 | r) < t_j``, where
+  ``b`` is byte ``j`` of the first ``B`` draws and ``r`` is 0 unless
+  ``b == min(t_j >> 24, 255)`` (a tie).  The row's ``n``-th tie, in
+  column order, takes ``r`` = 32-bit lane ``n`` of the last ``R``
+  draws shifted right by 8, or past its ``2R`` lanes, lane ``n - 2R``
+  of the stream advanced to draw ``k * D + 2**126``.
 """
 
 import hashlib
@@ -33,7 +39,7 @@ import numpy as np
 from repro.rng import derive_key
 
 #: The thermal-stream epoch this specification describes.
-EPOCH = 2
+EPOCH = 3
 
 
 def lane_thresholds(p):
@@ -45,11 +51,25 @@ def lane_thresholds(p):
 def read_out(key, t, k):
     """Read-out row ``k`` of the segment keyed ``key``, as 0/1 bytes."""
     width = t.size
+    decision, refinement = -(-width // 8), max(8, -(-width // 128))
+    draws = decision + refinement
+    raw = _draws(key, k * draws, draws)
+    b = raw[:decision].view(np.uint8)[:width].astype(np.uint64)
+    lanes = raw[decision:].view("<u4") >> 8
+    ties = np.flatnonzero(b == np.minimum(t >> 24, 255))
+    if ties.size > lanes.size:
+        overflow = _draws(key, k * draws + 2 ** 126, width)
+        lanes = np.concatenate([lanes, overflow.view("<u4") >> 8])
+    r = np.zeros(width, dtype=np.uint64)
+    r[ties] = lanes[:ties.size]
+    return ((b << 24 | r) < t).astype(np.uint8)
+
+
+def _draws(key, first, count):
+    """Raw draws ``[first, first + count)`` of the stream keyed ``key``."""
     bit_generator = np.random.PCG64(np.random.SeedSequence(key))
-    bit_generator.advance(k * width // 2)
-    lanes = bit_generator.random_raw(width // 2).astype("<u8") \
-        .view("<u4").astype(np.uint64)
-    return (lanes < t).astype(np.uint8)
+    bit_generator.advance(first)
+    return bit_generator.random_raw(count).astype("<u8")
 
 
 def channel_banks(trng):

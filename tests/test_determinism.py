@@ -7,10 +7,14 @@ compare two *current* implementations against each other; these tests
 pin the stream itself, so a change that rewires both sides consistently
 (and would therefore slip past an equivalence test) still gets caught.
 
-The stream constants were recorded at ``repro.rng.STREAM_EPOCH`` 2,
-the counter-addressed PCG64 thermal streams.  If a change legitimately
-needs to alter the stream (e.g. a new thermal-stream layout), bump
-``STREAM_EPOCH``, regenerate them with::
+The stream constants were recorded at ``repro.rng.STREAM_EPOCH`` 3,
+the counter-addressed PCG64 thermal streams read as exact lazy lanes
+(one decision byte per bitline, a refinement lane per tie).
+``tests/stream_spec.py`` computes them from the substrate alone
+(``tests/test_stream_spec.py``), so the spec explains what these
+hashes pin.  If a change legitimately needs to alter the stream (e.g.
+a new thermal-stream layout), bump ``STREAM_EPOCH``, edit the spec,
+regenerate the constants with::
 
     PYTHONPATH=src python tests/test_determinism.py
 
@@ -43,9 +47,9 @@ GOLDEN_BITS = 4096
 #: First 4096 conditioned bits of an M13 QuacTrng at the suite's
 #: standard small geometry.
 QUAC_SHA256 = \
-    "4a1a82ca34a7dba0c5eaf1d64e8b9d9a09dff0ae7b45f1ef6dcfd20d3deeffb6"
+    "f7b0eac80f91d1066d7e1a6de30200a6338b5b914db75d40f14ef0566504f2ff"
 QUAC_PREFIX = \
-    "1111000010110001110111110010001011010111011010001101001010100101"
+    "0000000001101110001000111011110010111010110101110010110100010110"
 
 #: First 4096 bits of a two-channel [M13, M4] SystemTrng.  The system
 #: stream starts with unit 0 -- channel 0's iteration 0 -- and a draw
@@ -59,9 +63,9 @@ SYSTEM_SHA256 = QUAC_SHA256
 #: channel 1's) and channel 1's stream.  It opens with the surplus of
 #: unit 0, so its prefix is still channel 0's.
 SYSTEM_SECOND_DRAW_SHA256 = \
-    "a6b4e4a3fc35dce690efc61e55bffd3190f2b94f56e376396a878a7974712b9d"
+    "2bfb94a3bd2d59a7fe059b67e9854a0f42cc403637e5b0d78156b9ad87ed8bc0"
 SYSTEM_SECOND_DRAW_PREFIX = \
-    "0011101100110000111011111100110100000010010011111100110011011000"
+    "0000111010011101100001111001010101010110001100011000101000101100"
 
 #: Substrate digests of M13 and M4 (see :func:`substrate_digest`),
 #: unchanged since before the thermal streams moved to PCG64.
