@@ -11,7 +11,7 @@ one ``round_result`` frame back (:func:`run_round_shard`).  That is
 the only code a worker runs for a peer; no callable crosses the wire.
 
 Workers are deliberately *stateless*: a task carries everything it
-needs (thermal key and first iteration, settling probabilities, SHA
+needs (thermal key and first iteration, lane thresholds, SHA
 input block slices), so a worker can be killed and its tasks
 requeued onto any other worker without moving a bit of output.  Each
 connection is served by its own thread, requests within a connection

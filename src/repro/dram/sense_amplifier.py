@@ -194,38 +194,51 @@ def sample_settles(p, rng: np.random.Generator,
     decision, refinement = row_draws(width)
     draws = decision + refinement
     bit_generator = rng.bit_generator
-    bits = np.empty((iterations, width), dtype=bool)
-    # Tie flags, padded to whole decision draws (the padding stays
-    # False), so ties are found a 64-bit word at a time.
-    ties = np.zeros((min(iterations, _CHUNK_ROWS), 8 * decision), dtype=bool)
+    # Rows padded to whole decision draws, and tie flags whose padding
+    # stays False, so ties are found a 64-bit word at a time and a tie
+    # has the same flat index in both.
+    padded = 8 * decision
+    bits = np.empty((iterations, padded), dtype=bool)
+    ties = np.zeros((min(iterations, _CHUNK_ROWS), padded), dtype=bool)
     for first in range(0, iterations, _CHUNK_ROWS):
         rows = min(_CHUNK_ROWS, iterations - first)
         raw = (bit_generator.random_raw(rows * draws)
                .astype("<u8", copy=False).reshape(rows, draws))
         decisions = raw[:, :decision].view(np.uint8)[:, :width]
         out = bits[first:first + rows]
-        np.less(decisions, hi, out=out)
+        np.less(decisions, hi, out=out[:, :width])
         tie = ties[:rows]
         np.equal(decisions, hi, out=tie[:, :width])
-        words = np.flatnonzero(tie.view(np.uint64) != 0)
-        if not words.size:
-            continue
-        word, byte = np.nonzero(tie.reshape(-1, 8)[words])
-        row, column = np.divmod(words[word] * 8 + byte, 8 * decision)
-        rank = np.arange(row.size) - np.searchsorted(row, row)
+        if rows == 1:
+            # A one-row pass (a key-sized refill) is all call overhead:
+            # one ``flatnonzero`` finds its ties, already ranked.
+            flat = np.flatnonzero(tie)
+            row, column = np.zeros_like(flat), flat
+            rank = np.arange(flat.size)
+        else:
+            # A tie is found a word at a time: ``take`` and a 1-D
+            # ``flatnonzero`` cost a fraction of fancy indexing and a
+            # 2-D ``nonzero``.
+            words = np.flatnonzero(tie.view(np.uint64) != 0)
+            at = np.flatnonzero(np.take(tie.reshape(-1, 8), words, axis=0))
+            flat = words[at >> 3] * 8 + (at & 7)
+            row, column = np.divmod(flat, padded)
+            rank = np.arange(flat.size) - \
+                np.searchsorted(row, np.arange(rows))[row]
         lanes = raw[:, decision:].view("<u4")
-        fits = rank < lanes.shape[1]
-        if fits.all():
-            out[row, column] = (lanes[row, rank] >> 8) < lo[column]
-            continue
-        out[row[fits], column[fits]] = \
-            (lanes[row[fits], rank[fits]] >> 8) < lo[column[fits]]
-        for i in np.unique(row[~fits]).tolist():
-            excess = (row == i) & ~fits
-            out[i, column[excess]] = _overflow_lanes(
-                bit_generator, (rows - i) * draws,
-                int(excess.sum())) < lo[column[excess]]
-    bits = bits.view(np.uint8)
+        settled = out.reshape(-1)
+        # Only a pass with more ties than a row has lanes can overflow.
+        fits = rank < lanes.shape[1] if flat.size > lanes.shape[1] else None
+        if fits is not None and not fits.all():
+            for i in np.unique(row[~fits]).tolist():
+                excess = (row == i) & ~fits
+                settled[flat[excess]] = _overflow_lanes(
+                    bit_generator, (rows - i) * draws,
+                    int(excess.sum())) < lo[column[excess]]
+            flat, row, column, rank = (flat[fits], row[fits], column[fits],
+                                       rank[fits])
+        settled[flat] = (lanes[row, rank] >> 8) < lo[column]
+    bits = bits[:, :width].view(np.uint8)
     if iterations == 1:
         return bits[0]
     return bits
