@@ -161,9 +161,10 @@ def sample_settles(p, rng: np.random.Generator,
       ``r < lo``.  The last ``R`` draws are the row's ``2R`` refinement
       lanes (low half of each draw first), each a 32-bit lane shifted
       right by 8;
-    * ties past the ``2R``-th (about 1e-17 per 4,096-bit row) read
-      their lanes the same way from a copy of the bit generator
-      advanced ``2**126`` draws past the row's first draw.
+    * ties past the ``2R``-th (a 4,096-bit row has more than 64 with
+      probability 2.5e-20) read their lanes the same way from a copy
+      of the bit generator advanced ``2**126`` draws past the row's
+      first draw.
 
     So ``P(1)`` is exactly ``t / 2**32``
     (``(b << 24 | r) < t`` is the same comparison), and every row is a

@@ -200,7 +200,7 @@ class TestLaneKernel:
         np.testing.assert_array_equal(hi, [0, 255])
         np.testing.assert_array_equal(lo, [0, 2 ** 24])
 
-    @pytest.mark.parametrize("bad", [-0.5, 1.5, np.nan, -np.inf, np.inf])
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan, -np.inf, np.inf])
     def test_invalid_probabilities_are_refused(self, bad):
         p = np.full(16, 0.5)
         p[3] = bad
