@@ -1,10 +1,13 @@
-"""Counter-addressed thermal streams: what the stream spec leaves out.
+"""Counter-addressed thermal streams: partitions never change the bits.
 
-That any request split, on any backend, synchronous or asynchronous,
-with or without readahead, fills and cancels, serves the unit stream is
-the property of ``tests/test_stream_spec.py``, against the executable
-spec.  The tests here pin what the spec does not model, against the
-per-iteration path on the serial backend:
+Iteration ``k`` of a segment's thermal-noise stream is a pure function
+of (module seed, bank, segment, ``k``), so a single-channel generator's
+output must not depend on how its iterations are grouped into batches
+or how its bits are split into requests -- on any backend, synchronous
+or asynchronous, with or without readahead.  The reference is the
+per-iteration path on the serial backend.  ``tests/test_stream_spec.py``
+holds every generator to the executable spec; the tests here hold them
+to the per-iteration path, and pin what the spec does not model:
 
 * a health monitor counts exactly what the per-iteration path counts;
 * cancelling in-flight rounds loses no unit, and neither does a round
@@ -16,9 +19,9 @@ per-iteration path on the serial backend:
 * readahead rounds sized from a varying request sequence.
 
 A :class:`SystemTrng` stream is a sequence of *units* -- unit ``u`` is
-iteration ``u // C`` of channel ``u % C`` -- so its reference is the
+iteration ``u // C`` of channel ``u % C`` -- so it must equal the
 per-channel per-iteration rows interleaved iteration-major,
-channel-minor.
+channel-minor, for any request split, plain or monitored.
 """
 
 import numpy as np
@@ -87,6 +90,14 @@ def _counters(monitor):
             monitor.apt_failures, monitor._consecutive)
 
 
+def _cursors(generator):
+    if isinstance(generator, MonitoredTrng):
+        return generator.trng.cursors()
+    if isinstance(generator, TemperatureManagedTrng):
+        return generator.active_entry().trng.cursors()
+    return generator.cursors()
+
+
 @pytest.fixture(scope="module")
 def reference(make_generator):
     """Per kind: ``(REFERENCE_ITERATIONS, bits_per_iteration)``
@@ -112,6 +123,32 @@ def _check_monitor(generator, counters):
     checked = monitor.samples_checked // raw_bits
     assert checked >= 1
     assert _counters(monitor) == counters[checked - 1]
+
+
+@given(fractions=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=6),
+       async_harvest=st.booleans(), readahead=st.booleans(),
+       kind=st.sampled_from(KINDS))
+@settings(max_examples=12, deadline=None)
+def test_any_request_split_yields_the_same_bits(
+        backend, make_generator, reference, fractions, async_harvest,
+        readahead, kind):
+    generator = make_generator(kind, backend, async_harvest)
+    width = reference[kind][0].shape[1]
+    requests = [max(1, int(f * width)) for f in fractions]
+    generator.harvest_engine.readahead = readahead
+    try:
+        served = np.concatenate([generator.random_bits(n)
+                                 for n in requests])
+    finally:
+        generator.harvest_engine.cancel_pending()
+    want, counters = reference[kind]
+    np.testing.assert_array_equal(served, want.ravel()[:sum(requests)])
+    if not readahead:
+        # Each round claims just enough iterations for its deficit.
+        cursors = _cursors(generator)
+        assert cursors == [-(-sum(requests) // width)] * len(cursors)
+    if kind == "monitored":
+        _check_monitor(generator, counters)
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +199,21 @@ def _serve(system, requests, readahead):
         return np.concatenate([system.random_bits(n) for n in requests])
     finally:
         system.harvest_engine.cancel_pending()
+
+
+@given(fractions=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=6),
+       async_harvest=st.booleans(), readahead=st.booleans(),
+       kind=st.sampled_from(SYSTEM_KINDS))
+@settings(max_examples=12, deadline=None)
+def test_any_request_split_of_a_system_yields_the_unit_stream(
+        backend, make_system, channel_rows, fractions, async_harvest,
+        readahead, kind):
+    system = make_system(kind, backend, async_harvest)
+    width = system.bits_per_system_iteration()
+    requests = [max(1, int(f * width)) for f in fractions]
+    served = _serve(system, requests, readahead)
+    np.testing.assert_array_equal(served,
+                                  _units(channel_rows)[:sum(requests)])
 
 
 class _RecordRounds(SerialBackend):
