@@ -7,6 +7,8 @@ from repro.dram.calibration import (C_H, calibrate_offset_zeta,
                                     expected_bitline_entropy,
                                     expected_bitline_entropy_fast,
                                     expected_segment_entropy)
+from repro.dram.geometry import DramGeometry
+from repro.dram.module_factory import TABLE3_SPECS, build_module, spec_by_name
 from repro.dram.variation import VariationModel, VariationParameters
 from repro.errors import CharacterizationError
 
@@ -86,3 +88,56 @@ class TestCalibration:
         addr = small_geometry.segment_address(0, 0, segment)
         sampled = float(module_m4.segment_entropy_map(addr, "0111").sum())
         assert sampled == pytest.approx(expected, rel=0.25)
+
+
+#: Calibrated ``offset_zeta`` of every Table 3 module at
+#: ``DramGeometry.small()``, root seed 2021, as exact float hex.
+_SMALL_2021_ZETA = {
+    "M1": "0x1.30c6000000000p+5", "M2": "0x1.ada6000000000p+5",
+    "M3": "0x1.a5d8000000000p+5", "M4": "0x1.3894000000000p+5",
+    "M5": "0x1.3894000000000p+5", "M6": "0x1.a5d8000000000p+5",
+    "M7": "0x1.ada6000000000p+5", "M8": "0x1.7ed2000000000p+5",
+    "M9": "0x1.ccde000000000p+5", "M10": "0x1.a5d8000000000p+5",
+    "M11": "0x1.b574000000000p+5", "M12": "0x1.4ffe000000000p+5",
+    "M13": "0x1.118e000000000p+5", "M14": "0x1.7ed2000000000p+5",
+    "M15": "0x1.4c17000000000p+5", "M16": "0x1.28f8000000000p+5",
+    "M17": "0x1.28f8000000000p+5",
+}
+
+#: The hostbench population (64 segments, 8 cache blocks, root seed 1).
+_HOSTBENCH_ZETA = {
+    "M13": "0x1.118e000000000p+5", "M4": "0x1.4062000000000p+5",
+    "M15": "0x1.3894000000000p+5", "M1": "0x1.28f8000000000p+5",
+}
+
+#: Full scale, root seed 2021.
+_FULL_SCALE_ZETA = {
+    "M1": "0x1.30c6000000000p+5", "M13": "0x1.118e000000000p+5",
+}
+
+
+class TestCalibrationPins:
+    """A module's silicon is a pure function of its spec and seed.
+
+    These pins hold every calibrated ``offset_zeta`` to the exact float,
+    so a faster calibration must land on the same bisection midpoint,
+    not merely near it.
+    """
+
+    def test_table3_at_small_geometry(self):
+        geometry = DramGeometry.small()
+        got = {spec.name: build_module(spec, geometry, 2021)
+               .variation.params.offset_zeta.hex() for spec in TABLE3_SPECS}
+        assert got == _SMALL_2021_ZETA
+
+    def test_hostbench_population(self):
+        geometry = DramGeometry.small(segments_per_bank=64,
+                                      cache_blocks_per_row=8)
+        got = {name: build_module(spec_by_name(name), geometry, 1)
+               .variation.params.offset_zeta.hex() for name in _HOSTBENCH_ZETA}
+        assert got == _HOSTBENCH_ZETA
+
+    def test_full_scale(self):
+        got = {name: build_module(spec_by_name(name))
+               .variation.params.offset_zeta.hex() for name in _FULL_SCALE_ZETA}
+        assert got == _FULL_SCALE_ZETA
