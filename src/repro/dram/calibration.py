@@ -18,6 +18,12 @@ with ``o ~ N(0, zeta^2)``, so its expected entropy is
     h(zeta, s) = Integral H(Phi(z)) * N(z; s, zeta^2) dz
 
 evaluated on a fixed grid (H(Phi(z)) is negligible for |z| > 8).
+
+Only ``zeta`` depends on the candidate spread.  A segment's fixed terms
+-- its spatial factor times the cache-block profile and roughness
+(``scale``, so ``zeta = offset_zeta / scale`` per cache block) and its
+pattern ``shift`` from the row charge weights -- are drawn once per
+calibration, and each bisection step re-evaluates only the integral.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ def expected_bitline_entropy(zeta: np.ndarray, shift: float = 0.0) -> np.ndarray
     Parameters
     ----------
     zeta:
-        SA-offset standard deviation(s) in z-units; any shape.
+        SA-offset standard deviation(s) in z-units; a scalar or 1-D.
     shift:
         Deterministic pattern-induced deviation in z-units.
 
@@ -56,16 +62,19 @@ def expected_bitline_entropy(zeta: np.ndarray, shift: float = 0.0) -> np.ndarray
     -----
     Computed by integrating the entropy of ``Phi(z)`` against the offset
     density ``N(z; shift, zeta^2)`` on a fixed grid.  Accurate to ~1e-4
-    bits for ``zeta >= 0.5``.
+    bits for ``zeta >= 0.5``.  The density is built in place in one
+    ``(zeta.size, grid)`` buffer.
     """
     zeta = np.atleast_1d(np.asarray(zeta, dtype=np.float64))
     if np.any(zeta <= 0):
         raise CharacterizationError("zeta must be positive")
-    z = _GRID[None, :]
-    pdf = np.exp(-0.5 * ((z - shift) / zeta[:, None]) ** 2)
+    pdf = (_GRID - shift) / zeta[:, None]
+    np.square(pdf, out=pdf)
+    pdf *= -0.5
+    np.exp(pdf, out=pdf)
     pdf /= zeta[:, None] * np.sqrt(2 * np.pi)
-    out = (pdf * _GRID_H[None, :]).sum(axis=1) * _GRID_DZ
-    return out if out.size > 1 else out
+    pdf *= _GRID_H
+    return pdf.sum(axis=1) * _GRID_DZ
 
 
 def expected_bitline_entropy_fast(zeta: np.ndarray,
@@ -97,6 +106,29 @@ def _pattern_imbalance(weights: np.ndarray, pattern: str) -> float:
     return float((weights * (values - 0.5)).sum())
 
 
+def _segment_terms(model: VariationModel, bank_group: int, bank: int,
+                   segment: int, pattern: str, first_position: int,
+                   profile_value: float) -> Tuple[np.ndarray, float]:
+    """A segment's fixed terms: per-cache-block ``scale`` and ``shift``.
+
+    Neither depends on ``offset_zeta``: a candidate spread ``zeta``
+    gives the cache blocks the spreads ``zeta / scale``.
+    """
+    col = model.column_entropy_profile() * model.column_roughness_field(
+        bank_group, bank, segment)
+    weights = model.row_charge_weights(bank_group, bank, segment,
+                                       first_position)
+    shift = (_pattern_imbalance(weights, pattern) * model.params.drive_z +
+             model.params.polarity_bias_z)
+    return profile_value * col, shift
+
+
+def _segment_bits(zeta_blocks: np.ndarray, shift: float) -> float:
+    """Expected segment entropy (bits) from its per-cache-block spreads."""
+    h = expected_bitline_entropy(zeta_blocks, shift)
+    return float((h * CACHE_BLOCK_BITS).sum())
+
+
 def expected_segment_entropy(model: VariationModel, geometry: DramGeometry,
                              bank_group: int, bank: int, segment: int,
                              offset_zeta: float, pattern: str,
@@ -110,15 +142,9 @@ def expected_segment_entropy(model: VariationModel, geometry: DramGeometry,
     """
     if profile_value is None:
         profile_value = model.segment_entropy_factor(bank_group, bank, segment)
-    col = model.column_entropy_profile() * model.column_roughness_field(
-        bank_group, bank, segment)
-    weights = model.row_charge_weights(bank_group, bank, segment,
-                                       first_position)
-    shift = (_pattern_imbalance(weights, pattern) * model.params.drive_z +
-             model.params.polarity_bias_z)
-    zeta_blocks = offset_zeta / (profile_value * col)
-    h = expected_bitline_entropy(zeta_blocks, shift)
-    return float((h * CACHE_BLOCK_BITS).sum())
+    scale, shift = _segment_terms(model, bank_group, bank, segment, pattern,
+                                  first_position, profile_value)
+    return _segment_bits(offset_zeta / scale, shift)
 
 
 def calibrate_offset_zeta(geometry: DramGeometry, seed: int,
@@ -133,6 +159,9 @@ def calibrate_offset_zeta(geometry: DramGeometry, seed: int,
 
     Returns the updated parameter set and the achieved expected average.
     Bisection over ``offset_zeta``; the expectation is monotone in it.
+    Each sampled segment's variation fields (spatial factor, column
+    roughness, row weights) are drawn once, before the bisection, so a
+    step re-evaluates only the entropy integral.
 
     Raises
     ------
@@ -147,12 +176,13 @@ def calibrate_offset_zeta(geometry: DramGeometry, seed: int,
                                    dtype=np.int64))
     profile = model.segment_entropy_profile(bank_group, bank)
 
+    terms = [_segment_terms(model, bank_group, bank, int(seg), pattern, 0,
+                            float(profile[seg])) for seg in sample]
+
     def average_for(candidate_zeta: float) -> float:
         total = 0.0
-        for seg in sample:
-            total += expected_segment_entropy(
-                model, geometry, bank_group, bank, int(seg), candidate_zeta,
-                pattern, profile_value=float(profile[seg]))
+        for scale, shift in terms:
+            total += _segment_bits(candidate_zeta / scale, shift)
         return total / sample.size
 
     lo, hi = 2.0, 2000.0

@@ -108,6 +108,8 @@ def build_module(spec: ModuleSpec, geometry: Optional[DramGeometry] = None,
     spec always produces the same "silicon".  The variation model's
     ``offset_zeta`` is calibrated so the expected average segment entropy
     (pattern "0111") matches the spec, scaled to the geometry's row width.
+    The calibration draws each sampled segment's variation fields once;
+    each bisection step then re-evaluates only the entropy integral.
     """
     geometry = geometry or DramGeometry.full_scale()
     seed = derive_key(root_seed, "module", _module_index(spec))[0]

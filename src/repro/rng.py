@@ -54,6 +54,7 @@ True
 from __future__ import annotations
 
 import hashlib
+import struct
 from typing import Tuple
 
 import numpy as np
@@ -81,10 +82,7 @@ def derive_key(root_seed: int, domain: str, *coords: int) -> Tuple[int, ...]:
     """
     text = f"{root_seed}/{domain}/" + "/".join(str(int(c)) for c in coords)
     digest = hashlib.sha256(text.encode("ascii")).digest()
-    return tuple(
-        int.from_bytes(digest[4 * i: 4 * (i + 1)], "little")
-        for i in range(_KEY_WORDS)
-    )
+    return struct.unpack(f"<{_KEY_WORDS}I", digest)
 
 
 def generator_from_key(key: Tuple[int, ...],

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import repro.dram.calibration as calibration
+import repro.dram.variation as variation
 from repro.dram.calibration import (C_H, calibrate_offset_zeta,
                                     expected_bitline_entropy,
                                     expected_bitline_entropy_fast,
@@ -75,6 +77,37 @@ class TestCalibration:
         with pytest.raises(CharacterizationError):
             calibrate_offset_zeta(small_geometry, 7, VariationParameters(),
                                   0.0)
+
+    def test_fields_are_drawn_once_per_calibration(self, small_geometry,
+                                                   monkeypatch):
+        # The segment profile takes three draws and each sampled segment
+        # two (column roughness, row weights), however many bisection
+        # steps the target needs.
+        draws, integrals = [], []
+        generator_for = variation.generator_for
+        integral = calibration.expected_bitline_entropy
+
+        def counted_generator_for(*args):
+            draws.append(args)
+            return generator_for(*args)
+
+        def counted_integral(*args):
+            integrals.append(args)
+            return integral(*args)
+
+        monkeypatch.setattr(variation, "generator_for", counted_generator_for)
+        monkeypatch.setattr(calibration, "expected_bitline_entropy",
+                            counted_integral)
+        counts = {}
+        for target in (60.0, 200.0):
+            draws.clear()
+            integrals.clear()
+            calibrate_offset_zeta(small_geometry, 7, VariationParameters(),
+                                  target)
+            counts[target] = (len(draws), len(integrals))
+        sampled = 48
+        assert counts[60.0][0] == counts[200.0][0] == 3 + 2 * sampled
+        assert counts[60.0][1] != counts[200.0][1]
 
     def test_expected_segment_entropy_matches_sampled(self, module_m4,
                                                       small_geometry):
