@@ -20,7 +20,7 @@ import numpy as np
 from _bench_utils import run_once
 
 from repro.core.health import HealthMonitor
-from repro.core.parallel import BankResult
+from repro.core.parallel import BankResult, packed_rows
 
 #: Round shape: banks x iterations rows of ROW_BITS raw bits.
 BANKS, ITERATIONS, ROW_BITS = 4, 350, 4096
@@ -62,8 +62,8 @@ def _planted_round(monitor: HealthMonitor):
 
 def _bit_level_reference(monitor: HealthMonitor, results) -> np.ndarray:
     """The unpacked kernel: every row's bits, then row-by-row counts."""
-    bits = np.concatenate([result.raw_matrix() for result in results],
-                          axis=1).reshape(-1, ROW_BITS)
+    bits = np.unpackbits(packed_rows([result.raw for result in results],
+                                     ITERATIONS), axis=1).reshape(-1, ROW_BITS)
     chunk = monitor._RCT_CHUNK_ELEMENTS // ROW_BITS
     rct_ok = np.concatenate([
         monitor._repetition_count_ok_rows(bits[start:start + chunk])

@@ -167,7 +167,7 @@ class HealthMonitor:
                 f"raw block must be 1-D, got shape {arr.shape}")
         return bool(self.check_many(arr)[0])
 
-    def check_many(self, raw_matrix: np.ndarray) -> np.ndarray:
+    def check_many(self, rows: np.ndarray) -> np.ndarray:
         """Run both tests over every row of a raw block matrix.
 
         The batched-harvest counterpart of :meth:`check`: the matrix is
@@ -182,7 +182,7 @@ class HealthMonitor:
         Returns the per-row health verdicts as a boolean array when no
         alarm fires.
         """
-        matrix = np.atleast_2d(np.asarray(raw_matrix))
+        matrix = np.atleast_2d(np.asarray(rows))
         if matrix.ndim != 2:
             raise BitstreamError(
                 f"raw block matrix must be 2-D, got shape {matrix.shape}")

@@ -66,7 +66,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bitops import pack_bits, unpack_bits
 from repro.crypto.conditioner import Sha256Conditioner
 from repro.crypto.sha256 import Sha256
 from repro.dram.sense_amplifier import SettleThresholds, sample_iterations
@@ -110,23 +109,15 @@ class BankTask:
     thresholds: SettleThresholds
     #: Iterations to sample (rows of the read-out matrix).
     iterations: int
-    #: ``(start, stop)`` bit ranges of the bank's SHA input blocks.
+    #: ``(start, stop)`` bit ranges of the bank's SHA input blocks:
+    #: whole bytes of a whole-byte row (:func:`run_bank_task` refuses
+    #: any other task).
     block_slices: Tuple[Tuple[int, int], ...]
     #: Also return the raw read-outs (for health monitoring).
     collect_raw: bool = False
     #: Index of the segment's first iteration in this task; the worker
     #: advances the thermal stream straight to it.
     first_iteration: int = 0
-
-
-def _pack_matrix(matrix: np.ndarray) -> bytes:
-    """Pack a {0,1} matrix row-major into bytes (worker side)."""
-    return pack_bits(np.ravel(matrix))
-
-
-def _unpack_matrix(data: bytes, rows: int, columns: int) -> np.ndarray:
-    """Invert :func:`_pack_matrix` given the shipped counts."""
-    return unpack_bits(data, rows * columns).reshape(rows, columns)
 
 
 def packed_rows(blobs: Sequence[bytes], rows: int) -> np.ndarray:
@@ -150,8 +141,7 @@ class BankResult:
     Both matrices travel as row-major packed bytes plus their shapes,
     so a result travels 8x smaller than the bit matrices and the
     gather step can lay banks side by side as bytes
-    (:func:`packed_rows`).  :meth:`digest_matrix` and
-    :meth:`raw_matrix` are the unpacked views.
+    (:func:`packed_rows`).
     """
 
     #: Packed ``(iterations, digest_bits)`` conditioned bits.
@@ -166,25 +156,24 @@ class BankResult:
     #: Columns of the raw matrix (segment bits; 0 without raw).
     raw_bits: int = 0
 
-    def digest_matrix(self) -> np.ndarray:
-        """The ``(iterations, digest_bits)`` conditioned-bit matrix."""
-        return _unpack_matrix(self.digests, self.iterations,
-                              self.digest_bits)
-
-    def raw_matrix(self) -> Optional[np.ndarray]:
-        """The ``(iterations, raw_bits)`` read-out matrix, if collected."""
-        if self.raw is None:
-            return None
-        return _unpack_matrix(self.raw, self.iterations, self.raw_bits)
-
 
 def _byte_slices(block_slices: Sequence[Tuple[int, int]],
-                 width: int) -> Optional[List[Tuple[int, int]]]:
-    """The block slices as byte ranges of a packed ``width``-bit row,
-    or ``None`` unless the row and every slice bound are whole bytes."""
+                 width: int) -> List[Tuple[int, int]]:
+    """The block slices as byte ranges of a packed ``width``-bit row.
+
+    The one check of a task's shape: the row and every slice bound
+    must be whole bytes, and every slice must satisfy ``0 <= start <
+    stop <= width``.  Every task the planner makes does (rows are whole
+    cache blocks, SIBs whole bytes of them); any other task raises
+    :class:`~repro.errors.ConfigurationError`.
+    """
     if width % 8 or any(start % 8 or stop % 8
+                        or not 0 <= start < stop <= width
                         for start, stop in block_slices):
-        return None
+        raise ConfigurationError(
+            f"a bank task must be whole bytes, each block slice with "
+            f"0 <= start < stop <= its row width; got a {width}-bit row "
+            f"with block slices {tuple(block_slices)}")
     return [(start // 8, stop // 8) for start, stop in block_slices]
 
 
@@ -192,33 +181,23 @@ def run_bank_task(task: BankTask) -> BankResult:
     """Execute one bank task (module-level, so process pools can pickle
     it).
 
-    Samples iterations ``[first_iteration, first_iteration +
-    iterations)`` of the segment's thermal stream and packs the
-    read-out matrix once, row-major: that buffer is the result's
-    ``raw`` when the task collects it.  When the rows and every SHA
-    input block are whole bytes (every slice the planner makes), each
-    block is hashed straight from a byte slice of its packed row
+    Refuses a task that is not whole bytes (:func:`_byte_slices`)
+    before drawing anything.  Otherwise samples iterations
+    ``[first_iteration, first_iteration + iterations)`` of the
+    segment's thermal stream and packs the read-out matrix once,
+    row-major: that buffer is the result's ``raw`` when the task
+    collects it.  Each SHA input block is hashed straight from a byte
+    slice of its packed row
     (:meth:`~repro.crypto.conditioner.Sha256Conditioner.condition_rows`),
-    which writes the digests in the result's row-major order.  Any
-    other task is conditioned bit by bit, block column by block column
-    (:meth:`~repro.crypto.conditioner.Sha256Conditioner.condition_many`);
-    both give the same bytes.
+    which writes the digests in the result's row-major order.
     """
-    raw = np.atleast_2d(sample_iterations(
+    width = task.thresholds.hi.size
+    byte_slices = _byte_slices(task.block_slices, width)
+    packed = np.packbits(sample_iterations(
         task.thresholds, task.thermal_key, task.first_iteration,
         task.iterations))
-    width = raw.shape[1]
-    packed = np.packbits(raw)
-    conditioner = Sha256Conditioner()
-    byte_slices = _byte_slices(task.block_slices, width)
-    if byte_slices is not None:
-        digests = conditioner.condition_rows(
-            packed.reshape(task.iterations, width // 8), byte_slices)
-    else:
-        digests = _pack_matrix(np.concatenate([
-            conditioner.condition_many(raw[:, start:stop])
-                       .reshape(task.iterations, Sha256.DIGEST_BITS)
-            for start, stop in task.block_slices], axis=1))
+    digests = Sha256Conditioner().condition_rows(
+        packed.reshape(task.iterations, width // 8), byte_slices)
     return BankResult(
         digests=digests,
         raw=packed.tobytes() if task.collect_raw else None,

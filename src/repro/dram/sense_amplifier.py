@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import ndtr
 
 import repro.rng
-from repro.errors import BitstreamError, ConfigurationError
+from repro.errors import BitstreamError
 
 #: Probabilities are clipped into [EPS, 1-EPS] before taking logarithms.
 _EPS = 1e-300
@@ -273,12 +273,8 @@ def sample_iterations(p, key, first_iteration: int,
     """
     if not isinstance(p, SettleThresholds):
         p = settle_thresholds(p)
-    width = p.hi.size
-    if width % 2:
-        raise ConfigurationError(
-            f"thermal streams need an even row width, got {width} bits")
-    rng = repro.rng.generator_from_key(key,
-                                       first_iteration * sum(row_draws(width)))
+    rng = repro.rng.generator_from_key(
+        key, first_iteration * sum(row_draws(p.hi.size)))
     return sample_settles(p, rng, iterations)
 
 

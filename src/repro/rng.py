@@ -120,12 +120,3 @@ def generator_for(root_seed: int, domain: str, *coords: int) -> np.random.Genera
     """
     seq = np.random.SeedSequence(derive_key(root_seed, domain, *coords))
     return np.random.Generator(np.random.Philox(seq))
-
-
-def split_seed(root_seed: int, domain: str, count: int) -> list:
-    """Derive ``count`` child integer seeds from a root seed.
-
-    Useful when constructing a population of modules, each of which then
-    derives its own internal streams from its child seed.
-    """
-    return [derive_key(root_seed, domain, i)[0] for i in range(count)]

@@ -14,6 +14,8 @@ unchanged.  Each behaviour is checked once, by one test:
 * a failing task's exception propagates at join, sticky, from its own
   future alone (its round-mates still land), the round reports
   ``done()``, ``run_round`` raises it too, and the backend survives;
+* a task whose block slice is empty, reversed or past the end of its
+  row is refused, never served;
 * empty task lists complete immediately;
 * ``close()`` is idempotent, leaves outstanding ``PendingResult``\\ s
   joinable, and the backend transparently rebuilds on next use.
@@ -21,11 +23,13 @@ unchanged.  Each behaviour is checked once, by one test:
 Every backend runs the one task function the generators submit,
 :func:`~repro.core.parallel.run_bank_task`, over small
 :class:`~repro.core.parallel.BankTask`\\ s -- the only function a remote
-worker runs.  A task with an odd row width is the failing task:
-``run_bank_task`` rejects it with a ``ConfigurationError``, which a
-remote worker reports back as a ``RemoteExecutionError`` naming it.
+worker runs.  A task whose 257-bit row is not whole bytes is the
+failing task: ``run_bank_task`` rejects it with a
+``ConfigurationError``, which a remote worker reports back as a
+``RemoteExecutionError`` naming it.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -47,7 +51,8 @@ BACKEND_IDS = ["serial", "thread", "process", "remote", "remote-rounds"]
 
 
 def _task(index, iterations=2, bits=256, fail=False):
-    """A small bank task; ``fail`` gives it an odd row width."""
+    """A small bank task; ``fail`` gives it a row that is not whole
+    bytes."""
     width = bits + 1 if fail else bits
     return BankTask(
         thermal_key=derive_key(2021, "conformance", index),
@@ -81,7 +86,7 @@ def _failing(values):
 #: process, a ``RemoteExecutionError`` naming it from a worker.
 TASK_FAILURE = dict(expected_exception=(ConfigurationError,
                                         RemoteExecutionError),
-                    match="even row width")
+                    match="must be whole bytes")
 
 
 def _inverse_cost(n):
@@ -180,6 +185,20 @@ def test_failed_round_reports_done(backend):
             "failed round never reported done()"
         time.sleep(0.01)
     with pytest.raises(**TASK_FAILURE):
+        pending.result()
+
+
+@pytest.mark.parametrize("block_slices", [((128, 128),), ((192, 64),),
+                                          ((0, 512),)],
+                         ids=["empty", "reversed", "past_the_row"])
+def test_slice_outside_its_row_is_refused(backend, block_slices):
+    # In process, run_bank_task refuses the task; the remote wire
+    # refuses to decode it.  Either way no digest of a truncated slice
+    # is served.
+    task = dataclasses.replace(_task(0), block_slices=block_slices)
+    pending = backend.submit_round(run_bank_task, [task])
+    with pytest.raises((ConfigurationError, RemoteExecutionError),
+                       match="must be whole bytes|outside its 256-bit row"):
         pending.result()
 
 

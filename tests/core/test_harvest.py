@@ -24,7 +24,8 @@ from repro.core.health import HealthMonitor, HealthTestFailure
 from repro.core.multichannel import SystemTrng
 from repro.core.parallel import (BACKEND_ENV_VAR, ProcessPoolBackend,
                                  SerialBackend, ThreadPoolBackend,
-                                 resolve_backend, run_bank_task)
+                                 packed_rows, resolve_backend,
+                                 run_bank_task)
 from repro.core.trng import QuacTrng
 from repro.dram.module_factory import build_table3_population
 from repro.errors import InsufficientEntropyError
@@ -331,7 +332,8 @@ class TestPackedResults:
         results = [run_bank_task(t) for t in
                    trng.plan_batch(4, collect_raw=True)]
         # Reference order: iteration-major, bank-minor raw rows.
-        rows = np.stack([r.raw_matrix() for r in results], axis=1)
+        rows = np.unpackbits(packed_rows([r.raw for r in results], 4),
+                             axis=1)
         a = HealthMonitor(claimed_min_entropy=0.01)
         b = HealthMonitor(claimed_min_entropy=0.01)
         np.testing.assert_array_equal(

@@ -18,8 +18,8 @@ import pytest
 from repro.core.multichannel import SystemTrng
 from repro.core.parallel import (BACKEND_ENV_VAR, ProcessPoolBackend,
                                  SerialBackend, ThreadPoolBackend,
-                                 available_backends, resolve_backend,
-                                 run_bank_task)
+                                 available_backends, packed_rows,
+                                 resolve_backend, run_bank_task)
 from repro.core.remote import RemoteBackend, wire
 from repro.core.trng import QuacTrng
 from repro.dram.module_factory import build_table3_population
@@ -174,7 +174,8 @@ class TestTaskPlanning:
         plain = run_bank_task(trng.plan_batch(2)[0])
         assert plain.raw is None
         monitored = run_bank_task(trng.plan_batch(2, collect_raw=True)[0])
-        assert monitored.raw_matrix().shape == (2, monitored.raw_bits)
+        rows = np.unpackbits(packed_rows([monitored.raw], 2), axis=1)
+        assert rows.shape == (2, monitored.raw_bits)
 
     def test_plan_rejects_nonpositive_batch(self, module_m13,
                                             small_geometry):
@@ -196,7 +197,8 @@ def _oracle(task):
 
 
 class TestBankTaskKernel:
-    """The packed-row kernel against the plain per-block reference."""
+    """The packed-row kernel against the plain per-block reference, and
+    its one refusal: a task that is not whole bytes."""
 
     @pytest.fixture(params=[False, True], ids=["digests", "with_raw"])
     def planned(self, request, module_m13, small_geometry):
@@ -205,17 +207,25 @@ class TestBankTaskKernel:
         return trng.plan_batch(5, collect_raw=request.param)
 
     def _variants(self, task):
-        """The planned task and the shapes bytes cannot express."""
-        hi, lo = task.thresholds
-        assert hi.size == 4096
-        narrow = 4092   # even, so sampleable, but not whole bytes
+        """The planned task and other whole-byte slices of its row:
+        overlapping, the whole row, and the row's last byte."""
+        assert task.thresholds.hi.size == 4096
         return {
             "planned": task,
+            "byte_slices": dataclasses.replace(
+                task, block_slices=((8, 520), (0, 4096), (4088, 4096))),
+        }
+
+    def _refused(self, task):
+        """Shapes bytes cannot express: no planner makes them.  The
+        ragged row's slices are whole bytes; only its width is not."""
+        hi, lo = task.thresholds
+        return {
             "unaligned_slice": dataclasses.replace(
                 task, block_slices=((3, 517), (512, 1024))),
             "ragged_row": dataclasses.replace(
-                task, thresholds=SettleThresholds(hi[:narrow], lo[:narrow]),
-                block_slices=((0, 512), (narrow - 512, narrow))),
+                task, thresholds=SettleThresholds(hi[:4092], lo[:4092]),
+                block_slices=((0, 512), (512, 1024))),
         }
 
     def _check(self, task):
@@ -230,20 +240,28 @@ class TestBankTaskKernel:
         else:
             assert result.raw is None and result.raw_bits == 0
 
+    def _check_refused(self, task, monkeypatch):
+        # Refused before a draw: the sampler is never reached.
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a refused task was sampled")
+
+        monkeypatch.setattr("repro.core.parallel.sample_iterations",
+                            no_draws)
+        with pytest.raises(ConfigurationError, match="must be whole bytes"):
+            run_bank_task(task)
+
     def test_planned_slices_are_byte_aligned(self, planned):
         # The packed-row path is the one every planned task takes.
         for task in planned:
             assert all(start % 8 == 0 and stop % 8 == 0
                        for start, stop in task.block_slices)
 
-    @pytest.mark.parametrize("variant", ["planned", "unaligned_slice",
-                                         "ragged_row"])
+    @pytest.mark.parametrize("variant", ["planned", "byte_slices"])
     def test_matches_per_block_reference(self, planned, variant):
         for task in planned:
             self._check(self._variants(task)[variant])
 
-    @pytest.mark.parametrize("variant", ["planned", "unaligned_slice",
-                                         "ragged_row"])
+    @pytest.mark.parametrize("variant", ["planned", "byte_slices"])
     def test_matches_reference_after_wire_round_trip(self, planned,
                                                      variant):
         tasks = [self._variants(task)[variant] for task in planned]
@@ -251,6 +269,20 @@ class TestBankTaskKernel:
         assert kind == wire.ROUND
         for task in decoded:
             self._check(task)
+
+    @pytest.mark.parametrize("variant", ["unaligned_slice", "ragged_row"])
+    def test_refuses_non_bytes(self, planned, variant, monkeypatch):
+        self._check_refused(self._refused(planned[0])[variant],
+                            monkeypatch)
+
+    @pytest.mark.parametrize("variant", ["unaligned_slice", "ragged_row"])
+    def test_refuses_after_decode(self, planned, variant, monkeypatch):
+        # The wire ships such a task (its slices lie inside the row),
+        # so the worker's run_bank_task is what refuses it.
+        kind, (task,) = wire.decode(wire.encode(
+            wire.ROUND, [self._refused(planned[0])[variant]]))
+        assert kind == wire.ROUND
+        self._check_refused(task, monkeypatch)
 
     def test_single_iteration(self, planned):
         for variant in self._variants(planned[0]).values():

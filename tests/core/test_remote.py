@@ -40,8 +40,7 @@ from hypothesis import strategies as st
 
 from repro.core import remote as remote_package
 from repro.core.parallel import (BankResult, BankTask, SerialBackend,
-                                 _pack_matrix, _unpack_matrix,
-                                 run_bank_task)
+                                 packed_rows, run_bank_task)
 from repro.core.remote import (LocalCluster, RemoteBackend, shard_map,
                                wire, worker)
 from repro.core.remote.worker import run_round_shard
@@ -58,8 +57,9 @@ FRAME_SIZES = [0, 1, 7, 8, 9, 1024, 65535, 65536, 65537, 300_000]
 
 
 def _task(index, iterations=2, bits=256, fail=False, **fields):
-    """A small bank task; ``fail`` gives it an odd row width, which
-    ``run_bank_task`` rejects with a ``ConfigurationError``."""
+    """A small bank task; ``fail`` gives it a 257-bit row, which is not
+    whole bytes, so ``run_bank_task`` rejects it with a
+    ``ConfigurationError``."""
     width = bits + 1 if fail else bits
     return BankTask(**{
         "thermal_key": derive_key(2021, "remote-test", index),
@@ -206,8 +206,8 @@ class TestPackedPayloadRoundTrip:
         raw = rng.integers(0, 2, (iterations, raw_bits),
                            dtype=np.uint8) if raw_bits else None
         result = BankResult(
-            digests=_pack_matrix(digests),
-            raw=_pack_matrix(raw) if raw is not None else None,
+            digests=np.packbits(digests).tobytes(),
+            raw=np.packbits(raw).tobytes() if raw is not None else None,
             iterations=iterations, digest_bits=digest_bits,
             raw_bits=raw_bits)
 
@@ -215,27 +215,12 @@ class TestPackedPayloadRoundTrip:
         kind, (shipped,) = wire.recv_frame(right)
         sender.join()
         assert kind == wire.ROUND_RESULT
-        np.testing.assert_array_equal(shipped.digest_matrix(), digests)
-        if raw is None:
-            assert shipped.raw_matrix() is None
-        else:
-            np.testing.assert_array_equal(shipped.raw_matrix(), raw)
-
-    def test_pack_unpack_inverse_on_random_shapes(self):
-        rng = np.random.default_rng(13)
-        for _ in range(25):
-            rows = int(rng.integers(1, 40))
-            columns = int(rng.integers(0, 700))
-            matrix = rng.integers(0, 2, (rows, columns), dtype=np.uint8)
-            packed = _pack_matrix(matrix)
-            assert len(packed) == -(-rows * columns // 8)
-            np.testing.assert_array_equal(
-                _unpack_matrix(packed, rows, columns), matrix)
+        assert _bits([shipped]) == _bits([result])
 
     def test_packed_frame_is_an_eighth_of_unpacked(self):
         bits = np.ones((64, 4096), dtype=np.uint8)
         payload = wire.encode(wire.ROUND_RESULT, [BankResult(
-            digests=_pack_matrix(bits), raw=None, iterations=64,
+            digests=np.packbits(bits).tobytes(), raw=None, iterations=64,
             digest_bits=4096)])
         assert len(payload) * 7 < bits.nbytes
 
@@ -278,8 +263,8 @@ class TestRoundFrames:
         rng = np.random.default_rng(99)
         matrices = [rng.integers(0, 2, (4, 512), dtype=np.uint8)
                     for _ in range(6)]
-        slots = [BankResult(digests=_pack_matrix(matrix), raw=None,
-                            iterations=4, digest_bits=512)
+        slots = [BankResult(digests=np.packbits(matrix).tobytes(),
+                            raw=None, iterations=4, digest_bits=512)
                  for matrix in matrices]
         sender = _send_in_thread(left, (wire.ROUND_RESULT, slots))
         kind, shipped = wire.recv_frame(right)
@@ -287,7 +272,9 @@ class TestRoundFrames:
         assert kind == wire.ROUND_RESULT
         assert len(shipped) == len(matrices)
         for result, matrix in zip(shipped, matrices):
-            np.testing.assert_array_equal(result.digest_matrix(), matrix)
+            np.testing.assert_array_equal(
+                np.unpackbits(packed_rows([result.digests], 4), axis=1),
+                matrix)
 
     def test_fragmented_round_frame_reassembles(self, sock_pair):
         left, right = sock_pair
@@ -326,7 +313,7 @@ class TestRoundFrames:
         slots = run_round_shard(tasks)
         assert isinstance(slots[1], wire.TaskError)
         assert slots[1].type_name == "ConfigurationError"
-        assert "even row width" in slots[1].message
+        assert "must be whole bytes" in slots[1].message
         assert _bits([slots[0], slots[2]]) == \
             _expected([tasks[0], tasks[2]])
 
@@ -758,7 +745,7 @@ class TestVersionNegotiation:
             pending = backend.submit_round(run_bank_task,
                                            [_task(1, fail=True)])
             with pytest.raises(RemoteExecutionError,
-                               match="ConfigurationError.*even row"):
+                               match="ConfigurationError.*whole bytes"):
                 pending.result()
             assert not backend._links[0].dead
             tasks = _tasks(1)

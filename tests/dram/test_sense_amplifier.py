@@ -9,7 +9,7 @@ from repro.dram.sense_amplifier import (bernoulli_entropy,
                                         sample_iterations, sample_settles,
                                         settle_probability,
                                         settle_thresholds)
-from repro.errors import BitstreamError, ConfigurationError
+from repro.errors import BitstreamError
 from repro.rng import STREAM_EPOCH, derive_key, generator_from_key
 
 
@@ -271,10 +271,11 @@ class TestLaneKernel:
         np.testing.assert_array_equal(sample_iterations(p, key, 4, 6),
                                       long[4:])
 
-    @pytest.mark.parametrize("width", [16, 4096, 4092])
+    @pytest.mark.parametrize("width", [16, 4096, 4092, 4095, 17, 1])
     def test_splits_change_nothing(self, width):
         # Rows split one by one, across the kernel's 64-row passes and
-        # across task boundaries are the same rows.
+        # across task boundaries are the same rows, at any width: whole
+        # bytes or not, even or odd.
         key = derive_key(5, "quac-thermal", STREAM_EPOCH, 0, 2, 1)
         thresholds = settle_thresholds(
             np.random.default_rng(width).random(width))
@@ -314,13 +315,6 @@ class TestLaneKernel:
             ones += int(whole[forced].sum())
             total += width
         assert abs(ones / total - 0.5) <= 5 * np.sqrt(0.25 / total)
-
-    def test_odd_row_width_is_rejected(self):
-        # Rows stay even, as they have been since the stream was
-        # counter-addressed: every geometry's row is whole cache blocks.
-        key = derive_key(7, "quac-thermal", STREAM_EPOCH, 0, 0, 0)
-        with pytest.raises(ConfigurationError, match="even row width"):
-            sample_iterations(np.full(5, 0.5), key, 3)
 
 
 class TestChargeSharing:

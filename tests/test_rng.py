@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.rng import derive_key, generator_for, split_seed
+from repro.rng import derive_key, generator_for
 
 
 def test_same_key_same_stream():
@@ -42,12 +42,6 @@ def test_derive_key_no_delimiter_collision():
     # ("ab", 1) and ("a", "b1")-style collisions must not happen because
     # coordinates are joined with a delimiter.
     assert derive_key(0, "d", 12, 3) != derive_key(0, "d", 1, 23)
-
-
-def test_split_seed_distinct():
-    seeds = split_seed(42, "modules", 17)
-    assert len(seeds) == 17
-    assert len(set(seeds)) == 17
 
 
 def test_order_independence():
