@@ -32,37 +32,56 @@ Package map
 ``repro.experiments`` one driver per paper table/figure
 """
 
-from repro.core.throughput import QuacThroughputModel, TrngConfiguration
-from repro.core.trng import QuacTrng
-from repro.dram.device import (ALL_DATA_PATTERNS, BEST_DATA_PATTERN,
-                               DramModule)
-from repro.dram.geometry import DramGeometry, SegmentAddress
-from repro.dram.module_factory import (TABLE3_SPECS, build_module,
-                                       build_table3_population,
-                                       spec_by_name)
-from repro.dram.timing import speed_grade
-from repro.entropy.characterization import ModuleCharacterization
-from repro.errors import ReproError
-from repro.nist.suite import run_all_tests
+import importlib
+import sys
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "QuacTrng",
-    "QuacThroughputModel",
-    "TrngConfiguration",
-    "DramModule",
-    "DramGeometry",
-    "SegmentAddress",
-    "ALL_DATA_PATTERNS",
-    "BEST_DATA_PATTERN",
-    "TABLE3_SPECS",
-    "build_module",
-    "build_table3_population",
-    "spec_by_name",
-    "speed_grade",
-    "ModuleCharacterization",
-    "run_all_tests",
-    "ReproError",
-    "__version__",
-]
+#: Each public name and the module that defines it.  Names import on
+#: first access (PEP 562), so importing one module -- a remote worker's
+#: :mod:`repro.core.remote.worker`, say -- loads only what that module
+#: needs, not NIST, SoftMC or scipy.
+_EXPORTS = {
+    "QuacTrng": "repro.core.trng",
+    "QuacThroughputModel": "repro.core.throughput",
+    "TrngConfiguration": "repro.core.throughput",
+    "DramModule": "repro.dram.device",
+    "DramGeometry": "repro.dram.geometry",
+    "SegmentAddress": "repro.dram.geometry",
+    "ALL_DATA_PATTERNS": "repro.dram.device",
+    "BEST_DATA_PATTERN": "repro.dram.device",
+    "TABLE3_SPECS": "repro.dram.module_factory",
+    "build_module": "repro.dram.module_factory",
+    "build_table3_population": "repro.dram.module_factory",
+    "spec_by_name": "repro.dram.module_factory",
+    "speed_grade": "repro.dram.timing",
+    "ModuleCharacterization": "repro.entropy.characterization",
+    "run_all_tests": "repro.nist.suite",
+    "ReproError": "repro.errors",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def lazy_exports(package: str, exports: dict):
+    """A package's PEP 562 ``__getattr__`` and ``__dir__``.
+
+    ``exports`` maps each public name to the module defining it; a
+    name's module is imported on first access and the value cached in
+    the package, so later lookups are plain attribute reads.
+    """
+    def __getattr__(name):
+        if name not in exports:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(exports[name]), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__():
+        return sorted(set(vars(sys.modules[package])) | set(exports))
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

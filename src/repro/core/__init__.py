@@ -27,66 +27,47 @@
   (Section 9).
 """
 
-from repro.core.harvest import (AsyncHarvestEngine, ChannelSpan,
-                                HarvestPlanner, HarvestRound)
-from repro.core.parallel import (BankResult, BankTask, ExecutionBackend,
-                                 PendingResult, ProcessPoolBackend,
-                                 SerialBackend, ThreadPoolBackend,
-                                 available_backends, resolve_backend,
-                                 run_bank_task)
-from repro.core.quac import QuacExecutor
-from repro.core.throughput import (QuacThroughputModel, IterationBreakdown,
-                                   TrngConfiguration,
-                                   CHANNELS_IN_REFERENCE_SYSTEM)
-from repro.core.trng import QuacTrng
-from repro.core.overheads import OverheadModel
-from repro.core.multichannel import SystemTrng, reference_system
-from repro.core.health import (HealthMonitor, HealthTestFailure,
-                               MonitoredTrng)
-from repro.core.temperature_manager import TemperatureManagedTrng
+from repro import lazy_exports
 
-__all__ = [
-    "AsyncHarvestEngine",
-    "BankResult",
-    "BankTask",
-    "ChannelSpan",
-    "ExecutionBackend",
-    "HarvestPlanner",
-    "HarvestRound",
-    "PendingResult",
-    "SerialBackend",
-    "ThreadPoolBackend",
-    "ProcessPoolBackend",
-    "RemoteBackend",
-    "LocalCluster",
-    "available_backends",
-    "resolve_backend",
-    "run_bank_task",
-    "shard_map",
-    "QuacExecutor",
-    "QuacTrng",
-    "TrngConfiguration",
-    "QuacThroughputModel",
-    "IterationBreakdown",
-    "CHANNELS_IN_REFERENCE_SYSTEM",
-    "OverheadModel",
-    "SystemTrng",
-    "reference_system",
-    "HealthMonitor",
-    "HealthTestFailure",
-    "MonitoredTrng",
-    "TemperatureManagedTrng",
-]
+#: Each public name and the module that defines it, imported on first
+#: access (PEP 562): a remote worker imports this package on its way to
+#: :mod:`repro.core.remote.worker` and loads none of the generators, and
+#: the sharded backend's socket/subprocess machinery loads only when
+#: used, matching the by-name-only registration in
+#: :mod:`repro.core.parallel`.
+_EXPORTS = {
+    "AsyncHarvestEngine": "repro.core.harvest",
+    "BankResult": "repro.core.parallel",
+    "BankTask": "repro.core.parallel",
+    "ChannelSpan": "repro.core.harvest",
+    "ExecutionBackend": "repro.core.parallel",
+    "HarvestPlanner": "repro.core.harvest",
+    "HarvestRound": "repro.core.harvest",
+    "PendingResult": "repro.core.parallel",
+    "SerialBackend": "repro.core.parallel",
+    "ThreadPoolBackend": "repro.core.parallel",
+    "ProcessPoolBackend": "repro.core.parallel",
+    "RemoteBackend": "repro.core.remote",
+    "LocalCluster": "repro.core.remote",
+    "available_backends": "repro.core.parallel",
+    "resolve_backend": "repro.core.parallel",
+    "run_bank_task": "repro.core.parallel",
+    "shard_map": "repro.core.remote",
+    "QuacExecutor": "repro.core.quac",
+    "QuacTrng": "repro.core.trng",
+    "TrngConfiguration": "repro.core.throughput",
+    "QuacThroughputModel": "repro.core.throughput",
+    "IterationBreakdown": "repro.core.throughput",
+    "CHANNELS_IN_REFERENCE_SYSTEM": "repro.core.throughput",
+    "OverheadModel": "repro.core.overheads",
+    "SystemTrng": "repro.core.multichannel",
+    "reference_system": "repro.core.multichannel",
+    "HealthMonitor": "repro.core.health",
+    "HealthTestFailure": "repro.core.health",
+    "MonitoredTrng": "repro.core.health",
+    "TemperatureManagedTrng": "repro.core.temperature_manager",
+}
 
-#: Remote names re-exported lazily (PEP 562): the sharded backend's
-#: socket/subprocess machinery loads only when actually used, matching
-#: the by-name-only registration in :mod:`repro.core.parallel`.
-_REMOTE_EXPORTS = ("RemoteBackend", "LocalCluster", "shard_map")
+__all__ = list(_EXPORTS)
 
-
-def __getattr__(name):
-    if name in _REMOTE_EXPORTS:
-        from repro.core import remote
-        return getattr(remote, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -28,7 +28,10 @@ run_bank_task` on the fields it decodes.  :func:`decode` checks the
 header against this build (so a worker of another schema or stream
 epoch refuses a round instead of drawing a different stream from it),
 checks every count against the bytes present, and raises only
-:class:`~repro.errors.RemoteExecutionError`.
+:class:`~repro.errors.RemoteExecutionError`.  It does not judge a
+task's shape: a block slice outside its row decodes, and
+``run_bank_task`` refuses that one task on its own slot, so its
+round-mates still run.
 
 A frame is fully written with ``sendall`` and fully read before the
 next, so one connection carries an ordered request/response stream.  A
@@ -302,8 +305,8 @@ def decode(payload: bytes, epoch: int = STREAM_EPOCH) -> Tuple[int, Any]:
     Raises :class:`~repro.errors.RemoteExecutionError` -- and nothing
     else -- for a payload this build must not act on: a foreign magic,
     schema version or stream epoch (``epoch`` is the reader's), an
-    unknown kind, a count the bytes do not hold, trailing bytes, or a
-    task whose fields are out of range.
+    unknown kind, a count the bytes do not hold, trailing bytes, unknown
+    task flags, or a refinement threshold ``lo`` above ``2**24``.
     """
     reader = _Reader(payload)
     magic, schema, frame_epoch, kind = reader.unpack(MESSAGE_HEADER)
@@ -347,10 +350,6 @@ def _read_task(reader: _Reader) -> BankTask:
     if np.any(lo > 2 ** 24):
         raise RemoteExecutionError(
             "task thresholds: every lo must be at most 2**24")
-    if np.any(bounds[:, 0] >= bounds[:, 1]) or \
-            np.any(bounds[:, 1] > n_bits):
-        raise RemoteExecutionError(
-            f"task block slices fall outside its {n_bits}-bit row")
     # Views of the (immutable) payload, not copies: the conversion to
     # native byte order copies only on a big-endian host.
     lo = lo.astype(np.uint32, copy=False)

@@ -6,20 +6,21 @@ quality study additionally uses the Von Neumann corrector.  Both are
 implemented here from scratch.
 """
 
-from repro.crypto.sha256 import Sha256, sha256_digest, sha256_bits
-from repro.crypto.von_neumann import von_neumann_correct
-from repro.crypto.conditioner import (Sha256Conditioner,
-                                      SHA256_HW_LATENCY_NS,
-                                      SHA256_HW_THROUGHPUT_GBPS,
-                                      SHA256_HW_AREA_MM2)
+from repro import lazy_exports
 
-__all__ = [
-    "Sha256",
-    "sha256_digest",
-    "sha256_bits",
-    "von_neumann_correct",
-    "Sha256Conditioner",
-    "SHA256_HW_LATENCY_NS",
-    "SHA256_HW_THROUGHPUT_GBPS",
-    "SHA256_HW_AREA_MM2",
-]
+#: Each public name and the module that defines it, imported on first
+#: access (PEP 562).
+_EXPORTS = {
+    "Sha256": "repro.crypto.sha256",
+    "sha256_digest": "repro.crypto.sha256",
+    "sha256_bits": "repro.crypto.sha256",
+    "von_neumann_correct": "repro.crypto.von_neumann",
+    "Sha256Conditioner": "repro.crypto.conditioner",
+    "SHA256_HW_LATENCY_NS": "repro.crypto.conditioner",
+    "SHA256_HW_THROUGHPUT_GBPS": "repro.crypto.conditioner",
+    "SHA256_HW_AREA_MM2": "repro.crypto.conditioner",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -23,25 +23,28 @@ paper with an executable model of the physics the paper relies on:
 * :mod:`repro.dram.temperature` -- trend-1 / trend-2 temperature response.
 """
 
-from repro.dram.geometry import DramGeometry, SegmentAddress, CACHE_BLOCK_BITS
-from repro.dram.timing import TimingParameters, speed_grade, SPEED_GRADES
-from repro.dram.commands import Command, CommandKind, CommandTrace
-from repro.dram.device import DramModule, DramBankState
-from repro.dram.module_factory import build_table3_population, build_module, ModuleSpec
+from repro import lazy_exports
 
-__all__ = [
-    "DramGeometry",
-    "SegmentAddress",
-    "CACHE_BLOCK_BITS",
-    "TimingParameters",
-    "speed_grade",
-    "SPEED_GRADES",
-    "Command",
-    "CommandKind",
-    "CommandTrace",
-    "DramModule",
-    "DramBankState",
-    "build_table3_population",
-    "build_module",
-    "ModuleSpec",
-]
+#: Each public name and the module that defines it, imported on first
+#: access (PEP 562): the thermal kernel in
+#: :mod:`repro.dram.sense_amplifier` loads without the device model.
+_EXPORTS = {
+    "DramGeometry": "repro.dram.geometry",
+    "SegmentAddress": "repro.dram.geometry",
+    "CACHE_BLOCK_BITS": "repro.dram.geometry",
+    "TimingParameters": "repro.dram.timing",
+    "speed_grade": "repro.dram.timing",
+    "SPEED_GRADES": "repro.dram.timing",
+    "Command": "repro.dram.commands",
+    "CommandKind": "repro.dram.commands",
+    "CommandTrace": "repro.dram.commands",
+    "DramModule": "repro.dram.device",
+    "DramBankState": "repro.dram.device",
+    "build_table3_population": "repro.dram.module_factory",
+    "build_module": "repro.dram.module_factory",
+    "ModuleSpec": "repro.dram.module_factory",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -29,7 +29,6 @@ from copy import deepcopy
 from typing import NamedTuple, Tuple
 
 import numpy as np
-from scipy.special import ndtr
 
 import repro.rng
 from repro.errors import BitstreamError
@@ -63,6 +62,9 @@ def settle_probability(deviation_z: np.ndarray) -> np.ndarray:
     -------
     ``Phi(deviation_z)`` elementwise (standard normal CDF).
     """
+    # Imported here, its one user, so the thermal kernel a remote
+    # worker runs loads no scipy.
+    from scipy.special import ndtr
     return ndtr(np.asarray(deviation_z, dtype=np.float64))
 
 

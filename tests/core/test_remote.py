@@ -484,10 +484,16 @@ class TestDecoderFuzz:
     @pytest.mark.parametrize("block_slices", [
         ((0, 17),), ((5, 5),), ((9, 3),), ((0, 8), (8, 2 ** 32 - 1))])
     def test_block_slices_outside_probabilities_raise(self, block_slices):
-        payload = wire.encode(wire.ROUND, [_task(
-            0, bits=16, block_slices=block_slices)])
-        with pytest.raises(RemoteExecutionError, match="block slices"):
-            wire.decode(payload)
+        # The decoder hands a task with a slice outside its row through
+        # as it was sent; running it raises, on that task's slot alone.
+        task = _task(0, bits=16, block_slices=block_slices)
+        _, [decoded] = wire.decode(wire.encode(wire.ROUND, [task]))
+        assert decoded.block_slices == block_slices
+        with pytest.raises(ConfigurationError, match="whole bytes"):
+            run_bank_task(decoded)
+        [slot] = run_round_shard([decoded])
+        assert slot.type_name == "ConfigurationError"
+        assert "whole bytes" in slot.message
 
     @pytest.mark.parametrize("lo", [2 ** 24 + 1, 2 ** 32 - 1])
     def test_bad_lo_raises(self, lo):
@@ -1074,18 +1080,21 @@ class TestClusterAndFailureModel:
         finally:
             backend.close()
 
-    def test_refused_round_leaves_workers_alive(self):
-        # A round the workers cannot accept (here: a block slice past
-        # the end of its row, which the schema refuses) is the
-        # *tasks'* failure, answered over the still-synchronized
-        # connections; the workers must stay alive.
+    def test_refused_round_leaves_workers_alive(self, monkeypatch):
+        # A round the workers cannot accept (here: one stamped with
+        # another stream epoch) is the *tasks'* failure, answered over
+        # the still-synchronized connections; the workers must stay
+        # alive.
         backend = RemoteBackend(cluster=LocalCluster(2))
         try:
+            backend.run_round(run_bank_task, _tasks(1))
+            encode = wire.encode
+            monkeypatch.setattr(wire, "encode", lambda kind, body=None:
+                                encode(kind, body, epoch=STREAM_EPOCH + 1))
             with pytest.raises(RemoteExecutionError,
                                match="refused the round"):
-                backend.run_round(run_bank_task, [
-                    _task(index, block_slices=((0, 257),))
-                    for index in range(3)])
+                backend.run_round(run_bank_task, _tasks(3))
+            monkeypatch.undo()
             assert not any(link.dead for link in backend._links)
             tasks = _tasks(1)
             assert _bits(backend.run_round(run_bank_task, tasks)) == \
