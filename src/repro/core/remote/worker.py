@@ -34,15 +34,10 @@ bound, which is how the cluster learns where its subprocesses listen).
 
 A worker loads the bank-task kernel and nothing else.  The ``repro``
 packages export their names lazily (PEP 562), so this module's imports
-load 14 ``repro`` modules -- the ``repro``, ``repro.core``,
-``repro.core.remote``, ``repro.crypto`` and ``repro.dram`` packages,
-:mod:`repro.bitops`, :mod:`repro.errors`, :mod:`repro.rng`,
-:mod:`repro.core.parallel`, :mod:`~repro.core.remote.wire`, this
-module, :mod:`repro.crypto.conditioner`, :mod:`repro.crypto.sha256`
-and :mod:`repro.dram.sense_amplifier` -- and no scipy, which loads
-only in ``settle_probability``, :mod:`repro.nist` and
-:mod:`repro.dram.retention`.  ``tests/test_import_footprint.py`` holds
-it to that list.
+load only the kernel's modules (``WORKER_MODULES`` in
+``tests/test_import_footprint.py`` lists them and holds the worker to
+that list) and no scipy, which loads only in ``settle_probability``,
+:mod:`repro.nist` and :mod:`repro.dram.retention`.
 
 .. warning::
    **Trusted networks only.**  No code crosses the wire, but frames

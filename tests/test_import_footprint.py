@@ -53,8 +53,18 @@ LOADED = ("import json, sys\n"
           "                           or name.startswith(prefix + '.'))\n"
           "            for prefix in ('repro', 'scipy')}\n")
 
-SCRIPT = ("import sys\n"
-          "import repro, repro.core, repro.core.remote.worker\n"
+#: Loads every ``repro`` module and resolves every lazy export, then
+#: lists the ``scipy.stats`` modules that loaded.
+SCRIPT = ("import importlib, pkgutil, sys\n"
+          "import repro\n"
+          "from repro import *\n"
+          "for package in ('repro', 'repro.core', 'repro.dram',\n"
+          "                'repro.crypto'):\n"
+          "    module = importlib.import_module(package)\n"
+          "    for name in module.__all__:\n"
+          "        getattr(module, name)\n"
+          "for info in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+          "    importlib.import_module(info.name)\n"
           "print(sorted(name for name in sys.modules\n"
           "             if name == 'scipy.stats'\n"
           "             or name.startswith('scipy.stats.')))\n")
