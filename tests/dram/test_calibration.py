@@ -12,6 +12,7 @@ from repro.dram.calibration import (C_H, calibrate_offset_zeta,
 from repro.dram.geometry import DramGeometry
 from repro.dram.module_factory import TABLE3_SPECS, build_module, spec_by_name
 from repro.dram.variation import VariationModel, VariationParameters
+from repro.entropy.characterization import ModuleCharacterization
 from repro.errors import CharacterizationError
 
 
@@ -108,6 +109,25 @@ class TestCalibration:
         sampled = 48
         assert counts[60.0][0] == counts[200.0][0] == 3 + 2 * sampled
         assert counts[60.0][1] != counts[200.0][1]
+
+    def test_characterization_draws_each_segment_once(self, module_m4,
+                                                      monkeypatch):
+        # A characterization draws the bank's segment profile (three
+        # draws) and each segment's column roughness and row weights
+        # once, however many patterns it is asked about.
+        draws = []
+        generator_for = variation.generator_for
+
+        def counted_generator_for(*args):
+            draws.append(args)
+            return generator_for(*args)
+
+        monkeypatch.setattr(variation, "generator_for", counted_generator_for)
+        chars = ModuleCharacterization(module_m4, 1, 0)
+        for pattern in ("0111", "0100", "0000"):
+            chars.segment_entropies(pattern)
+        segments = module_m4.geometry.segments_per_bank
+        assert len(draws) == 3 + 2 * segments
 
     def test_expected_segment_entropy_matches_sampled(self, module_m4,
                                                       small_geometry):
