@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
+from repro.dram.device import parse_data_pattern
 from repro.dram.geometry import DramGeometry, ROWS_PER_SEGMENT, SegmentAddress
 from repro.dram.timing import QUAC_VIOLATION_DELAY_NS, TimingParameters
 from repro.errors import ConfigurationError
@@ -97,9 +98,7 @@ def check_rowclone_pattern(data_pattern: str) -> Tuple[str, str]:
     value (the TRNG's "0111"/"1000" and the uniform patterns); other
     patterns need the write-based initialization path.
     """
-    if len(data_pattern) != 4 or any(c not in "01" for c in data_pattern):
-        raise ConfigurationError(
-            f"data pattern must be 4 chars of 0/1, got {data_pattern!r}")
+    parse_data_pattern(data_pattern)
     if len(set(data_pattern[1:])) != 1:
         raise ConfigurationError(
             f"RowClone initialization supports patterns with uniform "

@@ -20,10 +20,10 @@ with ``o ~ N(0, zeta^2)``, so its expected entropy is
 evaluated on a fixed grid (H(Phi(z)) is negligible for |z| > 8).
 
 Only ``zeta`` depends on the candidate spread.  A segment's fixed terms
--- its spatial factor times the cache-block profile and roughness
-(``scale``, so ``zeta = offset_zeta / scale`` per cache block) and its
-pattern ``shift`` from the row charge weights -- are drawn once per
-calibration, and each bisection step re-evaluates only the integral.
+-- its cache blocks' ``VariationModel.block_scales`` (so ``zeta =
+offset_zeta / scale`` per cache block) and its ``pattern_shift`` from
+the row charge weights -- are drawn once per calibration, and each
+bisection step re-evaluates only the integral.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.dram.device import parse_data_pattern
 from repro.dram.geometry import CACHE_BLOCK_BITS, DramGeometry
 from repro.dram.sense_amplifier import bernoulli_entropy, settle_probability
 from repro.dram.variation import VariationModel, VariationParameters
@@ -100,53 +101,6 @@ def expected_bitline_entropy_fast(zeta: np.ndarray,
             (np.sqrt(2 * np.pi) * zeta))
 
 
-def _pattern_imbalance(weights: np.ndarray, pattern: str) -> float:
-    """Net charge imbalance of a uniform 4-row pattern, in half-VDD units."""
-    values = np.array([int(c) for c in pattern], dtype=np.float64)
-    return float((weights * (values - 0.5)).sum())
-
-
-def _segment_terms(model: VariationModel, bank_group: int, bank: int,
-                   segment: int, pattern: str, first_position: int,
-                   profile_value: float) -> Tuple[np.ndarray, float]:
-    """A segment's fixed terms: per-cache-block ``scale`` and ``shift``.
-
-    Neither depends on ``offset_zeta``: a candidate spread ``zeta``
-    gives the cache blocks the spreads ``zeta / scale``.
-    """
-    col = model.column_entropy_profile() * model.column_roughness_field(
-        bank_group, bank, segment)
-    weights = model.row_charge_weights(bank_group, bank, segment,
-                                       first_position)
-    shift = (_pattern_imbalance(weights, pattern) * model.params.drive_z +
-             model.params.polarity_bias_z)
-    return profile_value * col, shift
-
-
-def _segment_bits(zeta_blocks: np.ndarray, shift: float) -> float:
-    """Expected segment entropy (bits) from its per-cache-block spreads."""
-    h = expected_bitline_entropy(zeta_blocks, shift)
-    return float((h * CACHE_BLOCK_BITS).sum())
-
-
-def expected_segment_entropy(model: VariationModel, geometry: DramGeometry,
-                             bank_group: int, bank: int, segment: int,
-                             offset_zeta: float, pattern: str,
-                             first_position: int = 0,
-                             profile_value: float = None) -> float:
-    """Expected segment entropy for a candidate ``offset_zeta``.
-
-    Uses the segment's actual sampled variation fields (segment factor,
-    column profile/roughness, row weights) but integrates out the
-    per-bitline offset draw analytically.
-    """
-    if profile_value is None:
-        profile_value = model.segment_entropy_factor(bank_group, bank, segment)
-    scale, shift = _segment_terms(model, bank_group, bank, segment, pattern,
-                                  first_position, profile_value)
-    return _segment_bits(offset_zeta / scale, shift)
-
-
 def calibrate_offset_zeta(geometry: DramGeometry, seed: int,
                           params: VariationParameters,
                           target_avg_segment_entropy: float,
@@ -165,24 +119,28 @@ def calibrate_offset_zeta(geometry: DramGeometry, seed: int,
 
     Raises
     ------
+    ConfigurationError
+        If ``pattern`` is not four characters of 0/1 (before any draw).
     CharacterizationError
         If the target is unreachable within the bisection bracket.
     """
+    bits = parse_data_pattern(pattern)
     if target_avg_segment_entropy <= 0:
         raise CharacterizationError("target entropy must be positive")
     model = VariationModel(geometry, seed, params)
     n_seg = geometry.segments_per_bank
     sample = np.unique(np.linspace(0, n_seg - 1, min(n_sample_segments, n_seg),
                                    dtype=np.int64))
-    profile = model.segment_entropy_profile(bank_group, bank)
-
-    terms = [_segment_terms(model, bank_group, bank, int(seg), pattern, 0,
-                            float(profile[seg])) for seg in sample]
+    scales = model.block_scales(bank_group, bank, sample)
+    weights = np.array([model.row_charge_weights(bank_group, bank, seg, 0)
+                        for seg in sample])
+    shifts = model.pattern_shift(weights, bits)
 
     def average_for(candidate_zeta: float) -> float:
         total = 0.0
-        for scale, shift in terms:
-            total += _segment_bits(candidate_zeta / scale, shift)
+        for scale, shift in zip(scales, shifts):
+            h = expected_bitline_entropy(candidate_zeta / scale, shift)
+            total += float((h * CACHE_BLOCK_BITS).sum())
         return total / sample.size
 
     lo, hi = 2.0, 2000.0

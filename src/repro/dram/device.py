@@ -207,18 +207,23 @@ class DramModule:
         return resolve
 
 
-def cells_for_pattern(data_pattern: str, row_bits: int) -> np.ndarray:
-    """Expand a 4-character pattern string into (4, row_bits) cell values.
+def parse_data_pattern(data_pattern: str) -> np.ndarray:
+    """The four row bits of a pattern string, Row0 first (uint8).
 
     The paper's pattern notation assigns one uniform bit per row of the
     segment: pattern "0111" means Row0 all-zeros and Rows1-3 all-ones
-    (Section 6.1.3).
+    (Section 6.1.3).  Every pattern the library takes is checked here.
     """
     if len(data_pattern) != 4 or any(c not in "01" for c in data_pattern):
         raise ConfigurationError(
             f"data pattern must be 4 chars of 0/1, got {data_pattern!r}")
-    rows = [np.full(row_bits, int(c), dtype=np.uint8) for c in data_pattern]
-    return np.stack(rows)
+    return np.array([int(c) for c in data_pattern], dtype=np.uint8)
+
+
+def cells_for_pattern(data_pattern: str, row_bits: int) -> np.ndarray:
+    """Expand a 4-character pattern string into (4, row_bits) cell values."""
+    bits = parse_data_pattern(data_pattern)
+    return np.repeat(bits[:, None], row_bits, axis=1)
 
 
 #: The 16 possible segment data patterns, in Figure 8's axis order.

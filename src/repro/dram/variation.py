@@ -22,6 +22,7 @@ maximum-entropy outliers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -177,12 +178,6 @@ class VariationModel:
             profile[repaired] *= collapse
         return profile
 
-    def segment_entropy_factor(self, bank_group: int, bank: int,
-                               segment: int) -> float:
-        """Relative entropy factor of one segment (see profile docs)."""
-        self._geometry.check_segment(segment)
-        return float(self.segment_entropy_profile(bank_group, bank)[segment])
-
     # ------------------------------------------------------------------
     # Within-segment column profile (Figure 10)
     # ------------------------------------------------------------------
@@ -209,24 +204,48 @@ class VariationModel:
         n = self._geometry.cache_blocks_per_row
         return np.exp(gen.normal(0.0, self._params.column_roughness, size=n))
 
+    def block_scales(self, bank_group: int, bank: int,
+                     segments: Sequence[int]) -> np.ndarray:
+        """Entropy factor of every cache block of ``segments``.
+
+        Row ``i`` is segment ``segments[i]``'s spatial factor times the
+        cache-block profile and the segment's sweet-spot roughness.
+        Entropy factors *divide* zeta: a cache block's SA-offset spread
+        is ``offset_zeta / scale``, so a high-entropy region is one whose
+        offsets crowd the metastable zone.  Draws the bank's profile
+        once, then each segment's roughness, in the order given.
+
+        >>> from repro.dram.geometry import DramGeometry
+        >>> geometry = DramGeometry.small(segments_per_bank=16,
+        ...                               cache_blocks_per_row=4)
+        >>> model = VariationModel(geometry, seed=1)
+        >>> scales = model.block_scales(0, 0, [3, 7])
+        >>> scales.shape
+        (2, 4)
+        >>> zeta = model.effective_zeta(0, 0, 7)
+        >>> bool((zeta[::512] == model.params.offset_zeta / scales[1]).all())
+        True
+        """
+        self._geometry.check_bank(bank_group, bank)
+        segments = [int(segment) for segment in segments]
+        for segment in segments:
+            self._geometry.check_segment(segment)
+        profile = self.segment_entropy_profile(bank_group, bank)
+        rough = np.array([self.column_roughness_field(bank_group, bank, s)
+                          for s in segments])
+        return profile[segments, None] * (self.column_entropy_profile() *
+                                          rough)
+
     # ------------------------------------------------------------------
     # Bitline-level offsets
     # ------------------------------------------------------------------
 
     def effective_zeta(self, bank_group: int, bank: int,
                        segment: int) -> np.ndarray:
-        """Per-bitline SA-offset spread (z-units) for one segment.
-
-        Combines the module base ``offset_zeta`` with the segment factor,
-        the cache-block profile and the sweet-spot roughness.  Entropy
-        factors *divide* zeta: a high-entropy region is one whose offsets
-        crowd the metastable zone.
-        """
-        seg_factor = self.segment_entropy_factor(bank_group, bank, segment)
-        col = self.column_entropy_profile() * self.column_roughness_field(
-            bank_group, bank, segment)
-        per_block = self._params.offset_zeta / (seg_factor * col)
-        return np.repeat(per_block, CACHE_BLOCK_BITS)
+        """Per-bitline SA-offset spread (z-units) for one segment:
+        ``offset_zeta`` over its cache blocks' :meth:`block_scales`."""
+        scales = self.block_scales(bank_group, bank, [segment])[0]
+        return np.repeat(self._params.offset_zeta / scales, CACHE_BLOCK_BITS)
 
     def bitline_offsets_z(self, bank_group: int, bank: int,
                           segment: int) -> np.ndarray:
@@ -267,3 +286,16 @@ class VariationModel:
         weights = np.ones(4) * jitter
         weights[first_position] *= p.first_row_weight
         return weights
+
+    def pattern_shift(self, weights: np.ndarray,
+                      bits: np.ndarray) -> np.ndarray:
+        """Deterministic SA deviation (z-units) of a uniform pattern.
+
+        ``weights`` holds :meth:`row_charge_weights`, four per segment
+        along the last axis, and ``bits`` a pattern's four row bits
+        (:func:`repro.dram.device.parse_data_pattern`).  The net charge
+        imbalance, in half-VDD units, drives ``drive_z`` per unit, and
+        every amplifier adds the polarity bias.
+        """
+        imbalance = (weights * (bits - 0.5)).sum(axis=-1)
+        return imbalance * self._params.drive_z + self._params.polarity_bias_z

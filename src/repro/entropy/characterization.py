@@ -27,7 +27,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.dram.calibration import expected_bitline_entropy_fast
-from repro.dram.device import ALL_DATA_PATTERNS, DramModule
+from repro.dram.device import (ALL_DATA_PATTERNS, DramModule,
+                               parse_data_pattern)
 from repro.dram.geometry import CACHE_BLOCK_BITS
 from repro.entropy.shannon import bitline_entropy_from_bitstreams
 from repro.errors import CharacterizationError
@@ -68,30 +69,21 @@ class ModuleCharacterization:
         self.bank = bank
         self.first_position = first_position
         geometry = module.geometry
-        self._n_segments = geometry.segments_per_bank
-        self._n_blocks = geometry.cache_blocks_per_row
-
-        variation = module.variation
-        profile = variation.segment_entropy_profile(bank_group, bank)
-        column = variation.column_entropy_profile()
-        zeta = np.empty((self._n_segments, self._n_blocks))
-        weights = np.empty((self._n_segments, 4))
-        for seg in range(self._n_segments):
-            rough = variation.column_roughness_field(bank_group, bank, seg)
-            zeta[seg] = variation.params.offset_zeta / (
-                profile[seg] * column * rough)
-            weights[seg] = variation.row_charge_weights(
-                bank_group, bank, seg, first_position)
+        self._variation = variation = module.variation
+        segments = range(geometry.segments_per_bank)
+        scales = variation.block_scales(bank_group, bank, segments)
+        self._weights = np.array([
+            variation.row_charge_weights(bank_group, bank, seg,
+                                         first_position)
+            for seg in segments])
         # Temperature/ageing scale entropy by scaling the effective
         # offset spread; use the module-mean chip factor (each cache
         # block interleaves all eight chips equally).
         factor = module.thermal.entropy_factor(
             geometry.row_bits, module.temperature_c).mean()
         factor *= module.thermal.ageing_factor(module.age_days)
-        self._zeta = zeta / factor
-        self._weights = weights
-        self._drive_z = variation.params.drive_z / factor
-        self._bias_z = variation.params.polarity_bias_z / factor
+        self._factor = factor
+        self._zeta = variation.params.offset_zeta / scales / factor
         self._cache: Dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -100,13 +92,12 @@ class ModuleCharacterization:
 
     def pattern_shifts(self, pattern: str) -> np.ndarray:
         """Per-segment charge-imbalance shift (z-units) for a pattern."""
-        values = np.array([int(c) for c in self._checked(pattern)],
-                          dtype=np.float64) - 0.5
-        return (self._weights @ values) * self._drive_z + self._bias_z
+        shifts = self._variation.pattern_shift(self._weights,
+                                               parse_data_pattern(pattern))
+        return shifts / self._factor
 
     def cache_block_entropy_matrix(self, pattern: str) -> np.ndarray:
         """Expected entropy of every (segment, cache block), in bits."""
-        pattern = self._checked(pattern)
         if pattern not in self._cache:
             shifts = self.pattern_shifts(pattern)[:, None]
             h = expected_bitline_entropy_fast(self._zeta, shifts)
@@ -170,14 +161,6 @@ class ModuleCharacterization:
                                            segment)
         host = host or SoftMcHost(self.module)
         program = quac_randomness_program(
-            geometry, self.module.timing, address, self._checked(pattern))
+            geometry, self.module.timing, address, pattern)
         bitstreams = host.execute_repeated(program, iterations)
         return bitline_entropy_from_bitstreams(bitstreams)
-
-    # ------------------------------------------------------------------
-
-    def _checked(self, pattern: str) -> str:
-        if len(pattern) != 4 or any(c not in "01" for c in pattern):
-            raise CharacterizationError(
-                f"data pattern must be 4 chars of 0/1, got {pattern!r}")
-        return pattern

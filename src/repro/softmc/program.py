@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.dram.device import parse_data_pattern
 from repro.dram.geometry import CACHE_BLOCK_BITS, DramGeometry, SegmentAddress
 from repro.dram.timing import QUAC_VIOLATION_DELAY_NS, TimingParameters
 from repro.dram.wordline import quac_pair_for_segment
-from repro.errors import ConfigurationError
 from repro.softmc.instructions import SoftMcProgram
 
 
@@ -36,13 +36,11 @@ def row_initialization_program(geometry: DramGeometry,
     Uses the JEDEC-legal protocol path: per row, ACT, a burst of WRs
     covering every cache block, then PRE -- all with standard timings.
     """
-    if len(data_pattern) != 4 or any(c not in "01" for c in data_pattern):
-        raise ConfigurationError(
-            f"data pattern must be 4 chars of 0/1, got {data_pattern!r}")
+    bits = parse_data_pattern(data_pattern)
     program = SoftMcProgram(label=f"init-{data_pattern}")
-    for position, bit_char in enumerate(data_pattern):
+    for position, bit in enumerate(bits):
         row = segment.first_row() + position
-        block = np.full(CACHE_BLOCK_BITS, int(bit_char), dtype=np.uint8)
+        block = np.full(CACHE_BLOCK_BITS, bit, dtype=np.uint8)
         program.act(segment.bank_group, segment.bank, row,
                     delay_ns=timing.tRCD)
         for column in range(geometry.cache_blocks_per_row):

@@ -7,13 +7,16 @@ import repro.dram.calibration as calibration
 import repro.dram.variation as variation
 from repro.dram.calibration import (C_H, calibrate_offset_zeta,
                                     expected_bitline_entropy,
-                                    expected_bitline_entropy_fast,
-                                    expected_segment_entropy)
-from repro.dram.geometry import DramGeometry
+                                    expected_bitline_entropy_fast)
+from repro.controller.rowclone import check_rowclone_pattern
+from repro.dram.device import cells_for_pattern, parse_data_pattern
+from repro.dram.geometry import CACHE_BLOCK_BITS, DramGeometry
 from repro.dram.module_factory import TABLE3_SPECS, build_module, spec_by_name
+from repro.dram.timing import speed_grade
 from repro.dram.variation import VariationModel, VariationParameters
 from repro.entropy.characterization import ModuleCharacterization
-from repro.errors import CharacterizationError
+from repro.errors import CharacterizationError, ConfigurationError
+from repro.softmc.program import row_initialization_program
 
 
 class TestExpectedEntropy:
@@ -135,12 +138,46 @@ class TestCalibration:
         # entropy map within sampling noise.
         model = module_m4.variation
         segment = 10
-        expected = expected_segment_entropy(
-            model, small_geometry, 0, 0, segment,
-            model.params.offset_zeta, "0111")
+        scales = model.block_scales(0, 0, [segment])[0]
+        shift = model.pattern_shift(model.row_charge_weights(0, 0, segment, 0),
+                                    parse_data_pattern("0111"))
+        h = expected_bitline_entropy(model.params.offset_zeta / scales, shift)
+        expected = float((h * CACHE_BLOCK_BITS).sum())
         addr = small_geometry.segment_address(0, 0, segment)
         sampled = float(module_m4.segment_entropy_map(addr, "0111").sum())
         assert sampled == pytest.approx(expected, rel=0.25)
+
+
+#: Each entry point that takes a data pattern, as ``(fixtures, pattern)``.
+_PATTERN_ENTRY_POINTS = {
+    "calibrate_offset_zeta": lambda f, p: calibrate_offset_zeta(
+        f["geometry"], 7, VariationParameters(), 120.0, pattern=p),
+    "segment_entropies": lambda f, p: f["chars"].segment_entropies(p),
+    "cells_for_pattern": lambda f, p: cells_for_pattern(p, 16),
+    "check_rowclone_pattern": lambda f, p: check_rowclone_pattern(p),
+    "row_initialization_program": lambda f, p: row_initialization_program(
+        f["geometry"], speed_grade(2400),
+        f["geometry"].segment_address(0, 0, 1), p),
+}
+
+
+@pytest.mark.parametrize("pattern", ["01x1", "011", "01111", "0121", ""])
+@pytest.mark.parametrize("entry_point", sorted(_PATTERN_ENTRY_POINTS))
+def test_malformed_pattern_is_refused_before_any_draw(
+        entry_point, pattern, module_m4, small_geometry, monkeypatch):
+    fixtures = {"geometry": small_geometry,
+                "chars": ModuleCharacterization(module_m4)}
+    draws = []
+    generator_for = variation.generator_for
+
+    def counted_generator_for(*args):
+        draws.append(args)
+        return generator_for(*args)
+
+    monkeypatch.setattr(variation, "generator_for", counted_generator_for)
+    with pytest.raises(ConfigurationError, match="4 chars of 0/1"):
+        _PATTERN_ENTRY_POINTS[entry_point](fixtures, pattern)
+    assert draws == []
 
 
 #: Calibrated ``offset_zeta`` of every Table 3 module at

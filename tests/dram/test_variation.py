@@ -5,7 +5,7 @@ import pytest
 
 from repro.dram.geometry import DramGeometry
 from repro.dram.variation import VariationModel, VariationParameters
-from repro.errors import ConfigurationError
+from repro.errors import AddressError, ConfigurationError
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +95,13 @@ class TestOffsets:
         normalized = (offsets - bias) / zeta
         assert abs(normalized.mean()) < 0.1
         assert abs(normalized.std() - 1.0) < 0.1
+
+    @pytest.mark.parametrize("coords", [(4, 0, [1]), (0, 4, [1]),
+                                        (0, 0, [1, 64]), (0, 0, [-1])])
+    def test_block_scales_refuse_addresses_outside_the_bank(self, model,
+                                                            coords):
+        with pytest.raises(AddressError):
+            model.block_scales(*coords)
 
     def test_polarity_bias_shifts_mean(self, small_geometry):
         biased = VariationModel(small_geometry, 3, VariationParameters(

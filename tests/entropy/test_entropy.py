@@ -10,7 +10,7 @@ from repro.entropy.characterization import ModuleCharacterization
 from repro.entropy.shannon import (bitline_entropy_from_bitstreams,
                                    cache_block_entropies, segment_entropy)
 from repro.errors import (BitstreamError, CharacterizationError,
-                          InsufficientEntropyError)
+                          ConfigurationError, InsufficientEntropyError)
 
 
 class TestShannonAggregation:
@@ -93,7 +93,7 @@ class TestModuleCharacterization:
         assert not np.allclose(base, hot)
 
     def test_invalid_pattern_rejected(self, chars):
-        with pytest.raises(CharacterizationError):
+        with pytest.raises(ConfigurationError):
             chars.segment_entropies("012")
 
     def test_measure_requires_iterations(self, chars):
