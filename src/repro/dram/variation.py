@@ -242,8 +242,11 @@ class VariationModel:
 
     def effective_zeta(self, bank_group: int, bank: int,
                        segment: int) -> np.ndarray:
-        """Per-bitline SA-offset spread (z-units) for one segment:
-        ``offset_zeta`` over its cache blocks' :meth:`block_scales`."""
+        """Per-bitline SA-offset spread (z-units) for one segment.
+
+        Each bitline gets ``offset_zeta`` over its cache block's
+        :meth:`block_scales` entry.
+        """
         scales = self.block_scales(bank_group, bank, [segment])[0]
         return np.repeat(self._params.offset_zeta / scales, CACHE_BLOCK_BITS)
 
