@@ -14,9 +14,10 @@ core generator:
 4. a monitored multi-channel system harvesting all channels in parallel
    on a thread-pool backend, surviving one channel going dead without
    losing the healthy channels' pooled bits;
-5. the asynchronous harvest engine streaming chunks with readahead -- refill rounds in flight while the consumer works,
-   bit-identical to the synchronous stream (the README's "Async
-   harvest" snippet, runnable).
+5. the asynchronous harvest engine streaming chunks -- the next
+   refill round in flight while the consumer works, bit-identical to
+   the synchronous stream (the README's "Async harvest" snippet,
+   runnable).
 
 Run:  python examples/production_hardening.py
 """
@@ -107,14 +108,13 @@ def main() -> None:
             print(f"healthy channel's bits kept pooled: "
                   f"{system.pooled_bits} bits still serveable")
 
-    # --- 5. async harvest with readahead (the README snippet) ---------
+    # --- 5. async harvest, one round ahead (the README snippet) -------
     modules = build_table3_population(geometry, names=["M13", "M4"])
     with ThreadPoolBackend(4) as backend:
         sync_system = SystemTrng(modules, entropy_per_block=entropy_budget,
                                  backend=backend)
         system = SystemTrng(modules, entropy_per_block=entropy_budget,
                             backend=backend, async_harvest=True)
-        system.harvest_engine.readahead = True   # prefetch between draws
         matched = 0
         reference = sync_system.iter_bytes(4096)
         for i, chunk in enumerate(system.iter_bytes(4096)):
@@ -128,7 +128,7 @@ def main() -> None:
         print(f"streamed 8 x 4096-byte chunks, {matched}/8 identical to "
               f"the synchronous stream; {engine.rounds_planned} rounds "
               f"planned, {engine.pending_rounds} still in flight")
-        engine.cancel_pending()   # hand the last readahead guess back
+        engine.cancel_pending()   # hand the last round ahead back
 
 
 if __name__ == "__main__":

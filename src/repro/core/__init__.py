@@ -18,9 +18,10 @@
   every generator runs: a :class:`HarvestPlanner` base class (round
   planning and gathering over a generator's channels, pool, engine,
   ``random_bits`` / ``random_bytes`` / ``iter_bytes``) and the engine
-  that gathers rounds straight into the one serving pool, with one
-  round in flight by default and two under ``async_harvest`` -- the
-  same bits either way;
+  that gathers rounds straight into the one serving pool, with at
+  most one round in flight: none between draws by default, the next
+  request's opening round under ``async_harvest`` -- the same bits
+  either way;
 * :mod:`repro.core.throughput` -- iteration latency and throughput from
   tightly-scheduled command sequences (Sections 7.2 / 7.4 / Figure 13);
 * :mod:`repro.core.overheads` -- memory / storage / area accounting

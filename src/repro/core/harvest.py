@@ -16,13 +16,13 @@ one :class:`AsyncHarvestEngine` tops up the serving pool:
   each task claims the next iterations of its segment's thermal-stream
   cursor in plan order -- so nothing about *when* a round executes can
   change *what* it produces.
-* **Execution may be in flight.**  Planned rounds are submitted through
-  :meth:`~repro.core.parallel.ExecutionBackend.submit_round` and
-  gathered, oldest first, when their results land.
-  ``max_in_flight=1`` (a generator's default) is the synchronous loop:
-  plan, execute, gather.  ``async_harvest=True`` allows two rounds, so
-  the backend's workers fill the next round while the consumer drains
-  the previous one.
+* **At most one round is in flight.**  A planned round is submitted
+  through :meth:`~repro.core.parallel.ExecutionBackend.submit_round`
+  and gathered when its results land.  By default each fill is the
+  synchronous loop: plan, execute, gather.  ``async_harvest=True``
+  adds one step: after each fill the engine commits the next
+  request's opening round, so the backend's workers execute it while
+  the consumer works.
 * **One pool.**  A landed round's rows are appended straight to the
   generator's serving :class:`~repro.bitops.BitBuffer`, behind
   whatever it still holds; there is no other buffer.
@@ -38,23 +38,22 @@ every channel runs every iteration.  Each round claims the next units
 of a segment is a pure function of (module seed, segment, ``k``), so
 the stream is a pure function of (seeds, unit): round sizes decide
 only *when* a unit is generated, never *what* it is or where it lands.
-Request splits, ``max_in_flight`` and :attr:`AsyncHarvestEngine.
-readahead` (which commits the next round before the next request
-arrives, sized as if the previous request repeats) therefore never
-change a bit, on any backend at any worker count.
-:meth:`AsyncHarvestEngine.cancel_pending` hands a discarded round's
-units back to the channels' cursors, so the next round claims them
-again.  A round whose join raises (say, every remote worker lost) is
-handed back the same way, with every later round still in flight, and
-the exception propagates; the next fill claims those units again.
+Request splits and ``async_harvest`` (which commits the next round
+before the next request arrives, sized as if the previous request
+repeats) therefore never change a bit, on any backend at any worker
+count.  :meth:`AsyncHarvestEngine.cancel_pending` hands a discarded
+round's units back to the channels' cursors, so the next round claims
+them again.  A round whose join raises (say, every remote worker lost)
+is handed back the same way and the exception propagates; the next
+fill claims those units again.
 Only a health alarm (below) drops units, and the stream skips them
 rather than replaying them.
 ``tests/core/test_stream_partition.py`` and the golden streams of
 ``tests/test_determinism.py`` pin this.
 
-Each round's deficit is the requested bits minus what is already
-committed: the pool plus the in-flight rounds' exact yields, known at
-plan time because a round's yield is exact arithmetic.
+Each round's deficit is the requested bits minus what the pool
+already holds; a round's yield is exact arithmetic, known at plan
+time.
 
 Health monitoring
 -----------------
@@ -64,10 +63,8 @@ in-flight round *lands*.  A channel whose monitor alarms contributes
 no rows for that round; every other channel's rows are appended to
 the pool in unit order **before** the round's first
 :class:`~repro.core.health.HealthTestFailure` re-raises, so an alarm
-never destroys bits that healthy channels already earned.  Rounds
-still in flight when the alarm propagates stay queued and are gathered
-by the next fill (or handed back by :meth:`
-AsyncHarvestEngine.cancel_pending`).
+never destroys bits that healthy channels already earned.  Nothing is
+in flight when the alarm propagates; the next fill plans afresh.
 
 Example
 -------
@@ -80,7 +77,7 @@ Example
 >>> module = build_module(spec_by_name("M13"), geometry)
 >>> trng = QuacTrng(module, async_harvest=True,
 ...                 entropy_per_block=256.0 * geometry.row_bits / 65536)
->>> bits = trng.random_bits(4096)          # rounds overlap on the backend
+>>> bits = trng.random_bits(4096)          # and commits the next round
 >>> int(bits.size)
 4096
 """
@@ -88,9 +85,8 @@ Example
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -138,8 +134,7 @@ class HarvestRound:
 
     A round is *fully determined at plan time*: executing its tasks on
     any backend, in any order, produces the same results, and its yield
-    (``yield_bits``) is exact arithmetic -- which is what lets the
-    engine plan further rounds before this one lands.
+    (``yield_bits``) is exact arithmetic.
     """
 
     #: Per-bank tasks, channel-major (see ``spans``).
@@ -169,12 +164,13 @@ class HarvestPlanner:
     def __init__(self, backend: ExecutionBackend,
                  async_harvest: bool = False) -> None:
         self.backend = backend
-        #: Keep two rounds in flight instead of one (same bits).
+        #: Commit the next request's opening round after each fill, so
+        #: it executes while the consumer works (same bits).
         self.async_harvest = async_harvest
         self._pool = BitBuffer()
         #: The engine that fills the serving pool; exposed for
-        #: introspection (``pending_rounds``, ``in_flight_bits``),
-        #: readahead control and teardown (``cancel_pending``).
+        #: introspection (``pending_rounds``, ``in_flight_bits``) and
+        #: teardown (``cancel_pending``).
         self.harvest_engine = AsyncHarvestEngine(self)
 
     def plan_round(self, deficit_bits: int) -> HarvestRound:
@@ -324,7 +320,7 @@ class HarvestPlanner:
 
 
 class AsyncHarvestEngine:
-    """Overlap round planning/gathering with execution on a backend.
+    """Fill the serving pool from rounds on a backend, one at a time.
 
     Parameters
     ----------
@@ -337,32 +333,24 @@ class AsyncHarvestEngine:
         worker host mid-flight is requeued inside the backend -- the
         engine just sees the round land later, with identical bits.
 
-    Attributes
-    ----------
-    max_in_flight:
-        Outstanding-round bound, from the planner's ``async_harvest``:
-        1 is the synchronous loop (plan, execute, gather), 2 lets one
-        round execute while the consumer drains the pool the previous
-        one filled.
-    readahead:
-        Off by default.  Commit the next draw's first rounds
-        speculatively after each fill, sized as if the previous
-        request repeats.  A wrong guess changes round sizes, never
-        bits.
+    The engine holds **at most one round in flight**, and the
+    planner's ``async_harvest`` is its one switch.  Off, :meth:`fill`
+    is the synchronous loop (plan, execute, gather) and leaves nothing
+    in flight.  On, each fill then commits the next request's opening
+    round, sized as if the request repeats, so it executes while the
+    consumer works; the next fill gathers it first.  A wrong guess
+    changes round sizes, never bits.
 
     Determinism
     -----------
-    ``fill`` produces the same pool contents for any ``max_in_flight``,
-    any readahead and any request sequence; they only change *when*
-    work happens.
+    ``fill`` produces the same pool contents in either mode and for
+    any request sequence; the switch only changes *when* work happens.
     """
 
     def __init__(self, planner: HarvestPlanner) -> None:
         self.planner = planner
         self.backend = planner.backend
-        self.max_in_flight = 2 if planner.async_harvest else 1
-        self.readahead = False
-        self._in_flight: Deque[HarvestRound] = deque()
+        self._round: Optional[HarvestRound] = None
         #: Lifetime statistics (rounds planned / gathered / discarded).
         self.rounds_planned = 0
         self.rounds_gathered = 0
@@ -374,17 +362,17 @@ class AsyncHarvestEngine:
 
     @property
     def pending_rounds(self) -> int:
-        """Rounds submitted but not yet gathered."""
-        return len(self._in_flight)
+        """Rounds submitted but not yet gathered: 0 or 1."""
+        return int(self._round is not None)
 
     def in_flight_bits(self) -> int:
-        """Exact conditioned-bit yield of every in-flight round."""
-        return sum(round_.yield_bits for round_ in self._in_flight)
+        """Exact conditioned-bit yield of the in-flight round, if any."""
+        return 0 if self._round is None else self._round.yield_bits
 
     def __repr__(self) -> str:
-        return (f"AsyncHarvestEngine({self.pending_rounds} rounds in "
-                f"flight, {self.in_flight_bits()} bits committed, "
-                f"readahead={self.readahead})")
+        return (f"AsyncHarvestEngine(pending_rounds={self.pending_rounds}"
+                f", in_flight_bits={self.in_flight_bits()}, "
+                f"async_harvest={self.planner.async_harvest})")
 
     # ------------------------------------------------------------------
     # The fill loop
@@ -393,60 +381,53 @@ class AsyncHarvestEngine:
     def fill(self, pool: BitBuffer, n_bits: int) -> None:
         """Top ``pool`` (the serving pool) up to ``n_bits``.
 
-        Plans and submits rounds until the pool plus the in-flight
-        rounds' yields cover ``n_bits`` (at most :attr:`max_in_flight`
-        rounds outstanding), and gathers landed rounds straight into
-        the pool -- in plan order, so the pool fills with the same bits
-        whatever the in-flight bound.
+        Gathers the in-flight round, if any, and then plans, executes
+        and gathers one round at a time until the pool covers
+        ``n_bits``; each landed round goes straight into the pool, in
+        plan order.  Under ``async_harvest`` it then commits the next
+        request's opening round (:meth:`_prime` of ``2 * n_bits`` less
+        the pool).
 
-        Raises the first deferred health failure of a landing round
-        *after* pooling that round's healthy channels' bits; rounds
-        still in flight stay queued for the next fill.  A round whose
-        join raises re-raises that exception after its units and the
-        later rounds' are handed back (:meth:`cancel_pending`).
+        Raises a landed round's health failure *after* pooling its
+        healthy channels' bits; nothing is left in flight, and the
+        next fill plans afresh.  A round whose join raises hands its
+        units back to the cursors and re-raises.
         """
         if n_bits < 0:
             raise InsufficientEntropyError("bit count must be non-negative")
         while len(pool) < n_bits:
-            # Priming leaves at least one round in flight, and a landed
-            # round pools its whole yield unless a channel alarms.
+            # The pool is short, so priming leaves a round in flight
+            # (the one already out, or a new one) for the gather.
             self._prime(n_bits - len(pool))
             failure = self._gather(pool)
             if failure is not None:
                 raise failure
-        if self.readahead:
-            # Commit the assumed-repeat draw's opening rounds so they
-            # execute while the consumer drains what we just served.
+        if self.planner.async_harvest:
             self._prime(2 * n_bits - len(pool))
 
     def _prime(self, needed_bits: int) -> None:
-        """Plan/submit rounds until committed bits cover ``needed_bits``.
+        """Plan and submit a round toward ``needed_bits``, if none is out.
 
-        ``needed_bits`` counts bits needed beyond the serving pool;
-        in-flight rounds count toward it with their exact yields.
+        ``needed_bits`` counts bits needed beyond the serving pool.
         Planning happens here, serially, in the consumer -- the
         determinism contract's anchor.
         """
-        committed = self.in_flight_bits()
-        while (committed < needed_bits
-               and len(self._in_flight) < self.max_in_flight):
-            round_ = self.planner.plan_round(needed_bits - committed)
+        if self._round is None and needed_bits > 0:
+            round_ = self.planner.plan_round(needed_bits)
             round_.pending = self.backend.submit_round(run_bank_task,
                                                        round_.tasks)
-            self._in_flight.append(round_)
+            self._round = round_
             self.rounds_planned += 1
-            committed += round_.yield_bits
 
     def _gather(self, pool: BitBuffer) -> Optional[ReproError]:
-        """Join the oldest in-flight round into ``pool``."""
-        round_ = self._in_flight.popleft()
+        """Join the in-flight round into ``pool``."""
+        round_, self._round = self._round, None
         try:
             results = round_.pending.result()
         except Exception:
-            # The round never lands: hand its units back, and the later
-            # rounds' too, so the next fill claims them again in order.
+            # The round never lands: hand its units back, so the next
+            # fill claims them again.
             self.planner.unclaim_round(round_)
-            self.cancel_pending()
             raise
         self.rounds_gathered += 1
         return self.planner.gather_round(round_, results, pool)
@@ -456,25 +437,24 @@ class AsyncHarvestEngine:
     # ------------------------------------------------------------------
 
     def cancel_pending(self) -> int:
-        """Join and discard every in-flight round; return the count.
+        """Join and discard the in-flight round; return 0 or 1.
 
-        The one teardown verb, also used to abandon a readahead guess
-        or a temperature range's backlog: the rounds' results are
-        dropped, *not* pooled, and their units go back to
-        the channels' cursors (:meth:`HarvestPlanner.unclaim_round`),
-        so the next fill plans them again and the stream stays equal
-        to a run that never cancelled.  Safe to call with the backend
+        The one teardown verb, also used to abandon an ``async_harvest``
+        guess or a temperature range's backlog: the round's results
+        are dropped, *not* pooled, and its units go back to the
+        channels' cursors (:meth:`HarvestPlanner.unclaim_round`), so
+        the next fill plans them again and the stream stays equal to a
+        run that never cancelled.  Safe to call with the backend
         already closed (pooled backends finish submitted work before
         closing).
         """
-        cancelled = 0
-        while self._in_flight:
-            round_ = self._in_flight.popleft()
-            try:
-                round_.pending.result()
-            except Exception:
-                pass  # a discarded round's failure is moot
-            self.planner.unclaim_round(round_)
-            cancelled += 1
-        self.rounds_cancelled += cancelled
-        return cancelled
+        round_, self._round = self._round, None
+        if round_ is None:
+            return 0
+        try:
+            round_.pending.result()
+        except Exception:
+            pass  # a discarded round's failure is moot
+        self.planner.unclaim_round(round_)
+        self.rounds_cancelled += 1
+        return 1

@@ -332,8 +332,9 @@ class MonitoredTrng(HarvestPlanner):
     raw read-outs travel with each round, and the monitor's verdict is
     applied when a round *lands* -- so bits pooled from rounds that
     passed stay pooled when a later round alarms.
-    ``async_harvest=True`` keeps two rounds in flight instead of one;
-    the output and the monitor's counters are identical either way.
+    ``async_harvest=True`` commits the next request's opening round
+    after each draw (one round in flight at most); the output and the
+    monitor's counters are identical either way.
     """
 
     def __init__(self, trng: QuacTrng,

@@ -11,7 +11,7 @@ channel SIB counts -- and output widths -- differ.  The stream is laid
 out in *units*: unit ``u`` is iteration ``u // C`` of channel
 ``u % C``, so system iteration ``s`` is channel 0's iteration ``s``,
 then channel 1's, and so on.  The stream is a pure function of (seeds,
-unit), whatever the request sizes, backend or readahead.
+unit), whatever the request sizes, backend or harvest mode.
 
 Harvesting is *planned, then executed* by the shared round planner
 (:meth:`~repro.core.harvest.HarvestPlanner.plan_round`): each refill
@@ -70,14 +70,14 @@ class SystemTrng(HarvestPlanner):
         through :meth:`HealthMonitor.check_bank_results` before its
         conditioned bits enter the pool.
     async_harvest:
-        Keep two refill rounds in flight on the
-        :class:`~repro.core.harvest.AsyncHarvestEngine` instead of one:
-        while the consumer drains the pool, the next planned round is
-        already executing on the backend.  Output is **bit-identical**
-        either way for any request sequence (pinned by the golden
-        streams in ``tests/test_determinism.py``).  Monitor verdicts
-        are applied when a round lands; healthy channels' bits are
-        pooled before any alarm re-raises.
+        After each draw, commit the next request's opening refill
+        round on the :class:`~repro.core.harvest.AsyncHarvestEngine`
+        (at most one round is ever in flight): while the consumer
+        works, that round is already executing on the backend.  Output
+        is **bit-identical** either way for any request sequence
+        (pinned by the golden streams in ``tests/test_determinism.py``).
+        Monitor verdicts are applied when a round lands; healthy
+        channels' bits are pooled before any alarm re-raises.
 
     Example
     -------

@@ -33,11 +33,11 @@ task's shape: a block slice outside its row decodes, and
 ``run_bank_task`` refuses that one task on its own slot, so its
 round-mates still run.
 
-A frame is fully written with ``sendall`` and fully read before the
-next, so one connection carries an ordered request/response stream.  A
-peer disappearing mid-frame (or before one) raises
-:class:`ConnectionClosed`, which the backend treats as a dead worker
-(requeue) and the worker as a departed client.
+A frame is fully written (header and payload in one gathered write)
+and fully read before the next, so one connection carries an ordered
+request/response stream.  A peer disappearing mid-frame (or before
+one) raises :class:`ConnectionClosed`, which the backend treats as a
+dead worker (requeue) and the worker as a departed client.
 
 >>> from repro.core.parallel import BankResult
 >>> kind, slots = decode(encode(ROUND_RESULT, [BankResult(
@@ -124,8 +124,17 @@ def pack_frame(payload: bytes) -> bytes:
 
 
 def send_raw_frame(sock: socket.socket, payload: bytes) -> None:
-    """Write one complete frame (header + payload) to ``sock``."""
-    sock.sendall(pack_frame(payload))
+    """Write one complete frame (header + payload) to ``sock``.
+
+    The header and the payload go out as two buffers of one gathered
+    write (``sendmsg``), so the payload is never copied behind its
+    header; a partial write is finished with ``sendall``.
+    """
+    header = HEADER.pack(len(payload))
+    sent = sock.sendmsg([header, payload])
+    if sent < len(header) + len(payload):
+        sock.sendall(header[sent:])
+        sock.sendall(memoryview(payload)[max(0, sent - len(header)):])
 
 
 def recv_exact(sock: socket.socket, n_bytes: int) -> bytes:

@@ -15,7 +15,7 @@ sensors)".  :class:`TemperatureManagedTrng` implements exactly that:
 
 Draws run through the shared round planner unchanged, with the range
 that serves them as the one channel.  When a draw finds the sensor in
-another range, the rounds still in flight go back to the cursors
+another range, the round still in flight goes back to the cursors
 (:meth:`~repro.core.harvest.AsyncHarvestEngine.cancel_pending`), the
 old range's pooled surplus is dropped, and the new range serves.  Every
 range shares one cursor table, so whichever range plans next claims
@@ -79,10 +79,11 @@ class TemperatureManagedTrng(HarvestPlanner):
         shared pool drives the batched harvest whichever range is
         active.
     async_harvest:
-        Keep two refill rounds in flight on the
-        :class:`~repro.core.harvest.AsyncHarvestEngine` instead of one.
-        The sensor is read once per draw; a draw under a new range
-        hands the rounds still in flight back to the cursors and drops
+        After each draw, commit the next request's opening refill
+        round on the :class:`~repro.core.harvest.AsyncHarvestEngine`
+        (at most one round is ever in flight).  The sensor is read
+        once per draw; a draw under a new range hands the round still
+        in flight back to the cursors and drops
         the old range's surplus, so output always comes from plans
         covering the reading at the draw.  At a steady sensor reading
         the output is the same either way.
@@ -228,7 +229,7 @@ class TemperatureManagedTrng(HarvestPlanner):
     def _refill(self, n_bits: int) -> None:
         """Top the pool up from the range covering the sensor reading.
 
-        On a range change the rounds still in flight go back to the
+        On a range change the round still in flight goes back to the
         cursors, and the old range's surplus is dropped, before the
         new range plans anything.
         """

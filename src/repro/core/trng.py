@@ -79,11 +79,11 @@ class QuacTrng(HarvestPlanner):
         serial).  Output is bit-identical across backends, worker
         counts, and host counts.
     async_harvest:
-        Keep two refill rounds in flight on the
-        :class:`~repro.core.harvest.AsyncHarvestEngine` instead of one,
-        so a round executes on the backend while the previous round's
-        bits pool and serve.  Output is **bit-identical** either way
-        for any request sequence (the golden streams in
+        After each draw, commit the next request's opening refill
+        round on the :class:`~repro.core.harvest.AsyncHarvestEngine`
+        (at most one round is ever in flight), so it executes on the
+        backend while the consumer works.  Output is **bit-identical**
+        either way for any request sequence (the golden streams in
         ``tests/test_determinism.py`` replay under both modes); only
         wall-clock behaviour changes.
 

@@ -37,7 +37,7 @@ from repro.dram.device import parse_data_pattern
 from repro.dram.geometry import CACHE_BLOCK_BITS, DramGeometry
 from repro.dram.sense_amplifier import bernoulli_entropy, settle_probability
 from repro.dram.variation import VariationModel, VariationParameters
-from repro.errors import CharacterizationError
+from repro.errors import CharacterizationError, ConfigurationError
 
 #: Integration grid for h(zeta, shift): H(Phi(z)) support is |z| < ~8.
 _GRID = np.linspace(-10.0, 10.0, 2001)
@@ -120,11 +120,15 @@ def calibrate_offset_zeta(geometry: DramGeometry, seed: int,
     Raises
     ------
     ConfigurationError
-        If ``pattern`` is not four characters of 0/1 (before any draw).
+        If ``pattern`` is not four characters of 0/1, or
+        ``n_sample_segments`` is below 1 (before any draw).
     CharacterizationError
         If the target is unreachable within the bisection bracket.
     """
     bits = parse_data_pattern(pattern)
+    if n_sample_segments < 1:
+        raise ConfigurationError(
+            f"n_sample_segments must be at least 1, got {n_sample_segments}")
     if target_avg_segment_entropy <= 0:
         raise CharacterizationError("target entropy must be positive")
     model = VariationModel(geometry, seed, params)

@@ -6,26 +6,29 @@ Two families of guarantees:
   stream the synchronous path produces, for any draw sequence, on any
   backend (the golden streams in ``tests/test_determinism.py`` pin the
   same fact end to end);
+* **One round in flight** -- the engine never holds more than one
+  round, and in sync mode none between draws;
 * **Edge cases** -- draining while a refill is in flight, backend
   teardown with a pending round, a health alarm landing from an
   in-flight round without losing healthy channels' bits, and
   ``REPRO_EXECUTION_BACKEND`` switching mid-process.
 
 Several tests shrink ``MAX_BATCH_ITERATIONS`` so that a draw needs many
-rounds -- that is what actually exercises the pipeline (plan round k+1
-while round k executes) without multi-megabit draws.
+rounds without multi-megabit draws.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.harvest as harvest_module
 from repro.core.health import HealthMonitor, HealthTestFailure
 from repro.core.multichannel import SystemTrng
-from repro.core.parallel import (BACKEND_ENV_VAR, ProcessPoolBackend,
-                                 SerialBackend, ThreadPoolBackend,
-                                 packed_rows, resolve_backend,
-                                 run_bank_task)
+from repro.core.parallel import (BACKEND_ENV_VAR, ExecutionBackend,
+                                 ProcessPoolBackend, SerialBackend,
+                                 ThreadPoolBackend, packed_rows,
+                                 resolve_backend, run_bank_task)
 from repro.core.trng import QuacTrng
 from repro.dram.module_factory import build_table3_population
 from repro.errors import InsufficientEntropyError
@@ -94,17 +97,97 @@ class TestAsyncEquivalence:
         assert trng.random_bytes(96) == sync.random_bytes(96)
         assert trng.harvest_engine.rounds_gathered > 0
 
-    def test_readahead_constant_size_stream_matches_sync(self, module_m13,
-                                                         entropy_scale):
-        # The documented readahead contract: constant-size request
-        # streams (iter_bytes) are still bit-identical to synchronous.
+    def test_async_constant_size_stream_matches_sync(self, module_m13,
+                                                     entropy_scale):
+        # Constant-size request streams (iter_bytes), where every async
+        # guess is right, are bit-identical to synchronous.
         sync = _fresh_trng(module_m13, entropy_scale)
         trng = _fresh_trng(module_m13, entropy_scale, async_harvest=True)
-        trng.harvest_engine.readahead = True
         stream = trng.iter_bytes(64)
         want = sync.iter_bytes(64)
         for _ in range(8):
             assert next(stream) == next(want)
+
+
+class _Joined:
+    """A round handle that tells its counter when the round is joined."""
+
+    def __init__(self, pending, counter):
+        self._pending = pending
+        self._counter = counter
+
+    def done(self):
+        return self._pending.done()
+
+    def result(self):
+        self._counter.in_flight -= 1
+        return self._pending.result()
+
+
+class _CountInFlight(ExecutionBackend):
+    """Delegates to ``inner``, counting rounds submitted but not joined."""
+
+    name = "count-in-flight"
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.in_flight = 0
+        self.peak = 0
+
+    def submit_round(self, fn, tasks):
+        pending = self.inner.submit_round(fn, tasks)
+        self.in_flight += 1
+        self.peak = max(self.peak, self.in_flight)
+        return _Joined(pending, self)
+
+
+@pytest.fixture(scope="module", params=["serial", "thread"])
+def inner_backend(request):
+    if request.param == "serial":
+        yield SerialBackend()
+        return
+    with ThreadPoolBackend(2) as pool:
+        yield pool
+
+
+@given(kind=st.sampled_from(["quac", "system"]),
+       fractions=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=6),
+       async_harvest=st.booleans(), cap=st.sampled_from([1, 7, 1024]))
+@settings(max_examples=12, deadline=None)
+def test_at_most_one_round_in_flight(inner_backend, module_m13, module_m4,
+                                     entropy_scale, kind, fractions,
+                                     async_harvest, cap):
+    # The engine never holds two rounds, during a draw or between
+    # draws; in sync mode it holds none between draws; and either way
+    # it serves the synchronous stream.
+    def build(backend, async_harvest):
+        if kind == "system":
+            return SystemTrng([module_m13, module_m4],
+                              entropy_per_block=256.0 * entropy_scale,
+                              backend=backend, async_harvest=async_harvest)
+        return _fresh_trng(module_m13, entropy_scale, backend,
+                           async_harvest=async_harvest)
+
+    counter = _CountInFlight(inner_backend)
+    generator = build(counter, async_harvest)
+    sync = build(SerialBackend(), False)
+    engine = generator.harvest_engine
+    width = (generator.bits_per_system_iteration() if kind == "system"
+             else generator.bits_per_iteration)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harvest_module, "MAX_BATCH_ITERATIONS", cap)
+            for fraction in fractions:
+                n_bytes = max(1, int(fraction * width) // 8)
+                assert generator.random_bytes(n_bytes) == \
+                    sync.random_bytes(n_bytes)
+                assert counter.peak <= 1
+                assert engine.pending_rounds == counter.in_flight
+                if not async_harvest:
+                    assert engine.pending_rounds == 0
+    finally:
+        engine.cancel_pending()
+    assert counter.in_flight == 0
 
 
 class TestDoubleBuffer:
@@ -112,7 +195,7 @@ class TestDoubleBuffer:
 
     def test_drain_while_refill_in_flight(self, module_m13, entropy_scale,
                                           monkeypatch):
-        # With readahead on, serving a draw leaves the next round in
+        # Under async harvest, serving a draw leaves the next round in
         # flight; the consumer drains the pool while that round
         # executes, and the next draw gathers it into the pool.
         monkeypatch.setattr(harvest_module, "MAX_BATCH_ITERATIONS", 4)
@@ -122,10 +205,9 @@ class TestDoubleBuffer:
         with ThreadPoolBackend(2) as backend:
             trng = _fresh_trng(module_m13, entropy_scale, backend,
                                async_harvest=True)
-            trng.harvest_engine.readahead = True
             first = trng.random_bits(draw)
             # The engine committed the assumed-repeat round already.
-            assert trng.harvest_engine.pending_rounds > 0
+            assert trng.harvest_engine.pending_rounds == 1
             assert trng.harvest_engine.in_flight_bits() >= draw
             rest = [trng.random_bits(draw) for _ in range(3)]
         for got, want in zip([first] + rest, expected):
@@ -162,9 +244,8 @@ class TestTeardown:
         backend = ProcessPoolBackend(2)
         trng = _fresh_trng(module_m13, entropy_scale, backend,
                            async_harvest=True)
-        trng.harvest_engine.readahead = True
         first = trng.random_bits(draw)
-        assert trng.harvest_engine.pending_rounds > 0
+        assert trng.harvest_engine.pending_rounds == 1
         backend.close()   # round still in flight
         second = trng.random_bits(draw)   # gathers, then rebuilds pool
         backend.close()
@@ -179,15 +260,14 @@ class TestTeardown:
         draw = 4 * sync.bits_per_iteration
         expected = [sync.random_bits(draw) for _ in range(2)]
         trng = _fresh_trng(module_m13, entropy_scale, async_harvest=True)
-        trng.harvest_engine.readahead = True
         trng.random_bits(draw)
         claimed = trng.cursors()
-        assert trng.harvest_engine.pending_rounds > 0
-        cancelled = trng.harvest_engine.cancel_pending()
-        assert cancelled > 0
+        assert trng.harvest_engine.pending_rounds == 1
+        assert trng.harvest_engine.cancel_pending() == 1
         assert trng.harvest_engine.pending_rounds == 0
-        assert trng.harvest_engine.rounds_cancelled == cancelled
-        # The cancelled rounds' iterations go back to the cursors, so
+        assert trng.harvest_engine.rounds_cancelled == 1
+        assert trng.harvest_engine.cancel_pending() == 0
+        # The cancelled round's iterations go back to the cursors, so
         # the engine serves them next: the stream equals a run that
         # never cancelled.
         assert trng.cursors()[0] < claimed[0]
@@ -233,11 +313,11 @@ class TestInFlightHealthFailure:
             assert [sum(t.cursors())
                     for t in system.channels] == counters
 
-    def test_failure_with_second_round_still_in_flight(
+    def test_failure_leaves_nothing_in_flight(
             self, small_geometry, entropy_scale, monkeypatch):
-        # Shrink rounds so the alarm lands while another round is
-        # genuinely in flight; the queued round must survive the raise
-        # and be gathered by the next draw.
+        # Shrink rounds so a draw needs several; the alarm propagates
+        # from the one round in flight, so nothing is left queued and
+        # the next draw plans afresh.
         monkeypatch.setattr(harvest_module, "MAX_BATCH_ITERATIONS", 2)
         system, _monitors = self._monitored_async_system(
             small_geometry, entropy_scale)
@@ -245,14 +325,17 @@ class TestInFlightHealthFailure:
         with pytest.raises(HealthTestFailure):
             system.random_bits(8 * system.bits_per_system_iteration())
         engine = system.harvest_engine
-        assert engine.pending_rounds == 1
+        assert engine.pending_rounds == 0
+        planned = engine.rounds_planned
         gathered = engine.rounds_gathered
         pooled_before = len(system._pool)
-        # A draw past the pool gathers the queued round first, before
-        # planning another: its healthy channel's bits pool, and its
-        # dead channel's alarm is raised, not lost.
+        # A draw a system iteration past the pool plans one new round
+        # over both channels: its healthy channel's bits pool, and its
+        # dead channel's alarm is raised.
         with pytest.raises(HealthTestFailure):
-            system.random_bits(pooled_before + 1)
+            system.random_bits(pooled_before
+                               + system.bits_per_system_iteration())
+        assert engine.rounds_planned == planned + 1
         assert engine.rounds_gathered == gathered + 1
         assert engine.pending_rounds == 0
         assert len(system._pool) > pooled_before

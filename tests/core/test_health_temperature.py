@@ -536,13 +536,13 @@ class TestTemperatureManager:
                                       twin.random_bits(1000))
 
     @pytest.mark.parametrize("async_harvest", [False, True],
-                             ids=["sync", "async-readahead"])
+                             ids=["sync", "async"])
     def test_temperature_swing_never_replays_an_iteration(self,
                                                           async_harvest):
         # The ranges of one module mostly pick the same segments, so
         # they share thermal keys: a range switch must carry on from
         # the iterations other ranges claimed, never redraw them.  With
-        # readahead, each switch hands in-flight rounds back; their
+        # async harvest, each switch hands the in-flight round back; its
         # units are claimed again, so only gathered rounds count.
         geometry = DramGeometry.small(segments_per_bank=16,
                                       cache_blocks_per_row=4)
@@ -550,7 +550,6 @@ class TestTemperatureManager:
         managed = TemperatureManagedTrng(
             module, entropy_per_block=256.0 * geometry.row_bits / 65536,
             async_harvest=async_harvest)
-        managed.harvest_engine.readahead = async_harvest
         gathered = []
         gather_round = managed.gather_round
 
@@ -693,8 +692,8 @@ class TestAsyncWrappers:
 
     def test_temperature_async_range_change_discards_backlog(
             self, module_m13, entropy_scale, monkeypatch):
-        # One-iteration rounds + readahead leave rounds genuinely in
-        # flight when the sensor moves.  The next draw hands them back
+        # One-iteration rounds + async harvest leave a round genuinely
+        # in flight when the sensor moves.  The next draw hands it back
         # to the cursors and drops the old range's pooled surplus.
         monkeypatch.setattr(harvest_module, "MAX_BATCH_ITERATIONS", 1)
         module_m13.temperature_c = 50.0
@@ -703,12 +702,10 @@ class TestAsyncWrappers:
                 module_m13, entropy_per_block=256.0 * entropy_scale,
                 async_harvest=True)
             engine = managed.harvest_engine
-            engine.readahead = True
             bpi = managed.active_entry().trng.bits_per_iteration
             managed.random_bits(2 * bpi + 7)
             low_entry = managed._pool_entry
-            pending = engine.pending_rounds
-            assert pending > 0
+            assert engine.pending_rounds == 1
             module_m13.temperature_c = 85.0
             high_entry = managed.active_entry()
             assert high_entry is not low_entry
@@ -716,7 +713,7 @@ class TestAsyncWrappers:
             assert len(managed._pool) % high_bpi != 0  # surplus tellable
             out = managed.random_bits(100)
             assert out.size == 100
-            assert engine.rounds_cancelled == pending
+            assert engine.rounds_cancelled == 1
             assert managed._pool_entry is high_entry
             # Every bit served or pooled since the switch came from
             # whole one-iteration rounds of the high range.

@@ -53,7 +53,8 @@ from repro.rng import STREAM_EPOCH, derive_key
 #: Payload sizes the codec is fuzzed at: the empty frame, sub-header
 #: sizes, exact powers of two around typical buffers, and frames well
 #: past 64 KiB (a full-scale packed round is megabytes).
-FRAME_SIZES = [0, 1, 7, 8, 9, 1024, 65535, 65536, 65537, 300_000]
+FRAME_SIZES = [0, 1, 7, 8, 9, 1024, 65535, 65536, 65537, 300_000,
+               (1 << 20) + 3]
 
 
 def _task(index, iterations=2, bits=256, fail=False, **fields):
@@ -109,6 +110,10 @@ class TestFrameCodec:
     @pytest.mark.parametrize("size", FRAME_SIZES)
     def test_raw_frame_round_trip(self, sock_pair, size):
         left, right = sock_pair
+        # With a timeout a send writes what the socket buffer takes and
+        # returns, so a frame larger than the buffer goes out in partial
+        # writes that must resume at the right byte.
+        left.settimeout(30.0)
         rng = np.random.default_rng(size)
         payload = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
         sender = threading.Thread(target=wire.send_raw_frame,

@@ -4,10 +4,10 @@ Iteration ``k`` of a segment's thermal-noise stream is a pure function
 of (module seed, bank, segment, ``k``), so a single-channel generator's
 output must not depend on how its iterations are grouped into batches
 or how its bits are split into requests -- on any backend, synchronous
-or asynchronous, with or without readahead.  The reference is the
-per-iteration path on the serial backend.  ``tests/test_stream_spec.py``
-holds every generator to the executable spec; the tests here hold them
-to the per-iteration path, and pin what the spec does not model:
+or asynchronous.  The reference is the per-iteration path on the
+serial backend.  ``tests/test_stream_spec.py`` holds every generator to
+the executable spec; the tests here hold them to the per-iteration
+path, and pin what the spec does not model:
 
 * a health monitor counts exactly what the per-iteration path counts;
 * cancelling in-flight rounds loses no unit, and neither does a round
@@ -16,7 +16,7 @@ to the per-iteration path, and pin what the spec does not model:
 * a channel whose monitor alarms loses exactly its units of that round;
 * a round's bank tasks draw iteration counts that differ by at most
   one, which is what the remote backend's shard map balances on;
-* readahead rounds sized from a varying request sequence.
+* async rounds sized from a varying request sequence.
 
 A :class:`SystemTrng` stream is a sequence of *units* -- unit ``u`` is
 iteration ``u // C`` of channel ``u % C`` -- so it must equal the
@@ -40,7 +40,7 @@ from repro.core.trng import QuacTrng
 from repro.errors import RemoteExecutionError
 
 #: Iterations of the reference stream; covers the largest example,
-#: including rounds a readahead guess gathers beyond the requests.
+#: including a round an async guess gathers beyond the requests.
 REFERENCE_ITERATIONS = 48
 
 #: The single-channel generators under test.
@@ -126,16 +126,14 @@ def _check_monitor(generator, counters):
 
 
 @given(fractions=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=6),
-       async_harvest=st.booleans(), readahead=st.booleans(),
-       kind=st.sampled_from(KINDS))
+       async_harvest=st.booleans(), kind=st.sampled_from(KINDS))
 @settings(max_examples=12, deadline=None)
 def test_any_request_split_yields_the_same_bits(
         backend, make_generator, reference, fractions, async_harvest,
-        readahead, kind):
+        kind):
     generator = make_generator(kind, backend, async_harvest)
     width = reference[kind][0].shape[1]
     requests = [max(1, int(f * width)) for f in fractions]
-    generator.harvest_engine.readahead = readahead
     try:
         served = np.concatenate([generator.random_bits(n)
                                  for n in requests])
@@ -143,7 +141,7 @@ def test_any_request_split_yields_the_same_bits(
         generator.harvest_engine.cancel_pending()
     want, counters = reference[kind]
     np.testing.assert_array_equal(served, want.ravel()[:sum(requests)])
-    if not readahead:
+    if not async_harvest:
         # Each round claims just enough iterations for its deficit.
         cursors = _cursors(generator)
         assert cursors == [-(-sum(requests) // width)] * len(cursors)
@@ -193,8 +191,7 @@ def _units(channel_rows, keep=lambda channel, iteration: True):
                            if keep(c, k)])
 
 
-def _serve(system, requests, readahead):
-    system.harvest_engine.readahead = readahead
+def _serve(system, requests):
     try:
         return np.concatenate([system.random_bits(n) for n in requests])
     finally:
@@ -202,16 +199,15 @@ def _serve(system, requests, readahead):
 
 
 @given(fractions=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=6),
-       async_harvest=st.booleans(), readahead=st.booleans(),
-       kind=st.sampled_from(SYSTEM_KINDS))
+       async_harvest=st.booleans(), kind=st.sampled_from(SYSTEM_KINDS))
 @settings(max_examples=12, deadline=None)
 def test_any_request_split_of_a_system_yields_the_unit_stream(
         backend, make_system, channel_rows, fractions, async_harvest,
-        readahead, kind):
+        kind):
     system = make_system(kind, backend, async_harvest)
     width = system.bits_per_system_iteration()
     requests = [max(1, int(f * width)) for f in fractions]
-    served = _serve(system, requests, readahead)
+    served = _serve(system, requests)
     np.testing.assert_array_equal(served,
                                   _units(channel_rows)[:sum(requests)])
 
@@ -228,13 +224,12 @@ class _RecordRounds(SerialBackend):
 
 
 @given(fractions=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=6),
-       async_harvest=st.booleans(), readahead=st.booleans(),
-       cancel=st.booleans(), cap=st.sampled_from([1, 7, 1024]),
+       async_harvest=st.booleans(), cancel=st.booleans(),
+       cap=st.sampled_from([1, 7, 1024]),
        kind=st.sampled_from(SYSTEM_KINDS))
 @settings(max_examples=12, deadline=None)
 def test_round_tasks_draw_near_equal_iterations(
-        make_system, fractions, async_harvest, readahead, cancel, cap,
-        kind):
+        make_system, fractions, async_harvest, cancel, cap, kind):
     # A round's units are consecutive, so its channels' shares -- and
     # with them its bank tasks' iteration counts -- differ by at most
     # one for any request split.  That is what lets the remote backend
@@ -242,7 +237,6 @@ def test_round_tasks_draw_near_equal_iterations(
     recorder = _RecordRounds()
     system = make_system(kind, recorder, async_harvest)
     width = system.bits_per_system_iteration()
-    system.harvest_engine.readahead = readahead
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harvest, "MAX_BATCH_ITERATIONS", cap)
         for fraction in fractions:
@@ -256,15 +250,16 @@ def test_round_tasks_draw_near_equal_iterations(
 
 
 @pytest.mark.parametrize("kind", SYSTEM_KINDS)
-def test_async_system_with_readahead_and_varying_requests(
+def test_async_system_with_varying_requests(
         backend, make_system, channel_rows, kind):
-    # Readahead sizes its rounds from the previous request, so varying
-    # sizes give rounds that split system iterations differently.
+    # Async harvest sizes its rounds from the previous request, so
+    # varying sizes give rounds that split system iterations
+    # differently.
     system = make_system(kind, backend, async_harvest=True)
     width = system.bits_per_system_iteration()
     requests = [width // 3, 2 * width + 17, 256, 5 * width // 2, 1,
                 width - 5]
-    served = _serve(system, requests, readahead=True)
+    served = _serve(system, requests)
     np.testing.assert_array_equal(served,
                                   _units(channel_rows)[:sum(requests)])
 
@@ -294,7 +289,7 @@ def test_alarmed_channel_loses_its_units_for_that_round(
 @pytest.mark.parametrize("kind", KINDS + SYSTEM_KINDS)
 def test_cancel_pending_loses_no_units(backend, make_generator, make_system,
                                        reference, channel_rows, kind):
-    # Cancelling readahead rounds after every draw hands their units
+    # Cancelling the async round after every draw hands its units
     # back, so the stream equals one that never cancelled.
     if kind in SYSTEM_KINDS:
         generator = make_system(kind, backend, async_harvest=True)
@@ -304,7 +299,6 @@ def test_cancel_pending_loses_no_units(backend, make_generator, make_system,
         generator = make_generator(kind, backend, async_harvest=True)
         width = reference[kind][0].shape[1]
         want = reference[kind][0].ravel()
-    generator.harvest_engine.readahead = True
     requests = [width // 3, 2 * width + 17, 256, 5 * width // 2, width - 5]
     served = []
     for n in requests:
@@ -351,9 +345,8 @@ class _LoseOneRound(ExecutionBackend):
 def test_failed_join_loses_no_units(backend, make_generator, make_system,
                                     reference, channel_rows, kind,
                                     async_harvest):
-    # The failed round's units, and those of any later round still in
-    # flight, go back to the cursors; the stream carries on as if the
-    # failure never happened.
+    # The failed round's units go back to the cursors; the stream
+    # carries on as if the failure never happened.
     lossy = _LoseOneRound(backend)
     if kind == "system":
         generator = make_system(kind, lossy, async_harvest)
@@ -363,7 +356,6 @@ def test_failed_join_loses_no_units(backend, make_generator, make_system,
         generator = make_generator(kind, lossy, async_harvest)
         width = reference[kind][0].shape[1]
         want = reference[kind][0].ravel()
-    generator.harvest_engine.readahead = async_harvest
     served, failures = [], 0
     for n in [width // 3, 2 * width + 17, 256, 5 * width // 2, width - 5]:
         try:

@@ -180,6 +180,23 @@ def test_malformed_pattern_is_refused_before_any_draw(
     assert draws == []
 
 
+@pytest.mark.parametrize("n_sample_segments", [0, -1])
+def test_no_sample_segment_is_refused_before_any_draw(
+        n_sample_segments, small_geometry, monkeypatch):
+    draws = []
+    generator_for = variation.generator_for
+
+    def counted_generator_for(*args):
+        draws.append(args)
+        return generator_for(*args)
+
+    monkeypatch.setattr(variation, "generator_for", counted_generator_for)
+    with pytest.raises(ConfigurationError, match="n_sample_segments"):
+        calibrate_offset_zeta(small_geometry, 7, VariationParameters(),
+                              120.0, n_sample_segments=n_sample_segments)
+    assert draws == []
+
+
 #: Calibrated ``offset_zeta`` of every Table 3 module at
 #: ``DramGeometry.small()``, root seed 2021, as exact float hex.
 _SMALL_2021_ZETA = {

@@ -6,9 +6,9 @@ order) with PCG64 and ``hashlib``.  The property below drives the real
 generators -- plain, multi-channel, health-monitored while healthy, and
 temperature-managed at a steady reading -- on every backend, through
 random sequences of bit and byte requests, direct engine fills and
-cancels, synchronous or asynchronous, with or without readahead, and
-asserts that what they serve is the spec's FIFO prefix.  The spec also
-reproduces the golden streams of ``tests/test_determinism.py``.
+cancels, synchronous or asynchronous, and asserts that what they serve
+is the spec's FIFO prefix.  The spec also reproduces the golden streams
+of ``tests/test_determinism.py``.
 """
 
 import numpy as np
@@ -96,14 +96,12 @@ def _cursors(generator):
        steps=st.lists(st.tuples(st.sampled_from(VERBS),
                                 st.floats(0.0, 3.0)),
                       min_size=1, max_size=6),
-       async_harvest=st.booleans(), readahead=st.booleans())
+       async_harvest=st.booleans())
 @settings(max_examples=20, deadline=None)
 def test_every_generator_serves_the_spec_stream(
-        backend, make_generator, specs, kind, steps, async_harvest,
-        readahead):
+        backend, make_generator, specs, kind, steps, async_harvest):
     generator = make_generator(kind, backend, async_harvest)
     engine = generator.harvest_engine
-    engine.readahead = readahead
     spec = specs[kind]
     width = spec.unit_bits()
     served = [np.zeros(0, dtype=np.uint8)]
@@ -123,7 +121,7 @@ def test_every_generator_serves_the_spec_stream(
         engine.cancel_pending()
     served = np.concatenate(served)
     np.testing.assert_array_equal(served, spec.bits(served.size))
-    if len(spec.channels) == 1 and not readahead and all(
+    if len(spec.channels) == 1 and not async_harvest and all(
             verb in ("bits", "bytes") for verb, _ in steps):
         # Each round claims just enough iterations for its deficit.
         cursors = _cursors(generator)

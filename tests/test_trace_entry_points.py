@@ -5,7 +5,7 @@ methods by name, and by assigning a wrapper over the ``result`` of each
 round handle that ``submit_round`` returns.  A renamed entry point, or
 a handle whose ``result`` cannot be assigned, breaks the traced
 benchmark.  This test installs the tracer over each kind of backend and
-draws through an asynchronous, readahead two-channel system, so the
+draws through an asynchronous two-channel system, so the
 suite notices such a break.
 """
 
@@ -40,7 +40,6 @@ def test_tracer_installs_and_counts_every_round(
     system = SystemTrng([module_m13, module_m4],
                         entropy_per_block=256.0 * entropy_scale,
                         backend=backend, async_harvest=True)
-    system.harvest_engine.readahead = True
     tracer = tracing.Tracer()
     patches = layers.install(tracer, backend)
     try:
