@@ -2,21 +2,27 @@
 
 Measures simulator bits/second for conditioned-stream generation and
 pins the batched engine's advantage: ``random_bits`` (refill rounds
-of many iterations per bank) must be at least 5x faster than the seed's per-iteration loop on the same module
-and seed.  Both streams are additionally checked for balance so the
-speedup is never bought with broken output.
+of many iterations per bank) must be at least 5x faster than the
+seed's per-iteration loop on the same module and seed: sample one
+read-out per bank, slice its SHA input blocks, check and pack each
+block and hash it with ``hashlib``.  That loop lives here, as the
+baseline, and on no serving path.  Both streams are additionally
+checked for balance so the speedup is never bought with broken output.
 
 ``REPRO_BENCH_SCALE=small`` (the default) draws 2 Mb; ``full`` draws
 10 Mb -- the acceptance scale.
 """
 
+import hashlib
 import time
 
 import numpy as np
 
 from _bench_utils import run_once
 
+from repro.bitops import pack_bits, unpack_bits
 from repro.core.trng import QuacTrng
+from repro.entropy.blocks import sha_input_blocks
 
 _N_BITS = {"small": 2_000_000, "full": 10_000_000}
 
@@ -28,9 +34,14 @@ def _sequential_bits(trng: QuacTrng, n_bits: int) -> np.ndarray:
     """The seed's generation loop: one iteration at a time, tail kept."""
     parts, have = [], 0
     while have < n_bits:
-        bits, _latency = trng.iteration()
-        parts.append(bits)
-        have += bits.size
+        digests = []
+        for segment, bank in zip(trng.segments, trng._banks):
+            readout = trng.executor.run_direct(segment, trng.data_pattern)
+            for block in sha_input_blocks(readout, trng._plans[bank]):
+                digests.append(unpack_bits(
+                    hashlib.sha256(pack_bits(block)).digest()))
+        parts.append(np.concatenate(digests))
+        have += parts[-1].size
     return np.concatenate(parts)[:n_bits]
 
 

@@ -7,8 +7,9 @@ core generator:
 
 1. a :class:`TemperatureManagedTrng` with three characterized ranges,
    driven through a thermal excursion by the PID rig;
-2. a :class:`HealthMonitor` watching the raw read-outs, demonstrated
-   catching a sabotaged (deterministic) segment;
+2. a :class:`HealthMonitor` watching one channel's raw read-outs
+   (a one-module :class:`SystemTrng`), demonstrated catching a
+   sabotaged (deterministic) segment;
 3. a min-entropy assessment (SP 800-90B estimators) of the conditioned
    output;
 4. a monitored multi-channel system harvesting all channels in parallel
@@ -24,7 +25,7 @@ Run:  python examples/production_hardening.py
 
 import numpy as np
 
-from repro.core.health import HealthMonitor, HealthTestFailure, MonitoredTrng
+from repro.core.health import HealthMonitor, HealthTestFailure
 from repro.core.multichannel import SystemTrng
 from repro.core.parallel import ThreadPoolBackend
 from repro.core.temperature_manager import TemperatureManagedTrng
@@ -63,23 +64,23 @@ def main() -> None:
           f"temperature stayed inside the characterized envelope)")
 
     # --- 2. health tests catching a dead segment -----------------------
-    trng = QuacTrng(module, entropy_per_block=entropy_budget)
-    monitored = MonitoredTrng(trng, HealthMonitor(
-        claimed_min_entropy=0.01, consecutive_failures_to_alarm=2))
-    healthy = monitored.random_bits(16384)
+    monitor = HealthMonitor(claimed_min_entropy=0.01,
+                            consecutive_failures_to_alarm=2)
+    system = SystemTrng([module], entropy_per_block=entropy_budget,
+                        monitors=[monitor])
+    healthy = system.random_bits(16384)
     print(f"\nhealthy source: {healthy.size} bits served, "
-          f"RCT failures {monitored.monitor.rct_failures}, "
-          f"APT failures {monitored.monitor.apt_failures}")
+          f"RCT failures {monitor.rct_failures}, "
+          f"APT failures {monitor.apt_failures}")
 
-    trng.data_pattern = "1111"   # sabotage: no conflict, no entropy
+    system.channels[0].data_pattern = "1111"   # sabotage: no entropy
     try:
-        monitored.random_bits(16384)
+        system.random_bits(16384)
         print("sabotaged source NOT caught (unexpected)")
     except HealthTestFailure as failure:
         print(f"sabotaged source caught: {failure}")
 
     # --- 3. min-entropy assessment of the conditioned output ----------
-    trng.data_pattern = "0111"
     stream = QuacTrng(module, entropy_per_block=entropy_budget
                       ).random_bits(200_000)
     report = assess(stream)

@@ -27,7 +27,11 @@ def main() -> None:
                     entropy_per_block=256.0 * geometry.row_bits / 65536)
 
     controller = MemoryController(module, buffer_capacity_bits=64 * 1024)
-    source = trng.iteration   # (bits, latency_ns) per call
+
+    def source():
+        # One iteration's bits per call, at its scheduled latency.
+        return (trng.random_bits(trng.bits_per_iteration),
+                trng.iteration_latency_ns)
 
     # Background refill: the controller tops the FIFO up during an idle
     # window (here: a generous 1 ms of idle channel time).

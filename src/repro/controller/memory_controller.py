@@ -45,7 +45,9 @@ class MemoryController:
         ----------
         source:
             Callable producing ``(bits, latency_ns)`` per iteration --
-            typically :meth:`repro.core.trng.QuacTrng.iteration`.
+            typically ``trng.random_bits(trng.bits_per_iteration)`` and
+            ``trng.iteration_latency_ns`` of a
+            :class:`~repro.core.trng.QuacTrng`.
         budget_ns:
             Channel-time budget (e.g. a measured idle window); None
             means "until full".

@@ -15,9 +15,10 @@
   in one fixed ``struct`` schema (no pickle); merged streams are
   bit-identical to the serial reference at any host count;
 * :mod:`repro.core.harvest` -- the one round planner and refill loop
-  every generator runs: a :class:`HarvestPlanner` base class (round
-  planning and gathering over a generator's channels, pool, engine,
-  ``random_bits`` / ``random_bytes`` / ``iter_bytes``) and the engine
+  every generator runs: a concrete :class:`HarvestPlanner` over a list
+  of channels and their optional health monitors (round planning and
+  gathering, pool, engine, ``random_bits`` / ``random_bytes`` /
+  ``iter_bytes``; the generators only build the channels) and the engine
   that gathers rounds straight into the one serving pool, with at
   most one round in flight: none between draws by default, the next
   request's opening round under ``async_harvest`` -- the same bits
@@ -65,7 +66,6 @@ _EXPORTS = {
     "reference_system": "repro.core.multichannel",
     "HealthMonitor": "repro.core.health",
     "HealthTestFailure": "repro.core.health",
-    "MonitoredTrng": "repro.core.health",
     "TemperatureManagedTrng": "repro.core.temperature_manager",
 }
 

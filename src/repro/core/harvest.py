@@ -5,12 +5,12 @@ back to back; the simulator's batched engine mirrors that with planned
 refill rounds of per-bank tasks.  Every generator
 (:class:`~repro.core.trng.QuacTrng`,
 :class:`~repro.core.multichannel.SystemTrng`,
-:class:`~repro.core.health.MonitoredTrng`,
 :class:`~repro.core.temperature_manager.TemperatureManagedTrng`) is a
 :class:`HarvestPlanner` over a list of channels (one
 :class:`~repro.core.trng.QuacTrng` each) and their optional health
-monitors; one round planner and one gather step serve them all, and
-one :class:`AsyncHarvestEngine` tops up the serving pool:
+monitors, and differs from the others only in how it builds that list;
+one round planner and one gather step serve them all, and one
+:class:`AsyncHarvestEngine` tops up the serving pool:
 
 * **Planning stays serial.**  Every round is planned in the caller --
   each task claims the next iterations of its segment's thermal-stream
@@ -86,7 +86,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -150,20 +150,31 @@ class HarvestRound:
 class HarvestPlanner:
     """Base of every generator: plans rounds, serves a pooled stream.
 
-    A planner is the *deterministic* half of a generator.  Subclasses
-    name what it plans over -- ``channels``, a list of
-    :class:`~repro.core.trng.QuacTrng`, and ``monitors``, one optional
-    :class:`~repro.core.health.HealthMonitor` per channel -- and call
-    ``super().__init__(backend, async_harvest)``.  This base class owns
-    the rest, written once for every generator: the round planner
-    (:meth:`plan_round`) and gather step (:meth:`gather_round`), the
-    serving pool, the :class:`AsyncHarvestEngine` that fills it, and
-    :meth:`random_bits` / :meth:`random_bytes` / :meth:`iter_bytes`.
+    A planner is the *deterministic* half of a generator, over
+    ``channels``, a list of :class:`~repro.core.trng.QuacTrng`, and
+    ``monitors``, one optional
+    :class:`~repro.core.health.HealthMonitor` per channel (``None``
+    leaves every channel unmonitored); a ``monitors`` list of another
+    length raises :class:`~repro.errors.ConfigurationError`.  It owns
+    everything else, written once for every generator: the round
+    planner (:meth:`plan_round`) and gather step (:meth:`gather_round`),
+    the serving pool, the :class:`AsyncHarvestEngine` that fills it,
+    and :meth:`random_bits` / :meth:`random_bytes` / :meth:`iter_bytes`.
+    Subclasses only build the channels.
     """
 
-    def __init__(self, backend: ExecutionBackend,
+    def __init__(self, backend: ExecutionBackend, channels: Sequence,
+                 monitors: Optional[Sequence] = None,
                  async_harvest: bool = False) -> None:
         self.backend = backend
+        self.channels = list(channels)
+        if monitors is None:
+            monitors = [None] * len(self.channels)
+        if len(monitors) != len(self.channels):
+            raise ConfigurationError(
+                f"got {len(monitors)} monitors for "
+                f"{len(self.channels)} channels")
+        self.monitors = list(monitors)
         #: Commit the next request's opening round after each fill, so
         #: it executes while the consumer works (same bits).
         self.async_harvest = async_harvest

@@ -13,15 +13,18 @@ raw source output, both implemented here:
   window beyond what the claimed entropy allows.
 
 :class:`HealthMonitor` wires both in front of a bit source and keeps
-failure statistics; :class:`MonitoredTrng` wraps a
-:class:`~repro.core.trng.QuacTrng` so every iteration's *raw* segment
-read-out is health-checked before conditioning, mirroring where the
-tests sit in a real pipeline.  Monitoring is batch-friendly:
-:meth:`HealthMonitor.check_many` vectorizes both tests over a whole
-read-out matrix while accounting rows exactly as a loop of
-:meth:`HealthMonitor.check` calls would, which is what lets
-:class:`MonitoredTrng` harvest through the parallel batched engine
-instead of one iteration at a time.
+failure statistics.  A generator runs an optional monitor per channel
+(:class:`~repro.core.multichannel.SystemTrng`'s ``monitors``;
+``SystemTrng([module], monitors=[monitor])`` is one monitored
+channel): each round's *raw* segment read-outs are checked before
+their conditioned bits are pooled, mirroring where the tests
+sit in a real pipeline -- SHA-256 output looks perfect even from a
+dead source, exactly the failure the tests exist to catch.
+Monitoring is batch-friendly: :meth:`HealthMonitor.check_many`
+vectorizes both tests over a whole read-out matrix while accounting
+rows exactly as a loop of :meth:`HealthMonitor.check` calls would,
+which is what lets monitored channels harvest through the parallel
+batched engine instead of one iteration at a time.
 
 Both tests run on *packed* rows (8 raw bits per byte), the form worker
 results already travel in: the APT is a popcount over each window's
@@ -32,14 +35,11 @@ bytes, unpacking only the rare rows that could hold a cutoff-long run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
 
 import numpy as np
 
 from repro.bitops import is_binary
-from repro.core.harvest import HarvestPlanner
 from repro.core.parallel import packed_rows
-from repro.core.trng import QuacTrng
 from repro.errors import (BitstreamError, ConfigurationError,
                           HealthTestFailure)
 
@@ -317,59 +317,3 @@ class HealthMonitor:
         ones = np.bitwise_count(windows).sum(axis=2, dtype=np.int32)
         dominant = np.maximum(ones, self.window - ones)
         return (dominant < self.apt_cutoff).all(axis=1)
-
-
-class MonitoredTrng(HarvestPlanner):
-    """A QuacTrng whose raw read-outs pass continuous health testing.
-
-    Mirrors the real pipeline layout: health tests observe the *raw*
-    sense-amplifier output, never the conditioned stream (SHA-256 output
-    looks perfect even from a dead source -- exactly the failure the
-    tests exist to catch).
-
-    Pooled draws run on the wrapped generator's backend through the
-    shared round planner, as one channel (``trng``) with one monitor:
-    raw read-outs travel with each round, and the monitor's verdict is
-    applied when a round *lands* -- so bits pooled from rounds that
-    passed stay pooled when a later round alarms.
-    ``async_harvest=True`` commits the next request's opening round
-    after each draw (one round in flight at most); the output and the
-    monitor's counters are identical either way.
-    """
-
-    def __init__(self, trng: QuacTrng,
-                 monitor: HealthMonitor = None,
-                 async_harvest: bool = False) -> None:
-        super().__init__(trng.backend, async_harvest)
-        self.trng = trng
-        self.monitor = monitor or HealthMonitor()
-
-    @property
-    def channels(self) -> List[QuacTrng]:
-        """The one channel: the wrapped generator."""
-        return [self.trng]
-
-    @property
-    def monitors(self) -> List[HealthMonitor]:
-        """The one channel's monitor."""
-        return [self.monitor]
-
-    @property
-    def bits_per_iteration(self) -> int:
-        """Conditioned output bits of one (health-checked) iteration."""
-        return self.trng.bits_per_iteration
-
-    def iteration(self) -> Tuple[np.ndarray, float]:
-        """One health-checked iteration: (conditioned bits, latency)."""
-        from repro.entropy.blocks import sha_input_blocks
-
-        digests = []
-        for key in self.trng._banks:
-            segment = self.trng._segments[key]
-            raw = self.trng.executor.run_direct(segment,
-                                                self.trng.data_pattern)
-            self.monitor.check(raw)
-            for block in sha_input_blocks(raw, self.trng._plans[key]):
-                digests.append(self.trng._condition(block))
-        return (np.concatenate(digests),
-                self.trng.iteration_latency_ns)

@@ -28,7 +28,7 @@ the alarm propagates, so they are never lost.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.harvest import HarvestPlanner
 from repro.core.health import HealthMonitor
@@ -64,11 +64,13 @@ class SystemTrng(HarvestPlanner):
         default.  Output is bit-identical across backends, worker
         counts, and host counts.
     monitors:
-        Optional per-channel health monitors (one entry per channel;
-        entries may be ``None`` to leave a channel unmonitored).  When a
-        monitor is present, the channel's raw read-outs are checked
-        through :meth:`HealthMonitor.check_bank_results` before its
-        conditioned bits enter the pool.
+        Optional per-channel health monitors (one entry per channel,
+        else :class:`~repro.errors.ConfigurationError`; entries may be
+        ``None`` to leave a channel unmonitored).  When a monitor is
+        present, the channel's raw read-outs are checked through
+        :meth:`HealthMonitor.check_bank_results` before its conditioned
+        bits enter the pool.  ``SystemTrng([module], monitors=[monitor])``
+        is the health-tested single-channel generator.
     async_harvest:
         After each draw, commit the next request's opening refill
         round on the :class:`~repro.core.harvest.AsyncHarvestEngine`
@@ -106,21 +108,13 @@ class SystemTrng(HarvestPlanner):
                  async_harvest: bool = False) -> None:
         if not modules:
             raise ConfigurationError("need at least one channel module")
-        super().__init__(resolve_backend(backend), async_harvest)
-        self.channels: List[QuacTrng] = [
-            QuacTrng(module, configuration, data_pattern, entropy_per_block,
-                     backend=self.backend)
-            for module in modules
-        ]
-        if monitors is None:
-            self.monitors: List[Optional[HealthMonitor]] = \
-                [None] * len(self.channels)
-        else:
-            if len(monitors) != len(self.channels):
-                raise ConfigurationError(
-                    f"got {len(monitors)} monitors for "
-                    f"{len(self.channels)} channels")
-            self.monitors = list(monitors)
+        backend = resolve_backend(backend)
+        super().__init__(
+            backend,
+            [QuacTrng(module, configuration, data_pattern,
+                      entropy_per_block, backend=backend)
+             for module in modules],
+            monitors, async_harvest)
 
     @property
     def n_channels(self) -> int:

@@ -8,18 +8,20 @@ sensors)".  :class:`TemperatureManagedTrng` implements exactly that:
 
 * at setup it characterizes the module at the centre of each configured
   range and stores per-range SIB plans (and the per-range best segment);
-* per draw it reads the module's temperature sensor, selects the
-  matching plan table, and only re-characterizes when the temperature
-  leaves every characterized range (with a counter, so the paper's
-  "one-time" property is checkable).
+* when it is built, and then per draw, it reads the module's
+  temperature sensor, selects the matching plan table, and only
+  re-characterizes when the temperature leaves every characterized
+  range (with a counter, so the paper's "one-time" property is
+  checkable).
 
 Draws run through the shared round planner unchanged, with the range
 that serves them as the one channel.  When a draw finds the sensor in
 another range, the round still in flight goes back to the cursors
 (:meth:`~repro.core.harvest.AsyncHarvestEngine.cancel_pending`), the
-old range's pooled surplus is dropped, and the new range serves.  Every
-range shares one cursor table, so whichever range plans next claims
-those units again, and no iteration is served twice.
+old range's pooled surplus is dropped, and the new range's generator
+replaces the channel.  Every range shares one cursor table, so
+whichever range plans next claims those units again, and no iteration
+is served twice.
 
 This closes the gap left by :class:`~repro.core.trng.QuacTrng`, which
 characterizes once at construction temperature.
@@ -29,9 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.harvest import HarvestPlanner
 from repro.core.parallel import ExecutionBackend, resolve_backend
@@ -87,6 +87,10 @@ class TemperatureManagedTrng(HarvestPlanner):
         the old range's surplus, so output always comes from plans
         covering the reading at the draw.  At a steady sensor reading
         the output is the same either way.
+
+    The sensor also picks the serving range when the generator is
+    built, so a non-finite reading then fails construction with
+    :class:`~repro.errors.CharacterizationError`.
     """
 
     def __init__(self, module: DramModule,
@@ -101,7 +105,7 @@ class TemperatureManagedTrng(HarvestPlanner):
         self.configuration = configuration
         self.data_pattern = data_pattern
         self.entropy_per_block = entropy_per_block
-        super().__init__(resolve_backend(backend), async_harvest)
+        self.backend = resolve_backend(backend)
         self._validate_ranges(ranges)
         #: One cursor table for every range's generator: ranges often
         #: pick the same segments, and a range switch must carry on
@@ -113,10 +117,10 @@ class TemperatureManagedTrng(HarvestPlanner):
         self.characterization_passes = 0
         self._entries: List[RangeEntry] = []
         self._characterize_ranges(ranges)
-        #: Range entry that serves draws and plans rounds; set from the
-        #: sensor by each draw (or by the first round planned), so
-        #: construction reads no sensor.
-        self._pool_entry: Optional[RangeEntry] = None
+        # The one channel is the generator of the range that serves
+        # draws, picked from the sensor as a draw picks it.
+        super().__init__(self.backend, [self.active_entry().trng],
+                         async_harvest=async_harvest)
 
     # ------------------------------------------------------------------
     # Setup
@@ -202,30 +206,6 @@ class TemperatureManagedTrng(HarvestPlanner):
         self._characterize_ranges([(low, high)])
         self._entries.sort(key=lambda e: e.low_c)
 
-    def iteration(self) -> Tuple[np.ndarray, float]:
-        """One iteration using the active range's plans."""
-        return self.active_entry().trng.iteration()
-
-    # ------------------------------------------------------------------
-    # Harvest-planner protocol (repro.core.harvest)
-    # ------------------------------------------------------------------
-
-    @property
-    def channels(self) -> List[QuacTrng]:
-        """The one channel: the range that serves draws.
-
-        Before any draw has picked a range, the sensor picks it here,
-        as a draw would (nothing is pooled or in flight yet).
-        """
-        if self._pool_entry is None:
-            self._pool_entry = self.active_entry()
-        return [self._pool_entry.trng]
-
-    @property
-    def monitors(self) -> List[None]:
-        """No monitor on the temperature-managed generator."""
-        return [None]
-
     def _refill(self, n_bits: int) -> None:
         """Top the pool up from the range covering the sensor reading.
 
@@ -233,11 +213,11 @@ class TemperatureManagedTrng(HarvestPlanner):
         cursors, and the old range's surplus is dropped, before the
         new range plans anything.
         """
-        entry = self.active_entry()
-        if entry is not self._pool_entry:
+        trng = self.active_entry().trng
+        if trng is not self.channels[0]:
             self.harvest_engine.cancel_pending()
             self._pool.clear()
-            self._pool_entry = entry
+            self.channels[0] = trng
         super()._refill(n_bits)
 
     @property

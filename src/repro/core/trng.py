@@ -11,17 +11,15 @@ paper's recipe:
    write-based, per configuration), **QUAC**, **read** the segment, and
    **condition** each SIB with SHA-256 into a 256-bit random number.
 
-Two execution paths mirror :class:`~repro.core.quac.QuacExecutor`:
-``faithful=True`` replays every DRAM command through the SoftMC host;
-the default fast path samples the analytic settling distribution and is
-what bulk bitstream generation (the NIST experiments) uses.  Bulk
-requests additionally run *batched*: :meth:`QuacTrng.random_bits`
-fills through the shared round planner
-(:class:`~repro.core.harvest.HarvestPlanner`), whose rounds sample many
-iterations per bank in one vectorized draw (:meth:`QuacTrng.plan_batch`
-plans them), slice all SHA input blocks as 2-D matrices and condition
-them in bulk -- the same back-to-back iteration structure from which
-the paper derives its 3.44 Gb/s per channel.  Iteration *latency*
+A :class:`QuacTrng` is a :class:`~repro.core.harvest.HarvestPlanner`
+whose one channel is itself: :meth:`QuacTrng.random_bits` fills through
+the shared round planner, whose rounds sample many iterations per bank
+in one vectorized draw of the analytic settling distribution
+(:meth:`QuacTrng.plan_batch` plans them) and condition every SHA input
+block in bulk -- the same back-to-back iteration structure from which
+the paper derives its 3.44 Gb/s per channel.  The cell-level SoftMC
+read-out, which replays every DRAM command through the host, stays
+available for characterization and serves no bits.  Iteration *latency*
 always comes from the scheduled command sequence
 (:class:`~repro.core.throughput.QuacThroughputModel`), never from
 wall-clock simulation time.
@@ -44,11 +42,9 @@ from repro.core.parallel import run_bank_task  # noqa: F401
 from repro.core.quac import QuacExecutor
 from repro.core.throughput import (IterationBreakdown, QuacThroughputModel,
                                    TrngConfiguration)
-from repro.crypto.conditioner import Sha256Conditioner
 from repro.dram.device import BEST_DATA_PATTERN, DramModule
 from repro.dram.geometry import SegmentAddress
-from repro.entropy.blocks import (EntropyBlockPlan, plan_entropy_blocks,
-                                  sha_input_blocks)
+from repro.entropy.blocks import EntropyBlockPlan, plan_entropy_blocks
 from repro.entropy.characterization import ModuleCharacterization
 from repro.errors import (CharacterizationError, ConfigurationError,
                           InsufficientEntropyError)
@@ -113,12 +109,12 @@ class QuacTrng(HarvestPlanner):
                  async_harvest: bool = False) -> None:
         if configuration.uses_rowclone:
             check_rowclone_pattern(data_pattern)
-        super().__init__(resolve_backend(backend), async_harvest)
+        super().__init__(resolve_backend(backend), [self],
+                         async_harvest=async_harvest)
         self.module = module
         self.configuration = configuration
         self.data_pattern = data_pattern
         self.entropy_per_block = entropy_per_block
-        self.conditioner = Sha256Conditioner()
         self.executor = QuacExecutor(module)
         self._banks = [(group, 0) for group in range(configuration.n_banks)]
         self._characterize()
@@ -183,16 +179,6 @@ class QuacTrng(HarvestPlanner):
         return [self._segments[b] for b in self._banks]
 
     @property
-    def channels(self) -> List[QuacTrng]:
-        """The harvest planner's one channel: this generator."""
-        return [self]
-
-    @property
-    def monitors(self) -> List[None]:
-        """No monitor on the plain generator."""
-        return [None]
-
-    @property
     def sib_per_bank(self) -> List[int]:
         """SHA-input-block count of each driven bank."""
         return [self._sib[b] for b in self._banks]
@@ -229,25 +215,13 @@ class QuacTrng(HarvestPlanner):
     # Generation
     # ------------------------------------------------------------------
 
-    def iteration(self, faithful: bool = False) -> Tuple[np.ndarray, float]:
-        """One TRNG iteration: (conditioned bits, scheduled latency ns)."""
-        digests: List[np.ndarray] = []
-        for key in self._banks:
-            segment = self._segments[key]
-            readout = (self._faithful_readout(segment) if faithful
-                       else self.executor.run_direct(segment,
-                                                     self.data_pattern))
-            for block in sha_input_blocks(readout, self._plans[key]):
-                digests.append(self._condition(block))
-        return np.concatenate(digests), self._breakdown.total_ns
-
     def plan_batch(self, n: int,
                    collect_raw: bool = False) -> List[BankTask]:
         """Plan ``n`` iterations as one picklable task per driven bank.
 
         Planning runs serially in the caller (each bank's task claims
-        the next ``n`` iterations of its segment's cursor, exactly as
-        the sequential path does), so executing the returned tasks on
+        the next ``n`` iterations of its segment's cursor, as
+        :meth:`~repro.core.quac.QuacExecutor.run_direct` would), so executing the returned tasks on
         *any* backend, in *any* order, with *any* worker count yields
         bit-identical results.  ``collect_raw`` asks workers to also
         return the raw read-outs, for health monitoring.
@@ -283,7 +257,13 @@ class QuacTrng(HarvestPlanner):
     # ------------------------------------------------------------------
 
     def _faithful_readout(self, segment: SegmentAddress) -> np.ndarray:
-        """Init + QUAC + read through the full SoftMC command path."""
+        """One read-out of ``segment`` through the full SoftMC command path.
+
+        Init (RowClone or writes, per configuration) + QUAC + read,
+        every DRAM command replayed cell by cell: a characterization
+        tool, on no serving path, that claims no iteration of the
+        served stream.
+        """
         geometry = self.module.geometry
         timing = self.module.timing
         if self.configuration.uses_rowclone:
@@ -302,6 +282,3 @@ class QuacTrng(HarvestPlanner):
             self.executor.host.execute(close)
             return result.read_data
         return self.executor.run_via_softmc(segment, self.data_pattern)
-
-    def _condition(self, block: np.ndarray) -> np.ndarray:
-        return self.conditioner.condition(block)

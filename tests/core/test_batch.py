@@ -1,16 +1,19 @@
-"""Batched generation: equivalence with the per-iteration path.
+"""Batched generation: every row is its iteration of the stream spec.
 
 The batched engine must be a pure speedup, not a different generator:
 iteration ``k`` of a segment's thermal stream is the same whether it is
 drawn alone or inside a refill round, so ``random_bits`` of ``n``
 iterations' worth of bits, reshaped to ``n`` rows, is bit-identical to
-``n`` calls of :meth:`QuacTrng.iteration`, for any partition of the
-iterations into draws.  Bulk streams from both paths also pass the
-NIST frequency and runs tests.
+the first ``n`` units of the executable spec
+(:class:`stream_spec.SpecStream`), for any partition of the iterations
+into draws.  The bulk stream also passes the NIST frequency and runs
+tests.
 """
 
 import numpy as np
 import pytest
+
+from stream_spec import SpecStream
 
 from repro.core.harvest import MAX_BATCH_ITERATIONS
 from repro.core.trng import QuacTrng
@@ -35,31 +38,27 @@ def _rows(trng, n):
 
 
 class TestBatchIdentity:
-    def test_batch_one_bit_identical_to_iteration(self, make_trng):
-        sequential = make_trng()
+    def test_batch_one_bit_identical_to_spec(self, make_trng):
         batched = make_trng()
+        width = batched.bits_per_iteration
         # Identity must hold for every draw size and across the
         # cursor state left by earlier draws.
-        for n in (1, 1, 3, 2, 5):
-            rows = _rows(batched, n)
-            assert rows.shape == (n, sequential.bits_per_iteration)
-            for row in rows:
-                seq_bits, seq_latency = sequential.iteration()
-                np.testing.assert_array_equal(row, seq_bits)
-                assert seq_latency == pytest.approx(
-                    batched.iteration_latency_ns)
+        draws = (1, 1, 3, 2, 5)
+        rows = [_rows(batched, n) for n in draws]
+        assert [r.shape for r in rows] == [(n, width) for n in draws]
+        want = SpecStream(batched).bits(sum(draws) * width)
+        np.testing.assert_array_equal(np.vstack(rows).ravel(), want)
 
     def test_first_batch_row_matches_first_iteration(self, make_trng):
         # Every row of a draw is its iteration, wherever the draw
-        # boundaries fall: one draw of 6 equals iteration + draw of
-        # 3 + draw of 2.
+        # boundaries fall: one draw of 6 equals draws of 1, 3 and 2.
         whole = _rows(make_trng(), 6)
         trng = make_trng()
-        first, _ = trng.iteration()
+        first = _rows(trng, 1)
         middle = _rows(trng, 3)
         last = _rows(trng, 2)
-        np.testing.assert_array_equal(
-            whole, np.vstack([first[None, :], middle, last]))
+        np.testing.assert_array_equal(whole,
+                                      np.vstack([first, middle, last]))
 
     def test_batch_shape_and_latency(self, make_trng):
         trng = make_trng()
@@ -68,8 +67,9 @@ class TestBatchIdentity:
         # Whole iterations leave no surplus and claim exactly 7.
         assert len(trng._pool) == 0
         assert trng.cursors() == [7] * len(trng.cursors())
-        _, latency = trng.iteration()
-        assert latency == pytest.approx(trng.iteration_latency_ns)
+        # Latency is the scheduled command sequence's, not wall clock.
+        assert trng.iteration_latency_ns == pytest.approx(
+            trng.breakdown.total_ns)
 
     def test_batch_rows_are_distinct(self, make_trng):
         bits = _rows(make_trng(), 4)
@@ -87,23 +87,14 @@ class TestBatchIdentity:
 class TestBatchStatisticalAgreement:
     N_BITS = 120_000
 
-    def _sequential_stream(self, trng, n_bits):
-        parts, have = [], 0
-        while have < n_bits:
-            bits, _ = trng.iteration()
-            parts.append(bits)
-            have += bits.size
-        return np.concatenate(parts)[:n_bits]
-
     def test_nist_frequency_and_runs_agree(self, make_trng):
-        sequential = self._sequential_stream(make_trng(), self.N_BITS)
-        batched = make_trng().random_bits(self.N_BITS)
-        for stream in (sequential, batched):
-            report = run_all_tests(stream, tests=["monobit", "runs"])
-            assert report.passes_all(), report.failing()
-        # The two paths draw the same iterations, so their
-        # one-fractions agree.
-        assert abs(sequential.mean() - batched.mean()) < 0.01
+        trng = make_trng()
+        batched = trng.random_bits(self.N_BITS)
+        report = run_all_tests(batched, tests=["monobit", "runs"])
+        assert report.passes_all(), report.failing()
+        # A bulk draw is the spec's stream, bit for bit.
+        np.testing.assert_array_equal(batched,
+                                      SpecStream(trng).bits(self.N_BITS))
 
 
 class TestBatchedRandomBits:
@@ -128,26 +119,15 @@ class TestBatchedRandomBits:
         second = trng.random_bits(5000)
         assert not np.array_equal(first, second)
 
-    def test_small_draw_matches_sequential_path(self, make_trng):
+    def test_small_draw_matches_spec(self, make_trng):
         # Draws of any size -- below one iteration or spanning several
-        # -- are bit-identical to per-iteration pooling.
-        width = make_trng().bits_per_iteration
-        draws = [100, 300, 50, 3 * width + 17, width, 2 * width - 1, 9]
-        sequential = self._reference_stream(make_trng(), draws)
+        # -- serve the spec's stream in order.
         trng = make_trng()
+        width = trng.bits_per_iteration
+        draws = [100, 300, 50, 3 * width + 17, width, 2 * width - 1, 9]
         batched = np.concatenate([trng.random_bits(n) for n in draws])
-        np.testing.assert_array_equal(batched, sequential)
-
-    def _reference_stream(self, trng, draws):
-        out = []
-        pool = np.zeros(0, dtype=np.uint8)
-        for n in draws:
-            while pool.size < n:
-                bits, _ = trng.iteration()
-                pool = np.concatenate([pool, bits])
-            out.append(pool[:n])
-            pool = pool[n:]
-        return np.concatenate(out)
+        np.testing.assert_array_equal(batched,
+                                      SpecStream(trng).bits(sum(draws)))
 
     def test_large_draw_is_chunked(self, make_trng):
         trng = make_trng()

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from stream_spec import SpecStream
+
 from repro.core.overheads import OverheadModel
 from repro.core.quac import QuacExecutor
 from repro.core.throughput import (QuacThroughputModel, TrngConfiguration,
@@ -63,9 +65,10 @@ class TestQuacTrng:
         assert all(s >= 1 for s in trng.sib_per_bank)
 
     def test_iteration_output_size(self, trng):
-        bits, latency = trng.iteration()
-        assert bits.size == trng.bits_per_iteration
-        assert latency == pytest.approx(trng.iteration_latency_ns)
+        # One iteration conditions every driven bank's SIBs.
+        assert trng.bits_per_iteration == 256 * sum(trng.sib_per_bank)
+        assert SpecStream(trng).unit_bits() == trng.bits_per_iteration
+        assert trng.iteration_latency_ns > 0
 
     def test_random_bits_exact_length(self, trng):
         out = trng.random_bits(1000)
@@ -84,8 +87,10 @@ class TestQuacTrng:
         assert abs(stream.mean() - 0.5) < 0.02
 
     def test_faithful_path_matches_shape(self, trng):
-        bits, _ = trng.iteration(faithful=True)
-        assert bits.size == trng.bits_per_iteration
+        # The cell-level SoftMC read-out is one row_bits-wide 0/1 row.
+        row = trng._faithful_readout(trng.segments[0])
+        assert row.shape == (trng.module.geometry.row_bits,)
+        assert set(np.unique(row).tolist()) <= {0, 1}
 
     def test_negative_request_rejected(self, trng):
         with pytest.raises(InsufficientEntropyError):
@@ -103,8 +108,9 @@ class TestQuacTrng:
         trng = QuacTrng(module_m13, TrngConfiguration.ONE_BANK,
                         entropy_per_block=256.0 * entropy_scale)
         assert len(trng.segments) == 1
-        bits, _ = trng.iteration()
-        assert bits.size == trng.bits_per_iteration
+        width = trng.bits_per_iteration
+        np.testing.assert_array_equal(trng.random_bits(width),
+                                      SpecStream(trng).bits(width))
 
 
 class TestThroughputModel:

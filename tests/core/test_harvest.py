@@ -22,6 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stream_spec import SpecStream
+
 import repro.core.harvest as harvest_module
 from repro.core.health import HealthMonitor, HealthTestFailure
 from repro.core.multichannel import SystemTrng
@@ -31,7 +33,8 @@ from repro.core.parallel import (BACKEND_ENV_VAR, ExecutionBackend,
                                  resolve_backend, run_bank_task)
 from repro.core.trng import QuacTrng
 from repro.dram.module_factory import build_table3_population
-from repro.errors import InsufficientEntropyError
+from repro.core.temperature_manager import TemperatureManagedTrng
+from repro.errors import ConfigurationError, InsufficientEntropyError
 
 
 def _fresh_trng(module, entropy_scale, backend=None, **kwargs):
@@ -44,6 +47,44 @@ def _fresh_system(small_geometry, entropy_scale, names=("M13", "M4"),
     modules = build_table3_population(small_geometry, names=list(names))
     return SystemTrng(modules, entropy_per_block=256.0 * entropy_scale,
                       backend=backend or SerialBackend(), **kwargs)
+
+
+class TestPlannerChannels:
+    """One concrete planner over any channels and matching monitors."""
+
+    @pytest.mark.parametrize("n_monitors", [0, 2])
+    def test_every_planner_refuses_mismatched_monitors(
+            self, module_m13, entropy_scale, n_monitors):
+        trng = _fresh_trng(module_m13, entropy_scale)
+        monitors = [HealthMonitor() for _ in range(n_monitors)]
+        message = f"got {n_monitors} monitors for 1 channels"
+        with pytest.raises(ConfigurationError, match=message):
+            harvest_module.HarvestPlanner(trng.backend, [trng], monitors)
+        with pytest.raises(ConfigurationError, match=message):
+            SystemTrng([module_m13], entropy_per_block=256.0 * entropy_scale,
+                       backend=SerialBackend(), monitors=monitors)
+
+    def test_generators_build_only_their_channels(self, module_m13,
+                                                  entropy_scale):
+        trng = _fresh_trng(module_m13, entropy_scale)
+        managed = TemperatureManagedTrng(
+            module_m13, entropy_per_block=256.0 * entropy_scale,
+            backend=SerialBackend())
+        assert (trng.channels, trng.monitors) == ([trng], [None])
+        assert (managed.channels, managed.monitors) == \
+            ([managed.active_entry().trng], [None])
+        for cls in (QuacTrng, SystemTrng, TemperatureManagedTrng):
+            for name in ("plan_round", "gather_round", "channels",
+                         "monitors"):
+                assert name not in vars(cls), (cls, name)
+
+    def test_bare_planner_serves_the_unit_stream(self, module_m13,
+                                                 module_m4, entropy_scale):
+        channels = [_fresh_trng(module, entropy_scale)
+                    for module in (module_m13, module_m4)]
+        planner = harvest_module.HarvestPlanner(SerialBackend(), channels)
+        assert planner.random_bytes(3000) == \
+            SpecStream(planner).prefix(3000)
 
 
 class TestAsyncEquivalence:
@@ -401,13 +442,11 @@ class TestPackedResults:
             assert len(result.digests) * 8 == 5 * result.digest_bits
             assert len(result.raw) * 8 == 5 * result.raw_bits
         # The packed gather lays banks side by side as bytes; its
-        # unpacked view is the per-iteration stream.
+        # unpacked view is the spec's stream.
         fresh = _fresh_trng(module_m13, entropy_scale)
-        sequential = _fresh_trng(module_m13, entropy_scale)
-        want = np.vstack([sequential.iteration()[0] for _ in range(5)])
-        np.testing.assert_array_equal(
-            fresh.random_bits(5 * fresh.bits_per_iteration).reshape(5, -1),
-            want)
+        n_bits = 5 * fresh.bits_per_iteration
+        np.testing.assert_array_equal(fresh.random_bits(n_bits),
+                                      SpecStream(fresh).bits(n_bits))
 
     def test_packed_monitoring_counts_identically(self, module_m13,
                                                   entropy_scale):

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.harvest as harvest_module
+import stream_spec
 from repro.core.health import (HealthMonitor, HealthTestFailure,
-                               MonitoredTrng, adaptive_proportion_cutoff,
+                               adaptive_proportion_cutoff,
                                repetition_count_cutoff)
+from repro.core.multichannel import SystemTrng
 from repro.core.parallel import ThreadPoolBackend
 from repro.core.temperature_manager import (DEFAULT_RANGES,
                                             TemperatureManagedTrng)
@@ -17,6 +19,26 @@ from repro.dram.geometry import DramGeometry
 from repro.dram.module_factory import build_module, spec_by_name
 from repro.errors import (BitstreamError, CharacterizationError,
                           ConfigurationError)
+
+
+def _monitored(module, entropy_scale, backend=None, async_harvest=False,
+               **monitor_kwargs):
+    """One monitored channel: a one-module :class:`SystemTrng`."""
+    kwargs = dict(claimed_min_entropy=0.01)
+    kwargs.update(monitor_kwargs)
+    return SystemTrng([module], entropy_per_block=256.0 * entropy_scale,
+                      backend=backend, monitors=[HealthMonitor(**kwargs)],
+                      async_harvest=async_harvest)
+
+
+def _check_spec_rows(monitor: HealthMonitor, trng: QuacTrng,
+                     iterations: int) -> None:
+    """Check ``trng``'s spec read-out rows one :meth:`check` at a time,
+    iteration-major and bank-minor."""
+    banks = stream_spec.channel_banks(trng)
+    for k in range(iterations):
+        for key, thresholds, _ in banks:
+            monitor.check(stream_spec.read_out(key, thresholds, k))
 
 
 def _loop_check(monitor: HealthMonitor, matrix: np.ndarray):
@@ -187,30 +209,46 @@ class TestHealthMonitor:
             HealthMonitor(consecutive_failures_to_alarm=alarm)
 
 
-class TestMonitoredTrng:
+class TestMonitoredChannel:
     def test_healthy_quac_source_generates(self, module_m13,
                                            entropy_scale):
-        trng = QuacTrng(module_m13,
-                        entropy_per_block=256.0 * entropy_scale)
         # Credit the raw segment with its conservative per-bit
         # min-entropy (total entropy / row bits).
-        monitored = MonitoredTrng(trng, HealthMonitor(
-            claimed_min_entropy=0.01))
+        monitored = _monitored(module_m13, entropy_scale)
         stream = monitored.random_bits(5000)
         assert stream.size == 5000
-        assert monitored.monitor.samples_checked > 0
-        assert monitored.monitor.rct_failures == 0
+        assert monitored.monitors[0].samples_checked > 0
+        assert monitored.monitors[0].rct_failures == 0
 
-    def test_dead_segment_is_caught(self, fresh_module, small_geometry):
+    def test_dead_segment_is_caught(self, fresh_module, entropy_scale):
         # Sabotage: a TRNG whose segment went deterministic (uniform
         # pattern -> no conflict -> no metastability).
-        scale = small_geometry.row_bits / 65536
-        trng = QuacTrng(fresh_module, entropy_per_block=256.0 * scale)
-        trng.data_pattern = "1111"      # post-characterization drift
-        monitored = MonitoredTrng(trng, HealthMonitor(
-            claimed_min_entropy=0.01, consecutive_failures_to_alarm=2))
+        monitored = _monitored(fresh_module, entropy_scale,
+                               consecutive_failures_to_alarm=2)
+        monitored.channels[0].data_pattern = "1111"   # drifts dead
         with pytest.raises(HealthTestFailure):
             monitored.random_bits(50000)
+
+    def test_mixed_requests_serve_the_spec_and_check_every_row(
+            self, module_m13, entropy_scale):
+        monitored = _monitored(module_m13, entropy_scale)
+        channel = monitored.channels[0]
+        width = monitored.bits_per_system_iteration()
+        served = [monitored.random_bits(width // 3),
+                  np.unpackbits(np.frombuffer(
+                      monitored.random_bytes(2 * width // 8 + 5),
+                      dtype=np.uint8)),
+                  monitored.random_bits(1),
+                  monitored.random_bits(3 * width + 17)]
+        served = np.concatenate(served)
+        np.testing.assert_array_equal(
+            served, stream_spec.SpecStream(monitored).bits(served.size))
+        # Every iteration drawn had every driven bank's raw row checked.
+        drawn = channel.cursors()[0]
+        assert drawn == -(-served.size // width)
+        assert monitored.monitors[0].samples_checked == \
+            drawn * channel.configuration.n_banks \
+            * channel.module.geometry.row_bits
 
 
 class TestCheckMany:
@@ -342,64 +380,53 @@ class TestCheckMany:
             assert getattr(monitor, stat) == value, stat
 
 
-class TestMonitoredTrngBatched:
+class TestMonitoredChannelBatched:
     """The batched harvest is the per-iteration harvest, reordered not
     re-judged."""
 
-    def _pair(self, module, entropy_scale, **monitor_kwargs):
-        kwargs = dict(claimed_min_entropy=0.01)
-        kwargs.update(monitor_kwargs)
-        trng = QuacTrng(module, entropy_per_block=256.0 * entropy_scale)
-        return MonitoredTrng(trng, HealthMonitor(**kwargs))
-
-    def test_batch_one_matches_iteration(self, module_m13, entropy_scale):
-        sequential = self._pair(module_m13, entropy_scale)
-        batched = self._pair(module_m13, entropy_scale)
-        # A draw of n iterations' bits is n health-checked iterations,
-        # with identical monitor accounting.
-        width = batched.bits_per_iteration
-        for n in (1, 4, 2):
-            got = batched.random_bits(n * width).reshape(n, -1)
-            for row in got:
-                want, _ = sequential.iteration()
-                np.testing.assert_array_equal(row, want)
+    def test_batch_one_matches_spec(self, module_m13, entropy_scale):
+        batched = _monitored(module_m13, entropy_scale)
+        # A draw of n iterations' bits is the spec's next n units, and
+        # the monitor counts what a per-row check of their raw
+        # read-outs counts.
+        width = batched.bits_per_system_iteration()
+        draws = (1, 4, 2)
+        got = np.concatenate([batched.random_bits(n * width)
+                              for n in draws])
+        np.testing.assert_array_equal(
+            got, stream_spec.SpecStream(batched).bits(got.size))
+        reference = HealthMonitor(claimed_min_entropy=0.01)
+        _check_spec_rows(reference, batched.channels[0], sum(draws))
         for stat in ("samples_checked", "rct_failures", "apt_failures"):
-            assert getattr(batched.monitor, stat) == \
-                getattr(sequential.monitor, stat)
+            assert getattr(batched.monitors[0], stat) == \
+                getattr(reference, stat)
 
     def test_random_bits_pools_surplus(self, module_m13, entropy_scale):
-        monitored = self._pair(module_m13, entropy_scale)
+        monitored = _monitored(module_m13, entropy_scale)
         monitored.random_bits(100)
-        counter = sum(monitored.trng.cursors())
-        checked = monitored.monitor.samples_checked
+        counter = sum(monitored.channels[0].cursors())
+        checked = monitored.monitors[0].samples_checked
         again = monitored.random_bits(100)   # surplus covers this
         assert again.size == 100
-        assert sum(monitored.trng.cursors()) == counter
-        assert monitored.monitor.samples_checked == checked
+        assert sum(monitored.channels[0].cursors()) == counter
+        assert monitored.monitors[0].samples_checked == checked
 
     def test_dead_segment_alarm_matches_per_iteration_path(
-            self, fresh_module, small_geometry):
-        scale = small_geometry.row_bits / 65536
-        by_iteration = MonitoredTrng(
-            QuacTrng(fresh_module, entropy_per_block=256.0 * scale),
-            HealthMonitor(claimed_min_entropy=0.01,
-                          consecutive_failures_to_alarm=2))
-        by_batch = MonitoredTrng(
-            QuacTrng(fresh_module, entropy_per_block=256.0 * scale),
-            HealthMonitor(claimed_min_entropy=0.01,
-                          consecutive_failures_to_alarm=2))
-        by_iteration.trng.data_pattern = "1111"   # drift to deterministic
-        by_batch.trng.data_pattern = "1111"
+            self, fresh_module, entropy_scale):
+        by_batch = _monitored(fresh_module, entropy_scale,
+                              consecutive_failures_to_alarm=2)
+        by_batch.channels[0].data_pattern = "1111"   # drift to dead
+        by_iteration = HealthMonitor(claimed_min_entropy=0.01,
+                                     consecutive_failures_to_alarm=2)
         with pytest.raises(HealthTestFailure):
-            for _ in range(8):
-                by_iteration.iteration()
+            _check_spec_rows(by_iteration, by_batch.channels[0], 8)
         with pytest.raises(HealthTestFailure):
             by_batch.random_bits(50_000)
         # A dead segment fails deterministically, so both paths must
         # reject at the same read-out with identical accounting.
         for stat in ("samples_checked", "rct_failures", "_consecutive"):
-            assert getattr(by_batch.monitor, stat) == \
-                getattr(by_iteration.monitor, stat), stat
+            assert getattr(by_batch.monitors[0], stat) == \
+                getattr(by_iteration, stat), stat
 
 
 class TestTemperatureManager:
@@ -466,6 +493,19 @@ class TestTemperatureManager:
         assert bits.size == 4000
         assert abs(bits.mean() - 0.5) < 0.05
 
+    def test_non_finite_reading_fails_construction(self, module_m13,
+                                                   entropy_scale):
+        # The sensor picks the serving range when the generator is
+        # built, so a failed sensor fails the constructor itself.
+        module_m13.temperature_c = float("nan")
+        try:
+            with pytest.raises(CharacterizationError,
+                               match="sensor reads nan"):
+                TemperatureManagedTrng(
+                    module_m13, entropy_per_block=256.0 * entropy_scale)
+        finally:
+            module_m13.temperature_c = 50.0
+
     def test_overlapping_ranges_rejected(self, module_m13, entropy_scale):
         with pytest.raises(ConfigurationError):
             TemperatureManagedTrng(
@@ -502,15 +542,13 @@ class TestTemperatureManager:
             return TemperatureManagedTrng(
                 module_m13, entropy_per_block=256.0 * entropy_scale)
 
-        fresh, sequential = build(), build()
+        fresh = build()
         active = fresh.active_entry().trng
+        assert fresh.channels == [active]
         width = active.bits_per_iteration
-        bits = fresh.random_bits(3 * width).reshape(3, -1)
-        assert bits.shape == (3, active.bits_per_iteration)
-        for row in bits:
-            want, latency = sequential.iteration()
-            np.testing.assert_array_equal(row, want)
-            assert latency == pytest.approx(active.iteration_latency_ns)
+        bits = fresh.random_bits(3 * width)
+        np.testing.assert_array_equal(
+            bits, stream_spec.SpecStream(fresh).bits(3 * width))
         # Every range reads one shared cursor table, and only the
         # active range's segments advanced.
         assert all(e.trng.executor is fresh.executor
@@ -594,21 +632,19 @@ class TestTemperatureManager:
             out = managed.random_bits(100)
             assert out.size == 100
             # The stale pool was discarded and the high range harvested.
-            assert managed._pool_entry is managed.active_entry()
+            assert managed.channels == [high_trng]
             assert sum(high_trng.cursors()) > counter
         finally:
             module_m13.temperature_c = 50.0
 
 
-class TestAsyncWrappers:
+class TestAsyncHardenedGenerators:
     """async_harvest wired through the monitored and temperature-managed
-    wrappers: same bits, same verdicts, overlapped with serving."""
+    generators: same bits, same verdicts, overlapped with serving."""
 
     def _monitored(self, module, entropy_scale, **kwargs):
-        trng = QuacTrng(module, entropy_per_block=256.0 * entropy_scale)
-        return MonitoredTrng(trng, HealthMonitor(
-            claimed_min_entropy=0.01, consecutive_failures_to_alarm=2),
-            **kwargs)
+        return _monitored(module, entropy_scale,
+                          consecutive_failures_to_alarm=2, **kwargs)
 
     def test_monitored_async_stream_matches_sync(self, module_m13,
                                                  entropy_scale):
@@ -616,20 +652,16 @@ class TestAsyncWrappers:
         sync = self._monitored(module_m13, entropy_scale)
         expected = [sync.random_bits(n) for n in draws]
         with ThreadPoolBackend(2) as backend:
-            trng = QuacTrng(module_m13,
-                            entropy_per_block=256.0 * entropy_scale,
-                            backend=backend)
-            monitored = MonitoredTrng(
-                trng, HealthMonitor(claimed_min_entropy=0.01,
-                                    consecutive_failures_to_alarm=2),
-                async_harvest=True)
+            monitored = self._monitored(module_m13, entropy_scale,
+                                        backend=backend,
+                                        async_harvest=True)
             for n, want in zip(draws, expected):
                 np.testing.assert_array_equal(monitored.random_bits(n),
                                               want)
         assert monitored.harvest_engine.rounds_gathered > 0
         for stat in ("samples_checked", "rct_failures", "apt_failures"):
-            assert getattr(monitored.monitor, stat) == \
-                getattr(sync.monitor, stat), stat
+            assert getattr(monitored.monitors[0], stat) == \
+                getattr(sync.monitors[0], stat), stat
 
     def test_monitored_async_inflight_alarm_keeps_pooled_bits(
             self, fresh_module, small_geometry, monkeypatch):
@@ -640,38 +672,39 @@ class TestAsyncWrappers:
         scale = small_geometry.row_bits / 65536
         monitored = self._monitored(fresh_module, scale,
                                     async_harvest=True)
-        surplus_draw = monitored.bits_per_iteration + 7
+        surplus_draw = monitored.bits_per_system_iteration() + 7
         monitored.random_bits(surplus_draw)      # healthy rounds
         pooled = len(monitored._pool)
         assert pooled > 0                        # surplus survived take
-        monitored.trng.data_pattern = "1111"     # segment goes dead
+        channel = monitored.channels[0]
+        channel.data_pattern = "1111"            # segment goes dead
         with pytest.raises(HealthTestFailure):
             monitored.random_bits(50_000)
         # Healthy surplus still pooled, and it serves without any new
         # harvest (which would re-raise).
         assert len(monitored._pool) >= pooled
-        counter = sum(monitored.trng.cursors())
+        counter = sum(channel.cursors())
         served = monitored.random_bits(min(64, pooled))
         assert served.size == min(64, pooled)
-        assert sum(monitored.trng.cursors()) == counter
+        assert sum(channel.cursors()) == counter
 
     def test_monitored_async_alarm_accounting_matches_sync(
             self, fresh_module, small_geometry):
         scale = small_geometry.row_bits / 65536
         sync = self._monitored(fresh_module, scale)
-        sync.trng.data_pattern = "1111"
+        sync.channels[0].data_pattern = "1111"
         with pytest.raises(HealthTestFailure):
             sync.random_bits(50_000)
         hybrid = self._monitored(fresh_module, scale, async_harvest=True)
-        hybrid.trng.data_pattern = "1111"
+        hybrid.channels[0].data_pattern = "1111"
         with pytest.raises(HealthTestFailure):
             hybrid.random_bits(50_000)
         # The alarm lands on the same read-out with the same counters:
         # in-flight rounds never gathered are never checked, exactly
         # like rounds the synchronous path never harvested.
         for stat in ("samples_checked", "rct_failures", "_consecutive"):
-            assert getattr(hybrid.monitor, stat) == \
-                getattr(sync.monitor, stat), stat
+            assert getattr(hybrid.monitors[0], stat) == \
+                getattr(sync.monitors[0], stat), stat
 
     def test_temperature_async_matches_sync_at_steady_range(
             self, module_m13, entropy_scale):
@@ -704,7 +737,8 @@ class TestAsyncWrappers:
             engine = managed.harvest_engine
             bpi = managed.active_entry().trng.bits_per_iteration
             managed.random_bits(2 * bpi + 7)
-            low_entry = managed._pool_entry
+            low_entry = managed.active_entry()
+            assert managed.channels == [low_entry.trng]
             assert engine.pending_rounds == 1
             module_m13.temperature_c = 85.0
             high_entry = managed.active_entry()
@@ -714,7 +748,7 @@ class TestAsyncWrappers:
             out = managed.random_bits(100)
             assert out.size == 100
             assert engine.rounds_cancelled == 1
-            assert managed._pool_entry is high_entry
+            assert managed.channels == [high_entry.trng]
             # Every bit served or pooled since the switch came from
             # whole one-iteration rounds of the high range.
             assert (len(managed._pool) + 100) % high_bpi == 0

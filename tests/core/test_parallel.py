@@ -15,6 +15,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from stream_spec import SpecStream
+
 from repro.core.multichannel import SystemTrng
 from repro.core.parallel import (BACKEND_ENV_VAR, ProcessPoolBackend,
                                  SerialBackend, ThreadPoolBackend,
@@ -99,18 +101,15 @@ class TestBackendEquivalence:
                     np.testing.assert_array_equal(trng.random_bits(n),
                                                   want)
 
-    def test_batch_one_still_matches_iteration(self, module_m13,
-                                               small_geometry):
+    def test_batch_one_still_matches_spec(self, module_m13,
+                                          small_geometry):
         # The identity survives the fan-out on a process pool: a draw
-        # of n iterations' bits is n sequential iterations.
+        # of n iterations' bits is the spec's next n units.
         with ProcessPoolBackend(2) as backend:
             batched = _fresh_trng(module_m13, small_geometry, backend)
-            sequential = _fresh_trng(module_m13, small_geometry,
-                                     SerialBackend())
-            for n in (1, 3, 2):
-                for row in _rows(batched, n):
-                    want, _ = sequential.iteration()
-                    np.testing.assert_array_equal(row, want)
+            rows = np.vstack([_rows(batched, n) for n in (1, 3, 2)])
+        np.testing.assert_array_equal(
+            rows.ravel(), SpecStream(batched).bits(rows.size))
 
 
 class TestSystemBackendEquivalence:

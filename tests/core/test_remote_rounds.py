@@ -22,7 +22,8 @@ import numpy as np
 import pytest
 
 import repro.core.harvest as harvest_module
-from repro.core.health import HealthMonitor, HealthTestFailure, MonitoredTrng
+from repro.core.health import HealthMonitor, HealthTestFailure
+from repro.core.multichannel import SystemTrng
 from repro.core.parallel import SerialBackend
 from repro.core.remote import LocalCluster, RemoteBackend
 from repro.core.temperature_manager import TemperatureManagedTrng
@@ -94,12 +95,14 @@ class TestKilledWorkerMidShard:
                 np.concatenate([head, tail]), serial_golden)
 
 
-class TestMonitoredAndTemperatureWrappers:
+class TestMonitoredAndTemperatureGenerators:
     def _monitored(self, module, entropy_scale, backend, **kwargs):
-        return MonitoredTrng(
-            _fresh_trng(module, entropy_scale, backend),
-            HealthMonitor(claimed_min_entropy=0.01,
-                          consecutive_failures_to_alarm=2), **kwargs)
+        return SystemTrng(
+            [module], entropy_per_block=256.0 * entropy_scale,
+            backend=backend,
+            monitors=[HealthMonitor(claimed_min_entropy=0.01,
+                                    consecutive_failures_to_alarm=2)],
+            **kwargs)
 
     @pytest.mark.parametrize("async_harvest", [False, True],
                              ids=["sync", "async"])
@@ -124,8 +127,8 @@ class TestMonitoredAndTemperatureWrappers:
         # Re-sharded rounds were monitored exactly once each: the
         # verdict accounting matches the serial reference.
         for stat in ("samples_checked", "rct_failures", "apt_failures"):
-            assert getattr(monitored.monitor, stat) == \
-                getattr(reference.monitor, stat), stat
+            assert getattr(monitored.monitors[0], stat) == \
+                getattr(reference.monitors[0], stat), stat
 
     def test_inflight_shard_alarm_keeps_pooled_bits(
             self, fresh_module, small_geometry, monkeypatch):
@@ -138,10 +141,11 @@ class TestMonitoredAndTemperatureWrappers:
             _warm(backend)
             monitored = self._monitored(fresh_module, scale, backend,
                                         async_harvest=True)
-            monitored.random_bits(monitored.bits_per_iteration + 7)
+            monitored.random_bits(monitored.bits_per_system_iteration()
+                                  + 7)
             pooled = len(monitored._pool)
             assert pooled > 0
-            monitored.trng.data_pattern = "1111"   # segment goes dead
+            monitored.channels[0].data_pattern = "1111"   # goes dead
             with pytest.raises(HealthTestFailure):
                 monitored.random_bits(50_000)
             # The healthy surplus is still pooled and serves without a

@@ -4,12 +4,13 @@ Iteration ``k`` of a segment's thermal-noise stream is a pure function
 of (module seed, bank, segment, ``k``), so a single-channel generator's
 output must not depend on how its iterations are grouped into batches
 or how its bits are split into requests -- on any backend, synchronous
-or asynchronous.  The reference is the per-iteration path on the
-serial backend.  ``tests/test_stream_spec.py`` holds every generator to
-the executable spec; the tests here hold them to the per-iteration
-path, and pin what the spec does not model:
+or asynchronous.  The reference is the executable spec
+(``tests/stream_spec.py``), which ``tests/test_stream_spec.py`` drives
+every generator against; the tests here pin what that property does
+not:
 
-* a health monitor counts exactly what the per-iteration path counts;
+* a health monitor counts exactly what a fresh monitor counts when it
+  checks the spec's raw read-out rows one at a time, in bank order;
 * cancelling in-flight rounds loses no unit, and neither does a round
   whose join raises (say, every remote worker lost), because their
   units go back to the cursors;
@@ -20,8 +21,8 @@ path, and pin what the spec does not model:
 
 A :class:`SystemTrng` stream is a sequence of *units* -- unit ``u`` is
 iteration ``u // C`` of channel ``u % C`` -- so it must equal the
-per-channel per-iteration rows interleaved iteration-major,
-channel-minor, for any request split, plain or monitored.
+per-channel spec rows interleaved iteration-major, channel-minor, for
+any request split, plain or monitored.
 """
 
 import numpy as np
@@ -29,8 +30,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stream_spec
 from repro.core import harvest
-from repro.core.health import HealthMonitor, HealthTestFailure, MonitoredTrng
+from repro.core.health import HealthMonitor, HealthTestFailure
 from repro.core.multichannel import SystemTrng
 from repro.core.parallel import (ExecutionBackend, ProcessPoolBackend,
                                  SerialBackend, ThreadPoolBackend)
@@ -43,7 +45,8 @@ from repro.errors import RemoteExecutionError
 #: including a round an async guess gathers beyond the requests.
 REFERENCE_ITERATIONS = 48
 
-#: The single-channel generators under test.
+#: The single-channel generators under test ("monitored" is a
+#: one-channel monitored system).
 KINDS = ("quac", "monitored", "temperature")
 
 #: The two-channel systems under test.
@@ -75,13 +78,14 @@ def make_generator(module_m13, entropy_scale):
             return TemperatureManagedTrng(
                 module_m13, entropy_per_block=entropy_per_block,
                 backend=backend, async_harvest=async_harvest)
-        trng = QuacTrng(module_m13, entropy_per_block=entropy_per_block,
-                        backend=backend, async_harvest=async_harvest)
         if kind == "monitored":
-            return MonitoredTrng(trng,
-                                 HealthMonitor(claimed_min_entropy=0.01),
-                                 async_harvest=async_harvest)
-        return trng
+            return SystemTrng(
+                [module_m13], entropy_per_block=entropy_per_block,
+                backend=backend,
+                monitors=[HealthMonitor(claimed_min_entropy=0.01)],
+                async_harvest=async_harvest)
+        return QuacTrng(module_m13, entropy_per_block=entropy_per_block,
+                        backend=backend, async_harvest=async_harvest)
     return build
 
 
@@ -90,36 +94,40 @@ def _counters(monitor):
             monitor.apt_failures, monitor._consecutive)
 
 
-def _cursors(generator):
-    if isinstance(generator, MonitoredTrng):
-        return generator.trng.cursors()
-    if isinstance(generator, TemperatureManagedTrng):
-        return generator.active_entry().trng.cursors()
-    return generator.cursors()
+def _spec_rows(generator):
+    """The first ``REFERENCE_ITERATIONS`` units of ``generator``'s
+    one channel, one row each."""
+    spec = stream_spec.SpecStream(generator)
+    return spec.bits(REFERENCE_ITERATIONS * spec.unit_bits()).reshape(
+        REFERENCE_ITERATIONS, -1)
 
 
 @pytest.fixture(scope="module")
 def reference(make_generator):
-    """Per kind: ``(REFERENCE_ITERATIONS, bits_per_iteration)``
-    iteration rows, and (monitored only) the monitor's counters after
-    each iteration."""
+    """Per kind: ``(REFERENCE_ITERATIONS, bits_per_iteration)`` spec
+    rows, and (monitored only) a fresh monitor's counters after each
+    iteration's raw read-out rows, checked one at a time in bank
+    order."""
     streams = {}
     for kind in KINDS:
         generator = make_generator(kind)
-        rows, counters = [], []
-        for _ in range(REFERENCE_ITERATIONS):
-            rows.append(generator.iteration()[0])
-            if kind == "monitored":
-                counters.append(_counters(generator.monitor))
-        streams[kind] = (np.vstack(rows), counters)
+        counters = []
+        if kind == "monitored":
+            monitor = HealthMonitor(claimed_min_entropy=0.01)
+            banks = stream_spec.channel_banks(generator.channels[0])
+            for k in range(REFERENCE_ITERATIONS):
+                for key, thresholds, _ in banks:
+                    monitor.check(stream_spec.read_out(key, thresholds, k))
+                counters.append(_counters(monitor))
+        streams[kind] = (_spec_rows(generator), counters)
     return streams
 
 
 def _check_monitor(generator, counters):
-    """The monitor counted exactly the per-iteration path's rows."""
-    monitor = generator.monitor
-    raw_bits = (generator.trng.configuration.n_banks
-                * generator.trng.module.geometry.row_bits)
+    """The monitor counted exactly the reference monitor's rows."""
+    monitor, channel = generator.monitors[0], generator.channels[0]
+    raw_bits = (channel.configuration.n_banks
+                * channel.module.geometry.row_bits)
     checked = monitor.samples_checked // raw_bits
     assert checked >= 1
     assert _counters(monitor) == counters[checked - 1]
@@ -143,7 +151,7 @@ def test_any_request_split_yields_the_same_bits(
     np.testing.assert_array_equal(served, want.ravel()[:sum(requests)])
     if not async_harvest:
         # Each round claims just enough iterations for its deficit.
-        cursors = _cursors(generator)
+        cursors = generator.channels[0].cursors()
         assert cursors == [-(-sum(requests) // width)] * len(cursors)
     if kind == "monitored":
         _check_monitor(generator, counters)
@@ -171,15 +179,12 @@ def make_system(system_modules, entropy_scale):
 
 @pytest.fixture(scope="module")
 def channel_rows(system_modules, entropy_scale):
-    """Per channel, ``REFERENCE_ITERATIONS`` rows of a lone
-    :class:`QuacTrng`'s per-iteration path on the serial backend."""
-    rows = []
-    for module in system_modules:
-        trng = QuacTrng(module, entropy_per_block=256.0 * entropy_scale,
-                        backend=SerialBackend())
-        rows.append([trng.iteration()[0]
-                     for _ in range(REFERENCE_ITERATIONS)])
-    return rows
+    """Per channel, ``REFERENCE_ITERATIONS`` spec rows of a lone
+    :class:`QuacTrng`."""
+    return [_spec_rows(QuacTrng(module,
+                                entropy_per_block=256.0 * entropy_scale,
+                                backend=SerialBackend()))
+            for module in system_modules]
 
 
 def _units(channel_rows, keep=lambda channel, iteration: True):

@@ -146,8 +146,8 @@ def _prefix(bits: np.ndarray, n: int = 64) -> str:
     return "".join(str(int(b)) for b in bits[:n])
 
 
-#: Harvest modes the goldens are replayed under.  The asynchronous
-#: double-buffered engine (``async_harvest=True``) must reproduce the
+#: Harvest modes the goldens are replayed under.  The engine running
+#: one round ahead (``async_harvest=True``) must reproduce the
 #: synchronous stream bit for bit -- same constants, no new goldens.
 HARVEST_MODES = [False, True]
 HARVEST_IDS = ["sync", "async"]

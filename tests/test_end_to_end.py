@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from stream_spec import SpecStream
+
 from repro.core.throughput import TrngConfiguration
 from repro.core.trng import QuacTrng
 from repro.crypto.von_neumann import von_neumann_correct
@@ -69,12 +71,13 @@ class TestFullPipeline:
         scale = pipeline_module.geometry.row_bits / 65536
         trng = QuacTrng(pipeline_module,
                         entropy_per_block=256.0 * scale)
-        bits, latency = trng.iteration()
-        assert bits.size == 256 * sum(trng.sib_per_bank)
+        width = SpecStream(trng).unit_bits()
+        assert width == trng.bits_per_iteration == \
+            256 * sum(trng.sib_per_bank)
+        latency = trng.iteration_latency_ns
         assert latency > 0
         gbps = trng.throughput_gbps()
-        assert gbps == pytest.approx(
-            bits.size / latency, rel=1e-6)
+        assert gbps == pytest.approx(width / latency, rel=1e-6)
 
     def test_temperature_shift_changes_sib_plans(self, pipeline_module):
         """Section 8: plans are re-derived per temperature range."""

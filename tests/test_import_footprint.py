@@ -88,6 +88,16 @@ def test_worker_loads_only_the_kernel():
     assert loaded == {"repro": WORKER_MODULES, "scipy": []}
 
 
+def test_health_loads_no_generator():
+    # The monitors sit below the generators: a planner takes them as
+    # per-channel arguments, so health imports neither.
+    run = _python("-c", LOADED + "import repro.core.health\n"
+                                 "print(json.dumps(loaded()))\n")
+    loaded = json.loads(run.stdout)["repro"]
+    assert "repro.core.trng" not in loaded
+    assert "repro.core.harvest" not in loaded
+
+
 def test_worker_help_exits_zero():
     run = _python("-m", "repro.core.remote.worker", "--help")
     assert "remote generation worker" in run.stdout

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import stream_spec
 import test_determinism as golden
-from repro.core.health import HealthMonitor, MonitoredTrng
+from repro.core.health import HealthMonitor
 from repro.core.multichannel import SystemTrng
 from repro.core.parallel import (ProcessPoolBackend, SerialBackend,
                                  ThreadPoolBackend)
@@ -59,22 +59,18 @@ def make_generator(module_m13, module_m4, entropy_scale):
             return TemperatureManagedTrng(
                 module_m13, entropy_per_block=entropy_per_block,
                 backend=backend, async_harvest=async_harvest)
-        if kind.endswith("system"):
-            monitors = None
-            if kind == "monitored_system":
-                monitors = [HealthMonitor(claimed_min_entropy=0.01)
-                            for _ in range(2)]
-            return SystemTrng([module_m13, module_m4],
-                              entropy_per_block=entropy_per_block,
-                              backend=backend, monitors=monitors,
-                              async_harvest=async_harvest)
-        trng = QuacTrng(module_m13, entropy_per_block=entropy_per_block,
-                        backend=backend, async_harvest=async_harvest)
-        if kind == "monitored":
-            return MonitoredTrng(trng,
-                                 HealthMonitor(claimed_min_entropy=0.01),
-                                 async_harvest=async_harvest)
-        return trng
+        if kind == "quac":
+            return QuacTrng(module_m13, entropy_per_block=entropy_per_block,
+                            backend=backend, async_harvest=async_harvest)
+        modules = [module_m13] if kind == "monitored" else \
+            [module_m13, module_m4]
+        monitors = None
+        if kind.startswith("monitored"):
+            monitors = [HealthMonitor(claimed_min_entropy=0.01)
+                        for _ in modules]
+        return SystemTrng(modules, entropy_per_block=entropy_per_block,
+                          backend=backend, monitors=monitors,
+                          async_harvest=async_harvest)
     return build
 
 
@@ -84,12 +80,6 @@ def specs(make_generator):
     return {kind: stream_spec.SpecStream(make_generator(kind,
                                                         SerialBackend()))
             for kind in KINDS}
-
-
-def _cursors(generator):
-    if isinstance(generator, MonitoredTrng):
-        return generator.trng.cursors()
-    return generator.channels[0].cursors()
 
 
 @given(kind=st.sampled_from(KINDS),
@@ -124,7 +114,7 @@ def test_every_generator_serves_the_spec_stream(
     if len(spec.channels) == 1 and not async_harvest and all(
             verb in ("bits", "bytes") for verb, _ in steps):
         # Each round claims just enough iterations for its deficit.
-        cursors = _cursors(generator)
+        cursors = generator.channels[0].cursors()
         assert cursors == [-(-served.size // width)] * len(cursors)
 
 
